@@ -14,6 +14,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import __version__
 from . import formats
@@ -31,11 +33,13 @@ from .families import (
     grid,
     h_graph,
     h_tilde,
+    intersection_graph,
     interval_model,
     line_graph_via_subdivision,
     map_graph_from_rotation,
     path,
     random_degenerate,
+    row_coloring,
     segment_model,
     twisted_chain,
 )
@@ -78,6 +82,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _need(value: str | None, option: str) -> str:
+    """The value of a file option that this command form cannot do without."""
+    if value is None:
+        raise ValueError(f"{option} is required for this command")
+    return value
+
+
 def _load_graph(path: str) -> Graph:
     return formats.parse_edge_list(_read(path))
 
@@ -89,9 +100,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_manifest(args, argv, outputs: list[str], seeds: list[int], t0: float) -> None:
-    if not getattr(args, "manifest", None):
-        return
+@dataclass
+class RunRecord:
+    """What a command reports for its manifest: the files it wrote and the
+    seeds it used.  :func:`main` writes the manifest once the command ends."""
+
+    outputs: list[str] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=list)
+
+
+def _written(*paths: str | None) -> list[str]:
+    return [p for p in paths if p]
+
+
+def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -103,36 +125,43 @@ def _write_manifest(args, argv, outputs: list[str], seeds: list[int], t0: float)
         "argv": list(argv),
         "command": " ".join(argv),
         "parameters": params,
-        "seeds": seeds,
-        "inputs": [p for p in (getattr(args, "input", None),) if p],
-        "outputs": outputs,
+        "seeds": record.seeds,
+        "inputs": _written(getattr(args, "input", None)),
+        "outputs": record.outputs,
         "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
     _write(args.manifest, formats.dumps_json(manifest))
 
 
-def cmd_gen(args, argv) -> int:
-    t0 = time.perf_counter()
+# Generators shared by `gen` and `report sweep`: family -> (builder, the
+# parameter names it takes, in order).  A sweep spec may leave out the
+# parameters in SWEEP_DEFAULTS; the CLI's own option defaults match them.
+FAMILIES = {
+    "h": (h_graph, ("n", "m")),
+    "htilde": (h_tilde, ("n", "m")),
+    "chain": (twisted_chain, ("order", "variant")),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "grid": (grid, ("a", "b")),
+    "random": (random_degenerate, ("n", "d", "seed")),
+}
+SWEEP_DEFAULTS = {"variant": "bare", "seed": 0}
+
+
+def _generate(family: str, params: Mapping) -> Graph:
+    build, names = FAMILIES[family]
+    return build(*(params[k] for k in names))
+
+
+def cmd_gen(args, record: RunRecord) -> int:
     model_obj = None
-    if args.family == "h":
-        g = h_graph(args.n, args.m)
-    elif args.family == "htilde":
-        g = h_tilde(args.n, args.m)
-    elif args.family == "chain":
-        g = twisted_chain(args.order, args.variant)
-    elif args.family == "path":
-        g = path(args.n)
-    elif args.family == "cycle":
-        g = cycle(args.n)
-    elif args.family == "grid":
-        g = grid(args.a, args.b)
-    elif args.family == "random":
-        g = random_degenerate(args.n, args.d, args.seed)
+    if args.family in FAMILIES:
+        g = _generate(args.family, vars(args))
     elif args.family == "map":
-        rotations = formats.rotations_from_json(_read(args.input))
+        rotations = formats.rotations_from_json(_read(_need(args.input, "-i/--input")))
         g = map_graph_from_rotation(rotations)
     elif args.family == "linegraph":
-        g = line_graph_via_subdivision(_load_graph(args.input))
+        g = line_graph_via_subdivision(_load_graph(_need(args.input, "-i/--input")))
     elif args.family == "model":
         model = (
             interval_model(args.order)
@@ -145,35 +174,28 @@ def cmd_gen(args, argv) -> int:
             model_obj = {"segments": [list(s) for s in model.segments]}
         model_obj["scale"] = model.scale
         model_obj["relabel_to_chain"] = list(model.relabel_to_chain)
-        from .families import intersection_graph
-
         g = intersection_graph(model)
     else:
         raise ValueError(f"unknown family {args.family!r}")
-    outputs = []
     if model_obj is not None and args.model_out:
         _write(args.model_out, formats.dumps_json(model_obj))
-        outputs.append(args.model_out)
+        record.outputs.append(args.model_out)
     _emit(args, formats.serialize_edge_list(g))
-    if args.output:
-        outputs.append(args.output)
     if args.labels:
         _write(args.labels, formats.labels_to_json(g))
-        outputs.append(args.labels)
-    _write_manifest(args, argv, outputs, [getattr(args, "seed", 0)], t0)
+    record.outputs += _written(args.output, args.labels)
+    record.seeds = [args.seed]
     return 0
 
 
-def cmd_power(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_power(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     _emit(args, formats.serialize_edge_list(power(g, args.r)))
-    _write_manifest(args, argv, [args.output] if args.output else [], [], t0)
+    record.outputs = _written(args.output)
     return 0
 
 
-def cmd_wcol(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_wcol(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     if args.exact:
         value, order = wcol_exact(g, args.r)
@@ -184,19 +206,17 @@ def cmd_wcol(args, argv) -> int:
     if args.order_out:
         _write(args.order_out, formats.order_to_json(order))
     _emit(args, formats.dumps_json({"r": args.r, "value": value, "method": method}))
-    _write_manifest(args, argv, [p for p in (args.output, args.order_out) if p], [], t0)
+    record.outputs = _written(args.output, args.order_out)
     return 0
 
 
-def cmd_color(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_color(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
-    outputs = []
     if args.mode == "td":
         c = treedepth_coloring(g, args.p, strategy=args.strategy)
         _emit(args, formats.dumps_json(formats.coloring_to_obj(c)))
     elif args.mode == "refine":
-        base = formats.coloring_from_obj(json.loads(_read(args.coloring)))
+        base = formats.coloring_from_obj(json.loads(_read(_need(args.coloring, "-c/--coloring"))))
         orders = []
         for radius in range(2, args.r + 1):
             orders.append(wcol_heuristic(g, radius)[1])
@@ -213,20 +233,19 @@ def cmd_color(args, argv) -> int:
         _emit(args, formats.dumps_json(obj))
         if args.profile:
             _write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
-            outputs.append(args.profile)
+            record.outputs.append(args.profile)
     else:
         raise ValueError(f"unknown color mode {args.mode!r}")
-    if args.output:
-        outputs.append(args.output)
-    _write_manifest(args, argv, outputs, [], t0)
+    record.outputs += _written(args.output)
     return 0
 
 
-def cmd_verify(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     if args.what == "decomposition":
-        D = formats.decomposition_from_obj(json.loads(_read(args.decomposition)))
+        D = formats.decomposition_from_obj(
+            json.loads(_read(_need(args.decomposition, "-d/--decomposition")))
+        )
         try:
             width = verify_decomposition(g, D)
         except ValueError as exc:
@@ -236,7 +255,7 @@ def cmd_verify(args, argv) -> int:
         if args.max_width is not None and width > args.max_width:
             return 1
         return 0
-    obj = json.loads(_read(args.coloring))
+    obj = json.loads(_read(_need(args.coloring, "-c/--coloring")))
     c = formats.coloring_from_obj(obj)
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
@@ -266,13 +285,11 @@ def cmd_verify(args, argv) -> int:
             )
         profile = verify_low_rw_coloring(g, c, args.p, q)
         _emit(args, formats.dumps_json(formats.profile_to_obj(profile)))
-        _write_manifest(args, argv, [], [], t0)
         return 0 if profile.verified else 1
     raise ValueError(f"unknown verify mode {args.mode!r}")
 
 
-def cmd_width(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_width(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     if args.what == "rank":
         rep = rank_width_exact(g) if args.exact else rank_width_upper(g)
@@ -282,18 +299,17 @@ def cmd_width(args, argv) -> int:
         _emit(args, formats.dumps_json({"value": value, "method": "exact"}))
     else:
         raise ValueError(f"unknown width kind {args.what!r}")
-    _write_manifest(args, argv, [args.output] if args.output else [], [], t0)
+    record.outputs = _written(args.output)
     return 0
 
 
-def cmd_lab(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_lab(args, record: RunRecord) -> int:
     if args.what == "certificate":
         if args.input:
             g = _load_graph(args.input)
-            labels = formats.labels_from_json(_read(args.labels))
+            labels = formats.labels_from_json(_read(_need(args.labels, "--labels")))
             g = Graph(g.n, g.adj, labels)
-            part_obj = json.loads(_read(args.partition))
+            part_obj = json.loads(_read(_need(args.partition, "--partition")))
             part = formats.partition_from_obj(part_obj, g)
             result = lower_bound_certificate(g, part)
             if isinstance(result, ImbalanceReport):
@@ -335,7 +351,8 @@ def cmd_lab(args, argv) -> int:
             _write(args.csv, text)
         else:
             sys.stdout.write(text)
-        _write_manifest(args, argv, [args.csv] if args.csv else [], [args.seed], t0)
+        record.outputs = _written(args.csv)
+        record.seeds = [args.seed]
         return 0 if ok else 1
     if args.what == "ramsey":
         import random as _random
@@ -365,7 +382,8 @@ def cmd_lab(args, argv) -> int:
             _write(args.csv, text)
         else:
             sys.stdout.write(text)
-        _write_manifest(args, argv, [args.csv] if args.csv else [], [args.seed], t0)
+        record.outputs = _written(args.csv)
+        record.seeds = [args.seed]
         return 0 if ok else 1
     if args.what == "extract":
         import random as _random
@@ -375,7 +393,8 @@ def cmd_lab(args, argv) -> int:
         colors = [rng.randint(1, args.colors) for _ in range(g.n)]
         sub, report = monochromatic_substructure(g, colors, args.target)
         _emit(args, formats.dumps_json(formats.extraction_report_to_obj(report)))
-        _write_manifest(args, argv, [args.output] if args.output else [], [args.seed], t0)
+        record.outputs = _written(args.output)
+        record.seeds = [args.seed]
         return 0 if report.achieved >= 1 else 1
     raise ValueError(f"unknown lab command {args.what!r}")
 
@@ -389,23 +408,21 @@ def _harness_csv(rows) -> str:
     return buf.getvalue()
 
 
-def cmd_eh(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_eh(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     provider = even_split_provider(args.classes, args.width_bound)
     witness, kind, params = eh_witness(g, provider)
     _emit(args, formats.dumps_json(formats.witness_to_obj(witness, kind, params, g.n)))
-    _write_manifest(args, argv, [args.output] if args.output else [], [], t0)
+    record.outputs = _written(args.output)
     return 0
 
 
-def cmd_chi(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_chi(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     c = formats.coloring_from_obj(json.loads(_read(args.coloring)))
     out = chi_product_coloring(g, c)
     _emit(args, formats.dumps_json(formats.coloring_to_obj(out)))
-    _write_manifest(args, argv, [args.output] if args.output else [], [], t0)
+    record.outputs = _written(args.output)
     return 0
 
 
@@ -427,21 +444,9 @@ SWEEP_FIELDS = [
 def _sweep_generate(spec: dict) -> Graph:
     gen = spec["generator"]
     family = gen["family"]
-    if family == "h":
-        return h_graph(gen["n"], gen["m"])
-    if family == "htilde":
-        return h_tilde(gen["n"], gen["m"])
-    if family == "grid":
-        return grid(gen["a"], gen["b"])
-    if family == "path":
-        return path(gen["n"])
-    if family == "cycle":
-        return cycle(gen["n"])
-    if family == "chain":
-        return twisted_chain(gen["order"], gen.get("variant", "bare"))
-    if family == "random":
-        return random_degenerate(gen["n"], gen["d"], gen.get("seed", 0))
-    raise ValueError(f"unknown sweep family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown sweep family {family!r}")
+    return _generate(family, {**SWEEP_DEFAULTS, **gen})
 
 
 def _sweep_row(spec: dict) -> dict:
@@ -455,8 +460,6 @@ def _sweep_row(spec: dict) -> dict:
         pipe = spec["pipeline"]
         kind = pipe["kind"]
         if kind == "rowcolor-verify":
-            from .families import row_coloring
-
             gen = spec["generator"]
             p = pipe["p"]
             c = row_coloring(gen["n"], gen["m"], p)
@@ -500,8 +503,7 @@ def _sweep_row(spec: dict) -> dict:
     return row
 
 
-def cmd_report(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_report(args, record: RunRecord) -> int:
     spec = json.loads(_read(args.spec))
     runs = spec.get("runs", [])
     buf = io.StringIO()
@@ -516,11 +518,11 @@ def cmd_report(args, argv) -> int:
         _write(args.output, text)
     else:
         sys.stdout.write(text)
-    _write_manifest(args, argv, [args.output] if args.output else [], [], t0)
+    record.outputs = _written(args.output)
     return 0
 
 
-def cmd_rerun(args, argv) -> int:
+def cmd_rerun(args, record: RunRecord) -> int:
     manifest = json.loads(_read(args.manifest))
     return main(manifest["argv"])
 
@@ -539,10 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     p = sub.add_parser("gen", help="generate a graph family")
-    p.add_argument("family", choices=[
-        "h", "htilde", "chain", "path", "cycle", "grid", "random", "map",
-        "linegraph", "model",
-    ])
+    p.add_argument("family", choices=[*FAMILIES, "map", "linegraph", "model"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--a", type=int, default=2)
@@ -659,8 +658,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    t0 = time.perf_counter()
+    record = RunRecord()
     try:
-        return args.func(args, argv)
+        code = args.func(args, record)
+        # rerun's --manifest names its input; the replayed run writes its own
+        if code in (0, 1) and args.func is not cmd_rerun and args.manifest:
+            _write_manifest(args, argv, record, t0)
+        return code
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

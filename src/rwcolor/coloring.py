@@ -13,8 +13,18 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import Graph, all_pairs_distances, bfs_distances, bits_of, induced_subgraph
-from .orderings import LinearOrder, wcol_heuristic, wcol_of_order, wreach_sets
+from .graph import (
+    Graph,
+    all_pairs_distances,
+    bfs_distances,
+    bits_of,
+    components,
+    degeneracy_order,
+    induced_subgraph,
+    mask_of,
+    shells,
+)
+from .orderings import LinearOrder, above_masks, wcol_heuristic, wreach_sets
 from .widths import (
     RANK_WIDTH_EXACT_CAP,
     TREE_DEPTH_EXACT_CAP,
@@ -91,40 +101,21 @@ class RefinementColoring:
 
 
 def _high_shortest_path(
-    G: Graph, pos: Sequence[int], u: int, v: int, r: int
+    G: Graph, above: Sequence[int], u: int, v: int, r: int
 ) -> list[int] | None:
     """Shortest u-v path of length <= r whose internal vertices are above v.
 
-    BFS from u through {w : pos[w] > pos[v]}, with v admitted only as the
-    endpoint.  The path is reconstructed with smallest-id parents, so the
-    outcome is deterministic.
+    BFS from u through above[v] (see :func:`above_masks`), with v admitted
+    only as the endpoint.  The path is reconstructed with smallest-id
+    parents, so the outcome is deterministic.
     """
-    allowed = 0
-    pv = pos[v]
-    for w in range(G.n):
-        if pos[w] > pv:
-            allowed |= 1 << w
-    layers = [1 << u]
-    seen = 1 << u
-    found = u == v
-    while not found and len(layers) <= r:
-        nxt = 0
-        for w in bits_of(layers[-1]):
-            nxt |= G.adj[w]
-        nxt &= (allowed | 1 << v) & ~seen
-        if not nxt:
-            return None
-        if nxt >> v & 1:
-            nxt = 1 << v
-            found = True
-        seen |= nxt
-        layers.append(nxt)
-    if not found:
+    layers = shells(G, u, above[v] | 1 << v, r)
+    hit = [d for d, layer in enumerate(layers) if layer >> v & 1]
+    if not hit:
         return None
     path = [v]
-    for depth in range(len(layers) - 2, -1, -1):
-        tail = path[-1]
-        parent = min(bits_of(G.adj[tail] & layers[depth]))
+    for depth in range(hit[0] - 1, -1, -1):
+        parent = min(bits_of(G.adj[path[-1]] & layers[depth]))
         path.append(parent)
     return list(reversed(path))
 
@@ -143,6 +134,7 @@ def good_refinement(G: Graph, c: Coloring, r: int, L: LinearOrder) -> Refinement
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
     pos = L.position
+    above = above_masks(L)
     wsets = wreach_sets(G, L, r)
     budget = 2 * max(len(s) for s in wsets)
     collected: list[set[int]] = [set() for _ in range(G.n)]
@@ -153,7 +145,7 @@ def good_refinement(G: Graph, c: Coloring, r: int, L: LinearOrder) -> Refinement
         for u in sorted(wsets[v]):
             if u == v or G.has_edge(u, v):
                 continue
-            path = _high_shortest_path(G, pos, u, v, r)
+            path = _high_shortest_path(G, above, u, v, r)
             if path is not None:
                 z = max(path, key=lambda w: pos[w])
                 collected[v].add(c.colors[z])
@@ -268,16 +260,7 @@ def is_closure(
 def greedy_proper_coloring(G: Graph, order: Sequence[int] | None = None) -> Coloring:
     """Greedy proper coloring along an order (degeneracy order by default)."""
     if order is None:
-        remaining = (1 << G.n) - 1
-        suffix = []
-        while remaining:
-            v = min(
-                bits_of(remaining),
-                key=lambda u: ((G.adj[u] & remaining).bit_count(), u),
-            )
-            suffix.append(v)
-            remaining &= ~(1 << v)
-        order = list(reversed(suffix))
+        order = degeneracy_order(G)
     colors = [0] * G.n
     for v in order:
         used = {colors[u] for u in bits_of(G.adj[v]) if colors[u]}
@@ -304,46 +287,36 @@ def verify_td_coloring(
     vertex count); everything else goes through the exact solver per
     component, erroring if a component exceeds the solver cap.
     """
+    if len(c.colors) != G.n:
+        raise ValueError("coloring does not match the graph")
     classes = c.classes()
     palette = sorted(classes)
     failures = []
     checked = 0
     for i in range(1, min(p, len(palette)) + 1):
         for combo in itertools.combinations(palette, i):
-            union = [v for col in combo for v in classes[col]]
+            union = mask_of(v for col in combo for v in classes[col])
             checked += 1
-            if len(union) <= i:
+            if union.bit_count() <= i:
                 continue
-            sub, _ = induced_subgraph(G, union)
-            td = _td_by_component(sub, td_cap)
+            td = _td_by_component(G, union, td_cap)
             if td > i:
                 failures.append((combo, i, td))
     return TdColoringReport(not failures, checked, failures)
 
 
-def _td_by_component(G: Graph, td_cap: int) -> int:
+def _td_by_component(G: Graph, mask: int, td_cap: int) -> int:
+    """Tree-depth of G[mask] as the max over its components."""
     best = 0
-    left = (1 << G.n) - 1
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= G.adj[v]
-            nxt &= left & ~seen
-            seen |= nxt
-            frontier = nxt
-        comp = sorted(bits_of(seen))
-        if len(comp) > td_cap:
+    for comp in components(G, mask):
+        size = comp.bit_count()
+        if size > td_cap:
             raise ValueError(
-                f"component of size {len(comp)} exceeds the exact tree-depth cap {td_cap}; "
+                f"component of size {size} exceeds the exact tree-depth cap {td_cap}; "
                 "use a smaller instance"
             )
-        comp_g, _ = induced_subgraph(G, comp)
+        comp_g, _ = induced_subgraph(G, bits_of(comp))
         best = max(best, tree_depth_exact(comp_g, cap=td_cap))
-        left &= ~seen
     return best
 
 
@@ -364,11 +337,10 @@ def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
             for combo in itertools.combinations(cols, i):
                 if target not in combo:
                     continue
-                union = [v for v in range(upto + 1) if assign[v] in combo]
-                if len(union) <= i:
+                union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
+                if union.bit_count() <= i:
                     continue
-                sub, _ = induced_subgraph(G, union)
-                if _td_by_component(sub, td_cap) > i:
+                if _td_by_component(G, union, td_cap) > i:
                     return False
         return True
 
@@ -493,9 +465,9 @@ def low_rankwidth_coloring_of_power(
     orders = []
     d = 1
     for radius in range(2, r + 1):
-        _, L = wcol_heuristic(G, radius)
+        wcol, L = wcol_heuristic(G, radius)
         orders.append(L)
-        d *= 2 * wcol_of_order(G, L, radius)
+        d *= 2 * wcol
     base = treedepth_coloring(G, d * p, strategy=td_strategy, td_cap=td_cap)
     ref = excellent_refinement(G, base, r, orders)
     assert ref.d == d
@@ -525,6 +497,8 @@ def verify_low_rw_coloring(
     flagged upper bounds.  The profile verifies iff every measured value
     stays within its budget.
     """
+    if len(c.colors) != H.n:
+        raise ValueError("coloring does not match the graph")
     budget = Q if callable(Q) else (lambda i: Q[i])
     classes = c.classes()
     palette = sorted(classes)

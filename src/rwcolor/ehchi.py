@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .coloring import Coloring, greedy_proper_coloring
-from .graph import Graph, bits_of, induced_subgraph, mask_of
+from .graph import Graph, bits_of, complement, components, induced_subgraph, mask_of
 from .widths import (
     RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
@@ -42,39 +42,18 @@ def is_cograph(G: Graph) -> tuple[bool, Cotree | None]:
     disconnected graphs are unions of their components, co-disconnected
     graphs are joins of their co-components, anything else is out."""
 
-    def comps(mask: int, row: Callable[[int], int]) -> list[int]:
-        out = []
-        left = mask
-        while left:
-            seen = left & -left
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= row(v)
-                nxt &= mask & ~seen
-                seen |= nxt
-                frontier = nxt
-            out.append(seen)
-            left &= ~seen
-        return out
+    co = complement(G)
 
     def rec(mask: int) -> Cotree | None:
         if mask.bit_count() == 1:
             return Cotree("leaf", mask.bit_length() - 1)
-        parts = comps(mask, lambda v: G.adj[v])
-        if len(parts) > 1:
-            kids = [rec(p) for p in parts]
-            if any(k is None for k in kids):
-                return None
-            return Cotree("union", None, tuple(kids))
-        full = (1 << G.n) - 1
-        parts = comps(mask, lambda v: (full ^ G.adj[v]) & ~(1 << v))
-        if len(parts) > 1:
-            kids = [rec(p) for p in parts]
-            if any(k is None for k in kids):
-                return None
-            return Cotree("join", None, tuple(kids))
+        for op, H in (("union", G), ("join", co)):
+            parts = components(H, mask)
+            if len(parts) > 1:
+                kids = [rec(p) for p in parts]
+                if any(k is None for k in kids):
+                    return None
+                return Cotree(op, None, tuple(kids))
         return None
 
     ct = rec((1 << G.n) - 1)

@@ -1,9 +1,14 @@
-"""Immutable bit-row graphs and GF(2) linear algebra over them.
+"""Immutable bit-row graphs, bitmask traversals, and GF(2) linear algebra.
 
 Vertices are dense integers 0..n-1.  Adjacency is one integer bitmask per
 vertex, so neighbourhood algebra, cut matrices, and subset sweeps are
 word-parallel.  Labels are an optional side table consulted only by
 verifiers and reporters, never by algorithms.
+
+Every bitmask traversal of a graph in the package goes through these:
+:func:`components` (connected components of a vertex mask),
+:func:`ball` and :func:`shells` (bounded BFS inside a vertex mask), and
+:func:`degeneracy_order`.
 """
 
 from __future__ import annotations
@@ -126,16 +131,87 @@ def induced_subgraph(G: Graph, X: Iterable[int]) -> tuple[Graph, dict[int, int]]
         if not 0 <= v < G.n:
             raise ValueError(f"vertex {v} not in graph")
     index = {v: i for i, v in enumerate(keep)}
+    keep_mask = mask_of(keep)
     adj = []
     for v in keep:
         row = 0
-        old = G.adj[v]
-        for u, i in index.items():
-            if old >> u & 1:
-                row |= 1 << i
+        for u in bits_of(G.adj[v] & keep_mask):
+            row |= 1 << index[u]
         adj.append(row)
     labels = tuple(G.labels[v] for v in keep) if G.labels is not None else None
     return Graph(len(keep), tuple(adj), labels), index
+
+
+def _union_rows(adj: Sequence[int], mask: int) -> int:
+    """OR of adj[v] over the bits v of mask.
+
+    This is the innermost step of every traversal, so it walks the bits
+    inline instead of through the :func:`bits_of` generator.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def components(G: Graph, mask: int) -> list[int]:
+    """Connected components of G[mask] as bitmasks, ordered by smallest vertex."""
+    comps = []
+    left = mask
+    while left:
+        seen = left & -left
+        frontier = seen
+        while frontier:
+            frontier = _union_rows(G.adj, frontier) & left & ~seen
+            seen |= frontier
+        comps.append(seen)
+        left &= ~seen
+    return comps
+
+
+def ball(G: Graph, v: int, r: int, within: int) -> int:
+    """Vertices reachable from v in at most r steps through vertices of *within*.
+
+    The result always contains v itself, whether or not v is in *within*.
+    """
+    seen = frontier = 1 << v
+    for _ in range(r):
+        frontier = _union_rows(G.adj, frontier) & within & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+    return seen
+
+
+def shells(G: Graph, v: int, within: int, r: int) -> list[int]:
+    """BFS layers from v through vertices of *within*, out to distance r.
+
+    shells[d] is the mask of vertices at distance exactly d from v inside
+    G[within + v]; the list stops early at the first empty layer.
+    """
+    seen = frontier = 1 << v
+    out = [frontier]
+    for _ in range(r):
+        frontier = _union_rows(G.adj, frontier) & within & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        out.append(frontier)
+    return out
+
+
+def degeneracy_order(G: Graph) -> list[int]:
+    """Repeatedly remove a minimum-degree vertex (smallest id on ties); the
+    removal sequence reversed, so every vertex has few earlier neighbours."""
+    remaining = (1 << G.n) - 1
+    suffix = []
+    while remaining:
+        v = min(bits_of(remaining), key=lambda u: ((G.adj[u] & remaining).bit_count(), u))
+        suffix.append(v)
+        remaining &= ~(1 << v)
+    return list(reversed(suffix))
 
 
 def bfs_distances(G: Graph, source: int) -> list:
@@ -143,20 +219,9 @@ def bfs_distances(G: Graph, source: int) -> list:
     if not 0 <= source < G.n:
         raise ValueError(f"source {source} not in graph")
     dist = [INF] * G.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= G.adj[v]
-        nxt &= ~seen
-        for v in bits_of(nxt):
+    for d, layer in enumerate(shells(G, source, (1 << G.n) - 1, G.n)):
+        for v in bits_of(layer):
             dist[v] = d
-        seen |= nxt
-        frontier = nxt
     return dist
 
 
@@ -170,21 +235,9 @@ def power(G: Graph, r: int) -> Graph:
         raise ValueError("power radius must be >= 1")
     if r == 1:
         return G
-    adj = []
-    for v in range(G.n):
-        seen = 1 << v
-        frontier = seen
-        for _ in range(r):
-            nxt = 0
-            for u in bits_of(frontier):
-                nxt |= G.adj[u]
-            nxt &= ~seen
-            if not nxt:
-                break
-            seen |= nxt
-            frontier = nxt
-        adj.append(seen & ~(1 << v))
-    return Graph(G.n, tuple(adj), G.labels)
+    full = (1 << G.n) - 1
+    adj = tuple(ball(G, v, r, full) & ~(1 << v) for v in range(G.n))
+    return Graph(G.n, adj, G.labels)
 
 
 def complement(G: Graph) -> Graph:

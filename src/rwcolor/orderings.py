@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits_of
+from .graph import Graph, ball, bits_of, shells
 
 WCOL_EXACT_CAP = 9
 
@@ -37,30 +37,18 @@ class LinearOrder:
         return len(self.order)
 
 
-def _restricted_ball(G: Graph, pos: Sequence[int], u: int, r: int) -> int:
-    """Vertices reachable from u within r steps using only vertices above u.
+def above_masks(L: LinearOrder) -> list[int]:
+    """above[v] is the mask of the vertices placed strictly later than v in L.
 
-    Every vertex of such a walk other than u sits strictly later than u in
-    the order, so u is the minimum of the traversed path.  Returns a bitmask
-    including u itself.
+    A bounded search from u inside above[u] walks only through vertices
+    above u, so u is the minimum of every path it finds.
     """
-    above = 0
-    pu = pos[u]
-    for w in range(G.n):
-        if pos[w] > pu:
-            above |= 1 << w
-    seen = 1 << u
-    frontier = seen
-    for _ in range(r):
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= G.adj[v]
-        nxt &= above & ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return seen
+    above = [0] * len(L)
+    acc = 0
+    for v in reversed(L.order):
+        above[v] = acc
+        acc |= 1 << v
+    return above
 
 
 def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
@@ -71,10 +59,10 @@ def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
+    above = above_masks(L)
     result: list[set] = [set() for _ in range(G.n)]
     for u in range(G.n):
-        ball = _restricted_ball(G, L.position, u, r)
-        for v in bits_of(ball):
+        for v in bits_of(ball(G, u, r, above[u])):
             result[v].add(u)
     return [frozenset(s) for s in result]
 
@@ -84,9 +72,10 @@ def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
     if r < 0:
         raise ValueError("radius must be non-negative")
     pv = L.position[v]
+    above = above_masks(L)
     out = set()
     for u in range(G.n):
-        if L.position[u] <= pv and _restricted_ball(G, L.position, u, r) >> v & 1:
+        if L.position[u] <= pv and ball(G, u, r, above[u]) >> v & 1:
             out.add(u)
     return frozenset(out)
 
@@ -97,11 +86,11 @@ def wcol_of_order(G: Graph, L: LinearOrder, r: int, cutoff: int | None = None) -
     With a cutoff, returns None as soon as the value provably reaches it;
     used by the exact sweep to prune dominated orders.
     """
+    above = above_masks(L)
     counts = [0] * G.n
     best = 0
     for u in range(G.n):
-        ball = _restricted_ball(G, L.position, u, r)
-        for v in bits_of(ball):
+        for v in bits_of(ball(G, u, r, above[u])):
             counts[v] += 1
             if counts[v] > best:
                 best = counts[v]
@@ -137,7 +126,8 @@ def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder]:
     """Degeneracy-style order: repeatedly place a low-reach vertex last.
 
     The removed vertex minimizes a weighted count of remaining vertices
-    within distance r (shell at distance d weighted 2^(r-d)); ties go to the
+    within distance r (shell at distance d weighted 2^(r-d); shell 0, the
+    vertex itself, adds the same 2^r to every score); ties go to the
     smallest vertex id.  Returns the measured wcol of the produced order.
     """
     remaining = (1 << G.n) - 1
@@ -146,19 +136,9 @@ def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder]:
         best_v = -1
         best_score = None
         for v in bits_of(remaining):
-            seen = 1 << v
-            frontier = seen
             score = 0
-            for d in range(1, r + 1):
-                nxt = 0
-                for u in bits_of(frontier):
-                    nxt |= G.adj[u]
-                nxt &= remaining & ~seen
-                if not nxt:
-                    break
-                score += nxt.bit_count() << (r - d)
-                seen |= nxt
-                frontier = nxt
+            for d, layer in enumerate(shells(G, v, remaining, r)):
+                score += layer.bit_count() << (r - d)
             if best_score is None or score < best_score:
                 best_score = score
                 best_v = v

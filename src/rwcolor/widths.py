@@ -11,7 +11,16 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, bits_of, cutrank_mask, induced_subgraph
+from .graph import (
+    Graph,
+    bits_of,
+    components,
+    cutrank_mask,
+    degeneracy_order,
+    induced_subgraph,
+    mask_of,
+    shells,
+)
 from .orderings import LinearOrder
 
 RANK_WIDTH_EXACT_CAP = 12
@@ -217,7 +226,7 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
     elif strategy == "bfs":
         order = _bfs_order(G)
     elif strategy == "degeneracy":
-        order = _degeneracy_order(G)
+        order = degeneracy_order(G)
     else:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
     value = 0
@@ -231,31 +240,13 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
 
 def _bfs_order(G: Graph) -> list[int]:
     order = []
-    seen = 0
-    for start in range(G.n):
-        if seen >> start & 1:
-            continue
-        frontier = 1 << start
-        seen |= frontier
-        while frontier:
-            vs = list(bits_of(frontier))
-            order.extend(vs)
-            nxt = 0
-            for v in vs:
-                nxt |= G.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
+    left = (1 << G.n) - 1
+    while left:
+        start = (left & -left).bit_length() - 1
+        for layer in shells(G, start, left, G.n):
+            order.extend(bits_of(layer))
+            left &= ~layer
     return order
-
-
-def _degeneracy_order(G: Graph) -> list[int]:
-    remaining = (1 << G.n) - 1
-    suffix = []
-    while remaining:
-        v = min(bits_of(remaining), key=lambda u: ((G.adj[u] & remaining).bit_count(), u))
-        suffix.append(v)
-        remaining &= ~(1 << v)
-    return list(reversed(suffix))
 
 
 def balanced_partition(
@@ -328,31 +319,13 @@ def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
         raise ValueError(f"exact tree-depth is capped at n={cap}")
     memo: dict[int, int] = {}
 
-    def components(mask: int) -> list[int]:
-        comps = []
-        left = mask
-        while left:
-            start = left & -left
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= G.adj[v]
-                nxt &= mask & ~seen
-                seen |= nxt
-                frontier = nxt
-            comps.append(seen)
-            left &= ~seen
-        return comps
-
     def td(mask: int) -> int:
         if mask.bit_count() == 1:
             return 1
         got = memo.get(mask)
         if got is not None:
             return got
-        comps = components(mask)
+        comps = components(G, mask)
         if len(comps) > 1:
             val = max(td(c) for c in comps)
         else:
@@ -426,31 +399,18 @@ def rank_width_of_subgraph(
     Rank-width of a disconnected graph is the max over its components.
     Components above the exact cap contribute a flagged upper bound.
     """
-    keep = sorted(set(X))
-    if not keep:
-        return 0, "exact"
-    sub, _ = induced_subgraph(G, keep)
+    mask = mask_of(X)
+    outside = mask >> G.n
+    if outside:
+        raise ValueError(f"vertex {G.n + (outside & -outside).bit_length() - 1} not in graph")
     value = 0
     method = "exact"
-    left = (1 << sub.n) - 1
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= sub.adj[v]
-            nxt &= left & ~seen
-            seen |= nxt
-            frontier = nxt
-        comp = sorted(bits_of(seen))
-        comp_g, _ = induced_subgraph(sub, comp)
+    for comp in components(G, mask):
+        comp_g, _ = induced_subgraph(G, bits_of(comp))
         if comp_g.n <= exact_cap:
             rep = rank_width_exact(comp_g, cap=exact_cap)
         else:
             rep = rank_width_upper(comp_g)
             method = "upper-bound"
         value = max(value, rep.value)
-        left &= ~seen
     return value, method

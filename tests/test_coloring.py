@@ -373,6 +373,16 @@ def test_verify_td_grid_exact_small():
     assert verify_td_coloring(g, c, 2).ok
 
 
+@pytest.mark.parametrize("colors", [(1, 2), (1,) * 17])
+def test_verifiers_reject_a_coloring_that_does_not_cover_the_graph(colors):
+    g = grid(4, 4)
+    c = Coloring(colors, 2)
+    with pytest.raises(ValueError, match="coloring does not match the graph"):
+        verify_td_coloring(g, c, 2)
+    with pytest.raises(ValueError, match="coloring does not match the graph"):
+        verify_low_rw_coloring(g, c, 2, {1: 0, 2: 0})
+
+
 def test_verify_td_errors_on_oversized_union():
     g = path(20)
     with pytest.raises(ValueError, match="cap"):

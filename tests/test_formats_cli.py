@@ -15,9 +15,11 @@ from rwcolor.formats import (
     labels_from_json,
     labels_to_json,
     parse_edge_list,
+    partition_to_obj,
     serialize_edge_list,
 )
 from rwcolor.families import h_graph, twisted_chain
+from rwcolor.lab import random_balanced_bipartition
 from rwcolor.graph import build_graph
 from rwcolor.widths import rank_width_exact
 
@@ -222,6 +224,57 @@ def test_cli_manifest_rerun_reproducible(tmp_path):
     assert manifest["seeds"] == [7]
     out.unlink()
     assert run(["rerun", "--manifest", str(man)]) == 0
+    assert out.read_text() == first
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Input files for the CLI: a 12-chain edge list with its label sidecar and
+    one balanced partition, and P4 with a one-class coloring and a decomposition."""
+    paths = {k: tmp_path / name for k, name in [
+        ("el", "chain.el"), ("labels", "labels.json"), ("part", "part.json"),
+        ("p4", "p4.el"), ("col", "col.json"), ("dec", "dec.json")]}
+    assert run(["gen", "chain", "--order", "12", "-o", str(paths["el"]),
+                "--labels", str(paths["labels"])]) == 0
+    part = random_balanced_bipartition(twisted_chain(12), 5)
+    paths["part"].write_text(json.dumps(partition_to_obj(part)))
+    assert run(["gen", "path", "--n", "4", "-o", str(paths["p4"])]) == 0
+    paths["col"].write_text(json.dumps({"palette_size": 1, "colors": [1] * 4}))
+    D = rank_width_exact(parse_edge_list(paths["p4"].read_text())).decomposition
+    paths["dec"].write_text(json.dumps(decomposition_to_obj(D)))
+    return {k: str(p) for k, p in paths.items()}
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "coloring", "-i", "{el}"], "-c/--coloring"),
+    (["verify", "decomposition", "-i", "{el}"], "-d/--decomposition"),
+    (["gen", "map"], "-i/--input"),
+    (["gen", "linegraph"], "-i/--input"),
+    (["color", "refine", "-i", "{el}"], "-c/--coloring"),
+    (["lab", "certificate", "-i", "{el}", "--partition", "{part}"], "--labels"),
+    (["lab", "certificate", "-i", "{el}", "--labels", "{labels}"], "--partition"),
+])
+def test_cli_missing_file_option_is_usage_error(cli_files, capsys, argv, option):
+    assert run([a.format(**cli_files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "decomposition", "-i", "{p4}", "-d", "{dec}"], 0),
+    (["verify", "coloring", "--mode", "td", "-p", "1", "-i", "{p4}", "-c", "{col}"], 1),
+    (["lab", "certificate", "-i", "{el}", "--labels", "{labels}", "--partition", "{part}"], 0),
+])
+def test_cli_manifest_written_for_every_finished_command(cli_files, tmp_path, argv, code):
+    out = tmp_path / "out.json"
+    man = tmp_path / "run.json"
+    argv = [a.format(**cli_files) for a in argv] + ["-o", str(out), "--manifest", str(man)]
+    assert run(argv) == code
+    manifest = json.loads(man.read_text())
+    assert manifest["argv"] == argv and manifest["inputs"] == [argv[argv.index("-i") + 1]]
+    first = out.read_text()
+    out.unlink()
+    assert run(["rerun", "--manifest", str(man)]) == code
     assert out.read_text() == first
 
 

@@ -9,14 +9,20 @@ from rwcolor.graph import (
     Graph,
     INF,
     all_pairs_distances,
+    ball,
     bfs_distances,
+    bits_of,
     build_graph,
     complement,
+    components,
     cutrank,
     gf2_rank,
     induced_subgraph,
+    mask_of,
     power,
+    shells,
 )
+from rwcolor.orderings import LinearOrder, above_masks
 
 import oracles
 
@@ -228,3 +234,77 @@ def test_complement_involution_and_symmetry(n, data):
     for h in (g, complement(g)):
         h.validate_symmetric()
         assert all(not h.has_edge(v, v) for v in range(n))
+
+
+# -- traversal primitives -----------------------------------------------------------
+
+
+def _random_cases(seed, count, n_max=9):
+    """Random graphs with a random vertex mask on each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        g = oracles.random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+        yield rng, g, mask_of(v for v in range(n) if rng.random() < 0.7)
+
+
+def test_components_match_floyd_warshall_reachability():
+    for _, g, mask in _random_cases(21, 200):
+        comps = components(g, mask)
+        verts = sorted(bits_of(mask))
+        if not verts:
+            assert comps == []
+            continue
+        sub, index = induced_subgraph(g, verts)
+        fw = oracles.floyd_warshall(sub)
+        # the components partition the mask, in order of smallest vertex
+        assert sum(c.bit_count() for c in comps) == mask.bit_count()
+        assert mask_of(v for c in comps for v in bits_of(c)) == mask
+        lows = [(c & -c).bit_length() for c in comps]
+        assert lows == sorted(lows)
+        for c in comps:
+            members = list(bits_of(c))
+            for u in verts:
+                reach = fw[index[members[0]]][index[u]] < INF
+                assert reach == (c >> u & 1 == 1)
+
+
+def test_ball_and_shells_match_distances_in_the_induced_subgraph():
+    for rng, g, within in _random_cases(22, 200):
+        v = rng.randrange(g.n)
+        verts = sorted(set(bits_of(within)) | {v})
+        sub, index = induced_subgraph(g, verts)
+        dist = oracles.floyd_warshall(sub)[index[v]]
+        for r in range(0, 5):
+            layers = shells(g, v, within, r)
+            assert layers[0] == 1 << v
+            assert len(layers) <= r + 1
+            for d, layer in enumerate(layers):
+                assert layer == mask_of(u for u in verts if dist[index[u]] == d)
+            expect = mask_of(u for u in verts if dist[index[u]] <= r)
+            assert ball(g, v, r, within) == expect
+            assert mask_of(w for layer in layers for w in bits_of(layer)) == expect
+
+
+def test_induced_subgraph_matches_has_edge():
+    for _, g, mask in _random_cases(23, 200):
+        verts = sorted(bits_of(mask))
+        if not verts:
+            continue
+        sub, index = induced_subgraph(g, verts)
+        assert sub.n == len(verts)
+        assert index == {v: i for i, v in enumerate(verts)}
+        for a, b in itertools.combinations(verts, 2):
+            assert sub.has_edge(index[a], index[b]) == g.has_edge(a, b)
+        sub.validate_symmetric()
+
+
+def test_above_masks_match_positions():
+    rng = random.Random(24)
+    for n in range(1, 10):
+        order = list(range(n))
+        rng.shuffle(order)
+        L = LinearOrder.from_order(order)
+        above = above_masks(L)
+        for v in range(n):
+            assert above[v] == mask_of(w for w in range(n) if L.position[w] > L.position[v])

@@ -11,6 +11,7 @@ from rwcolor.widths import (
     balanced_partition,
     caterpillar_decomposition,
     rank_width_exact,
+    rank_width_of_subgraph,
     rank_width_upper,
     restrict_decomposition,
     tree_depth_exact,
@@ -245,3 +246,17 @@ def test_restrict_decomposition_keeps_width():
         sub, idx = induced_subgraph(g, keep)
         D = restrict_decomposition(rep.decomposition, keep, idx)
         assert verify_decomposition(sub, D) <= rep.value
+
+
+def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
+    rng = random.Random(31)
+    for _ in range(20):
+        g = oracles.random_graph(8, 0.3, rng)
+        X = [v for v in range(8) if rng.random() < 0.7]
+        if not X:
+            assert rank_width_of_subgraph(g, X) == (0, "exact")
+            continue
+        sub, _ = induced_subgraph(g, X)
+        assert rank_width_of_subgraph(g, X) == (oracles.rank_width_by_trees(sub), "exact")
+    with pytest.raises(ValueError, match="vertex 5 not in graph"):
+        rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1, 7, 5])
