@@ -113,7 +113,19 @@ def _written(*paths: str | None) -> list[str]:
     return [p for p in paths if p]
 
 
+# The file options each command reads, in manifest order; every other command
+# reads only -i.  `gen --labels` and `color --profile` name files written.
+READS = {
+    "color": ("input", "coloring"),
+    "verify": ("input", "coloring", "decomposition", "profile"),
+    "lab": ("input", "labels", "partition"),
+    "chi": ("input", "coloring"),
+    "report": ("spec",),
+}
+
+
 def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
+    reads = READS.get(args.command, ("input",))
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -126,7 +138,7 @@ def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
         "command": " ".join(argv),
         "parameters": params,
         "seeds": record.seeds,
-        "inputs": _written(getattr(args, "input", None)),
+        "inputs": _written(*(getattr(args, k, None) for k in reads)),
         "outputs": record.outputs,
         "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
@@ -252,6 +264,7 @@ def cmd_verify(args, record: RunRecord) -> int:
             sys.stderr.write(f"invalid decomposition: {exc}\n")
             return 1
         _emit(args, formats.dumps_json({"width": width}))
+        record.outputs = _written(args.output)
         if args.max_width is not None and width > args.max_width:
             return 1
         return 0
@@ -269,6 +282,7 @@ def cmd_verify(args, record: RunRecord) -> int:
                 }
             ),
         )
+        record.outputs = _written(args.output)
         return 0 if report.ok else 1
     if args.mode == "lowrw":
         if args.profile:
@@ -285,6 +299,7 @@ def cmd_verify(args, record: RunRecord) -> int:
             )
         profile = verify_low_rw_coloring(g, c, args.p, q)
         _emit(args, formats.dumps_json(formats.profile_to_obj(profile)))
+        record.outputs = _written(args.output)
         return 0 if profile.verified else 1
     raise ValueError(f"unknown verify mode {args.mode!r}")
 
@@ -325,11 +340,13 @@ def cmd_lab(args, record: RunRecord) -> int:
                         }
                     ),
                 )
+                record.outputs = _written(args.output)
                 return 1
             rank = certificate_rank(g, result)
             obj = formats.certificate_to_obj(result)
             obj["rank"] = rank
             _emit(args, formats.dumps_json(obj))
+            record.outputs = _written(args.output)
             return 0 if rank == result.order else 1
         g = twisted_chain(args.order, "bare")
         rows = []

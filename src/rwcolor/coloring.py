@@ -494,8 +494,9 @@ def verify_low_rw_coloring(
     """Measure widths of all unions of <= p classes of c on H against Q.
 
     Components small enough are measured exactly, larger ones contribute
-    flagged upper bounds.  The profile verifies iff every measured value
-    stays within its budget.
+    flagged upper bounds; a component that recurs across unions is solved
+    once.  The profile verifies iff every measured value stays within its
+    budget.
     """
     if len(c.colors) != H.n:
         raise ValueError("coloring does not match the graph")
@@ -510,13 +511,14 @@ def verify_low_rw_coloring(
     measured: dict[int, tuple[int, str]] = {}
     verified = True
     q_table: dict[int, int] = {}
+    widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
     for i in range(1, min(p, len(palette)) + 1):
         q_table[i] = budget(i)
         worst = 0
         method = "exact"
         for combo in itertools.combinations(palette, i):
             union = [v for col in combo for v in classes[col]]
-            value, m = rank_width_of_subgraph(H, union, exact_cap)
+            value, m = rank_width_of_subgraph(H, union, exact_cap, widths)
             if m == "upper-bound":
                 method = "upper-bound"
             worst = max(worst, value)

@@ -308,8 +308,9 @@ def eh_witness(
         raise ValueError("provider coloring does not match the graph")
     n1 = c.palette_size
     classes = c.classes()
+    widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
     for col, vs in sorted(classes.items()):
-        value, _ = rank_width_of_subgraph(G, vs, exact_cap)
+        value, _ = rank_width_of_subgraph(G, vs, exact_cap, widths)
         if value > r1:
             raise ValueError(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"

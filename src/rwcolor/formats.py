@@ -157,11 +157,7 @@ def decomposition_from_obj(obj: Mapping) -> RankDecomposition:
 
 
 def width_report_to_obj(rep: WidthReport) -> dict:
-    obj = {
-        "value": rep.value,
-        "method": rep.method,
-        "elapsed_ms": round(rep.elapsed * 1000.0, 3),
-    }
+    obj = {"value": rep.value, "method": rep.method}
     if rep.decomposition is not None:
         obj["decomposition"] = decomposition_to_obj(rep.decomposition)
     return obj

@@ -7,7 +7,6 @@ to work at desk scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +22,7 @@ from .graph import (
 )
 from .orderings import LinearOrder
 
-RANK_WIDTH_EXACT_CAP = 12
+RANK_WIDTH_EXACT_CAP = 14
 TREE_DEPTH_EXACT_CAP = 14
 
 
@@ -72,7 +71,6 @@ class WidthReport:
     value: int
     method: str  # "exact" | "upper-bound"
     decomposition: RankDecomposition | None
-    elapsed: float
 
 
 def _check_structure(G: Graph, D: RankDecomposition) -> None:
@@ -122,49 +120,60 @@ def verify_decomposition(G: Graph, D: RankDecomposition) -> int:
     return width
 
 
-def _popcount_order(n: int) -> list[int]:
-    masks = list(range(1, 1 << n))
-    masks.sort(key=lambda m: m.bit_count())
-    return masks
-
-
 def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     """Exact rank-width with a witness decomposition.
 
-    Minimizes over all leaf-labeled subcubic trees; the sweep is factored
-    through subsets, memoizing the best rooted subtree per vertex subset, so
-    each unordered bipartition of each subset is inspected exactly once.
+    Minimizes over all leaf-labeled subcubic trees by a dynamic program over
+    vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
+    leaf set m and the cut-rank of m.  Each unordered bipartition of m is
+    inspected once, as a submask of m without its highest vertex, in
+    descending order, and the first strict minimum is kept.  The cut table
+    is filled from the masks without the last vertex, since a cut and its
+    complement have the same cut-rank.  The caterpillar bound ``ub`` of the
+    degeneracy order prunes the sweep: a subset whose cut-rank or best
+    subtree exceeds ``ub`` gets key ``ub + 1``.  No subset of an optimal
+    tree is pruned, and a split using a pruned part never beats the
+    optimum, so value and decomposition are those of the full sweep.
     Graphs on <= 1 vertex have width 0 and no decomposition.
     """
-    t0 = time.perf_counter()
     n = G.n
     if n <= 1:
-        return WidthReport(0, "exact", None, time.perf_counter() - t0)
+        return WidthReport(0, "exact", None)
     if n > cap:
         raise ValueError(
             f"exact rank-width is capped at n={cap}; use rank_width_upper instead"
         )
     full = (1 << n) - 1
     cut = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        cut[mask] = cutrank_mask(G, mask)
-    best = [0] * (full + 1)
+    for mask in range(1, 1 << (n - 1)):
+        cut[mask] = cut[full ^ mask] = cutrank_mask(G, mask)
+    ub = 0
+    prefix = 0
+    for v in degeneracy_order(G)[:-1]:
+        prefix |= 1 << v
+        ub = max(ub, cut[prefix])
+    pruned = ub + 1
+    key = [pruned] * (full + 1)
+    for v in range(n):
+        key[1 << v] = cut[1 << v]
     choice = [0] * (full + 1)
-    for mask in _popcount_order(n):
-        if mask.bit_count() < 2:
+    for mask in range(3, full + 1):
+        c = cut[mask]
+        if c > ub or not mask & (mask - 1):
             continue
-        b = None
+        low = mask ^ (1 << (mask.bit_length() - 1))
+        b = pruned
         bsub = 0
-        sub = (mask - 1) & mask
+        sub = low
         while sub:
-            rest = mask ^ sub
-            if sub < rest:
-                w = max(best[sub], best[rest], cut[sub], cut[rest])
-                if b is None or w < b:
-                    b = w
+            w = key[sub]
+            if w < b:
+                r = key[mask ^ sub]
+                if r < b:
+                    b = w if w > r else r
                     bsub = sub
-            sub = (sub - 1) & mask
-        best[mask] = b
+            sub = (sub - 1) & low
+        key[mask] = b if b > c else c
         choice[mask] = bsub
 
     nodes = 0
@@ -190,7 +199,7 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     b = build(full ^ top)
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
-    return WidthReport(best[full], "exact", D, time.perf_counter() - t0)
+    return WidthReport(key[full], "exact", D)
 
 
 def caterpillar_decomposition(order: Sequence[int]) -> RankDecomposition:
@@ -216,7 +225,6 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
     The width equals the maximum cut-rank over prefix cuts of the order,
     which always dominates the exact rank-width.
     """
-    t0 = time.perf_counter()
     if G.n < 2:
         raise ValueError("rank_width_upper needs at least 2 vertices")
     if isinstance(strategy, LinearOrder):
@@ -235,7 +243,7 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
         mask |= 1 << v
         value = max(value, cutrank_mask(G, mask))
     D = caterpillar_decomposition(order)
-    return WidthReport(value, "upper-bound", D, time.perf_counter() - t0)
+    return WidthReport(value, "upper-bound", D)
 
 
 def _bfs_order(G: Graph) -> list[int]:
@@ -392,25 +400,34 @@ def restrict_decomposition(
 
 
 def rank_width_of_subgraph(
-    G: Graph, X: Iterable[int], exact_cap: int = RANK_WIDTH_EXACT_CAP
+    G: Graph,
+    X: Iterable[int],
+    exact_cap: int = RANK_WIDTH_EXACT_CAP,
+    memo: dict[tuple[int, ...], int] | None = None,
 ) -> tuple[int, str]:
     """Width of the induced subgraph: exact per component when small enough.
 
     Rank-width of a disconnected graph is the max over its components.
-    Components above the exact cap contribute a flagged upper bound.
+    Components above the exact cap contribute a flagged upper bound.  Each
+    distinct component is solved once; a caller measuring many unions of
+    one graph may pass a *memo* dict, which maps a component's relabelled
+    adjacency to its width, to share that across calls.
     """
     mask = mask_of(X)
     outside = mask >> G.n
     if outside:
         raise ValueError(f"vertex {G.n + (outside & -outside).bit_length() - 1} not in graph")
+    memo = {} if memo is None else memo
     value = 0
     method = "exact"
     for comp in components(G, mask):
         comp_g, _ = induced_subgraph(G, bits_of(comp))
-        if comp_g.n <= exact_cap:
-            rep = rank_width_exact(comp_g, cap=exact_cap)
-        else:
-            rep = rank_width_upper(comp_g)
+        exact = comp_g.n <= exact_cap
+        if not exact:
             method = "upper-bound"
-        value = max(value, rep.value)
+        width = memo.get(comp_g.adj)
+        if width is None:
+            rep = rank_width_exact(comp_g, cap=exact_cap) if exact else rank_width_upper(comp_g)
+            width = memo[comp_g.adj] = rep.value
+        value = max(value, width)
     return value, method

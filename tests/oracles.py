@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: span enumeration instead of
 elimination, path enumeration instead of pruned search, full tree
-enumeration instead of subset dynamic programming.
+enumeration instead of subset dynamic programming (and, as the reference
+for its pruning, the unpruned subset DP).
 """
 
 from __future__ import annotations
@@ -140,6 +141,64 @@ def rank_width_by_trees(G: Graph) -> int:
     from rwcolor.widths import verify_decomposition
 
     return min(verify_decomposition(G, D) for D in subcubic_trees(G.n))
+
+
+def rank_width_by_subset_dp(G: Graph) -> tuple[int, RankDecomposition | None]:
+    """Unpruned 3^n subset DP: every bipartition of every subset, first strict
+    minimum kept.  ``rank_width_exact`` must return this value and this tree."""
+    from rwcolor.graph import cutrank_mask
+
+    n = G.n
+    if n <= 1:
+        return 0, None
+    full = (1 << n) - 1
+    cut = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        cut[mask] = cutrank_mask(G, mask)
+    best = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    masks = list(range(1, 1 << n))
+    masks.sort(key=lambda m: m.bit_count())
+    for mask in masks:
+        if mask.bit_count() < 2:
+            continue
+        b = None
+        bsub = 0
+        sub = (mask - 1) & mask
+        while sub:
+            rest = mask ^ sub
+            if sub < rest:
+                w = max(best[sub], best[rest], cut[sub], cut[rest])
+                if b is None or w < b:
+                    b = w
+                    bsub = sub
+            sub = (sub - 1) & mask
+        best[mask] = b
+        choice[mask] = bsub
+
+    nodes = 0
+    edges: list[tuple[int, int]] = []
+    leaf_map: list[tuple[int, int]] = []
+
+    def build(mask: int) -> int:
+        nonlocal nodes
+        node = nodes
+        nodes += 1
+        if mask.bit_count() == 1:
+            leaf_map.append((node, mask.bit_length() - 1))
+            return node
+        sub = choice[mask]
+        a = build(sub)
+        b2 = build(mask ^ sub)
+        edges.append((node, a))
+        edges.append((node, b2))
+        return node
+
+    top = choice[full]
+    a = build(top)
+    b = build(full ^ top)
+    edges.append((a, b))
+    return best[full], RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
 
 
 def line_graph_direct(G: Graph) -> Graph:

@@ -443,6 +443,38 @@ def test_verify_low_rw_h53_row_coloring():
     assert max(w for w, _ in profile.measured.values()) <= 6
 
 
+def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
+    from rwcolor import widths
+    from rwcolor.families import h_graph, row_coloring
+    from rwcolor.graph import bits_of, components, mask_of
+
+    g = h_graph(6, 4)
+    c = row_coloring(6, 4, 3)
+    q = {i: i - 1 for i in (1, 2, 3)}  # the measured widths 0, 1, 2 sit on the budget
+    classes = c.classes()
+    expected = {}
+    distinct = set()
+    for i in (1, 2, 3):
+        unions = [[v for col in combo for v in classes[col]]
+                  for combo in itertools.combinations(sorted(classes), i)]
+        expected[i] = (max(widths.rank_width_of_subgraph(g, u)[0] for u in unions), "exact")
+        for u in unions:
+            for comp in components(g, mask_of(u)):
+                distinct.add(induced_subgraph(g, bits_of(comp))[0].adj)
+    calls = []
+    solve = widths.rank_width_exact
+
+    def counted(G, cap=widths.RANK_WIDTH_EXACT_CAP):
+        calls.append(G.adj)
+        return solve(G, cap)
+
+    monkeypatch.setattr(widths, "rank_width_exact", counted)
+    profile = verify_low_rw_coloring(g, c, 3, q)
+    assert profile.measured == expected
+    assert profile.verified == all(expected[i][0] <= q[i] for i in q)
+    assert sorted(calls) == sorted(distinct)
+
+
 def test_greedy_proper_coloring_is_proper():
     rng = random.Random(90)
     for _ in range(10):

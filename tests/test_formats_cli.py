@@ -271,11 +271,48 @@ def test_cli_manifest_written_for_every_finished_command(cli_files, tmp_path, ar
     argv = [a.format(**cli_files) for a in argv] + ["-o", str(out), "--manifest", str(man)]
     assert run(argv) == code
     manifest = json.loads(man.read_text())
-    assert manifest["argv"] == argv and manifest["inputs"] == [argv[argv.index("-i") + 1]]
+    file_options = ("-i", "-c", "-d", "--labels", "--partition")
+    read = [argv[k + 1] for k, a in enumerate(argv) if a in file_options]
+    assert manifest["argv"] == argv and manifest["inputs"] == read
+    assert manifest["outputs"] == [str(out)]
     first = out.read_text()
     out.unlink()
     assert run(["rerun", "--manifest", str(man)]) == code
     assert out.read_text() == first
+
+
+@pytest.mark.parametrize("argv, read, written", [
+    (["gen", "chain", "--order", "12", "--labels", "{tmp}/l.json"], [], ["{tmp}/l.json"]),
+    (["color", "lowrw", "-p", "1", "-i", "{p4}", "--profile", "{tmp}/q.json"],
+     ["{p4}"], ["{tmp}/q.json"]),
+    (["verify", "coloring", "-p", "1", "-i", "{p4}", "-c", "{col}", "--profile", "{tmp}/q.json"],
+     ["{p4}", "{col}", "{tmp}/q.json"], []),
+    (["report", "sweep", "--spec", "{tmp}/spec.json"], ["{tmp}/spec.json"], []),
+])
+def test_cli_manifest_names_files_read_and_written(cli_files, tmp_path, argv, read, written):
+    (tmp_path / "spec.json").write_text(json.dumps({"runs": []}))
+    (tmp_path / "q.json").write_text(json.dumps({"q": {"1": 1}}))
+    fill = {**cli_files, "tmp": str(tmp_path)}
+    out = tmp_path / "out.txt"
+    man = tmp_path / "run.json"
+    argv = [a.format(**fill) for a in argv] + ["-o", str(out), "--manifest", str(man)]
+    assert run(argv) == 0
+    manifest = json.loads(man.read_text())
+    assert manifest["inputs"] == [a.format(**fill) for a in read]
+    assert sorted(manifest["outputs"]) == sorted([a.format(**fill) for a in written] + [str(out)])
+
+
+def test_cli_width_rank_artifact_is_byte_stable(cli_files, tmp_path):
+    outs = [tmp_path / f"w{k}.json" for k in range(2)]
+    man = tmp_path / "run.json"
+    for out in outs:
+        assert run(["width", "rank", "--exact", "-i", cli_files["p4"], "-o", str(out),
+                    "--manifest", str(man)]) == 0
+    first = outs[0].read_bytes()
+    assert outs[1].read_bytes() == first and b"elapsed" not in first
+    outs[1].unlink()
+    assert run(["rerun", "--manifest", str(man)]) == 0
+    assert outs[1].read_bytes() == first
 
 
 def test_cli_sweep(tmp_path):

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from rwcolor.graph import build_graph, cutrank, induced_subgraph
-from rwcolor.families import h_graph
+from rwcolor.families import h_graph, h_tilde
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
+    RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
     balanced_partition,
     caterpillar_decomposition,
@@ -105,7 +106,27 @@ def test_exact_matches_full_tree_enumeration():
 
 def test_exact_cap_advises_upper():
     with pytest.raises(ValueError, match="rank_width_upper"):
-        rank_width_exact(complete(13))
+        rank_width_exact(complete(RANK_WIDTH_EXACT_CAP + 1))
+
+
+def test_exact_returns_the_unpruned_subset_dp_value_and_tree():
+    rng = random.Random(314)
+    graphs = [oracles.random_graph(n, 0.1 + 0.08 * k, rng)
+              for n in range(2, 12) for k in range(10)]
+    graphs += [build_graph(7, []), complete(2), complete(8)]
+    graphs += [h_graph(2, 3), h_graph(3, 3), h_tilde(2, 4), h_tilde(3, 3)]
+    for g in graphs:
+        rep = rank_width_exact(g)
+        assert (rep.value, rep.decomposition) == oracles.rank_width_by_subset_dp(g)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_exact_at_the_cap_returns_a_decomposition_of_its_width(n):
+    rng = random.Random(n)
+    for g in (oracles.random_graph(n, 0.25, rng), oracles.random_graph(n, 0.5, rng)):
+        rep = rank_width_exact(g)
+        assert verify_decomposition(g, rep.decomposition) == rep.value
+        assert rep.value <= rank_width_upper(g).value
 
 
 def test_exact_monotone_under_induced_subgraphs():
