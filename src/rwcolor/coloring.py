@@ -29,6 +29,7 @@ from .widths import (
     RANK_WIDTH_EXACT_CAP,
     TREE_DEPTH_EXACT_CAP,
     rank_width_of_subgraph,
+    tree_depth_at_most,
     tree_depth_exact,
 )
 
@@ -284,8 +285,10 @@ def verify_td_coloring(
     """Check that every union of i <= p classes induces tree-depth <= i.
 
     Unions no larger than i pass outright (tree-depth never exceeds the
-    vertex count); everything else goes through the exact solver per
-    component, erroring if a component exceeds the solver cap.
+    vertex count); every other union is decided per component by
+    ``tree_depth_at_most``, erroring if a component above i vertices
+    exceeds the solver cap.  Exact tree-depth is computed only for a
+    failing union, to report it.
     """
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
@@ -299,25 +302,33 @@ def verify_td_coloring(
             checked += 1
             if union.bit_count() <= i:
                 continue
-            td = _td_by_component(G, union, td_cap)
-            if td > i:
+            deep = _components_deeper_than(G, union, i, td_cap)
+            if deep:
+                td = max(tree_depth_exact(comp_g, cap=td_cap) for comp_g in deep)
                 failures.append((combo, i, td))
     return TdColoringReport(not failures, checked, failures)
 
 
-def _td_by_component(G: Graph, mask: int, td_cap: int) -> int:
-    """Tree-depth of G[mask] as the max over its components."""
-    best = 0
+def _components_deeper_than(G: Graph, mask: int, i: int, td_cap: int) -> list[Graph]:
+    """Components of G[mask] with tree-depth above i, as induced subgraphs.
+
+    A component of at most i vertices passes outright; a larger one is
+    decided by ``tree_depth_at_most``, or rejected when above the cap.
+    """
+    deep = []
     for comp in components(G, mask):
         size = comp.bit_count()
+        if size <= i:
+            continue
         if size > td_cap:
             raise ValueError(
                 f"component of size {size} exceeds the exact tree-depth cap {td_cap}; "
                 "use a smaller instance"
             )
         comp_g, _ = induced_subgraph(G, bits_of(comp))
-        best = max(best, tree_depth_exact(comp_g, cap=td_cap))
-    return best
+        if not tree_depth_at_most(comp_g, i, cap=td_cap):
+            deep.append(comp_g)
+    return deep
 
 
 def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
@@ -340,7 +351,7 @@ def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
                 union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
                 if union.bit_count() <= i:
                     continue
-                if _td_by_component(G, union, td_cap) > i:
+                if _components_deeper_than(G, union, i, td_cap):
                     return False
         return True
 

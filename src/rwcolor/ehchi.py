@@ -309,6 +309,17 @@ def eh_witness(
     n1 = c.palette_size
     classes = c.classes()
     widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
+    n = G.n
+    extract = n >= n1 * n1
+    rep = None
+    if extract:
+        _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
+        sub, idx = induced_subgraph(G, members)
+        if 2 < sub.n <= exact_cap:
+            # solved once: when the class is connected, the check below
+            # finds its width under the same adjacency
+            rep = rank_width_exact(sub, cap=exact_cap)
+            widths[sub.adj] = rep.value
     for col, vs in sorted(classes.items()):
         value, _ = rank_width_of_subgraph(G, vs, exact_cap, widths)
         if value > r1:
@@ -316,15 +327,13 @@ def eh_witness(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"
             )
     params = EHParams.for_width(r1, n1)
-    n = G.n
-    if n >= n1 * n1:
-        col, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
-        sub, idx = induced_subgraph(G, members)
+    if extract:
         back = {new: old for old, new in idx.items()}
         if sub.n <= 2:
             local = set(range(sub.n))
         else:
-            rep = rank_width_exact(sub, cap=exact_cap)
+            if rep is None:  # above the cap, where this raises
+                rep = rank_width_exact(sub, cap=exact_cap)
             local = cograph_extract(sub, rep.decomposition, r1)
         core, core_idx = induced_subgraph(sub, sorted(local)) if local else (sub, {})
         ok, ct = is_cograph(core)

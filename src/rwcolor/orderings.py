@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, ball, bits_of, shells
 
-WCOL_EXACT_CAP = 9
+WCOL_EXACT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -80,46 +79,73 @@ def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
     return frozenset(out)
 
 
-def wcol_of_order(G: Graph, L: LinearOrder, r: int, cutoff: int | None = None) -> int | None:
-    """Max weakly-r-reachable set size under L.
-
-    With a cutoff, returns None as soon as the value provably reaches it;
-    used by the exact sweep to prune dominated orders.
-    """
+def wcol_of_order(G: Graph, L: LinearOrder, r: int) -> int:
+    """Max weakly-r-reachable set size under L."""
     above = above_masks(L)
     counts = [0] * G.n
-    best = 0
     for u in range(G.n):
         for v in bits_of(ball(G, u, r, above[u])):
             counts[v] += 1
-            if counts[v] > best:
-                best = counts[v]
-                if cutoff is not None and best >= cutoff:
-                    return None
-    return best
+    return max(counts)
 
 
 def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, LinearOrder]:
     """Exact weak r-coloring number with an optimal witness order.
 
-    Sweeps all n! orders; instances above the cap are rejected in favour of
+    Depth-first branch and bound over order prefixes, trying vertices in
+    increasing id.  Placing u next among the remaining set S adds 1 to the
+    count of every vertex in ``ball(G, u, r, S)``, so the counts depend
+    only on the prefix and a branch is cut once a count reaches the
+    incumbent, which starts one above ``wcol_heuristic``.  A state
+    ``(S, counts on S)`` whose subtree found no improvement is never
+    searched again: every completion of it reaches the incumbent it was
+    entered under, and the incumbent only falls.  The result is the value
+    and the lexicographically first optimal order, as from a sweep of all
+    n! orders.  Instances above the cap are rejected in favour of
     wcol_heuristic.
     """
-    if G.n > cap:
+    n = G.n
+    if n > cap:
         raise ValueError(
-            f"wcol_exact sweeps n! orders and is capped at n={cap}; "
+            f"wcol_exact is an exponential search capped at n={cap}; "
             "use wcol_heuristic for larger graphs"
         )
-    best_val = G.n + 1
-    best_order = None
-    for perm in itertools.permutations(range(G.n)):
-        L = LinearOrder.from_order(perm)
-        val = wcol_of_order(G, L, r, cutoff=best_val)
-        if val is not None and val < best_val:
-            best_val = val
-            best_order = L
-    assert best_order is not None
-    return best_val, best_order
+    best = wcol_heuristic(G, r)[0] + 1
+    best_order: tuple[int, ...] = ()
+    counts = [0] * n
+    prefix: list[int] = []
+    failed: set[tuple] = set()
+
+    def search(S: int, high: int) -> None:
+        nonlocal best, best_order
+        if not S:
+            best = high
+            best_order = tuple(prefix)
+            return
+        key = (S, tuple(counts[v] for v in bits_of(S)))
+        if key in failed:
+            return
+        entry = best
+        for u in bits_of(S):
+            if high >= best:
+                break
+            hit = list(bits_of(ball(G, u, r, S)))
+            top = high
+            for v in hit:
+                counts[v] += 1
+                if counts[v] > top:
+                    top = counts[v]
+            if top < best:
+                prefix.append(u)
+                search(S ^ (1 << u), top)
+                prefix.pop()
+            for v in hit:
+                counts[v] -= 1
+        if best == entry:
+            failed.add(key)
+
+    search((1 << n) - 1, 0)
+    return best, LinearOrder.from_order(best_order)
 
 
 def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder]:

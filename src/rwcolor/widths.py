@@ -23,7 +23,7 @@ from .graph import (
 from .orderings import LinearOrder
 
 RANK_WIDTH_EXACT_CAP = 14
-TREE_DEPTH_EXACT_CAP = 14
+TREE_DEPTH_EXACT_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -317,31 +317,95 @@ def balanced_partition(
     return X, Y
 
 
-def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
-    """Exact tree-depth by the deletion recursion, memoized on vertex subsets.
+def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
+    """Tree-depth of G, searched only as far as ``enough`` and ``limit`` ask.
 
-    A single vertex has depth 1; a connected graph takes 1 + the best vertex
-    deletion; a disconnected graph takes the max over its components.
+    Returns a value v with td(G) <= v <= enough when td(G) <= enough,
+    limit <= v <= td(G) when td(G) >= limit, and v == td(G) otherwise.
+    The deletion recursion (a connected graph takes 1 + the best vertex
+    deletion, tried in decreasing degree; a disconnected one the max over
+    its components) runs as an alpha-beta search.  Every vertex subset
+    keeps a lower and an upper bound; a deletion is searched only as far
+    as it could beat the best found so far; and the search stops once a
+    value <= ``enough`` is found, ``limit`` is proved, or the bounds meet.
+    A connected subset of s vertices and m edges starts from two sound
+    lower bounds: its minimum degree + 1, since the deepest vertex of an
+    elimination tree has every neighbour above it; and the least t with
+    2m <= (t - 1)(2s - t), since every edge joins a vertex to one of its
+    ancestors, and a depth-t tree on s vertices has at most
+    (t - 1)(2s - t)/2 ancestor pairs (a path of t vertices, the rest at
+    depth t).  A bound like log2(s + 1) would be wrong: a star has depth 2.
     """
-    if G.n > cap:
-        raise ValueError(f"exact tree-depth is capped at n={cap}")
-    memo: dict[int, int] = {}
+    bounds: dict[int, tuple[int, int]] = {}
+    rows = G.adj
 
-    def td(mask: int) -> int:
-        if mask.bit_count() == 1:
+    def td(mask: int, enough: int, limit: int) -> int:
+        if not mask & (mask - 1):
             return 1
-        got = memo.get(mask)
-        if got is not None:
-            return got
+        known = bounds.get(mask)
+        low, high = known or (1, mask.bit_count())
+        if high <= enough or low == high:
+            return high
+        if low >= limit:
+            return low
         comps = components(G, mask)
         if len(comps) > 1:
-            val = max(td(c) for c in comps)
+            val = 0
+            for comp in comps:
+                val = max(val, td(comp, max(enough, val), limit))
+                if val >= limit:
+                    break
         else:
-            val = 1 + min(td(mask & ~(1 << v)) for v in bits_of(mask))
-        memo[mask] = val
+            vs = list(bits_of(mask))
+            degs = [(rows[v] & mask).bit_count() for v in vs]
+            if known is None:
+                size = len(vs)
+                twice_m = sum(degs)
+                low = min(degs) + 1
+                while (low - 1) * (2 * size - low) < twice_m:
+                    low += 1
+                if low >= limit or low == high:
+                    bounds[mask] = (low, high)
+                    return low
+            best = high
+            floor = limit
+            for _, v in sorted(zip(degs, vs), key=lambda dv: -dv[0]):
+                cut = min(limit, best)
+                got = td(mask ^ (1 << v), enough - 1, cut - 1) + 1
+                floor = min(floor, got)
+                if got < cut:
+                    best = got
+                    if best <= enough or best <= low:
+                        break
+            else:
+                low = max(low, floor)
+            val = best if best < limit else low
+        if val >= limit:
+            bounds[mask] = (val, high)
+        elif val <= enough:
+            bounds[mask] = (low, val)
+        else:
+            bounds[mask] = (val, val)
         return val
 
-    return td((1 << G.n) - 1)
+    return td((1 << G.n) - 1, enough, limit)
+
+
+def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
+    """Exact tree-depth by the bounded deletion search, asked for the exact
+    value: nothing is enough below 1 and no limit is reached at n + 1."""
+    if G.n > cap:
+        raise ValueError(f"exact tree-depth is capped at n={cap}")
+    return _tree_depth_search(G, 0, G.n + 1)
+
+
+def tree_depth_at_most(G: Graph, k: int, cap: int = TREE_DEPTH_EXACT_CAP) -> bool:
+    """Whether G has tree-depth at most k, decided by the bounded deletion
+    search, which stops at the first elimination of depth <= k or once
+    depth k + 1 is proved."""
+    if G.n > cap:
+        raise ValueError(f"exact tree-depth is capped at n={cap}")
+    return _tree_depth_search(G, k, k + 1) <= k
 
 
 def restrict_decomposition(

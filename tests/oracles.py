@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: span enumeration instead of
 elimination, path enumeration instead of pruned search, full tree
-enumeration instead of subset dynamic programming (and, as the reference
-for its pruning, the unpruned subset DP).
+enumeration instead of subset dynamic programming (and, as the references
+for pruned searches, the unpruned subset DP, the n! order sweep and the
+unbounded deletion recursion).
 """
 
 from __future__ import annotations
@@ -108,6 +109,47 @@ def treedepth_by_recursion(G: Graph) -> int:
         return 1 + min(td(vs - {v}) for v in sorted(vs))
 
     return td(frozenset(range(G.n)))
+
+
+def tree_depth_by_deletion(G: Graph) -> int:
+    """Deletion recursion memoized on vertex subsets, with no bounds:
+    ``tree_depth_exact`` and ``tree_depth_at_most`` must agree with it."""
+    from rwcolor.graph import bits_of, components
+
+    memo: dict[int, int] = {}
+
+    def td(mask: int) -> int:
+        if mask.bit_count() == 1:
+            return 1
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        comps = components(G, mask)
+        if len(comps) > 1:
+            val = max(td(c) for c in comps)
+        else:
+            val = 1 + min(td(mask & ~(1 << v)) for v in bits_of(mask))
+        memo[mask] = val
+        return val
+
+    return td((1 << G.n) - 1)
+
+
+def wcol_by_permutations(G: Graph, r: int):
+    """Sweep of all n! orders, first strict minimum kept: ``wcol_exact``
+    must return this value and this order."""
+    from rwcolor.orderings import LinearOrder, wcol_of_order
+
+    best_val = G.n + 1
+    best_order = None
+    for perm in itertools.permutations(range(G.n)):
+        L = LinearOrder.from_order(perm)
+        val = wcol_of_order(G, L, r)
+        if val < best_val:
+            best_val = val
+            best_order = L
+    assert best_order is not None
+    return best_val, best_order
 
 
 def subcubic_trees(n: int):

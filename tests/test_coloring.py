@@ -383,6 +383,46 @@ def test_verifiers_reject_a_coloring_that_does_not_cover_the_graph(colors):
         verify_low_rw_coloring(g, c, 2, {1: 0, 2: 0})
 
 
+def test_verify_td_matches_the_deletion_recursion_on_every_union():
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        g = oracles.random_graph(n, rng.uniform(0.2, 0.7), rng)
+        c = random_coloring(n, rng.randint(1, 4), rng)
+        p = rng.randint(1, 3)
+        classes = c.classes()
+        palette = sorted(classes)
+        checked = 0
+        failures = []
+        for i in range(1, min(p, len(palette)) + 1):
+            for combo in itertools.combinations(palette, i):
+                checked += 1
+                sub, _ = induced_subgraph(g, [v for col in combo for v in classes[col]])
+                td = oracles.tree_depth_by_deletion(sub)
+                if td > i:
+                    failures.append((combo, i, td))
+        report = verify_td_coloring(g, c, p)
+        assert (report.ok, report.checked_unions, report.failures) == (not failures, checked, failures)
+
+
+def test_verify_td_solves_exactly_only_failing_unions(monkeypatch):
+    from rwcolor import coloring
+
+    calls = []
+    solve = coloring.tree_depth_exact
+
+    def counted(G, cap=coloring.TREE_DEPTH_EXACT_CAP):
+        calls.append(G.n)
+        return solve(G, cap)
+
+    monkeypatch.setattr(coloring, "tree_depth_exact", counted)
+    g = grid(3, 3)
+    assert verify_td_coloring(g, treedepth_coloring(g, 2), 2).ok
+    assert calls == []
+    report = verify_td_coloring(path(4), constant_coloring(4), 1)
+    assert report.failures == [((1,), 1, 3)] and calls == [4]
+
+
 def test_verify_td_errors_on_oversized_union():
     g = path(20)
     with pytest.raises(ValueError, match="cap"):

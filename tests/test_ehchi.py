@@ -210,6 +210,25 @@ def test_eh_witness_k16():
         assert g.has_edge(u, v)
 
 
+def test_eh_witness_solves_each_distinct_class_graph_once(monkeypatch):
+    from rwcolor import ehchi, widths
+
+    g = oracles.random_graph(20, 0.5, random.Random(3))
+    provider = even_split_provider(2, 10)
+    expected = eh_witness(g, provider)
+    calls = []
+    solve = widths.rank_width_exact
+
+    def counted(G, cap=widths.RANK_WIDTH_EXACT_CAP):
+        calls.append(G.adj)
+        return solve(G, cap)
+
+    monkeypatch.setattr(widths, "rank_width_exact", counted)
+    monkeypatch.setattr(ehchi, "rank_width_exact", counted)
+    assert eh_witness(g, provider) == expected
+    assert len(calls) == len(set(calls)) == 2
+
+
 def test_eh_witness_small_graph_branch():
     g = build_graph(3, [(0, 1)])
     out, kind, params = eh_witness(g, even_split_provider(2, 1))

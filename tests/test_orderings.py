@@ -6,6 +6,7 @@ import pytest
 from rwcolor.graph import build_graph
 from rwcolor.families import grid
 from rwcolor.orderings import (
+    WCOL_EXACT_CAP,
     LinearOrder,
     wcol_exact,
     wcol_heuristic,
@@ -131,7 +132,27 @@ def test_wcol_exact_is_min_over_all_orders():
 
 def test_wcol_exact_cap():
     with pytest.raises(ValueError, match="heuristic"):
-        wcol_exact(complete(10), 2)
+        wcol_exact(complete(WCOL_EXACT_CAP + 1), 2)
+
+
+def test_wcol_exact_returns_the_permutation_sweep_value_and_order():
+    rng = random.Random(404)
+    graphs = [build_graph(n, []) for n in (1, 4)] + [complete(5)]
+    # n = 2..7 in turn, then three graphs at n = 8, where the sweep is slow
+    for n in [2 + k % 6 for k in range(84)] + [8] * 3:
+        graphs.append(oracles.random_graph(n, rng.uniform(0.1, 0.8), rng))
+    for k, g in enumerate(graphs):
+        r = 1 + k % 3
+        value, L = wcol_exact(g, r)
+        ref_value, ref_L = oracles.wcol_by_permutations(g, r)
+        assert (value, L.order) == (ref_value, ref_L.order)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_wcol_exact_at_the_cap_returns_an_order_of_its_value(r):
+    g = oracles.random_graph(WCOL_EXACT_CAP, 0.3, random.Random(50 + r))
+    value, L = wcol_exact(g, r)
+    assert wcol_of_order(g, L, r) == value <= wcol_heuristic(g, r)[0]
 
 
 def test_heuristic_dominates_exact():

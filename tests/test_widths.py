@@ -8,6 +8,7 @@ from rwcolor.families import h_graph, h_tilde
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
     RANK_WIDTH_EXACT_CAP,
+    TREE_DEPTH_EXACT_CAP,
     RankDecomposition,
     balanced_partition,
     caterpillar_decomposition,
@@ -15,6 +16,7 @@ from rwcolor.widths import (
     rank_width_of_subgraph,
     rank_width_upper,
     restrict_decomposition,
+    tree_depth_at_most,
     tree_depth_exact,
     verify_decomposition,
 )
@@ -245,7 +247,48 @@ def test_treedepth_relabeling_invariant():
 
 def test_treedepth_cap():
     with pytest.raises(ValueError):
-        tree_depth_exact(build_graph(15, []))
+        tree_depth_exact(build_graph(TREE_DEPTH_EXACT_CAP + 1, []))
+
+
+def test_treedepth_at_most_cap():
+    with pytest.raises(ValueError, match="capped"):
+        tree_depth_at_most(build_graph(TREE_DEPTH_EXACT_CAP + 1, []), 3)
+
+
+def test_treedepth_exact_matches_the_deletion_recursion():
+    rng = random.Random(77)
+    for n in range(1, 13):
+        for _ in range(4):
+            g = oracles.random_graph(n, rng.uniform(0.1, 0.8), rng)
+            assert tree_depth_exact(g) == oracles.tree_depth_by_deletion(g)
+
+
+def test_treedepth_at_most_decides_every_bound():
+    rng = random.Random(78)
+    graphs = []
+    for n in range(1, 10):
+        graphs += [build_graph(n, []), pathg(n), build_graph(n, [(0, v) for v in range(1, n)])]
+        graphs += [oracles.random_graph(n, rng.uniform(0.1, 0.8), rng) for _ in range(4)]
+    for g in graphs:
+        td = oracles.tree_depth_by_deletion(g)
+        for k in range(g.n + 2):
+            assert tree_depth_at_most(g, k) == (td <= k)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pathg(TREE_DEPTH_EXACT_CAP),
+        build_graph(TREE_DEPTH_EXACT_CAP, [(0, v) for v in range(1, TREE_DEPTH_EXACT_CAP)]),
+        oracles.random_graph(TREE_DEPTH_EXACT_CAP, 0.3, random.Random(16)),
+    ],
+    ids=["path", "star", "random"],
+)
+def test_treedepth_at_the_cap_is_decided_at_its_value(g):
+    value = tree_depth_exact(g)
+    assert value == oracles.tree_depth_by_deletion(g)
+    assert tree_depth_at_most(g, value)
+    assert not tree_depth_at_most(g, value - 1)
 
 
 def test_rank_width_at_most_treedepth():
