@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -348,29 +347,9 @@ def cmd_lab(args, record: RunRecord) -> int:
             _emit(args, formats.dumps_json(obj))
             record.outputs = _written(args.output)
             return 0 if rank == result.order else 1
-        g = twisted_chain(args.order, "bare")
-        rows = []
-        ok = True
-        for s in range(args.seeds):
-            seed = args.seed + s
-            part = random_balanced_bipartition(g, seed)
-            result = lower_bound_certificate(g, part)
-            if isinstance(result, ImbalanceReport):
-                rows.append((seed, 0, False))
-                ok = False
-                continue
-            rank = certificate_rank(g, result)
-            verified = rank == result.order and result.order >= args.order // 12
-            ok = ok and verified
-            rows.append((seed, result.order, verified))
-        text = _harness_csv(rows)
-        if args.csv:
-            _write(args.csv, text)
-        else:
-            sys.stdout.write(text)
-        record.outputs = _written(args.csv)
-        record.seeds = [args.seed]
-        return 0 if ok else 1
+        rows = _certificate_rows(twisted_chain(args.order, "bare"), args.seed, args.seeds)
+        _emit_harness(args, record, rows)
+        return 0 if all(verified for _, _, verified in rows) else 1
     if args.what == "ramsey":
         import random as _random
 
@@ -394,13 +373,7 @@ def cmd_lab(args, record: RunRecord) -> int:
             verified = res.size >= args.k
             ok = ok and verified and res.guaranteed == (args.size >= ramsey_threshold(args.k, args.d))
             rows.append((seed, res.size, verified))
-        text = _harness_csv(rows)
-        if args.csv:
-            _write(args.csv, text)
-        else:
-            sys.stdout.write(text)
-        record.outputs = _written(args.csv)
-        record.seeds = [args.seed]
+        _emit_harness(args, record, rows)
         return 0 if ok else 1
     if args.what == "extract":
         import random as _random
@@ -416,13 +389,38 @@ def cmd_lab(args, record: RunRecord) -> int:
     raise ValueError(f"unknown lab command {args.what!r}")
 
 
-def _harness_csv(rows) -> str:
+def _certificate_rows(g: Graph, seed0: int, seeds: int) -> list[tuple[int, int, bool]]:
+    """(seed, order, verified) per seeded balanced bipartition of the chain g.
+
+    An imbalanced bipartition gives order 0, unverified.  A certificate is
+    verified when its rank equals its order; its order is at least
+    floor(m/12) by construction, since it is only built from enough mixed
+    lines.
+    """
+    rows = []
+    for seed in range(seed0, seed0 + seeds):
+        result = lower_bound_certificate(g, random_balanced_bipartition(g, seed))
+        if isinstance(result, ImbalanceReport):
+            rows.append((seed, 0, False))
+        else:
+            rows.append((seed, result.order, certificate_rank(g, result) == result.order))
+    return rows
+
+
+def _emit_harness(args, record: RunRecord, rows) -> None:
+    """Write a harness's (seed, achieved_order, verified) rows as CSV to
+    --csv, or to stdout without it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "achieved_order", "verified"])
     for seed, order, verified in rows:
         writer.writerow([seed, order, str(bool(verified)).lower()])
-    return buf.getvalue()
+    if args.csv:
+        _write(args.csv, buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
+    record.outputs = _written(args.csv)
+    record.seeds = [args.seed]
 
 
 def cmd_eh(args, record: RunRecord) -> int:
@@ -495,23 +493,11 @@ def _sweep_row(spec: dict) -> dict:
             row["budgets"] = ";".join(str(profile.q[i]) for i in sorted(profile.q))
             row["verified"] = str(bool(checked.verified)).lower()
         elif kind == "certificate":
-            seeds = pipe.get("seeds", 1)
-            seed0 = pipe.get("seed", 0)
-            orders = []
-            good = True
-            for s in range(seeds):
-                part = random_balanced_bipartition(g, seed0 + s)
-                result = lower_bound_certificate(g, part)
-                if isinstance(result, ImbalanceReport):
-                    good = False
-                    orders.append(0)
-                    continue
-                rank = certificate_rank(g, result)
-                good = good and rank == result.order
-                orders.append(result.order)
+            rows = _certificate_rows(g, pipe.get("seed", 0), pipe.get("seeds", 1))
+            orders = [order for _, order, _ in rows]
             row["min_order"] = min(orders) if orders else ""
             row["max_order"] = max(orders) if orders else ""
-            row["verified"] = str(bool(good)).lower()
+            row["verified"] = str(all(verified for _, _, verified in rows)).lower()
         else:
             raise ValueError(f"unknown pipeline kind {kind!r}")
     except Exception as exc:  # recorded per row; the runner keeps going
@@ -526,15 +512,9 @@ def cmd_report(args, record: RunRecord) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS, lineterminator="\n")
     writer.writeheader()
-    if runs:
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            for row in pool.map(_sweep_row, runs):
-                writer.writerow(row)
-    text = buf.getvalue()
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    for run in runs:
+        writer.writerow(_sweep_row(run))
+    _emit(args, buf.getvalue())
     record.outputs = _written(args.output)
     return 0
 
@@ -657,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="experiment sweeps")
     p.add_argument("what", choices=["sweep"])
     p.add_argument("--spec", required=True)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_report)
 

@@ -68,15 +68,7 @@ def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
 
 def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
     """Vertices u that are the order-minimum on some u--v path of length <= r."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    pv = L.position[v]
-    above = above_masks(L)
-    out = set()
-    for u in range(G.n):
-        if L.position[u] <= pv and ball(G, u, r, above[u]) >> v & 1:
-            out.add(u)
-    return frozenset(out)
+    return wreach_sets(G, L, r)[v]
 
 
 def wcol_of_order(G: Graph, L: LinearOrder, r: int) -> int:

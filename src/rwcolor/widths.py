@@ -3,6 +3,11 @@
 This is the oracle layer: every coloring or certificate produced elsewhere
 in the package is checkable against the exact solvers here, which only need
 to work at desk scale.
+
+Every walk over a rank-decomposition tree goes through :func:`_hang`,
+which hangs the tree from one edge: the structure check, the width check,
+the balanced partition and the restriction to a vertex subset all read
+its traversal order, parents, depths and leaf masks.
 """
 
 from __future__ import annotations
@@ -47,24 +52,6 @@ class RankDecomposition:
     def leaf_vertex(self) -> dict[int, int]:
         return dict(self.leaf_map)
 
-    def side_mask(self, edge: tuple[int, int]) -> int:
-        """Bitmask of graph vertices on the first-endpoint side of *edge*."""
-        a, b = edge
-        adj = self.adjacency()
-        leaf = self.leaf_vertex()
-        stack = [a]
-        seen = {a}
-        mask = 0
-        while stack:
-            t = stack.pop()
-            if t in leaf:
-                mask |= 1 << leaf[t]
-            for s in adj[t]:
-                if not (t == a and s == b) and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return mask
-
 
 @dataclass
 class WidthReport:
@@ -73,7 +60,46 @@ class WidthReport:
     decomposition: RankDecomposition | None
 
 
-def _check_structure(G: Graph, D: RankDecomposition) -> None:
+def _hang(
+    D: RankDecomposition, edge: tuple[int, int]
+) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
+    """Hang D's tree from a virtual root (numbered node_count) that
+    subdivides *edge*.
+
+    Returns the nodes reached, in breadth-first order (every parent before
+    its children); each node's parent (the root for both ends of *edge*);
+    its depth (1 for both ends); and ``below``, indexed by node, the mask
+    of graph vertices at the leaves under it.  The parents double as the
+    seen set, so the walk ends on a cyclic or disconnected edge list too.
+    """
+    adj = D.adjacency()
+    leaf = D.leaf_vertex()
+    root = D.node_count
+    parent = dict.fromkeys(edge, root)
+    depth = dict.fromkeys(edge, 1)
+    order = list(parent)
+    for t in order:
+        for s in adj[t]:
+            if s not in parent:
+                parent[s] = t
+                depth[s] = depth[t] + 1
+                order.append(s)
+    below = [0] * (root + 1)
+    for t in reversed(order):
+        if t in leaf:
+            below[t] |= 1 << leaf[t]
+        below[parent[t]] |= below[t]
+    return order, parent, depth, below
+
+
+def _check_structure(
+    G: Graph, D: RankDecomposition
+) -> tuple[list[int], dict[int, int], dict[int, int], list[int]]:
+    """Reject a D that is not a decomposition of G; otherwise return its
+    hanging from the lexicographically smallest edge.
+
+    The leaf map is checked before the walk, which shifts by its vertices.
+    """
     n_nodes = D.node_count
     if n_nodes < 2:
         raise ValueError("decomposition tree must have at least 2 nodes")
@@ -81,20 +107,10 @@ def _check_structure(G: Graph, D: RankDecomposition) -> None:
         raise ValueError(
             f"tree on {n_nodes} nodes needs {n_nodes - 1} edges, got {len(D.edges)}"
         )
-    adj = D.adjacency()
     for a, b in D.edges:
         if not (0 <= a < n_nodes and 0 <= b < n_nodes):
             raise ValueError(f"edge ({a}, {b}) leaves the node range")
-    seen = {0}
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for s in adj[t]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    if len(seen) != n_nodes:
-        raise ValueError("decomposition tree is disconnected")
+    adj = D.adjacency()
     degrees = [len(a) for a in adj]
     for t, d in enumerate(degrees):
         if d not in (1, 3):
@@ -106,18 +122,21 @@ def _check_structure(G: Graph, D: RankDecomposition) -> None:
     mapped = sorted(leaf.values())
     if mapped != list(range(G.n)):
         raise ValueError("leaf_map is not a bijection onto the vertex set")
+    hanging = _hang(D, min(tuple(sorted(e)) for e in D.edges))
+    if len(hanging[0]) != n_nodes:
+        raise ValueError("decomposition tree is disconnected")
+    return hanging
 
 
 def verify_decomposition(G: Graph, D: RankDecomposition) -> int:
     """Width of a rank-decomposition: max cut-rank over its tree edges.
 
     Raises on structural violations (degree, connectivity, leaf bijection).
+    Each tree edge cuts off the leaves below its lower end; the two ends of
+    the root edge cut the same edge, so the first node is skipped.
     """
-    _check_structure(G, D)
-    width = 0
-    for e in D.edges:
-        width = max(width, cutrank_mask(G, D.side_mask(e)))
-    return width
+    order, _, _, below = _check_structure(G, D)
+    return max(cutrank_mask(G, below[t]) for t in order[1:])
 
 
 def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
@@ -270,49 +289,13 @@ def balanced_partition(
     c_set = set(C)
     if len(c_set) < 3:
         raise ValueError("balanced partition needs |C| >= 3")
-    _check_structure(G, D)
-    root_edge = min(tuple(sorted(e)) for e in D.edges)
-    adj = D.adjacency()
-    leaf = D.leaf_vertex()
-    root = D.node_count  # virtual node subdividing root_edge
-    children: dict[int, list[int]] = {root: list(root_edge)}
-    parent = {root_edge[0]: root, root_edge[1]: root}
-    depth = {root: 0, root_edge[0]: 1, root_edge[1]: 1}
-    stack = [root_edge[0], root_edge[1]]
-    while stack:
-        t = stack.pop()
-        kids = [s for s in adj[t] if s != parent.get(t) and not (
-            {t, s} == set(root_edge))]
-        children[t] = kids
-        for s in kids:
-            parent[s] = t
-            depth[s] = depth[t] + 1
-            stack.append(s)
-
-    mu: dict[int, int] = {}
-    vertices_under: dict[int, int] = {}
-    post = []
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        post.append(t)
-        stack.extend(children.get(t, []))
-    for t in reversed(post):
-        if t in leaf:
-            vertices_under[t] = 1 << leaf[t]
-        else:
-            m = 0
-            for s in children.get(t, []):
-                m |= vertices_under[s]
-            vertices_under[t] = m
-        mu[t] = sum(1 for v in bits_of(vertices_under[t]) if v in c_set)
-    csize = len(c_set)
-    candidates = [
-        t for t in mu if t != root and 3 * mu[t] >= csize
-    ]
-    t = max(candidates, key=lambda s: (depth[s], -s))
-    x_mask = vertices_under[t]
-    X = set(bits_of(x_mask))
+    order, _, depth, below = _check_structure(G, D)
+    c_mask = mask_of(v for v in c_set if 0 <= v < G.n)
+    t = max(
+        (s for s in order if 3 * (below[s] & c_mask).bit_count() >= len(c_set)),
+        key=lambda s: (depth[s], -s),
+    )
+    X = set(bits_of(below[t]))
     Y = set(range(G.n)) - X
     return X, Y
 
@@ -413,54 +396,50 @@ def restrict_decomposition(
 ) -> RankDecomposition | None:
     """Decomposition induced on a vertex subset by pruning and suppression.
 
-    Drops leaves outside the subset, prunes dead branches, and suppresses
-    the resulting degree-2 nodes.  Cut-ranks of the surviving cuts only
-    shrink, so the width never grows.  Returns None for subsets of size < 2.
-    With *relabel*, leaf vertices are renamed old->new.
+    A node survives iff it is a kept leaf or at least 3 of its directions
+    hold kept leaves; this drops the leaves outside the subset, the
+    branches left without kept leaves, and the nodes left with degree 2.
+    Each survivor links to its nearest surviving ancestor in a hanging of
+    the tree, and the (at most two) survivors without one link to each
+    other.  Nodes are renumbered in order of their old ids.  Cut-ranks of
+    the surviving cuts only shrink, so the width never grows.  Returns None
+    for subsets of size < 2.  With *relabel*, leaf vertices are renamed
+    old->new.
     """
     keep = set(keep_vertices)
     if len(keep) < 2:
         return None
     leaf = D.leaf_vertex()
-    alive = set(range(D.node_count))
-    adj = {t: set() for t in alive}
-    for a, b in D.edges:
-        adj[a].add(b)
-        adj[b].add(a)
     kept_leaves = {t for t, v in leaf.items() if v in keep}
-    # prune branches that carry no kept leaf
-    changed = True
-    while changed:
-        changed = False
-        for t in list(alive):
-            if t in kept_leaves:
-                continue
-            if len(adj[t]) <= 1:
-                for s in adj[t]:
-                    adj[s].discard(t)
-                adj.pop(t)
-                alive.discard(t)
-                changed = True
-    # suppress degree-2 nodes
-    for t in list(alive):
-        if t not in kept_leaves and len(adj[t]) == 2:
-            a, b = sorted(adj[t])
-            adj[a].discard(t)
-            adj[b].discard(t)
-            adj[a].add(b)
-            adj[b].add(a)
-            adj.pop(t)
-            alive.discard(t)
-    new_id = {t: i for i, t in enumerate(sorted(alive))}
-    edges = set()
-    for t in alive:
-        for s in adj[t]:
-            edges.add((min(new_id[t], new_id[s]), max(new_id[t], new_id[s])))
+    kept = mask_of(leaf[t] for t in kept_leaves)
+    order, parent, _, below = _hang(D, D.edges[0])
+    root = D.node_count
+    live = [0] * (root + 1)  # directions holding kept leaves
+    for t in order:
+        if below[t] & kept:
+            live[parent[t]] += 1
+        if kept & ~below[t]:
+            live[t] += 1
+    survivors = sorted(t for t in order if t in kept_leaves or live[t] >= 3)
+    new_id = {t: i for i, t in enumerate(survivors)}
+    nearest = {root: None}  # the closest surviving proper ancestor
+    for t in order:
+        p = parent[t]
+        nearest[t] = p if p in new_id else nearest[p]
+    edges = []
+    tops = []
+    for t in survivors:
+        if nearest[t] is None:
+            tops.append(new_id[t])
+        else:
+            edges.append(tuple(sorted((new_id[nearest[t]], new_id[t]))))
+    if len(tops) == 2:
+        edges.append(tuple(tops))
     leaf_map = []
     for t in sorted(kept_leaves):
         v = leaf[t]
         leaf_map.append((new_id[t], relabel[v] if relabel is not None else v))
-    return RankDecomposition(len(alive), tuple(sorted(edges)), tuple(leaf_map))
+    return RankDecomposition(len(survivors), tuple(sorted(edges)), tuple(leaf_map))
 
 
 def rank_width_of_subgraph(

@@ -4,7 +4,9 @@ Everything here is deliberately naive: span enumeration instead of
 elimination, path enumeration instead of pruned search, full tree
 enumeration instead of subset dynamic programming (and, as the references
 for pruned searches, the unpruned subset DP, the n! order sweep and the
-unbounded deletion recursion).
+unbounded deletion recursion; as the references for the one-walk tree
+code, the per-edge width check, the rooted balanced partition and the
+prune-and-suppress restriction).
 """
 
 from __future__ import annotations
@@ -241,6 +243,141 @@ def rank_width_by_subset_dp(G: Graph) -> tuple[int, RankDecomposition | None]:
     b = build(full ^ top)
     edges.append((a, b))
     return best[full], RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
+
+
+def verify_decomposition_by_edges(G: Graph, D: RankDecomposition) -> int:
+    """The per-edge width check ``verify_decomposition`` replaced: a fresh
+    walk of the tree for each edge's side."""
+    from rwcolor.graph import cutrank_mask
+    from rwcolor.widths import _check_structure
+
+    _check_structure(G, D)
+    width = 0
+    for e in D.edges:
+        a, b = e
+        adj = D.adjacency()
+        leaf = D.leaf_vertex()
+        stack = [a]
+        seen = {a}
+        mask = 0
+        while stack:
+            t = stack.pop()
+            if t in leaf:
+                mask |= 1 << leaf[t]
+            for s in adj[t]:
+                if not (t == a and s == b) and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        width = max(width, cutrank_mask(G, mask))
+    return width
+
+
+def balanced_partition_by_rooting(
+    G: Graph, C, D: RankDecomposition
+) -> tuple[set[int], set[int]]:
+    """The rooted-tree ``balanced_partition`` with its own children lists and
+    post-order; the library's version must return the same (X, Y)."""
+    from rwcolor.graph import bits_of
+    from rwcolor.widths import _check_structure
+
+    c_set = set(C)
+    if len(c_set) < 3:
+        raise ValueError("balanced partition needs |C| >= 3")
+    _check_structure(G, D)
+    root_edge = min(tuple(sorted(e)) for e in D.edges)
+    adj = D.adjacency()
+    leaf = D.leaf_vertex()
+    root = D.node_count  # virtual node subdividing root_edge
+    children: dict[int, list[int]] = {root: list(root_edge)}
+    parent = {root_edge[0]: root, root_edge[1]: root}
+    depth = {root: 0, root_edge[0]: 1, root_edge[1]: 1}
+    stack = [root_edge[0], root_edge[1]]
+    while stack:
+        t = stack.pop()
+        kids = [s for s in adj[t] if s != parent.get(t) and not (
+            {t, s} == set(root_edge))]
+        children[t] = kids
+        for s in kids:
+            parent[s] = t
+            depth[s] = depth[t] + 1
+            stack.append(s)
+
+    mu: dict[int, int] = {}
+    vertices_under: dict[int, int] = {}
+    post = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        post.append(t)
+        stack.extend(children.get(t, []))
+    for t in reversed(post):
+        if t in leaf:
+            vertices_under[t] = 1 << leaf[t]
+        else:
+            m = 0
+            for s in children.get(t, []):
+                m |= vertices_under[s]
+            vertices_under[t] = m
+        mu[t] = sum(1 for v in bits_of(vertices_under[t]) if v in c_set)
+    csize = len(c_set)
+    candidates = [
+        t for t in mu if t != root and 3 * mu[t] >= csize
+    ]
+    t = max(candidates, key=lambda s: (depth[s], -s))
+    x_mask = vertices_under[t]
+    X = set(bits_of(x_mask))
+    Y = set(range(G.n)) - X
+    return X, Y
+
+
+def restrict_decomposition_by_pruning(
+    D: RankDecomposition, keep_vertices, relabel: dict[int, int] | None = None
+) -> RankDecomposition | None:
+    """The prune-to-a-fixed-point, then suppress-degree-2 restriction; the
+    library's version must return the same decomposition."""
+    keep = set(keep_vertices)
+    if len(keep) < 2:
+        return None
+    leaf = D.leaf_vertex()
+    alive = set(range(D.node_count))
+    adj = {t: set() for t in alive}
+    for a, b in D.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    kept_leaves = {t for t, v in leaf.items() if v in keep}
+    # prune branches that carry no kept leaf
+    changed = True
+    while changed:
+        changed = False
+        for t in list(alive):
+            if t in kept_leaves:
+                continue
+            if len(adj[t]) <= 1:
+                for s in adj[t]:
+                    adj[s].discard(t)
+                adj.pop(t)
+                alive.discard(t)
+                changed = True
+    # suppress degree-2 nodes
+    for t in list(alive):
+        if t not in kept_leaves and len(adj[t]) == 2:
+            a, b = sorted(adj[t])
+            adj[a].discard(t)
+            adj[b].discard(t)
+            adj[a].add(b)
+            adj[b].add(a)
+            adj.pop(t)
+            alive.discard(t)
+    new_id = {t: i for i, t in enumerate(sorted(alive))}
+    edges = set()
+    for t in alive:
+        for s in adj[t]:
+            edges.add((min(new_id[t], new_id[s]), max(new_id[t], new_id[s])))
+    leaf_map = []
+    for t in sorted(kept_leaves):
+        v = leaf[t]
+        leaf_map.append((new_id[t], relabel[v] if relabel is not None else v))
+    return RankDecomposition(len(alive), tuple(sorted(edges)), tuple(leaf_map))
 
 
 def line_graph_direct(G: Graph) -> Graph:

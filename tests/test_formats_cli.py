@@ -174,6 +174,21 @@ def test_cli_verify_decomposition(tmp_path):
     assert run(["verify", "decomposition", "-i", str(p4), "-d", str(dec)]) == 1
 
 
+def test_cli_verify_decomposition_edge_outside_the_node_range(tmp_path, capsys):
+    p3 = tmp_path / "p3.el"
+    run(["gen", "path", "--n", "3", "-o", str(p3)])
+    bad = tmp_path / "bad.json"
+    for edge, shown in (([2, 7], "(2, 7)"), ([2, -1], "(2, -1)")):
+        bad.write_text(json.dumps({
+            "nodes": 4,
+            "edges": [[0, 3], [1, 3], edge],
+            "leaf_map": [{"leaf": t, "vertex": t} for t in range(3)],
+        }))
+        assert run(["verify", "decomposition", "-i", str(p3), "-d", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid decomposition: edge {shown} leaves the node range\n"
+
+
 def test_cli_lab_certificate_harness(tmp_path):
     out = tmp_path / "harness.csv"
     assert run([
@@ -364,24 +379,13 @@ def test_cli_sweep_empty(tmp_path):
     assert len(lines) == 1
 
 
-def test_cli_sweep_threads_match(tmp_path):
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({
-        "runs": [
-            {"name": f"h-{n}", "generator": {"family": "h", "n": n, "m": 2},
-             "pipeline": {"kind": "rowcolor-verify", "p": 1}}
-            for n in (2, 3, 4)
-        ]
-    }))
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    run(["report", "sweep", "--spec", str(spec), "-o", str(one), "--threads", "1"])
-    run(["report", "sweep", "--spec", str(spec), "-o", str(four), "--threads", "4"])
-
-    def strip_elapsed(text):
-        return [",".join(line.split(",")[:-2]) for line in text.splitlines()]
-
-    assert strip_elapsed(one.read_text()) == strip_elapsed(four.read_text())
+def test_cli_rerun_of_a_threads_manifest_is_a_usage_error(tmp_path):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"runs": []}))
+    man = tmp_path / "m.json"
+    argv = ["report", "sweep", "--spec", str(spec), "--threads", "4"]
+    man.write_text(json.dumps({"argv": argv}))
+    assert run(["rerun", "--manifest", str(man)]) == 2
 
 
 def test_cli_outdir_env(tmp_path, monkeypatch):

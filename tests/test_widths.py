@@ -312,6 +312,53 @@ def test_restrict_decomposition_keeps_width():
         assert verify_decomposition(sub, D) <= rep.value
 
 
+def _tree_walk_cases():
+    """(graph, decomposition) pairs: exact, caterpillar and cotree ones."""
+    from rwcolor.ehchi import cotree_to_graph, decomposition_from_cotree
+
+    rng = random.Random(2024)
+    cases = []
+    for n in range(2, 12):
+        for _ in range(8 if n <= 9 else 2):
+            g = oracles.random_graph(n, rng.uniform(0.2, 0.8), rng)
+            cases.append((g, rank_width_exact(g).decomposition))
+        for _ in range(8):
+            g = oracles.random_graph(n, rng.uniform(0.2, 0.8), rng)
+            cases.append((g, caterpillar_decomposition(rng.sample(range(n), n))))
+        for _ in range(6):
+            ct = oracles.random_cotree(n, rng)
+            cases.append((cotree_to_graph(ct, n), decomposition_from_cotree(ct)))
+    return cases
+
+
+def test_tree_walks_match_the_per_walk_references():
+    rng = random.Random(5)
+    cases = _tree_walk_cases()
+    assert len(cases) >= 200
+    for g, D in cases:
+        assert verify_decomposition(g, D) == oracles.verify_decomposition_by_edges(g, D)
+        for _ in range(3):
+            if g.n >= 3:
+                C = rng.sample(range(g.n), rng.randint(3, g.n))
+                assert balanced_partition(g, C, D) == oracles.balanced_partition_by_rooting(
+                    g, C, D
+                )
+            keep = rng.sample(range(g.n), rng.randint(0, g.n))
+            idx = {v: i for i, v in enumerate(sorted(keep))}
+            assert restrict_decomposition(D, keep) == oracles.restrict_decomposition_by_pruning(
+                D, keep
+            )
+            assert restrict_decomposition(D, keep, idx) == (
+                oracles.restrict_decomposition_by_pruning(D, keep, idx)
+            )
+
+
+def test_verify_checks_the_node_range_before_the_tree():
+    D = RankDecomposition(4, ((0, 3), (1, 3), (2, 7)), ((0, 0), (1, 1), (2, 2)))
+    with pytest.raises(ValueError, match=r"edge \(2, 7\) leaves the node range"):
+        verify_decomposition(pathg(3), D)
+
+
 def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
     rng = random.Random(31)
     for _ in range(20):
