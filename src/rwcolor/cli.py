@@ -224,7 +224,7 @@ def cmd_wcol(args, record: RunRecord) -> int:
 def cmd_color(args, record: RunRecord) -> int:
     g = _load_graph(args.input)
     if args.mode == "td":
-        c = treedepth_coloring(g, args.p, strategy=args.strategy)
+        c = treedepth_coloring(g, args.p)
         _emit(args, formats.dumps_json(formats.coloring_to_obj(c)))
     elif args.mode == "refine":
         base = formats.coloring_from_obj(json.loads(_read(_need(args.coloring, "-c/--coloring"))))
@@ -576,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-c", "--coloring", help="base coloring JSON (refine mode)")
     p.add_argument("--good", action="store_true", help="single-radius refinement")
-    p.add_argument("--strategy", help="tree-depth provider strategy")
     p.add_argument("--profile", help="write the budget profile JSON here")
     common(p)
     p.set_defaults(func=cmd_color)

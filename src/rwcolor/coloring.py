@@ -258,18 +258,24 @@ def is_closure(
     return True
 
 
-def greedy_proper_coloring(G: Graph, order: Sequence[int] | None = None) -> Coloring:
-    """Greedy proper coloring along an order (degeneracy order by default)."""
-    if order is None:
-        order = degeneracy_order(G)
-    colors = [0] * G.n
+def _first_fit(order: Iterable[int], earlier: Sequence[Iterable[int]]) -> Coloring:
+    """Color each vertex along *order* with the least color absent from
+    ``earlier[v]``; vertices still uncolored there hold 0 and never block."""
+    colors = [0] * len(earlier)
     for v in order:
-        used = {colors[u] for u in bits_of(G.adj[v]) if colors[u]}
+        used = {colors[u] for u in earlier[v]}
         col = 1
         while col in used:
             col += 1
         colors[v] = col
     return Coloring(tuple(colors), max(colors))
+
+
+def greedy_proper_coloring(G: Graph, order: Sequence[int] | None = None) -> Coloring:
+    """Greedy proper coloring along an order (degeneracy order by default)."""
+    if order is None:
+        order = degeneracy_order(G)
+    return _first_fit(order, [bits_of(row) for row in G.adj])
 
 
 @dataclass
@@ -279,9 +285,7 @@ class TdColoringReport:
     failures: list[tuple[tuple[int, ...], int, int]]  # (colors, size i, td found)
 
 
-def verify_td_coloring(
-    G: Graph, c: Coloring, p: int, td_cap: int = TREE_DEPTH_EXACT_CAP
-) -> TdColoringReport:
+def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
     """Check that every union of i <= p classes induces tree-depth <= i.
 
     Unions no larger than i pass outright (tree-depth never exceeds the
@@ -302,14 +306,14 @@ def verify_td_coloring(
             checked += 1
             if union.bit_count() <= i:
                 continue
-            deep = _components_deeper_than(G, union, i, td_cap)
+            deep = _components_deeper_than(G, union, i)
             if deep:
-                td = max(tree_depth_exact(comp_g, cap=td_cap) for comp_g in deep)
+                td = max(tree_depth_exact(comp_g) for comp_g in deep)
                 failures.append((combo, i, td))
     return TdColoringReport(not failures, checked, failures)
 
 
-def _components_deeper_than(G: Graph, mask: int, i: int, td_cap: int) -> list[Graph]:
+def _components_deeper_than(G: Graph, mask: int, i: int) -> list[Graph]:
     """Components of G[mask] with tree-depth above i, as induced subgraphs.
 
     A component of at most i vertices passes outright; a larger one is
@@ -320,18 +324,18 @@ def _components_deeper_than(G: Graph, mask: int, i: int, td_cap: int) -> list[Gr
         size = comp.bit_count()
         if size <= i:
             continue
-        if size > td_cap:
+        if size > TREE_DEPTH_EXACT_CAP:
             raise ValueError(
-                f"component of size {size} exceeds the exact tree-depth cap {td_cap}; "
-                "use a smaller instance"
+                f"component of size {size} exceeds the exact tree-depth cap "
+                f"{TREE_DEPTH_EXACT_CAP}; use a smaller instance"
             )
         comp_g, _ = induced_subgraph(G, bits_of(comp))
-        if not tree_depth_at_most(comp_g, i, cap=td_cap):
+        if not tree_depth_at_most(comp_g, i):
             deep.append(comp_g)
     return deep
 
 
-def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
+def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
     """Smallest-palette coloring passing the union tree-depth checks.
 
     Backtracking over restricted-growth assignments; after placing each
@@ -351,7 +355,7 @@ def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
                 union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
                 if union.bit_count() <= i:
                     continue
-                if _components_deeper_than(G, union, i, td_cap):
+                if _components_deeper_than(G, union, i):
                     return False
         return True
 
@@ -374,67 +378,36 @@ def _exact_small_td_coloring(G: Graph, p: int, td_cap: int) -> Coloring:
     raise AssertionError("identity coloring always satisfies the constraints")
 
 
-def treedepth_coloring(
-    G: Graph,
-    p: int,
-    strategy: str | None = None,
-    td_cap: int = TREE_DEPTH_EXACT_CAP,
-) -> Coloring:
+def treedepth_coloring(G: Graph, p: int) -> Coloring:
     """Coloring whose every union of i <= p classes has tree-depth <= i.
 
-    Strategies: "exact-small" searches palettes exhaustively (small graphs);
-    "wcol-greedy" colors greedily against weakly reachable sets at radius
-    2^p and verifies, doubling the radius on failure.  The returned coloring
-    is always verified.  When p >= n, giving every vertex its own color
-    already qualifies, so that shortcut is taken first.
+    The method follows from n and p alone: every vertex its own color when
+    p >= n; a greedy proper coloring when p = 1; the smallest palette, by
+    exhaustive search, when n <= 12; otherwise first-fit along the order
+    L of ``wcol_heuristic(G, r)`` with r = min(2^p, n), each vertex avoiding
+    the colors of its weakly r-reachable set.  The last needs no check.
+    Those sets contain the weakly 2^(p-1)-reachable ones, since no path has
+    n edges, and a coloring in which every vertex differs from its weakly
+    2^(p-1)-reachable set is (p+1)-centred (Zhu, Discrete Math. 2009): a
+    connected subgraph on j <= p colors has a color met exactly once, so
+    deleting that vertex leaves components on j - 1 colors, and induction
+    gives tree-depth <= j.  The proper and exhaustive branches are still
+    checked against ``verify_td_coloring``.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if strategy is None:
-        if p >= G.n:
-            strategy = "identity"
-        elif p == 1:
-            strategy = "proper"
-        elif G.n <= 12:
-            strategy = "exact-small"
-        else:
-            strategy = "wcol-greedy"
-
-    if strategy == "identity" or (strategy != "proper" and p >= G.n):
+    if p >= G.n:
         return Coloring(tuple(range(1, G.n + 1)), G.n)
-    if strategy == "proper" or p == 1:
+    if p == 1:
         c = greedy_proper_coloring(G)
-        report = verify_td_coloring(G, c, 1, td_cap)
-        assert report.ok
-        return c
-    if strategy == "exact-small":
-        c = _exact_small_td_coloring(G, p, td_cap)
-        report = verify_td_coloring(G, c, p, td_cap)
-        assert report.ok
-        return c
-    if strategy == "wcol-greedy":
-        radius = min(2**p, G.n)
-        for _ in range(4):
-            _, L = wcol_heuristic(G, radius)
-            wsets = wreach_sets(G, L, radius)
-            colors = [0] * G.n
-            for v in L.order:
-                used = {colors[u] for u in wsets[v] if u != v and colors[u]}
-                col = 1
-                while col in used:
-                    col += 1
-                colors[v] = col
-            c = Coloring(tuple(colors), max(colors))
-            if verify_td_coloring(G, c, p, td_cap).ok:
-                return c
-            if radius >= G.n:
-                break
-            radius = min(radius * 2, G.n)
-        raise ValueError(
-            "greedy tree-depth coloring failed verification at every radius; "
-            "use a smaller instance or the exact strategy"
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
+    elif G.n <= 12:
+        c = _exact_small_td_coloring(G, p)
+    else:
+        r = min(2**p, G.n)
+        _, L = wcol_heuristic(G, r)
+        return _first_fit(L.order, wreach_sets(G, L, r))
+    assert verify_td_coloring(G, c, p).ok
+    return c
 
 
 @dataclass
@@ -461,8 +434,6 @@ def low_rankwidth_coloring_of_power(
     G: Graph,
     r: int,
     p: int,
-    td_cap: int = TREE_DEPTH_EXACT_CAP,
-    td_strategy: str | None = None,
 ) -> tuple[RefinementColoring, ColoringProfile]:
     """Color G so that small class unions of power(G, r) have bounded width.
 
@@ -479,7 +450,7 @@ def low_rankwidth_coloring_of_power(
         wcol, L = wcol_heuristic(G, radius)
         orders.append(L)
         d *= 2 * wcol
-    base = treedepth_coloring(G, d * p, strategy=td_strategy, td_cap=td_cap)
+    base = treedepth_coloring(G, d * p)
     ref = excellent_refinement(G, base, r, orders)
     assert ref.d == d
     q = {i: gurski_wanke_budget(r, d * i) for i in range(1, p + 1)}

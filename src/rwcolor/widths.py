@@ -287,10 +287,13 @@ def balanced_partition(
     so its cut-rank is at most the width of D.
     """
     c_set = set(C)
+    outside = [v for v in c_set if not 0 <= v < G.n]
+    if outside:
+        raise ValueError(f"vertex {min(outside)} not in graph")
     if len(c_set) < 3:
         raise ValueError("balanced partition needs |C| >= 3")
     order, _, depth, below = _check_structure(G, D)
-    c_mask = mask_of(v for v in c_set if 0 <= v < G.n)
+    c_mask = mask_of(c_set)
     t = max(
         (s for s in order if 3 * (below[s] & c_mask).bit_count() >= len(c_set)),
         key=lambda s: (depth[s], -s),

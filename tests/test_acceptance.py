@@ -237,7 +237,7 @@ def test_c6_excellent_refinement_suite(capsys):
 
 
 def test_c7_power_coloring_end_to_end(capsys):
-    for a, b in ((4, 4), (5, 4)):
+    for a, b in ((4, 4), (5, 4), (6, 6)):
         g = grid(a, b)
         r, p = 2, 2
         ref, profile = low_rankwidth_coloring_of_power(g, r, p)

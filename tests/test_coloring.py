@@ -361,6 +361,42 @@ def test_treedepth_coloring_greedy_strategy_verified():
     assert verify_td_coloring(g, c, 2).ok
 
 
+def test_treedepth_coloring_first_fit_passes_the_exhaustive_verifier():
+    rng = random.Random(13)
+    below = 0
+    for _ in range(200):
+        n = rng.randint(13, 16)
+        p = rng.randint(2, 4)
+        g = oracles.random_graph(n, rng.uniform(0.05, 0.5), rng)
+        below += 2**p < n
+        assert verify_td_coloring(g, treedepth_coloring(g, p), p).ok
+    assert below > 100
+
+
+def test_treedepth_coloring_first_fit_runs_no_union_check(monkeypatch):
+    from rwcolor import coloring
+
+    calls = []
+
+    def counting(name):
+        check = getattr(coloring, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+
+        return counted
+
+    for name in ("verify_td_coloring", "tree_depth_at_most"):
+        monkeypatch.setattr(coloring, name, counting(name))
+    rng = random.Random(17)
+    for n, p in ((13, 2), (14, 3), (16, 4), (20, 2)):
+        treedepth_coloring(oracles.random_graph(n, 0.3, rng), p)
+    assert calls == []
+    treedepth_coloring(path(13), 1)
+    assert calls == ["verify_td_coloring"]
+
+
 def test_verify_td_rejects_constant_on_p4():
     report = verify_td_coloring(path(4), constant_coloring(4), 1)
     assert not report.ok
@@ -443,6 +479,14 @@ def test_power_pipeline_p6():
         sub, idx = induced_subgraph(g, Xpp)
         rhs, _ = induced_subgraph(power(sub, 2), [idx[v] for v in X])
         assert lhs.adj == rhs.adj
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_pipeline_random_degenerate_20(seed):
+    g = random_degenerate(20, 2, seed)
+    ref, profile = low_rankwidth_coloring_of_power(g, 2, 1)
+    checked = verify_low_rw_coloring(power(g, 2), ref.refined, 1, profile.q)
+    assert checked.verified
 
 
 def test_power_pipeline_budget_formula():

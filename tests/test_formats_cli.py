@@ -388,6 +388,15 @@ def test_cli_rerun_of_a_threads_manifest_is_a_usage_error(tmp_path):
     assert run(["rerun", "--manifest", str(man)]) == 2
 
 
+def test_cli_color_td_strategy_is_a_usage_error(cli_files, tmp_path):
+    argv = ["color", "td", "-p", "2", "-i", cli_files["p4"], "--strategy", "exact-small"]
+    assert run(argv) == 2
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"argv": argv}))
+    assert run(["rerun", "--manifest", str(man)]) == 2
+    assert run(argv[:-2]) == 0
+
+
 def test_cli_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     assert run(["gen", "path", "--n", "3", "-o", "sub/p3.el"]) == 0

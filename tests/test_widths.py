@@ -206,6 +206,16 @@ def test_balanced_partition_small_core_rejected():
         balanced_partition(g, {0, 1}, D)
 
 
+@pytest.mark.parametrize(
+    "core, missing", [({0, 1, *range(10, 21)}, 10), ({-1, 0, 1, 2}, -1)]
+)
+def test_balanced_partition_rejects_a_core_vertex_outside_the_graph(core, missing):
+    p4 = pathg(4)
+    D = rank_width_exact(p4).decomposition
+    with pytest.raises(ValueError, match=f"^vertex {missing} not in graph$"):
+        balanced_partition(p4, core, D)
+
+
 def test_balanced_partition_random_cores():
     rng = random.Random(61)
     for _ in range(12):
