@@ -1,7 +1,8 @@
 """Command-line toolkit tying the library together.
 
-Exit codes: 0 success (and verified, where applicable), 1 verification
-failure, 2 usage or format errors.
+Exit codes: 0 success (and verified, where applicable), 1 not verified
+(refuted, or inconclusive where a cap left a union undecided), 2 usage or
+format errors.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import io
 import json
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -278,6 +280,7 @@ def cmd_verify(args, record: RunRecord) -> int:
                     "verified": report.ok,
                     "checked_unions": report.checked_unions,
                     "failures": [list(f[0]) for f in report.failures],
+                    "inconclusive": [list(f[0]) for f in report.inconclusive],
                 }
             ),
         )
@@ -351,13 +354,11 @@ def cmd_lab(args, record: RunRecord) -> int:
         _emit_harness(args, record, rows)
         return 0 if all(verified for _, _, verified in rows) else 1
     if args.what == "ramsey":
-        import random as _random
-
         rows = []
         ok = True
         for s in range(args.seeds):
             seed = args.seed + s
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             table = {
                 (x, y): rng.randint(1, args.d)
                 for x in range(args.size)
@@ -376,10 +377,8 @@ def cmd_lab(args, record: RunRecord) -> int:
         _emit_harness(args, record, rows)
         return 0 if ok else 1
     if args.what == "extract":
-        import random as _random
-
         g = twisted_chain(args.order, "bare")
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         colors = [rng.randint(1, args.colors) for _ in range(g.n)]
         sub, report = monochromatic_substructure(g, colors, args.target)
         _emit(args, formats.dumps_json(formats.extraction_report_to_obj(report)))

@@ -26,12 +26,14 @@ from .graph import (
 )
 from .orderings import LinearOrder, above_masks, wcol_heuristic, wreach_sets
 from .widths import (
-    RANK_WIDTH_EXACT_CAP,
     TREE_DEPTH_EXACT_CAP,
     rank_width_of_subgraph,
     tree_depth_at_most,
     tree_depth_exact,
 )
+
+# Most class unions verify_low_rw_coloring enumerates before refusing.
+MAX_UNIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             if not 1 <= c <= self.palette_size:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.palette_size}")
-
-    @classmethod
-    def from_list(cls, colors: Sequence[int]) -> "Coloring":
-        return cls(tuple(colors), max(colors) if colors else 1)
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
@@ -271,11 +269,9 @@ def _first_fit(order: Iterable[int], earlier: Sequence[Iterable[int]]) -> Colori
     return Coloring(tuple(colors), max(colors))
 
 
-def greedy_proper_coloring(G: Graph, order: Sequence[int] | None = None) -> Coloring:
-    """Greedy proper coloring along an order (degeneracy order by default)."""
-    if order is None:
-        order = degeneracy_order(G)
-    return _first_fit(order, [bits_of(row) for row in G.adj])
+def greedy_proper_coloring(G: Graph) -> Coloring:
+    """Greedy proper coloring along the degeneracy order."""
+    return _first_fit(degeneracy_order(G), [bits_of(row) for row in G.adj])
 
 
 @dataclass
@@ -283,6 +279,7 @@ class TdColoringReport:
     ok: bool
     checked_unions: int
     failures: list[tuple[tuple[int, ...], int, int]]  # (colors, size i, td found)
+    inconclusive: list[tuple[tuple[int, ...], int, int]]  # (colors, size i, component size)
 
 
 def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
@@ -290,15 +287,19 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
 
     Unions no larger than i pass outright (tree-depth never exceeds the
     vertex count); every other union is decided per component by
-    ``tree_depth_at_most``, erroring if a component above i vertices
-    exceeds the solver cap.  Exact tree-depth is computed only for a
-    failing union, to report it.
+    ``tree_depth_at_most``.  A union with a component deeper than i is
+    refuted and reported with the largest exact tree-depth among such
+    components.  A union that no component refutes but that has one above
+    ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided and listed as
+    inconclusive, with the size of its largest such component.  The report
+    is ok only when every union is verified.
     """
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
     classes = c.classes()
     palette = sorted(classes)
     failures = []
+    inconclusive = []
     checked = 0
     for i in range(1, min(p, len(palette)) + 1):
         for combo in itertools.combinations(palette, i):
@@ -306,33 +307,37 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
             checked += 1
             if union.bit_count() <= i:
                 continue
-            deep = _components_deeper_than(G, union, i)
+            deep, undecided = _components_deeper_than(G, union, i)
             if deep:
                 td = max(tree_depth_exact(comp_g) for comp_g in deep)
                 failures.append((combo, i, td))
-    return TdColoringReport(not failures, checked, failures)
+            elif undecided:
+                inconclusive.append((combo, i, undecided))
+    return TdColoringReport(
+        not failures and not inconclusive, checked, failures, inconclusive
+    )
 
 
-def _components_deeper_than(G: Graph, mask: int, i: int) -> list[Graph]:
-    """Components of G[mask] with tree-depth above i, as induced subgraphs.
+def _components_deeper_than(G: Graph, mask: int, i: int) -> tuple[list[Graph], int]:
+    """Components of G[mask] with tree-depth above i, as induced subgraphs,
+    and the size of the largest component left undecided (0 if none).
 
     A component of at most i vertices passes outright; a larger one is
-    decided by ``tree_depth_at_most``, or rejected when above the cap.
+    decided by ``tree_depth_at_most``, or left undecided when above the cap.
     """
     deep = []
+    undecided = 0
     for comp in components(G, mask):
         size = comp.bit_count()
         if size <= i:
             continue
         if size > TREE_DEPTH_EXACT_CAP:
-            raise ValueError(
-                f"component of size {size} exceeds the exact tree-depth cap "
-                f"{TREE_DEPTH_EXACT_CAP}; use a smaller instance"
-            )
+            undecided = max(undecided, size)
+            continue
         comp_g, _ = induced_subgraph(G, bits_of(comp))
         if not tree_depth_at_most(comp_g, i):
             deep.append(comp_g)
-    return deep
+    return deep, undecided
 
 
 def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
@@ -345,7 +350,7 @@ def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
     """
     n = G.n
 
-    def union_ok(assign: list[int], upto: int, k: int) -> bool:
+    def union_ok(assign: list[int], upto: int) -> bool:
         cols = sorted(set(assign[: upto + 1]))
         target = assign[upto]
         for i in range(1, min(p, len(cols)) + 1):
@@ -355,7 +360,8 @@ def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
                 union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
                 if union.bit_count() <= i:
                     continue
-                if _components_deeper_than(G, union, i):
+                deep, undecided = _components_deeper_than(G, union, i)
+                if deep or undecided:
                     return False
         return True
 
@@ -368,7 +374,7 @@ def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
             limit = min(k, used + 1)
             for col in range(1, limit + 1):
                 assign[v] = col
-                if union_ok(assign, v, k) and backtrack(v + 1, max(used, col)):
+                if union_ok(assign, v) and backtrack(v + 1, max(used, col)):
                     return True
             assign[v] = 0
             return False
@@ -470,15 +476,14 @@ def verify_low_rw_coloring(
     c: Coloring,
     p: int,
     Q: Mapping[int, int] | Callable[[int], int],
-    exact_cap: int = RANK_WIDTH_EXACT_CAP,
-    max_unions: int = 1_000_000,
 ) -> ColoringProfile:
     """Measure widths of all unions of <= p classes of c on H against Q.
 
-    Components small enough are measured exactly, larger ones contribute
-    flagged upper bounds; a component that recurs across unions is solved
-    once.  The profile verifies iff every measured value stays within its
-    budget.
+    Components up to ``RANK_WIDTH_EXACT_CAP`` vertices are measured
+    exactly, larger ones contribute flagged upper bounds; a component that
+    recurs across unions is solved once.  More than ``MAX_UNIONS`` unions
+    are refused before any is measured.  The profile verifies iff every
+    measured value stays within its budget.
     """
     if len(c.colors) != H.n:
         raise ValueError("coloring does not match the graph")
@@ -488,8 +493,8 @@ def verify_low_rw_coloring(
     total = sum(
         math.comb(len(palette), i) for i in range(1, min(p, len(palette)) + 1)
     )
-    if total > max_unions:
-        raise ValueError(f"{total} unions exceed the enumeration budget {max_unions}")
+    if total > MAX_UNIONS:
+        raise ValueError(f"{total} unions exceed the enumeration budget {MAX_UNIONS}")
     measured: dict[int, tuple[int, str]] = {}
     verified = True
     q_table: dict[int, int] = {}
@@ -500,7 +505,7 @@ def verify_low_rw_coloring(
         method = "exact"
         for combo in itertools.combinations(palette, i):
             union = [v for col in combo for v in classes[col]]
-            value, m = rank_width_of_subgraph(H, union, exact_cap, widths)
+            value, m = rank_width_of_subgraph(H, union, widths)
             if m == "upper-bound":
                 method = "upper-bound"
             worst = max(worst, value)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .coloring import Coloring, greedy_proper_coloring
-from .graph import Graph, bits_of, complement, components, induced_subgraph, mask_of
+from .graph import Graph, bits_of, complement, components, cutrank, induced_subgraph, mask_of
 from .widths import (
     RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
@@ -146,19 +146,16 @@ class EHParams:
     p: int
     kappa: float
     delta: float
-    epsilon: float | None = None
+    epsilon: float
 
     @classmethod
-    def for_width(cls, p: int, n_colors: int | None = None) -> "EHParams":
+    def for_width(cls, p: int, n_colors: int) -> "EHParams":
         k = kappa(p)
         dl = delta(p)
-        eps = None
-        if n_colors is not None:
-            terms = [dl / 2.0]
-            if n_colors > 1:
-                terms.append(1.0 / (2.0 * math.log2(n_colors)))
-            eps = min(terms)
-        return cls(p, k, dl, eps)
+        terms = [dl / 2.0]
+        if n_colors > 1:
+            terms.append(1.0 / (2.0 * math.log2(n_colors)))
+        return cls(p, k, dl, min(terms))
 
 
 def uniform_blocks(
@@ -180,8 +177,6 @@ def uniform_blocks(
     for v in A:
         groups.setdefault(G.adj[v] & bmask, []).append(v)
     if len(groups) > 2**p:
-        from .graph import cutrank
-
         rank = cutrank(G, A)
         raise ValueError(
             f"{len(groups)} neighbourhood patterns on the cut exceed 2^{p}; "
@@ -290,11 +285,7 @@ def even_split_provider(n_classes: int, width_bound: int) -> ColoringProvider:
     return provide
 
 
-def eh_witness(
-    G: Graph,
-    provider: ColoringProvider,
-    exact_cap: int = RANK_WIDTH_EXACT_CAP,
-) -> tuple[set[int], str, EHParams]:
+def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHParams]:
     """Clique or independent set of size >= ceil(n^epsilon).
 
     The provider's single-level coloring is width-verified class by class;
@@ -315,13 +306,13 @@ def eh_witness(
     if extract:
         _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
         sub, idx = induced_subgraph(G, members)
-        if 2 < sub.n <= exact_cap:
+        if 2 < sub.n <= RANK_WIDTH_EXACT_CAP:
             # solved once: when the class is connected, the check below
             # finds its width under the same adjacency
-            rep = rank_width_exact(sub, cap=exact_cap)
+            rep = rank_width_exact(sub)
             widths[sub.adj] = rep.value
     for col, vs in sorted(classes.items()):
-        value, _ = rank_width_of_subgraph(G, vs, exact_cap, widths)
+        value, _ = rank_width_of_subgraph(G, vs, widths)
         if value > r1:
             raise ValueError(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"
@@ -333,7 +324,7 @@ def eh_witness(
             local = set(range(sub.n))
         else:
             if rep is None:  # above the cap, where this raises
-                rep = rank_width_exact(sub, cap=exact_cap)
+                rep = rank_width_exact(sub)
             local = cograph_extract(sub, rep.decomposition, r1)
         core, core_idx = induced_subgraph(sub, sorted(local)) if local else (sub, {})
         ok, ct = is_cograph(core)
@@ -348,38 +339,23 @@ def eh_witness(
         else:
             witness = {0}
             kind = "independent"
-    if params.epsilon is not None:
-        need = math.ceil(n**params.epsilon - 1e-9)
-        assert len(witness) >= need, (
-            f"witness of size {len(witness)} below ceil(n^eps) = {need}"
-        )
+    need = math.ceil(n**params.epsilon - 1e-9)
+    assert len(witness) >= need, (
+        f"witness of size {len(witness)} below ceil(n^eps) = {need}"
+    )
     return witness, kind, params
 
 
-def chi_product_coloring(
-    G: Graph,
-    c: Coloring,
-    proper_colorer: Callable[[Graph], Coloring] | None = None,
-) -> Coloring:
-    """Proper coloring by pairing each class color with a per-class proper
-    coloring; pairs are interned to dense ids.  Palette is at most the
-    class count times the largest per-class palette."""
+def chi_product_coloring(G: Graph, c: Coloring) -> Coloring:
+    """Proper coloring by pairing each class color with a greedy proper
+    coloring of the class; pairs are interned to dense ids.  Palette is at
+    most the class count times the largest per-class palette."""
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
-    if proper_colorer is None:
-        proper_colorer = greedy_proper_coloring
     pair: list[tuple[int, int] | None] = [None] * G.n
     for col, members in sorted(c.classes().items()):
         sub, idx = induced_subgraph(G, members)
-        sub_col = proper_colorer(sub)
-        back = {new: old for old, new in idx.items()}
-        for a in range(sub.n):
-            for b in bits_of(sub.adj[a]):
-                if a < b and sub_col.colors[a] == sub_col.colors[b]:
-                    raise ValueError(
-                        f"per-class coloring of class {col} is improper on edge "
-                        f"({back[a]}, {back[b]})"
-                    )
+        sub_col = greedy_proper_coloring(sub)
         for v in members:
             pair[v] = (col, sub_col.colors[idx[v]])
     keys = sorted({p for p in pair if p is not None})

@@ -11,7 +11,7 @@ import json
 from typing import Mapping
 
 from .coloring import Coloring, ColoringProfile, RefinementColoring
-from .ehchi import Cotree, EHParams
+from .ehchi import EHParams
 from .graph import Graph, build_graph
 from .lab import Bipartition, ExtractionReport, MatchingCertificate
 from .orderings import LinearOrder
@@ -22,21 +22,21 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def serialize_edge_list(G: Graph, comment: str | None = None) -> str:
+def serialize_edge_list(G: Graph) -> str:
     """Canonical edge-list text: `n m` header then sorted `u v` lines."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
     edges = G.edges()
-    lines.append(f"{G.n} {len(edges)}")
+    lines = [f"{G.n} {len(edges)}"]
     for u, v in edges:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the canonical edge-list format, enforcing its sortedness."""
+    """Parse the canonical edge-list format, enforcing its sortedness.
+
+    Blank lines and `#` comment lines, which files written elsewhere may
+    carry, are skipped.
+    """
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -136,10 +136,6 @@ def order_to_json(L: LinearOrder) -> str:
     return dumps_json(list(L.order))
 
 
-def order_from_json(text: str) -> LinearOrder:
-    return LinearOrder.from_order(json.loads(text))
-
-
 def decomposition_to_obj(D: RankDecomposition) -> dict:
     return {
         "nodes": D.node_count,
@@ -170,15 +166,6 @@ def certificate_to_obj(cert: MatchingCertificate) -> dict:
         "order": cert.order,
         "pairs": [{"a": a, "b": b, "c": c} for a, b, c in cert.pairs],
     }
-
-
-def certificate_from_obj(obj: Mapping, m: int) -> MatchingCertificate:
-    return MatchingCertificate(
-        obj["side"],
-        tuple(obj["direction"]),
-        tuple((p["a"], p["b"], p["c"]) for p in obj["pairs"]),
-        m,
-    )
 
 
 def partition_to_obj(part: Bipartition) -> dict:
@@ -212,12 +199,6 @@ def witness_to_obj(vertices, kind: str, params: EHParams, n: int) -> dict:
         "epsilon": params.epsilon,
         "n": n,
     }
-
-
-def cotree_to_obj(ct: Cotree) -> dict:
-    if ct.op == "leaf":
-        return {"op": "leaf", "vertex": ct.vertex}
-    return {"op": ct.op, "children": [cotree_to_obj(ch) for ch in ct.children]}
 
 
 def rotations_from_json(text: str) -> list[list[int]]:

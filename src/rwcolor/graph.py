@@ -278,9 +278,6 @@ class GF2Matrix:
             packed.append(bits)
         return cls(tuple(packed), ncols)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[row >> j & 1 for j in range(self.ncols)] for row in self.rows]
-
 
 def rank_of_bitrows(rows: Iterable[int]) -> int:
     """GF(2) rank of integer bit-rows via an XOR basis keyed by leading bit."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -250,10 +251,8 @@ def lower_bound_certificate(
 
 def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
     """Seeded bipartition balanced with respect to the C block."""
-    import random as _random
-
     n, a0, b0, c0 = _block_ids(G)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     nn = n * n
     c_list = list(range(c0, c0 + nn))
     rng.shuffle(c_list)
@@ -365,11 +364,13 @@ class ExtractionReport:
     y_cols: tuple[int, ...]
 
 
+# Most row sets of one size the unguaranteed extraction scans before it
+# stops growing the order.
+EXTRACT_COMBO_BUDGET = 300_000
+
+
 def monochromatic_substructure(
-    G: Graph,
-    c,
-    target: int,
-    combo_budget: int = 300_000,
+    G: Graph, c, target: int
 ) -> tuple[Graph, ExtractionReport]:
     """Extract a sub-chain whose three blocks are each single-colored.
 
@@ -452,7 +453,7 @@ def monochromatic_substructure(
                 masks[t] |= 1 << (y - 1)
             row_masks.append(masks)
         k = 1
-        while k <= n and math.comb(n, k) <= combo_budget:
+        while k <= n and math.comb(n, k) <= EXTRACT_COMBO_BUDGET:
             found = None
             for xs in itertools.combinations(range(1, n + 1), k):
                 for t in triples:

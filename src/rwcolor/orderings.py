@@ -73,12 +73,7 @@ def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
 
 def wcol_of_order(G: Graph, L: LinearOrder, r: int) -> int:
     """Max weakly-r-reachable set size under L."""
-    above = above_masks(L)
-    counts = [0] * G.n
-    for u in range(G.n):
-        for v in bits_of(ball(G, u, r, above[u])):
-            counts[v] += 1
-    return max(counts)
+    return max(map(len, wreach_sets(G, L, r)))
 
 
 def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, LinearOrder]:

@@ -385,12 +385,13 @@ def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
     return _tree_depth_search(G, 0, G.n + 1)
 
 
-def tree_depth_at_most(G: Graph, k: int, cap: int = TREE_DEPTH_EXACT_CAP) -> bool:
+def tree_depth_at_most(G: Graph, k: int) -> bool:
     """Whether G has tree-depth at most k, decided by the bounded deletion
     search, which stops at the first elimination of depth <= k or once
-    depth k + 1 is proved."""
-    if G.n > cap:
-        raise ValueError(f"exact tree-depth is capped at n={cap}")
+    depth k + 1 is proved.  Graphs above ``TREE_DEPTH_EXACT_CAP`` vertices
+    are rejected."""
+    if G.n > TREE_DEPTH_EXACT_CAP:
+        raise ValueError(f"exact tree-depth is capped at n={TREE_DEPTH_EXACT_CAP}")
     return _tree_depth_search(G, k, k + 1) <= k
 
 
@@ -448,13 +449,13 @@ def restrict_decomposition(
 def rank_width_of_subgraph(
     G: Graph,
     X: Iterable[int],
-    exact_cap: int = RANK_WIDTH_EXACT_CAP,
     memo: dict[tuple[int, ...], int] | None = None,
 ) -> tuple[int, str]:
     """Width of the induced subgraph: exact per component when small enough.
 
     Rank-width of a disconnected graph is the max over its components.
-    Components above the exact cap contribute a flagged upper bound.  Each
+    Components above ``RANK_WIDTH_EXACT_CAP`` vertices contribute a flagged
+    upper bound.  Each
     distinct component is solved once; a caller measuring many unions of
     one graph may pass a *memo* dict, which maps a component's relabelled
     adjacency to its width, to share that across calls.
@@ -468,12 +469,12 @@ def rank_width_of_subgraph(
     method = "exact"
     for comp in components(G, mask):
         comp_g, _ = induced_subgraph(G, bits_of(comp))
-        exact = comp_g.n <= exact_cap
+        exact = comp_g.n <= RANK_WIDTH_EXACT_CAP
         if not exact:
             method = "upper-bound"
         width = memo.get(comp_g.adj)
         if width is None:
-            rep = rank_width_exact(comp_g, cap=exact_cap) if exact else rank_width_upper(comp_g)
+            rep = rank_width_exact(comp_g) if exact else rank_width_upper(comp_g)
             width = memo[comp_g.adj] = rep.value
         value = max(value, width)
     return value, method

@@ -459,10 +459,27 @@ def test_verify_td_solves_exactly_only_failing_unions(monkeypatch):
     assert report.failures == [((1,), 1, 3)] and calls == [4]
 
 
-def test_verify_td_errors_on_oversized_union():
-    g = path(20)
-    with pytest.raises(ValueError, match="cap"):
-        verify_td_coloring(g, constant_coloring(20), 2)
+def test_verify_td_reports_an_oversized_union_inconclusive():
+    # P4 (class 1) beside P17 (class 2): class 1 is refuted with tree-depth 3,
+    # class 2 is one component above the exact cap and stays undecided.
+    g = build_graph(21, [(v, v + 1) for v in range(20) if v != 3])
+    c = Coloring((1,) * 4 + (2,) * 17, 2)
+    report = verify_td_coloring(g, c, 1)
+    assert not report.ok
+    assert report.failures == [((1,), 1, 3)]
+    assert report.inconclusive == [((2,), 1, 17)]
+    only_oversized = verify_td_coloring(path(20), constant_coloring(20), 2)
+    assert only_oversized.failures == []
+    assert only_oversized.inconclusive == [((1,), 1, 20)]
+    assert not only_oversized.ok
+
+
+def test_verify_td_first_fit_coloring_above_the_cap_is_inconclusive():
+    g = random_degenerate(22, 3, 5)
+    c = treedepth_coloring(g, 7)
+    report = verify_td_coloring(g, c, 7)
+    assert (report.ok, report.failures) == (False, [])
+    assert report.inconclusive == [((3, 4, 7, 8, 9, 10, 11), 7, 17)]
 
 
 # -- power coloring pipeline --------------------------------------------------
@@ -557,6 +574,18 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
     assert profile.measured == expected
     assert profile.verified == all(expected[i][0] <= q[i] for i in q)
     assert sorted(calls) == sorted(distinct)
+
+
+def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
+    from rwcolor import coloring
+
+    g = path(6)
+    c = Coloring(tuple(range(1, 7)), 6)
+    monkeypatch.setattr(coloring, "MAX_UNIONS", 20)  # 6 + 15 = 21 unions of <= 2 classes
+    with pytest.raises(ValueError, match="21 unions exceed the enumeration budget 20"):
+        verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1})
+    monkeypatch.setattr(coloring, "MAX_UNIONS", 21)
+    assert verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1}).verified
 
 
 def test_greedy_proper_coloring_is_proper():

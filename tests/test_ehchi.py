@@ -307,12 +307,3 @@ def test_chi_product_htilde():
         per_class[col] = greedy_proper_coloring(sub).palette_size
     assert out.palette_size <= c.palette_size * max(per_class.values())
 
-
-def test_chi_product_rejects_improper_subcoloring():
-    g = complete(3)
-
-    def bad_colorer(sub):
-        return Coloring((1,) * sub.n, 1)
-
-    with pytest.raises(ValueError, match="improper"):
-        chi_product_coloring(g, Coloring((1, 1, 2), 2), bad_colorer)

@@ -430,6 +430,21 @@ def test_cli_color_td_and_verify(tmp_path):
                 "-c", str(bad)]) == 1
 
 
+def test_cli_verify_td_inconclusive_exits_1_without_an_error(tmp_path, capsys):
+    g_el = tmp_path / "g.el"
+    col = tmp_path / "td.json"
+    out = tmp_path / "v.json"
+    assert run(["gen", "random", "--n", "22", "--d", "3", "--seed", "5", "-o", str(g_el)]) == 0
+    assert run(["color", "td", "-p", "7", "-i", str(g_el), "-o", str(col)]) == 0
+    assert run(["verify", "coloring", "--mode", "td", "-p", "7", "-i", str(g_el),
+                "-c", str(col), "-o", str(out)]) == 1
+    assert "error:" not in capsys.readouterr().err
+    verdict = json.loads(out.read_text())
+    assert verdict["verified"] is False
+    assert verdict["failures"] == []
+    assert verdict["inconclusive"] == [[3, 4, 7, 8, 9, 10, 11]]
+
+
 def test_cli_color_refine(tmp_path):
     g = tmp_path / "g.el"
     run(["gen", "random", "--n", "12", "--d", "2", "--seed", "4", "-o", str(g)])
