@@ -190,12 +190,16 @@ def cmd_gen(args, record: RunRecord) -> int:
         g = intersection_graph(model)
     else:
         raise ValueError(f"unknown family {args.family!r}")
-    if model_obj is not None and args.model_out:
-        _write(args.model_out, formats.dumps_json(model_obj))
+    # build every text first, so that a failing --labels writes no file
+    model_text = formats.dumps_json(model_obj) if model_obj is not None else None
+    edge_text = formats.serialize_edge_list(g)
+    labels_text = formats.labels_to_json(g) if args.labels else None
+    if model_text is not None and args.model_out:
+        _write(args.model_out, model_text)
         record.outputs.append(args.model_out)
-    _emit(args, formats.serialize_edge_list(g))
-    if args.labels:
-        _write(args.labels, formats.labels_to_json(g))
+    _emit(args, edge_text)
+    if labels_text is not None:
+        _write(args.labels, labels_text)
     record.outputs += _written(args.output, args.labels)
     record.seeds = [args.seed]
     return 0

@@ -9,6 +9,7 @@ order.  Labels carry the family coordinates for verifiers.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,66 +71,31 @@ def row_coloring(n: int, m: int, p: int) -> Coloring:
 TWISTED_CHAIN_VARIANTS = ("bare", "interval", "permutation-derived")
 
 
-def _tc_scalar_row(x: int, y: int, n: int) -> int:
-    return n * (x - 1) + y
-
-
-def _tc_scalar_col(x: int, y: int, n: int) -> int:
-    return n * (y - 1) + x
-
-
-def twisted_chain(n: int, variant: str = "bare") -> Graph:
-    """Twisted chain graph of order n.
-
-    A = v_1..v_{n^2}, B = w_1..w_{n^2}, C = z_(i,j) row-major.  v_k with
-    k = n(x-1)+y is adjacent to z_(i,j) iff x < i, or x = i and y <= j
-    (equivalently k <= n(i-1)+j); w_k uses the transposed rule
-    k <= n(j-1)+i.  The free parts (edges inside A u B and inside C) are
-    fixed by the variant: "bare" leaves them empty, "interval" makes A, B,
-    and C cliques (no A-B edges), and "permutation-derived" gives C the
-    crossing relation of its segment model while A and B stay edgeless.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if variant not in TWISTED_CHAIN_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+def chain_blocks(n: int) -> tuple[int, int, int]:
+    """First vertex of the A, B and C blocks of an order-n chain; v_k is
+    vertex a0 + k - 1, w_k is b0 + k - 1, and z_(i,j) is c0 + s - 1 with s
+    its row-major scalar."""
     nn = n * n
-    N = 3 * nn
-    a0, b0, c0 = 0, nn, 2 * nn
-    adj = [0] * N
-    # A-C: v_k's z-neighbours are the contiguous scalar range k..n^2
-    for k in range(1, nn + 1):
-        zmask = (((1 << (nn - k + 1)) - 1) << (k - 1)) << c0
-        adj[a0 + k - 1] |= zmask
-        for s in range(k, nn + 1):
-            adj[c0 + s - 1] |= 1 << (a0 + k - 1)
-    # B-C: z_(i,j)'s w-neighbours are the contiguous range 1..n(j-1)+i
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            z = c0 + _tc_scalar_row(i, j, n) - 1
-            t = _tc_scalar_col(i, j, n)
-            adj[z] |= ((1 << t) - 1) << b0
-            for k in range(1, t + 1):
-                adj[b0 + k - 1] |= 1 << z
-    if variant == "interval":
-        for block_start, size in ((a0, nn), (b0, nn), (c0, nn)):
-            block = ((1 << size) - 1) << block_start
-            for v in range(block_start, block_start + size):
-                adj[v] |= block & ~(1 << v)
-    elif variant == "permutation-derived":
-        coords = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-        for ai in range(nn):
-            for bi in range(ai + 1, nn):
-                x1, y1 = coords[ai]
-                x2, y2 = coords[bi]
-                s1, s2 = _tc_scalar_row(x1, y1, n), _tc_scalar_row(x2, y2, n)
-                t1, t2 = _tc_scalar_col(x1, y1, n), _tc_scalar_col(x2, y2, n)
-                # the model puts the column-major scalar on the reversed top
-                # line, so segments cross exactly when the two orders agree
-                if (s1 - s2) * (t1 - t2) > 0:
-                    adj[c0 + ai] |= 1 << (c0 + bi)
-                    adj[c0 + bi] |= 1 << (c0 + ai)
-    labels = (
+    return 0, nn, 2 * nn
+
+
+def row_scalar(n: int, i: int, j: int) -> int:
+    """Row-major scalar n(i-1)+j of grid point (i, j): the index v_k is
+    compared with, and the position of z_(i,j) in the C block."""
+    return n * (i - 1) + j
+
+
+def col_scalar(n: int, i: int, j: int) -> int:
+    """Column-major scalar n(j-1)+i of grid point (i, j): the index w_k is
+    compared with."""
+    return n * (j - 1) + i
+
+
+def chain_labels(n: int) -> tuple[dict, ...]:
+    """Canonical labels of an order-n chain: A/k, then B/k, then C/(i,j)
+    row-major."""
+    nn = n * n
+    return (
         tuple({"role": "A", "k": k} for k in range(1, nn + 1))
         + tuple({"role": "B", "k": k} for k in range(1, nn + 1))
         + tuple(
@@ -138,49 +104,104 @@ def twisted_chain(n: int, variant: str = "bare") -> Graph:
             for j in range(1, n + 1)
         )
     )
-    return Graph(N, tuple(adj), labels)
+
+
+def _cross_rows(n: int) -> list[int]:
+    """Rows of v_1..v_{n^2}, w_1..w_{n^2} inside C: v_k sees every z whose
+    row-major scalar is >= k, w_k every z whose column-major scalar is."""
+    nn = n * n
+    a0, b0, c0 = chain_blocks(n)
+    rows = [0] * (2 * nn)
+    for k in range(1, nn + 1):
+        rows[a0 + k - 1] = ((1 << (nn - k + 1)) - 1) << (c0 + k - 1)
+    seen = 0
+    for j in range(n, 0, -1):  # column-major scalar descending
+        for i in range(n, 0, -1):
+            seen |= 1 << (c0 + row_scalar(n, i, j) - 1)
+            rows[b0 + col_scalar(n, i, j) - 1] = seen
+    return rows
+
+
+def twisted_chain(n: int, variant: str = "bare") -> Graph:
+    """Twisted chain graph of order n.
+
+    A = v_1..v_{n^2}, B = w_1..w_{n^2}, C = z_(i,j) row-major.  v_k with
+    k = n(x-1)+y is adjacent to z_(i,j) iff x < i, or x = i and y <= j
+    (equivalently k <= n(i-1)+j); w_k uses the transposed rule
+    k <= n(j-1)+i.  Both neighbourhoods are contiguous scalar ranges, so
+    every row is one mask.  The free parts (edges inside A u B and inside
+    C) are fixed by the variant: "bare" leaves them empty, "interval" makes
+    A, B, and C cliques (no A-B edges), and "permutation-derived" gives C
+    the crossing relation of its segment model while A and B stay edgeless.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if variant not in TWISTED_CHAIN_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    nn = n * n
+    a0, b0, c0 = chain_blocks(n)
+    adj = _cross_rows(n) + [0] * nn
+    # z sees v_1..v_s and w_1..w_t, s and t its row- and column-major scalars
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            s, t = row_scalar(n, i, j), col_scalar(n, i, j)
+            adj[c0 + s - 1] = ((1 << s) - 1) << a0 | ((1 << t) - 1) << b0
+    if variant == "interval":
+        for block_start in (a0, b0, c0):
+            block = ((1 << nn) - 1) << block_start
+            for v in range(block_start, block_start + nn):
+                adj[v] |= block & ~(1 << v)
+    elif variant == "permutation-derived":
+        coords = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        for ai in range(nn):
+            for bi in range(ai + 1, nn):
+                x1, y1 = coords[ai]
+                x2, y2 = coords[bi]
+                s1, s2 = row_scalar(n, x1, y1), row_scalar(n, x2, y2)
+                t1, t2 = col_scalar(n, x1, y1), col_scalar(n, x2, y2)
+                # the model puts the column-major scalar on the reversed top
+                # line, so segments cross exactly when the two orders agree
+                if (s1 - s2) * (t1 - t2) > 0:
+                    adj[c0 + ai] |= 1 << (c0 + bi)
+                    adj[c0 + bi] |= 1 << (c0 + ai)
+    return Graph(3 * nn, tuple(adj), chain_labels(n))
 
 
 def chain_order(G: Graph) -> int:
     """Order n of a canonically labeled twisted chain; validates the labels."""
     if G.labels is None:
         raise ValueError("twisted chain operations need labels")
-    if G.n % 3 != 0:
-        raise ValueError("vertex count is not 3*n^2")
     nn = G.n // 3
-    n = int(round(nn**0.5))
-    if n * n != nn:
+    n = math.isqrt(nn)
+    if G.n % 3 != 0 or n * n != nn:
         raise ValueError("vertex count is not 3*n^2")
-    for k in range(1, nn + 1):
-        if dict(G.labels[k - 1]) != {"role": "A", "k": k}:
-            raise ValueError(f"vertex {k - 1} is not labeled A/{k}")
-        if dict(G.labels[nn + k - 1]) != {"role": "B", "k": k}:
-            raise ValueError(f"vertex {nn + k - 1} is not labeled B/{k}")
-    idx = 2 * nn
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if dict(G.labels[idx]) != {"role": "C", "i": i, "j": j}:
-                raise ValueError(f"vertex {idx} is not labeled C/({i},{j})")
-            idx += 1
+    for v, (got, want) in enumerate(zip(G.labels, chain_labels(n))):
+        if got != want:
+            name = f"{want['k']}" if "k" in want else f"({want['i']},{want['j']})"
+            raise ValueError(f"vertex {v} is not labeled {want['role']}/{name}")
     return n
 
 
 def verify_twisted_chain(G: Graph) -> int:
-    """Check both block adjacency rules against the labels; returns the order."""
+    """Check both block adjacency rules against the labels; returns the order.
+
+    The first violation is named: lowest k, then z in row-major order, the
+    A-C rule before the B-C rule."""
     n = chain_order(G)
     nn = n * n
-    a0, b0, c0 = 0, nn, 2 * nn
+    a0, b0, c0 = chain_blocks(n)
+    cmask = ((1 << nn) - 1) << c0
+    want = _cross_rows(n)
     for k in range(1, nn + 1):
-        x, y = (k - 1) // n + 1, (k - 1) % n + 1
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                z = c0 + (i - 1) * n + (j - 1)
-                want_a = (x < i) or (x == i and y <= j)
-                if G.has_edge(a0 + k - 1, z) != want_a:
-                    raise ValueError(f"A-C rule violated at v_{k}, z_({i},{j})")
-                want_b = (x < j) or (x == j and y <= i)
-                if G.has_edge(b0 + k - 1, z) != want_b:
-                    raise ValueError(f"B-C rule violated at w_{k}, z_({i},{j})")
+        bad_v = (G.adj[a0 + k - 1] & cmask) ^ want[a0 + k - 1]
+        bad_w = (G.adj[b0 + k - 1] & cmask) ^ want[b0 + k - 1]
+        bad = bad_v | bad_w
+        if bad:
+            z = (bad & -bad).bit_length() - 1
+            at = f"z_({G.labels[z]['i']},{G.labels[z]['j']})"
+            if bad_v >> z & 1:
+                raise ValueError(f"A-C rule violated at v_{k}, {at}")
+            raise ValueError(f"B-C rule violated at w_{k}, {at}")
     return n
 
 
@@ -215,16 +236,28 @@ class SegmentModel:
 
 
 def _reversal_relabeling(n: int) -> tuple[int, ...]:
+    """v_k -> v_{n^2+1-k}, w_k -> w_{n^2+1-k}, z_(x,y) -> z_(n+1-x,n+1-y)."""
     nn = n * n
-    out = []
-    for k in range(1, nn + 1):  # v_k -> v_{n^2+1-k}
-        out.append(nn - k)
-    for k in range(1, nn + 1):  # w_k -> w_{n^2+1-k}
-        out.append(nn + (nn - k))
-    for x in range(1, n + 1):  # z_(x,y) -> z_(n+1-x, n+1-y)
-        for y in range(1, n + 1):
-            out.append(2 * nn + (n - x) * n + (n - y))
-    return tuple(out)
+    a0, b0, c0 = chain_blocks(n)
+    return (
+        tuple(a0 + nn - k for k in range(1, nn + 1))
+        + tuple(b0 + nn - k for k in range(1, nn + 1))
+        + tuple(
+            c0 + row_scalar(n, n + 1 - x, n + 1 - y) - 1
+            for x in range(1, n + 1)
+            for y in range(1, n + 1)
+        )
+    )
+
+
+def _z_items(n: int, M: int) -> list[tuple[int, int]]:
+    """(row-major scalar, M - column-major scalar) of each z_(x,y), the C
+    block of both intersection models."""
+    return [
+        (row_scalar(n, x, y), M - col_scalar(n, x, y))
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+    ]
 
 
 def interval_model(n: int) -> IntervalModel:
@@ -234,15 +267,8 @@ def interval_model(n: int) -> IntervalModel:
         raise ValueError("order must be >= 1")
     nn = n * n
     M = 2 * nn + 1
-    iv = []
-    for i in range(1, nn + 1):
-        iv.append((0, i))
-    for i in range(1, nn + 1):
-        iv.append((M - i, M))
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            iv.append(((x - 1) * n + y, M - (y - 1) * n - x))
-    return IntervalModel(n, M, tuple(iv), _reversal_relabeling(n))
+    iv = [(0, i) for i in range(1, nn + 1)] + [(M - i, M) for i in range(1, nn + 1)]
+    return IntervalModel(n, M, tuple(iv + _z_items(n, M)), _reversal_relabeling(n))
 
 
 def segment_model(n: int) -> SegmentModel:
@@ -252,15 +278,8 @@ def segment_model(n: int) -> SegmentModel:
         raise ValueError("order must be >= 1")
     nn = n * n
     M = 10 * nn + 1
-    segs = []
-    for i in range(1, nn + 1):
-        segs.append((i, i))
-    for i in range(1, nn + 1):
-        segs.append((M - i, M - i))
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            segs.append(((x - 1) * n + y, M - (y - 1) * n - x))
-    return SegmentModel(n, M, tuple(segs), _reversal_relabeling(n))
+    segs = [(i, i) for i in range(1, nn + 1)] + [(M - i, M - i) for i in range(1, nn + 1)]
+    return SegmentModel(n, M, tuple(segs + _z_items(n, M)), _reversal_relabeling(n))
 
 
 def intersection_graph(model: IntervalModel | SegmentModel) -> Graph:
@@ -268,27 +287,19 @@ def intersection_graph(model: IntervalModel | SegmentModel) -> Graph:
     (shared endpoint coordinates count as crossing)."""
     if isinstance(model, IntervalModel):
         items = model.intervals
-        N = len(items)
-        edges = []
-        for u in range(N):
-            lo1, hi1 = items[u]
-            for v in range(u + 1, N):
-                lo2, hi2 = items[v]
-                if max(lo1, lo2) <= min(hi1, hi2):
-                    edges.append((u, v))
-        return build_graph(N, edges)
-    if isinstance(model, SegmentModel):
+
+        def meet(a, b):
+            return max(a[0], b[0]) <= min(a[1], b[1])
+    elif isinstance(model, SegmentModel):
         items = model.segments
-        N = len(items)
-        edges = []
-        for u in range(N):
-            b1, t1 = items[u]
-            for v in range(u + 1, N):
-                b2, t2 = items[v]
-                if (b1 - b2) * (t1 - t2) <= 0:
-                    edges.append((u, v))
-        return build_graph(N, edges)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+        def meet(a, b):
+            return (a[0] - b[0]) * (a[1] - b[1]) <= 0
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    N = len(items)
+    edges = [(u, v) for u in range(N) for v in range(u + 1, N) if meet(items[u], items[v])]
+    return build_graph(N, edges)
 
 
 def trace_faces(rotations: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, induced_subgraph, rank_of_bitrows
-from .families import chain_order, twisted_chain, verify_twisted_chain
+from .families import (
+    chain_blocks,
+    chain_labels,
+    chain_order,
+    col_scalar,
+    row_scalar,
+    verify_twisted_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class MatchingCertificate:
 
     def partner_scalar(self, i: int) -> int:
         _, b, c = self.pairs[i]
-        return (b - 1) * self.m + c if self.side == "A" else (c - 1) * self.m + b
+        return (row_scalar if self.side == "A" else col_scalar)(self.m, b, c)
 
     def check_chain(self) -> None:
         prev_s = None
@@ -94,24 +101,19 @@ class ImbalanceReport:
         return 3 * self.heavy_count > 2 * self.c_size
 
 
-def _block_ids(G: Graph) -> tuple[int, int, int, int]:
-    n = chain_order(G)
-    nn = n * n
-    return n, 0, nn, 2 * nn
-
-
 def certificate_rank(G: Graph, cert: MatchingCertificate) -> int:
     """GF(2) rank of the cut submatrix the certificate points at.
 
     Validates the interleaving condition first (naming the failing index);
     for a certificate built from a genuine chain the rank equals its order.
     """
-    n, a0, b0, c0 = _block_ids(G)
+    n = chain_order(G)
     if cert.m != n:
         raise ValueError(f"certificate is for order {cert.m}, graph has order {n}")
     cert.check_chain()
+    a0, b0, c0 = chain_blocks(n)
     row_base = a0 if cert.side == "A" else b0
-    cols = [c0 + (b - 1) * n + (c - 1) for _, b, c in cert.pairs]
+    cols = [c0 + row_scalar(n, b, c) - 1 for _, b, c in cert.pairs]
     rows = []
     for a, _, _ in cert.pairs:
         src = G.adj[row_base + a - 1]
@@ -123,23 +125,22 @@ def certificate_rank(G: Graph, cert: MatchingCertificate) -> int:
     return rank_of_bitrows(rows)
 
 
-def mixed_lines(G: Graph, partition: Bipartition) -> tuple[list[int], list[int]]:
-    """Row and column indices of C containing vertices from both sides."""
-    n, _, _, c0 = _block_ids(G)
-    rows, cols = [], []
-    for i in range(1, n + 1):
-        sides = {partition.side(c0 + (i - 1) * n + (j - 1)) for j in range(1, n + 1)}
-        if len(sides) == 2:
-            rows.append(i)
-    for j in range(1, n + 1):
-        sides = {partition.side(c0 + (i - 1) * n + (j - 1)) for i in range(1, n + 1)}
-        if len(sides) == 2:
-            cols.append(j)
+def _z_side(n: int, partition: Bipartition, i: int, j: int) -> str:
+    """Side of z_(i,j) of an order-n chain."""
+    return partition.side(chain_blocks(n)[2] + row_scalar(n, i, j) - 1)
+
+
+def mixed_lines(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:
+    """Row and column indices of the order-n chain's C block containing
+    vertices from both sides."""
+    lines = range(1, n + 1)
+    rows = [i for i in lines if len({_z_side(n, partition, i, j) for j in lines}) == 2]
+    cols = [j for j in lines if len({_z_side(n, partition, i, j) for i in lines}) == 2]
     return rows, cols
 
 
 def alternating_sequence(
-    G: Graph, partition: Bipartition, lex: int
+    n: int, partition: Bipartition, lex: int
 ) -> list[tuple[int, int]]:
     """Greedy S/T-alternating sequence of C coordinates along a lex order.
 
@@ -150,16 +151,19 @@ def alternating_sequence(
     """
     if lex not in (1, 2):
         raise ValueError("lex must be 1 or 2")
-    n, _, _, c0 = _block_ids(G)
-    mrows, mcols = mixed_lines(G, partition)
-    lines = mrows if lex == 1 else mcols
+    return _alternate(n, partition, mixed_lines(n, partition)[lex - 1], lex)
+
+
+def _alternate(
+    n: int, partition: Bipartition, lines: list[int], lex: int
+) -> list[tuple[int, int]]:
     seq = []
     for pos, line in enumerate(lines):
         want = "S" if pos % 2 == 0 else "T"
         found = None
         for other in range(1, n + 1):
             i, j = (line, other) if lex == 1 else (other, line)
-            if partition.side(c0 + (i - 1) * n + (j - 1)) == want:
+            if _z_side(n, partition, i, j) == want:
                 found = (i, j)
                 break
         assert found is not None, "mixed line lost a side"
@@ -168,7 +172,7 @@ def alternating_sequence(
 
 
 def matching_from_alternation(
-    G: Graph,
+    n: int,
     partition: Bipartition,
     seq: Sequence[tuple[int, int]],
     side: str,
@@ -184,26 +188,23 @@ def matching_from_alternation(
         raise ValueError("side must be 'A' or 'B'")
     if len(seq) < 4:
         raise ValueError("alternating sequence must have length >= 4")
-    n, a0, b0, c0 = _block_ids(G)
-    scalar = (
-        (lambda i, j: (i - 1) * n + j) if side == "A" else (lambda i, j: (j - 1) * n + i)
-    )
+    scalar = row_scalar if side == "A" else col_scalar
     prev = None
     for idx, (i, j) in enumerate(seq):
-        zid = c0 + (i - 1) * n + (j - 1)
         want = "S" if idx % 2 == 0 else "T"
-        if partition.side(zid) != want:
+        if _z_side(n, partition, i, j) != want:
             raise ValueError(f"sequence element {idx} is not on side {want}")
-        s = scalar(i, j)
+        s = scalar(n, i, j)
         if prev is not None and s <= prev:
             raise ValueError(f"sequence element {idx} breaks the lex order")
         prev = s
+    a0, b0, _ = chain_blocks(n)
     row_base = a0 if side == "A" else b0
     st_pairs, ts_pairs = [], []
     for i2 in range(len(seq) // 2):
         odd = seq[2 * i2]
         even = seq[2 * i2 + 1]
-        a = scalar(*odd)
+        a = scalar(n, *odd)
         a_side = partition.side(row_base + a - 1)
         partner = even if a_side == "S" else odd
         entry = (a, partner[0], partner[1])
@@ -227,31 +228,29 @@ def lower_bound_certificate(
     on one side, which already overfills it past 2|C|/3 -- returned as an
     imbalance report instead of a certificate.
     """
-    n, _, _, c0 = _block_ids(G)
+    n = chain_order(G)
     if n < 12:
         raise ValueError("lower-bound pipeline needs chain order >= 12")
-    c_ids = range(c0, c0 + n * n)
-    s_count = sum(1 for v in c_ids if v in partition.S)
+    c0 = chain_blocks(n)[2]
+    s_count = sum(1 for v in range(c0, c0 + n * n) if v in partition.S)
     t_count = n * n - s_count
     k = n // 12
-    mrows, mcols = mixed_lines(G, partition)
-    if 3 * s_count < n * n or 3 * t_count < n * n:
-        heavy = "S" if s_count >= t_count else "T"
-        return ImbalanceReport(heavy, max(s_count, t_count), n * n, len(mrows), len(mcols))
-    if len(mrows) >= 4 * k:
-        seq = alternating_sequence(G, partition, lex=1)
-        return matching_from_alternation(G, partition, seq, "A")
-    if len(mcols) >= 4 * k:
-        seq = alternating_sequence(G, partition, lex=2)
-        return matching_from_alternation(G, partition, seq, "B")
-    # few mixed lines force all non-mixed rows onto one side
+    mrows, mcols = mixed_lines(n, partition)
+    balanced = 3 * s_count >= n * n and 3 * t_count >= n * n
+    if balanced and len(mrows) >= 4 * k:
+        return matching_from_alternation(n, partition, _alternate(n, partition, mrows, 1), "A")
+    if balanced and len(mcols) >= 4 * k:
+        return matching_from_alternation(n, partition, _alternate(n, partition, mcols, 2), "B")
+    # an imbalanced C block, or few mixed lines, which force all non-mixed
+    # rows onto one side
     heavy = "S" if s_count >= t_count else "T"
     return ImbalanceReport(heavy, max(s_count, t_count), n * n, len(mrows), len(mcols))
 
 
 def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
     """Seeded bipartition balanced with respect to the C block."""
-    n, a0, b0, c0 = _block_ids(G)
+    n = chain_order(G)
+    c0 = chain_blocks(n)[2]
     rng = random.Random(seed)
     nn = n * n
     c_list = list(range(c0, c0 + nn))
@@ -380,22 +379,23 @@ def monochromatic_substructure(
     blocks maximizes the achieved order.  The output graph carries fresh
     canonical chain labels and receives at most 3 colors.
     """
-    n, a0, b0, c0 = _block_ids(G)
+    n = chain_order(G)
     if target < 1:
         raise ValueError("target must be >= 1")
     c = list(c.colors) if hasattr(c, "colors") else list(c)
     if len(c) != G.n:
         raise ValueError("coloring does not match the graph")
     d = len(set(c))
+    a0, b0, c0 = chain_blocks(n)
 
-    def cz(x: int, y: int):
-        return c[c0 + (x - 1) * n + (y - 1)]
+    def cell(x: int, y: int) -> tuple[int, int, int]:
+        """The C, A and B vertices of grid point (x, y): z_(x,y), v_s and
+        w_t, with s and t its row- and column-major scalars."""
+        s = row_scalar(n, x, y)
+        return c0 + s - 1, a0 + s - 1, b0 + col_scalar(n, x, y) - 1
 
-    def cv(x: int, y: int):
-        return c[a0 + (x - 1) * n + (y - 1)]
-
-    def cw(x: int, y: int):
-        return c[b0 + (y - 1) * n + (x - 1)]
+    def colors_at(x: int, y: int) -> tuple:
+        return tuple(c[v] for v in cell(x, y))
 
     def chain_thresholds(t: int) -> tuple[int | None, int | None, int | None]:
         t1 = ramsey_threshold_within(t, d, n)
@@ -422,15 +422,11 @@ def monochromatic_substructure(
 
     if guaranteed:
         idx = list(range(1, n + 1))
-        s1 = ramsey_bireduce(lambda x, y: cz(x, y), idx, idx, m2, d)
-        s2 = ramsey_bireduce(lambda x, y: cv(x, y), list(s1.xs), list(s1.ys), m1, d)
-        s3 = ramsey_bireduce(lambda x, y: cw(x, y), list(s2.xs), list(s2.ys), t_eff, d)
+        s1 = ramsey_bireduce(lambda x, y: colors_at(x, y)[0], idx, idx, m2, d)
+        s2 = ramsey_bireduce(lambda x, y: colors_at(x, y)[1], list(s1.xs), list(s1.ys), m1, d)
+        s3 = ramsey_bireduce(lambda x, y: colors_at(x, y)[2], list(s2.xs), list(s2.ys), t_eff, d)
         best_xs, best_ys = tuple(sorted(s3.xs)), tuple(sorted(s3.ys))
-        best_colors = (
-            cz(best_xs[0], best_ys[0]),
-            cv(best_xs[0], best_ys[0]),
-            cw(best_xs[0], best_ys[0]),
-        )
+        best_colors = colors_at(best_xs[0], best_ys[0])
         stage_sizes = (len(s1.xs), len(s2.xs), len(s3.xs))
     else:
         # Any order-k sub-chain restricts to stages of exactly size k, so
@@ -439,18 +435,13 @@ def monochromatic_substructure(
         # layers hit that triple; candidate columns of a row set are then
         # one AND per triple.
         triples = sorted(
-            {
-                (cz(x, y), cv(x, y), cw(x, y))
-                for x in range(1, n + 1)
-                for y in range(1, n + 1)
-            }
+            {colors_at(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
         )
         row_masks: list[dict[tuple, int]] = [{}]
         for x in range(1, n + 1):
             masks = {t: 0 for t in triples}
             for y in range(1, n + 1):
-                t = (cz(x, y), cv(x, y), cw(x, y))
-                masks[t] |= 1 << (y - 1)
+                masks[colors_at(x, y)] |= 1 << (y - 1)
             row_masks.append(masks)
         k = 1
         while k <= n and math.comb(n, k) <= EXTRACT_COMBO_BUDGET:
@@ -481,15 +472,8 @@ def monochromatic_substructure(
     achieved = len(best_xs)
     if achieved == 0:
         raise AssertionError("an order-1 block always exists")
-    sel = []
-    for x in best_xs:
-        for y in best_ys:
-            sel.append(a0 + (x - 1) * n + (y - 1))
-            sel.append(b0 + (y - 1) * n + (x - 1))
-            sel.append(c0 + (x - 1) * n + (y - 1))
-    sub, _ = induced_subgraph(G, sel)
-    fresh = twisted_chain(achieved, "bare")
-    out = Graph(sub.n, sub.adj, fresh.labels)
+    sub, _ = induced_subgraph(G, [v for x in best_xs for y in best_ys for v in cell(x, y)])
+    out = Graph(sub.n, sub.adj, chain_labels(achieved))
     verify_twisted_chain(out)
     report = ExtractionReport(
         target=target,

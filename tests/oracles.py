@@ -6,13 +6,15 @@ enumeration instead of subset dynamic programming (and, as the references
 for pruned searches, the unpruned subset DP, the n! order sweep and the
 unbounded deletion recursion; as the references for the one-walk tree
 code, the per-edge width check, the rooted balanced partition and the
-prune-and-suppress restriction).
+prune-and-suppress restriction; as the reference for the range-built
+twisted chain, the pair-by-pair rule builder).
 """
 
 from __future__ import annotations
 
 import itertools
 
+from rwcolor.families import TWISTED_CHAIN_VARIANTS
 from rwcolor.graph import Graph, build_graph
 from rwcolor.widths import RankDecomposition
 
@@ -378,6 +380,77 @@ def restrict_decomposition_by_pruning(
         v = leaf[t]
         leaf_map.append((new_id[t], relabel[v] if relabel is not None else v))
     return RankDecomposition(len(alive), tuple(sorted(edges)), tuple(leaf_map))
+
+
+def _tc_scalar_row(x: int, y: int, n: int) -> int:
+    return n * (x - 1) + y
+
+
+def _tc_scalar_col(x: int, y: int, n: int) -> int:
+    return n * (y - 1) + x
+
+
+def twisted_chain_by_rule(n: int, variant: str = "bare") -> Graph:
+    """Twisted chain of order n, one adjacency bit per Python step.
+
+    A = v_1..v_{n^2}, B = w_1..w_{n^2}, C = z_(i,j) row-major.  v_k with
+    k = n(x-1)+y is adjacent to z_(i,j) iff x < i, or x = i and y <= j
+    (equivalently k <= n(i-1)+j); w_k uses the transposed rule
+    k <= n(j-1)+i.  The free parts (edges inside A u B and inside C) are
+    fixed by the variant: "bare" leaves them empty, "interval" makes A, B,
+    and C cliques (no A-B edges), and "permutation-derived" gives C the
+    crossing relation of its segment model while A and B stay edgeless.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if variant not in TWISTED_CHAIN_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    nn = n * n
+    N = 3 * nn
+    a0, b0, c0 = 0, nn, 2 * nn
+    adj = [0] * N
+    # A-C: v_k's z-neighbours are the contiguous scalar range k..n^2
+    for k in range(1, nn + 1):
+        zmask = (((1 << (nn - k + 1)) - 1) << (k - 1)) << c0
+        adj[a0 + k - 1] |= zmask
+        for s in range(k, nn + 1):
+            adj[c0 + s - 1] |= 1 << (a0 + k - 1)
+    # B-C: z_(i,j)'s w-neighbours are the contiguous range 1..n(j-1)+i
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            z = c0 + _tc_scalar_row(i, j, n) - 1
+            t = _tc_scalar_col(i, j, n)
+            adj[z] |= ((1 << t) - 1) << b0
+            for k in range(1, t + 1):
+                adj[b0 + k - 1] |= 1 << z
+    if variant == "interval":
+        for block_start, size in ((a0, nn), (b0, nn), (c0, nn)):
+            block = ((1 << size) - 1) << block_start
+            for v in range(block_start, block_start + size):
+                adj[v] |= block & ~(1 << v)
+    elif variant == "permutation-derived":
+        coords = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        for ai in range(nn):
+            for bi in range(ai + 1, nn):
+                x1, y1 = coords[ai]
+                x2, y2 = coords[bi]
+                s1, s2 = _tc_scalar_row(x1, y1, n), _tc_scalar_row(x2, y2, n)
+                t1, t2 = _tc_scalar_col(x1, y1, n), _tc_scalar_col(x2, y2, n)
+                # the model puts the column-major scalar on the reversed top
+                # line, so segments cross exactly when the two orders agree
+                if (s1 - s2) * (t1 - t2) > 0:
+                    adj[c0 + ai] |= 1 << (c0 + bi)
+                    adj[c0 + bi] |= 1 << (c0 + ai)
+    labels = (
+        tuple({"role": "A", "k": k} for k in range(1, nn + 1))
+        + tuple({"role": "B", "k": k} for k in range(1, nn + 1))
+        + tuple(
+            {"role": "C", "i": i, "j": j}
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        )
+    )
+    return Graph(N, tuple(adj), labels)
 
 
 def line_graph_direct(G: Graph) -> Graph:

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from rwcolor.graph import build_graph, induced_subgraph
+from rwcolor.graph import Graph, build_graph, induced_subgraph
 from rwcolor.families import (
+    TWISTED_CHAIN_VARIANTS,
     chain_order,
     cycle,
     grid,
@@ -113,6 +114,14 @@ def test_twisted_chain_scalar_rule_equivalence():
                     assert tc.has_edge(nn + k - 1, zid) == (k <= n * (j - 1) + i)
 
 
+def test_twisted_chain_matches_rule_builder():
+    cases = [(n, v) for n in range(1, 13) for v in TWISTED_CHAIN_VARIANTS]
+    for n, variant in cases + [(24, "bare"), (36, "bare")]:
+        got = twisted_chain(n, variant)
+        want = oracles.twisted_chain_by_rule(n, variant)
+        assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels), (n, variant)
+
+
 def test_twisted_chain_variants():
     bare = twisted_chain(2, "bare")
     nn = 4
@@ -132,6 +141,38 @@ def test_twisted_chain_variants():
 def test_chain_order_requires_labels():
     with pytest.raises(ValueError):
         chain_order(build_graph(3, []))
+
+
+@pytest.mark.parametrize("v, wrong, message", [
+    (1, {"role": "A", "k": 7}, "vertex 1 is not labeled A/2"),
+    (6, {"role": "A", "k": 3}, "vertex 6 is not labeled B/3"),
+    (11, {"role": "C", "i": 2, "j": 1}, "vertex 11 is not labeled C/(2,2)"),
+])
+def test_chain_order_names_the_mislabeled_vertex(v, wrong, message):
+    tc = twisted_chain(2)
+    labels = list(tc.labels)
+    labels[v] = wrong
+    with pytest.raises(ValueError) as exc:
+        chain_order(Graph(tc.n, tc.adj, tuple(labels)))
+    assert str(exc.value) == message
+
+
+def _toggle_edge(g, u, v):
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj), g.labels)
+
+
+@pytest.mark.parametrize("u, z, message", [
+    (1, 19, "A-C rule violated at v_2, z_(1,2)"),  # edge v_2 z_(1,2) removed
+    (13, 18, "B-C rule violated at w_5, z_(1,1)"),  # edge w_5 z_(1,1) added
+])
+def test_verify_twisted_chain_names_the_first_violation(u, z, message):
+    tc = twisted_chain(3)
+    with pytest.raises(ValueError) as exc:
+        verify_twisted_chain(_toggle_edge(tc, u, z))
+    assert str(exc.value) == message
 
 
 # -- intersection models ---------------------------------------------------------

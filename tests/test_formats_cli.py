@@ -479,6 +479,24 @@ def test_cli_gen_model_and_derived_families(tmp_path):
     assert lg.read_text() == "3 2\n0 1\n1 2\n"
 
 
+def test_cli_gen_failure_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "grid", "--a", "3", "--b", "3", "-o", "g.el", "--labels", "g.json"],
+        ["gen", "model", "--kind", "interval", "--order", "2", "-o", "m.el",
+         "--model-out", "m.json", "--labels", "l.json"],
+    ):
+        assert run(argv + ["--manifest", "run.json"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == "error: graph carries no labels\n"
+    assert run(["gen", "chain", "--order", "2", "-o", "c.el", "--labels", "c.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.el", "c.json"]
+
+
+def test_cli_certificate_rows_reach_order_72():
+    assert cli._certificate_rows(twisted_chain(72), 0, 2) == [(0, 22, True), (1, 23, True)]
+
+
 def test_cli_lab_certificate_single_partition(tmp_path):
     el = tmp_path / "chain.el"
     labels = tmp_path / "chain_labels.json"

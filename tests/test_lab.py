@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rwcolor import lab
 from rwcolor.graph import cutrank, rank_of_bitrows
 from rwcolor.families import twisted_chain, verify_twisted_chain
 from rwcolor.lab import (
@@ -71,9 +72,9 @@ def test_mixed_lines_and_alternating_sequence():
     g = twisted_chain(2)
     z = {(i, j): 2 * 4 + (i - 1) * 2 + (j - 1) for i in (1, 2) for j in (1, 2)}
     part = Bipartition.of(g, {z[(1, 1)], z[(2, 1)]})
-    rows, cols = mixed_lines(g, part)
+    rows, cols = mixed_lines(2, part)
     assert rows == [1, 2] and cols == []
-    seq = alternating_sequence(g, part, lex=1)
+    seq = alternating_sequence(2, part, lex=1)
     assert len(seq) == 2
     assert seq == [(1, 1), (2, 2)]
 
@@ -81,7 +82,7 @@ def test_mixed_lines_and_alternating_sequence():
 def test_alternating_sequence_no_mixed_rows():
     g = twisted_chain(2)
     part = Bipartition.of(g, set(c_ids(2)))
-    assert alternating_sequence(g, part, lex=1) == []
+    assert alternating_sequence(2, part, lex=1) == []
 
 
 def test_alternating_sequence_length_tracks_mixed_rows():
@@ -89,16 +90,16 @@ def test_alternating_sequence_length_tracks_mixed_rows():
     rng = random.Random(1)
     for seed in range(10):
         part = random_balanced_bipartition(g, seed)
-        rows, _ = mixed_lines(g, part)
-        assert len(alternating_sequence(g, part, lex=1)) == len(rows)
+        rows, _ = mixed_lines(6, part)
+        assert len(alternating_sequence(6, part, lex=1)) == len(rows)
 
 
 def test_matching_from_alternation_minimum_order():
     g = twisted_chain(12)
     part = random_balanced_bipartition(g, 3)
-    seq = alternating_sequence(g, part, lex=1)
+    seq = alternating_sequence(12, part, lex=1)
     if len(seq) >= 4:
-        cert = matching_from_alternation(g, part, seq, "A")
+        cert = matching_from_alternation(12, part, seq, "A")
         assert cert.order >= len(seq) // 4
         assert certificate_rank(g, cert) == cert.order
 
@@ -108,7 +109,7 @@ def test_matching_rejects_non_alternating():
     part = Bipartition.of(g, set(c_ids(12)))  # everything in S
     fake = [(1, 1), (1, 2), (2, 1), (2, 2)]
     with pytest.raises(ValueError, match="side"):
-        matching_from_alternation(g, part, fake, "A")
+        matching_from_alternation(12, part, fake, "A")
 
 
 def test_matching_constant_side_v_vertices():
@@ -121,9 +122,9 @@ def test_matching_constant_side_v_vertices():
         if idx % 4 < 2:
             S.add(zid)
     part = Bipartition.of(g, S)
-    seq = alternating_sequence(g, part, lex=1)
+    seq = alternating_sequence(4, part, lex=1)
     assert len(seq) == 4
-    cert = matching_from_alternation(g, part, seq, "A")
+    cert = matching_from_alternation(4, part, seq, "A")
     assert cert.direction == ("S", "T")
     assert cert.order == 2
     assert certificate_rank(g, cert) == 2
@@ -162,6 +163,16 @@ def test_lower_bound_certificate_seeded_batch():
         assert isinstance(res, MatchingCertificate)
         assert res.order >= 1
         assert certificate_rank(g, res) == res.order
+
+
+def test_certificate_pipeline_validates_the_chain_once_per_call(monkeypatch):
+    calls = []
+    real = lab.chain_order
+    monkeypatch.setattr(lab, "chain_order", lambda G: calls.append(G) or real(G))
+    g = twisted_chain(12)
+    cert = lower_bound_certificate(g, random_balanced_bipartition(g, 0))
+    assert certificate_rank(g, cert) == cert.order
+    assert len(calls) == 3
 
 
 def test_balanced_bipartition_generator_is_balanced():
