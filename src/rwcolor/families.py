@@ -9,6 +9,7 @@ order.  Labels carry the family coordinates for verifiers.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -91,9 +92,14 @@ def col_scalar(n: int, i: int, j: int) -> int:
     return n * (j - 1) + i
 
 
+@functools.cache
 def chain_labels(n: int) -> tuple[dict, ...]:
     """Canonical labels of an order-n chain: A/k, then B/k, then C/(i,j)
-    row-major."""
+    row-major.
+
+    Built once per order and shared by every chain of that order, so the
+    dicts must be treated as read-only, as all labels are.
+    """
     nn = n * n
     return (
         tuple({"role": "A", "k": k} for k in range(1, nn + 1))
@@ -152,18 +158,20 @@ def twisted_chain(n: int, variant: str = "bare") -> Graph:
             for v in range(block_start, block_start + nn):
                 adj[v] |= block & ~(1 << v)
     elif variant == "permutation-derived":
-        coords = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-        for ai in range(nn):
-            for bi in range(ai + 1, nn):
-                x1, y1 = coords[ai]
-                x2, y2 = coords[bi]
-                s1, s2 = row_scalar(n, x1, y1), row_scalar(n, x2, y2)
-                t1, t2 = col_scalar(n, x1, y1), col_scalar(n, x2, y2)
-                # the model puts the column-major scalar on the reversed top
-                # line, so segments cross exactly when the two orders agree
-                if (s1 - s2) * (t1 - t2) > 0:
-                    adj[c0 + ai] |= 1 << (c0 + bi)
-                    adj[c0 + bi] |= 1 << (c0 + ai)
+        # The model puts the column-major scalar on the reversed top line, so
+        # z_(i,j) and z_(i',j') cross iff (s - s')(t - t') > 0: iff the grid
+        # points are distinct and comparable in the product order of (i, j).
+        full = (1 << nn) - 1
+        stripe = full // ((1 << n) - 1)  # bit n(i'-1) for every row i'
+        for i in range(1, n + 1):
+            rows_le = (1 << (n * i)) - 1
+            rows_ge = full ^ ((1 << (n * (i - 1))) - 1)
+            for j in range(1, n + 1):
+                cols_le = stripe * ((1 << j) - 1)
+                cols_ge = stripe * (((1 << n) - 1) ^ ((1 << (j - 1)) - 1))
+                s = row_scalar(n, i, j)
+                crossing = (rows_le & cols_le | rows_ge & cols_ge) & ~(1 << (s - 1))
+                adj[c0 + s - 1] |= crossing << c0
     return Graph(3 * nn, tuple(adj), chain_labels(n))
 
 
@@ -175,10 +183,12 @@ def chain_order(G: Graph) -> int:
     n = math.isqrt(nn)
     if G.n % 3 != 0 or n * n != nn:
         raise ValueError("vertex count is not 3*n^2")
-    for v, (got, want) in enumerate(zip(G.labels, chain_labels(n))):
-        if got != want:
-            name = f"{want['k']}" if "k" in want else f"({want['i']},{want['j']})"
-            raise ValueError(f"vertex {v} is not labeled {want['role']}/{name}")
+    labels = chain_labels(n)
+    if tuple(G.labels) != labels:
+        for v, (got, want) in enumerate(zip(G.labels, labels)):
+            if got != want:
+                name = f"{want['k']}" if "k" in want else f"({want['i']},{want['j']})"
+                raise ValueError(f"vertex {v} is not labeled {want['role']}/{name}")
     return n
 
 

@@ -7,12 +7,16 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Mapping
+from bisect import bisect_left
+from itertools import islice, repeat
+from operator import add, lt, mul
+from typing import Mapping, NoReturn
 
 from .coloring import Coloring, ColoringProfile, RefinementColoring
 from .ehchi import EHParams
-from .graph import Graph, build_graph
+from .graph import Graph, select_bits
 from .lab import Bipartition, ExtractionReport, MatchingCertificate
 from .orderings import LinearOrder
 from .widths import RankDecomposition, WidthReport
@@ -23,11 +27,17 @@ def dumps_json(obj) -> str:
 
 
 def serialize_edge_list(G: Graph) -> str:
-    """Canonical edge-list text: `n m` header then sorted `u v` lines."""
-    edges = G.edges()
-    lines = [f"{G.n} {len(edges)}"]
-    for u, v in edges:
-        lines.append(f"{u} {v}")
+    """Canonical edge-list text: `n m` header then sorted `u v` lines.
+
+    Each row's lines are one join over precomputed vertex names.
+    """
+    names = list(map(str, range(G.n)))
+    uppers = [row >> (u + 1) << (u + 1) for u, row in enumerate(G.adj)]
+    lines = [f"{G.n} {sum(map(int.bit_count, uppers))}"]
+    for u, above in enumerate(uppers):
+        if above:
+            head = names[u] + " "
+            lines.append(head + ("\n" + head).join(select_bits(names, above)))
     return "\n".join(lines) + "\n"
 
 
@@ -35,26 +45,110 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format, enforcing its sortedness.
 
     Blank lines and `#` comment lines, which files written elsewhere may
-    carry, are skipped.
+    carry, are skipped, and tokens may be separated by any whitespace.
+
+    The text is checked in bulk: the layout, then 0 <= u < v < n, the
+    strict order and the edge count over whole lists.  Only when a check
+    fails is it read line by line, to name the first faulty line.
     """
-    data_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    firsts, seconds = _data_pairs(text)
+    n, m = firsts[0], seconds[0]
+    us, vs = firsts[1:], seconds[1:]
+    side = max(vs, default=-1) + 1  # no vertex from side on has an edge
+    # u*side + v orders the pairs with 0 <= u < v < side as (u, v) does
+    codes = list(map(add, map(mul, us, repeat(side)), vs))
+    if not (
+        m == len(us)
+        and (not us or (min(us) >= 0 and side <= n))
+        and all(map(lt, us, vs))
+        and all(map(lt, codes, islice(codes, 1, None)))
+    ):
+        _raise_first_fault(text)
+    # us is sorted, so vs[upper_at[u] : upper_at[u + 1]] are the upper
+    # neighbours of u in increasing order; the pairs coded v*side + u and
+    # sorted give the lower neighbours the same way.  A row is set as flags
+    # over the span from its lowest to its highest neighbour only, so the
+    # work grows with the edges and the spans, never with side squared.
+    lower = sorted(map(add, map(mul, vs, repeat(side)), us))
+    lower_at = list(map(bisect_left, repeat(lower), map(mul, range(side + 1), repeat(side))))
+    upper_at = list(map(bisect_left, repeat(us), range(side + 1)))
+    flags = bytearray(side)  # all zero between rows
+    rows = []
+    for u in range(side):
+        base = u * side
+        nbrs = [c - base for c in lower[lower_at[u] : lower_at[u + 1]]]
+        nbrs += vs[upper_at[u] : upper_at[u + 1]]
+        if not nbrs:
+            rows.append(0)
             continue
-        data_lines.append((lineno, line))
-    if not data_lines:
+        for w in nbrs:
+            flags[w] = 1
+        lo, hi = nbrs[0], nbrs[-1] + 1
+        rows.append(_mask(flags[lo:hi]) << lo)
+        flags[lo:hi] = bytes(hi - lo)
+    return Graph(n, (*rows, *(0,) * (n - side)))
+
+
+_FLAG_TO_BINARY_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: bytes) -> int:
+    """The int whose bit i is flags[i] (0 or 1)."""
+    return int(flags[::-1].translate(_FLAG_TO_BINARY_DIGIT), 2)
+
+
+# data lines joined and split at once; bounds the tokens held in memory
+_BLOCK_LINES = 8192
+
+
+def _data_pairs(text: str) -> tuple[list[int], list[int]]:
+    """The first and the second token of every data line as ints, header
+    first, once each data line is found to hold exactly two tokens.
+
+    Blocks of lines are joined with a "|" between lines and split at once,
+    so no container per line stays alive.  When a block of k lines splits
+    into 3k - 1 tokens and int() accepts every token off the places 2, 5,
+    8, ..., each line holds exactly two tokens: int() rejects "|", so the
+    k - 1 "|" between the lines fill those k - 1 places.  Each distinct
+    token is converted once, so a vertex id repeated on many lines is one
+    shared int.
+    """
+    data = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if not data:
         raise ValueError("edge list has no data lines")
-    lineno, header = data_lines[0]
+    to_int = functools.cache(int)  # one shared int per distinct token
+    firsts: list[int] = []
+    seconds: list[int] = []
+    for start in range(0, len(data), _BLOCK_LINES):
+        block = data[start : start + _BLOCK_LINES]
+        tokens = " | ".join(block).split()
+        if len(tokens) != 3 * len(block) - 1:
+            _raise_first_fault(text)
+        try:
+            firsts += map(to_int, tokens[0::3])
+            seconds += map(to_int, tokens[1::3])
+        except ValueError:
+            _raise_first_fault(text)
+    return firsts, seconds
+
+
+def _raise_first_fault(text: str) -> NoReturn:
+    """Raise the error of the first faulty line of an edge list that failed
+    a bulk check, in the order the lines are read."""
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+    lineno, header = numbered[0]
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m'")
     n, m = int(parts[0]), int(parts[1])
-    if len(data_lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(data_lines) - 1}")
-    edges = []
+    if len(numbered) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(numbered) - 1}")
     prev = None
-    for lineno, line in data_lines[1:]:
+    for lineno, line in numbered[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: edge line must be 'u v'")
@@ -64,8 +158,7 @@ def parse_edge_list(text: str) -> Graph:
         if prev is not None and (u, v) <= prev:
             raise ValueError(f"line {lineno}: edges are not strictly sorted")
         prev = (u, v)
-        edges.append((u, v))
-    return build_graph(n, edges)
+    raise AssertionError("an edge list failed a bulk check that no line fails")
 
 
 def labels_to_json(G: Graph) -> str:

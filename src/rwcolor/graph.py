@@ -8,12 +8,14 @@ verifiers and reporters, never by algorithms.
 Every bitmask traversal of a graph in the package goes through these:
 :func:`components` (connected components of a vertex mask),
 :func:`ball` and :func:`shells` (bounded BFS inside a vertex mask), and
-:func:`degeneracy_order`.
+:func:`degeneracy_order`.  :func:`select_bits` finds every set bit of a
+whole row in one pass, for writers that read rows out in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 INF = float("inf")
@@ -35,6 +37,23 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_BINARY_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def select_bits(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bit positions of *mask* >= 0, in increasing
+    position order; *items* must reach past the highest set bit.
+
+    Every set bit is found in one C-level pass (``bin``, ``bytes.translate``,
+    ``itertools.compress``) from the lowest set bit up, instead of one Python
+    step per bit, which pays off on whole dense rows such as the edge-list
+    writer reads; :func:`bits_of` stays the cheaper walk of a sparse mask.
+    """
+    low = max((mask & -mask).bit_length() - 1, 0)
+    flags = bin(mask >> low).encode()[:1:-1].translate(_BINARY_DIGIT_TO_FLAG)
+    return compress(islice(items, low, None), flags)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bit-row adjacency.
@@ -53,9 +72,8 @@ class Graph:
             raise ValueError("graph must have at least one vertex")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count differs from vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop on vertex {v}")

@@ -7,7 +7,9 @@ for pruned searches, the unpruned subset DP, the n! order sweep and the
 unbounded deletion recursion; as the references for the one-walk tree
 code, the per-edge width check, the rooted balanced partition and the
 prune-and-suppress restriction; as the reference for the range-built
-twisted chain, the pair-by-pair rule builder).
+twisted chain, the pair-by-pair rule builder; as the references for the
+bulk edge-list reader and writer, the per-line parser, the per-edge
+serializer and the per-bit symmetry scan).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from rwcolor.families import TWISTED_CHAIN_VARIANTS
-from rwcolor.graph import Graph, build_graph
+from rwcolor.graph import Graph, bits_of, build_graph
 from rwcolor.widths import RankDecomposition
 
 
@@ -451,6 +453,60 @@ def twisted_chain_by_rule(n: int, variant: str = "bare") -> Graph:
         )
     )
     return Graph(N, tuple(adj), labels)
+
+
+def serialize_edge_list_by_edges(G: Graph) -> str:
+    """Canonical edge-list text: `n m` header then sorted `u v` lines."""
+    edges = G.edges()
+    lines = [f"{G.n} {len(edges)}"]
+    for u, v in edges:
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_edge_list_by_lines(text: str) -> Graph:
+    """Parse the canonical edge-list format, enforcing its sortedness.
+
+    Blank lines and `#` comment lines, which files written elsewhere may
+    carry, are skipped.
+    """
+    data_lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        data_lines.append((lineno, line))
+    if not data_lines:
+        raise ValueError("edge list has no data lines")
+    lineno, header = data_lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: header must be 'n m'")
+    n, m = int(parts[0]), int(parts[1])
+    if len(data_lines) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(data_lines) - 1}")
+    edges = []
+    prev = None
+    for lineno, line in data_lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: edge line must be 'u v'")
+        u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < v < n):
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
+        if prev is not None and (u, v) <= prev:
+            raise ValueError(f"line {lineno}: edges are not strictly sorted")
+        prev = (u, v)
+        edges.append((u, v))
+    return build_graph(n, edges)
+
+
+def validate_symmetric_by_scan(self: Graph) -> None:
+    """Raise if the adjacency relation is not symmetric."""
+    for u in range(self.n):
+        for v in bits_of(self.adj[u]):
+            if not self.adj[v] >> u & 1:
+                raise ValueError(f"asymmetric adjacency at ({u}, {v})")
 
 
 def line_graph_direct(G: Graph) -> Graph:

@@ -116,7 +116,7 @@ def test_twisted_chain_scalar_rule_equivalence():
 
 def test_twisted_chain_matches_rule_builder():
     cases = [(n, v) for n in range(1, 13) for v in TWISTED_CHAIN_VARIANTS]
-    for n, variant in cases + [(24, "bare"), (36, "bare")]:
+    for n, variant in cases + [(16, "permutation-derived"), (24, "bare"), (36, "bare")]:
         got = twisted_chain(n, variant)
         want = oracles.twisted_chain_by_rule(n, variant)
         assert (got.n, got.adj, got.labels) == (want.n, want.adj, want.labels), (n, variant)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,9 @@ from rwcolor.formats import (
     partition_to_obj,
     serialize_edge_list,
 )
-from rwcolor.families import h_graph, twisted_chain
+from rwcolor.families import TWISTED_CHAIN_VARIANTS, h_graph, twisted_chain
 from rwcolor.lab import random_balanced_bipartition
-from rwcolor.graph import build_graph
+from rwcolor.graph import Graph, build_graph
 from rwcolor.widths import rank_width_exact
 
 import oracles
@@ -66,6 +67,96 @@ def test_parse_rejects_bad_orientation():
 def test_parse_rejects_wrong_count():
     with pytest.raises(ValueError, match="edge lines"):
         parse_edge_list("3 2\n0 1\n")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _reference_graphs():
+    rng = random.Random(11)
+    graphs = [oracles.random_graph(n, rng.choice((0.1, 0.3, 0.5, 0.9)), rng) for n in range(1, 41)]
+    graphs.append(twisted_chain(24))
+    graphs += [twisted_chain(8, variant) for variant in TWISTED_CHAIN_VARIANTS]
+    return graphs
+
+
+def _fault_in_a_later_block() -> str:
+    """Over 8192 data lines, the last two swapped."""
+    g = oracles.random_graph(300, 0.3, random.Random(5))
+    lines = oracles.serialize_edge_list_by_edges(g).split("\n")
+    lines[-3], lines[-2] = lines[-2], lines[-3]
+    return "\n".join(lines)
+
+
+HAND_WRITTEN_EDGE_LISTS = {
+    "empty": "",
+    "only-comments": "# c\n\n   \n",
+    "one-token-edge-line": "3 2\n0 1\n2\n",
+    "three-token-edge-line": "3 2\n0 1\n0 1 2\n",
+    "three-token-header": "3 1 0\n0 1\n",
+    "one-token-header": "3\n0 1\n",
+    "non-integer-header": "3 x\n0 1\n",
+    "non-integer-vertex": "3 2\n0 1\n1 two\n",
+    "negative-vertex": "3 1\n-1 2\n",
+    "u-equals-v": "3 1\n1 1\n",
+    "v-not-below-n": "3 2\n0 1\n1 3\n",
+    "duplicate-edge": "3 2\n0 1\n0 1\n",
+    "unsorted-edges": "4 3\n0 1\n1 2\n0 3\n",
+    "count-too-high": "3 3\n0 1\n0 2\n",
+    "count-too-low": "3 1\n0 1\n0 2\n",
+    "comments-shift-line-numbers": "# a\n\n3 3\n0 1\n# b\n\n  \n1 2\n# c\n1 0\n",
+    "int-fault-before-layout-fault": "4 3\n0 1\n0 x\n1 2 3\n",
+    "range-fault-before-layout-fault": "4 3\n0 5\n1\n2 3\n",
+    "order-fault-before-int-fault": "4 3\n1 2\n0 1\nx 3\n",
+    "count-fault-before-line-faults": "4 5\n0 x\n3 1\n",
+    "header-fault-before-line-faults": "4 y\n0 1 2\n",
+    "no-vertices": "0 0\n",
+    "negative-order": "-2 0\n",
+    "no-vertices-with-an-edge": "0 1\n0 1\n",
+    "form-feed-splits-a-line": "3 2\n0\x0c1\n",
+    "crlf": "3 2\r\n0 1\r\n1 2\r\n",
+    "tabs-and-extra-spaces": "  3\t2 \n0 \t 1\n\t1     2\t\n",
+    "no-final-newline": "3 2\n0 1\n1 2",
+    "unusual-integer-spellings": "12 2\n+1 1_0\n02 ٣\n",
+    "no-break-space": "3 1\n0\u00a01\n",
+    "pipe-token": "3 1\n0 |\n",
+    "pipe-token-aligned-with-the-line-breaks": "3 2\n0 1 |\n2\n",
+    "single-vertex": "1 0\n",
+    "edgeless": "5 0\n",
+    "isolated-high-vertices": "9 1\n0 3\n",
+    "one-far-edge": "20000 1\n0 19999\n",
+    "one-edge-between-the-last-vertices": "20000 1\n19998 19999\n",
+    "fault-in-a-later-block": _fault_in_a_later_block(),
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(t, id=f"round-trip-{i}") for i, t in
+     enumerate(map(oracles.serialize_edge_list_by_edges, _reference_graphs()))]
+    + [pytest.param(t, id=name) for name, t in HAND_WRITTEN_EDGE_LISTS.items()],
+)
+def test_edge_list_io_matches_the_per_line_references(text):
+    """Equal text, an equal Graph, or an equal ValueError message."""
+    got = _outcome(parse_edge_list, text)
+    assert got == _outcome(oracles.parse_edge_list_by_lines, text)
+    if isinstance(got, Graph):
+        assert serialize_edge_list(got) == oracles.serialize_edge_list_by_edges(got)
+
+
+def test_parse_edge_list_memory_follows_the_edges_not_the_order():
+    """One far edge must not cost a byte per pair of vertices (400 MB here)."""
+    tracemalloc.start()
+    try:
+        parse_edge_list("20000 1\n0 19999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_labels_round_trip():

@@ -20,6 +20,7 @@ from rwcolor.graph import (
     induced_subgraph,
     mask_of,
     power,
+    select_bits,
     shells,
 )
 from rwcolor.orderings import LinearOrder, above_masks
@@ -234,6 +235,32 @@ def test_complement_involution_and_symmetry(n, data):
     for h in (g, complement(g)):
         h.validate_symmetric()
         assert all(not h.has_edge(v, v) for v in range(n))
+
+
+def test_select_bits_picks_the_items_at_bits_of():
+    rng = random.Random(3)
+    masks = [0, 1, 2, 1 << 200, (1 << 200) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(200)]
+    for mask in masks:
+        names = [f"v{i}" for i in range(mask.bit_length() + rng.randint(0, 3))]
+        assert list(select_bits(names, mask)) == [names[i] for i in bits_of(mask)]
+
+
+@pytest.mark.parametrize("u, v", [(6, 2), (2, 6)], ids=["lower", "upper"])
+def test_validate_symmetric_names_the_scan_pair_of_an_orphan_bit(u, v):
+    """One bit (u, v) without its reverse, below or above the diagonal, in
+    a graph that is otherwise symmetric: the first pair named is the scan's."""
+    g = oracles.random_graph(9, 0.4, random.Random(7))
+    adj = list(g.adj)
+    adj[v] &= ~(1 << u)
+    adj[u] |= 1 << v
+    h = Graph(g.n, tuple(adj))
+    with pytest.raises(ValueError) as want:
+        oracles.validate_symmetric_by_scan(h)
+    with pytest.raises(ValueError) as got:
+        h.validate_symmetric()
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"asymmetric adjacency at ({u}, {v})"
 
 
 # -- traversal primitives -----------------------------------------------------------
