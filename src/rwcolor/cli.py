@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -218,7 +219,7 @@ def cmd_wcol(args, record: RunRecord) -> int:
         value, order = wcol_exact(g, args.r)
         method = "exact"
     else:
-        value, order = wcol_heuristic(g, args.r)
+        value, order, _ = wcol_heuristic(g, args.r)
         method = "heuristic"
     if args.order_out:
         _write(args.order_out, formats.order_to_json(order))
@@ -234,13 +235,13 @@ def cmd_color(args, record: RunRecord) -> int:
         _emit(args, formats.dumps_json(formats.coloring_to_obj(c)))
     elif args.mode == "refine":
         base = formats.coloring_from_obj(json.loads(_read(_need(args.coloring, "-c/--coloring"))))
-        orders = []
-        for radius in range(2, args.r + 1):
-            orders.append(wcol_heuristic(g, radius)[1])
         if args.good:
-            ref = good_refinement(g, base, args.r, orders[-1])
+            _, L, wsets = wcol_heuristic(g, args.r)
+            ref = good_refinement(g, base, args.r, L, wsets)
         else:
-            ref = excellent_refinement(g, base, args.r, orders)
+            levels = [wcol_heuristic(g, radius) for radius in range(2, args.r + 1)]
+            orders = [L for _, L, _ in levels]
+            ref = excellent_refinement(g, base, args.r, orders, [ws for _, _, ws in levels])
         _emit(args, formats.dumps_json(formats.refinement_to_obj(ref)))
     elif args.mode == "lowrw":
         ref, profile = low_rankwidth_coloring_of_power(g, args.r, args.p)
@@ -527,7 +528,13 @@ def cmd_rerun(args, record: RunRecord) -> int:
     return main(manifest["argv"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    :func:`main` parses every call with it.  That is safe because every
+    option default is immutable and no command writes to its ``args``.
+    """
     parser = argparse.ArgumentParser(
         prog="rwcolor",
         description="Construct, verify, and refute low rank-width colorings.",

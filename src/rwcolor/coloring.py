@@ -119,14 +119,22 @@ def _high_shortest_path(
     return list(reversed(path))
 
 
-def good_refinement(G: Graph, c: Coloring, r: int, L: LinearOrder) -> RefinementColoring:
+def good_refinement(
+    G: Graph,
+    c: Coloring,
+    r: int,
+    L: LinearOrder,
+    wsets: Sequence[frozenset] | None = None,
+) -> RefinementColoring:
     """Refine *c* so small unions of new classes admit shortest-path hitters.
 
     Each vertex v collects base colors in two rounds: the colors of its
     weakly r-reachable set, and, for every non-adjacent weakly reachable
     u < v, the color of the highest vertex on a shortest u-v detour running
     entirely above v (when one of length <= r exists).  The collected sets,
-    interned to dense ids, are the refined colors.
+    interned to dense ids, are the refined colors.  *wsets* are the weakly
+    r-reachable sets under L when the caller has them already, as from
+    ``wcol_heuristic``; without them L is walked here.
     """
     if r < 2:
         raise ValueError("good refinements need radius >= 2")
@@ -134,7 +142,8 @@ def good_refinement(G: Graph, c: Coloring, r: int, L: LinearOrder) -> Refinement
         raise ValueError("coloring does not match the graph")
     pos = L.position
     above = above_masks(L)
-    wsets = wreach_sets(G, L, r)
+    if wsets is None:
+        wsets = wreach_sets(G, L, r)
     budget = 2 * max(len(s) for s in wsets)
     collected: list[set[int]] = [set() for _ in range(G.n)]
     for v in range(G.n):
@@ -181,11 +190,16 @@ def expand_excellent(R: RefinementColoring, X: Iterable[int]) -> set[int]:
 
 
 def excellent_refinement(
-    G: Graph, c: Coloring, r: int, orders: Sequence[LinearOrder]
+    G: Graph,
+    c: Coloring,
+    r: int,
+    orders: Sequence[LinearOrder],
+    wsets: Sequence[Sequence[frozenset]] | None = None,
 ) -> RefinementColoring:
     """Compose good refinements at radii 2..r into one distance-closing chain.
 
-    orders must supply one linear order per radius, ascending from 2.
+    orders must supply one linear order per radius, ascending from 2, and
+    wsets, when given, the weakly reachable sets of each order at its radius.
     """
     if r < 2:
         raise ValueError("excellent refinements need radius >= 2")
@@ -194,7 +208,9 @@ def excellent_refinement(
     chain: RefinementColoring | None = None
     current = c
     for i, radius in enumerate(range(2, r + 1)):
-        level = good_refinement(G, current, radius, orders[i])
+        level = good_refinement(
+            G, current, radius, orders[i], None if wsets is None else wsets[i]
+        )
         level = replace(level, inner=chain)
         chain = level
         current = level.refined
@@ -294,6 +310,8 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
     inconclusive, with the size of its largest such component.  The report
     is ok only when every union is verified.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
     classes = c.classes()
@@ -410,8 +428,8 @@ def treedepth_coloring(G: Graph, p: int) -> Coloring:
         c = _exact_small_td_coloring(G, p)
     else:
         r = min(2**p, G.n)
-        _, L = wcol_heuristic(G, r)
-        return _first_fit(L.order, wreach_sets(G, L, r))
+        _, L, wsets = wcol_heuristic(G, r)
+        return _first_fit(L.order, wsets)
     assert verify_td_coloring(G, c, p).ok
     return c
 
@@ -451,13 +469,15 @@ def low_rankwidth_coloring_of_power(
     if r < 2:
         raise ValueError("power coloring needs radius >= 2")
     orders = []
+    wsets = []
     d = 1
     for radius in range(2, r + 1):
-        wcol, L = wcol_heuristic(G, radius)
+        wcol, L, sets = wcol_heuristic(G, radius)
         orders.append(L)
+        wsets.append(sets)
         d *= 2 * wcol
     base = treedepth_coloring(G, d * p)
-    ref = excellent_refinement(G, base, r, orders)
+    ref = excellent_refinement(G, base, r, orders, wsets)
     assert ref.d == d
     q = {i: gurski_wanke_budget(r, d * i) for i in range(1, p + 1)}
     profile = ColoringProfile(
@@ -485,6 +505,8 @@ def verify_low_rw_coloring(
     are refused before any is measured.  The profile verifies iff every
     measured value stays within its budget.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if len(c.colors) != H.n:
         raise ValueError("coloring does not match the graph")
     budget = Q if callable(Q) else (lambda i: Q[i])

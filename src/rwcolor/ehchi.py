@@ -276,6 +276,8 @@ ColoringProvider = Callable[[Graph], tuple[Coloring, int]]
 def even_split_provider(n_classes: int, width_bound: int) -> ColoringProvider:
     """Provider assigning colors round-robin; useful when any n_classes-way
     split keeps class widths below the bound."""
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1")
 
     def provide(G: Graph) -> tuple[Coloring, int]:
         k = min(n_classes, G.n)

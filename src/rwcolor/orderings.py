@@ -91,6 +91,8 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
     n! orders.  Instances above the cap are rejected in favour of
     wcol_heuristic.
     """
+    if r < 0:
+        raise ValueError("radius must be non-negative")
     n = G.n
     if n > cap:
         raise ValueError(
@@ -135,14 +137,18 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
     return best, LinearOrder.from_order(best_order)
 
 
-def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder]:
+def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder, list[frozenset]]:
     """Degeneracy-style order: repeatedly place a low-reach vertex last.
 
     The removed vertex minimizes a weighted count of remaining vertices
     within distance r (shell at distance d weighted 2^(r-d); shell 0, the
     vertex itself, adds the same 2^r to every score); ties go to the
-    smallest vertex id.  Returns the measured wcol of the produced order.
+    smallest vertex id.  Returns the measured wcol of the produced order,
+    the order, and its weakly r-reachable sets, which callers that need
+    them take from here instead of walking the order again.
     """
+    if r < 0:
+        raise ValueError("radius must be non-negative")
     remaining = (1 << G.n) - 1
     suffix: list[int] = []
     while remaining:
@@ -159,4 +165,5 @@ def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder]:
         remaining &= ~(1 << best_v)
     order = list(reversed(suffix))
     L = LinearOrder.from_order(order)
-    return wcol_of_order(G, L, r), L
+    wsets = wreach_sets(G, L, r)
+    return max(map(len, wsets)), L, wsets

@@ -419,6 +419,41 @@ def test_verifiers_reject_a_coloring_that_does_not_cover_the_graph(colors):
         verify_low_rw_coloring(g, c, 2, {1: 0, 2: 0})
 
 
+def test_verifiers_reject_p_below_1():
+    g = path(4)
+    c = Coloring((1, 2, 1, 2), 2)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        verify_td_coloring(g, c, 0)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        verify_low_rw_coloring(g, c, 0, {})
+
+
+def test_power_coloring_walks_each_heuristic_order_once(monkeypatch):
+    from rwcolor import coloring, orderings
+
+    walks = []
+    real = orderings.wreach_sets
+
+    def counted(G, L, r):
+        walks.append(r)
+        return real(G, L, r)
+
+    monkeypatch.setattr(orderings, "wreach_sets", counted)
+    monkeypatch.setattr(coloring, "wreach_sets", counted)
+    ref, _ = low_rankwidth_coloring_of_power(grid(4, 4), 3, 1)
+    assert walks == [2, 3]
+    walks.clear()
+    treedepth_coloring(grid(4, 4), 2)
+    assert walks == [4]
+    g, L = grid(4, 4), ref.orders()[0]
+    wsets = real(g, L, 2)
+    walks.clear()
+    walked = good_refinement(g, constant_coloring(16), 2, L)
+    assert walks == [2]
+    assert good_refinement(g, constant_coloring(16), 2, L, wsets) == walked
+    assert walks == [2]
+
+
 def test_verify_td_matches_the_deletion_recursion_on_every_union():
     rng = random.Random(41)
     for _ in range(30):

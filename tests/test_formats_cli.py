@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import random
@@ -621,3 +622,92 @@ def test_cli_lab_ramsey(tmp_path):
                 "--seeds", "10", "--csv", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 11 and all(l.endswith("true") for l in lines[1:])
+
+
+def test_cli_eh_zero_classes_is_usage_error(cli_files, capsys):
+    assert run(["eh", "extract", "-i", cli_files["p4"], "--classes", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_classes must be >= 1\n"
+
+
+@pytest.mark.parametrize("mode", ["td", "lowrw"])
+def test_cli_verify_p0_is_usage_error(cli_files, capsys, mode):
+    assert run(["verify", "coloring", "--mode", mode, "-p", "0", "-i", cli_files["p4"],
+                "-c", cli_files["col"], "--q-linear", "3"]) == 2
+    assert capsys.readouterr().err == "error: p must be >= 1\n"
+
+
+def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
+    spec = tmp_path / "sweep.json"
+    out = tmp_path / "out.csv"
+    spec.write_text(json.dumps({
+        "runs": [
+            {"name": "rows", "generator": {"family": "h", "n": 2, "m": 2},
+             "pipeline": {"kind": "rowcolor-verify", "p": 0}},
+            {"name": "power", "generator": {"family": "path", "n": 4},
+             "pipeline": {"kind": "power-lowrw", "r": 2, "p": 0}},
+        ]
+    }))
+    assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["error"] for row in rows] == ["p must be >= 1"] * 2
+    assert [row["verified"] for row in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("method", ["--exact", "--heuristic"])
+def test_cli_wcol_negative_radius_is_usage_error(cli_files, capsys, method):
+    assert run(["wcol", "-r", "-1", method, "-i", cli_files["p4"]]) == 2
+    assert capsys.readouterr().err == "error: radius must be non-negative\n"
+
+
+def test_cli_color_refine_good_below_radius_2_is_usage_error(cli_files, capsys):
+    assert run(["color", "refine", "--good", "-r", "1", "-i", cli_files["p4"],
+                "-c", cli_files["col"]]) == 2
+    assert capsys.readouterr().err == "error: good refinements need radius >= 2\n"
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_cli_pipeline_and_rerun_build_the_parser_once(tmp_path):
+    g, h, col, man = (str(tmp_path / f) for f in ("g.el", "h.el", "col.json", "run.json"))
+    cli.build_parser.cache_clear()
+    assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", g]) == 0
+    assert run(["power", "-r", "2", "-i", g, "-o", h]) == 0
+    assert run(["color", "lowrw", "-r", "2", "-p", "1", "-i", g, "-o", col,
+                "--manifest", man]) == 0
+    assert run(["verify", "coloring", "--mode", "lowrw", "-p", "1", "-i", h, "-c", col,
+                "-o", str(tmp_path / "v.json")]) == 0
+    first = (tmp_path / "col.json").read_bytes()
+    (tmp_path / "col.json").unlink()
+    assert run(["rerun", "--manifest", man]) == 0
+    assert (tmp_path / "col.json").read_bytes() == first
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_shared_parser_keeps_no_option_values(tmp_path):
+    assert run(["gen", "path", "--seed", "5", "--n", "7", "-o", str(tmp_path / "p7.el")]) == 0
+    man = tmp_path / "run.json"
+    assert run(["gen", "path", "-o", str(tmp_path / "p2.el"), "--manifest", str(man)]) == 0
+    params = json.loads(man.read_text())["parameters"]
+    assert params["seed"] == 0 and params["n"] == 2
+    assert json.loads(man.read_text())["seeds"] == [0]
+    assert (tmp_path / "p2.el").read_text().startswith("2 1\n")
+
+
+def test_cli_usage_error_and_version_change_no_later_output(cli_files, capsys):
+    calls = (["gen", "grid", "--a", "3", "--b", "2"], ["wcol", "-r", "2", "-i", cli_files["el"]])
+
+    def outputs(between):
+        cli.build_parser.cache_clear()
+        assert run(calls[0]) == 0
+        first = capsys.readouterr().out
+        for argv, code in between:
+            assert run(argv) == code
+        capsys.readouterr()
+        assert run(calls[1]) == 0
+        return first, capsys.readouterr().out
+
+    fresh = outputs([])
+    assert outputs([(["gen", "path", "--n", "x"], 2), (["power", "-r", "2"], 2),
+                    (["--version"], 0)]) == fresh
+    assert cli.build_parser.cache_info().misses == 1

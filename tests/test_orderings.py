@@ -130,6 +130,12 @@ def test_wcol_exact_is_min_over_all_orders():
         assert value == brute
 
 
+@pytest.mark.parametrize("wcol", [wcol_heuristic, wcol_exact])
+def test_wcol_rejects_a_negative_radius(wcol):
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        wcol(complete(WCOL_EXACT_CAP + 1), -1)
+
+
 def test_wcol_exact_cap():
     with pytest.raises(ValueError, match="heuristic"):
         wcol_exact(complete(WCOL_EXACT_CAP + 1), 2)
@@ -158,7 +164,8 @@ def test_wcol_exact_at_the_cap_returns_an_order_of_its_value(r):
 def test_heuristic_dominates_exact():
     for g in oracles.all_graphs(4):
         for r in (1, 2):
-            hv, hL = wcol_heuristic(g, r)
+            hv, hL, hsets = wcol_heuristic(g, r)
+            assert hsets == wreach_sets(g, hL, r)
             ev, _ = wcol_exact(g, r)
             assert hv >= ev
             assert wcol_of_order(g, hL, r) == hv
@@ -176,6 +183,6 @@ def test_heuristic_edgeless():
 
 def test_heuristic_grid_snapshot():
     # frozen after the first run; guards against heuristic regressions
-    value, _ = wcol_heuristic(grid(5, 5), 2)
+    value, _, _ = wcol_heuristic(grid(5, 5), 2)
     assert value == 7
     assert value <= 10
