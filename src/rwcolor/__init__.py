@@ -4,13 +4,11 @@ colorings of graphs, with desk-scale exact oracles."""
 __version__ = "0.1.0"
 
 from .graph import (
-    GF2Matrix,
     Graph,
     bfs_distances,
     build_graph,
     complement,
     cutrank,
-    gf2_rank,
     induced_subgraph,
     power,
 )
@@ -42,7 +40,6 @@ from .coloring import (
 )
 
 __all__ = [
-    "GF2Matrix",
     "Graph",
     "LinearOrder",
     "Coloring",
@@ -58,7 +55,6 @@ __all__ = [
     "excellent_refinement",
     "expand_excellent",
     "expand_good",
-    "gf2_rank",
     "good_refinement",
     "induced_subgraph",
     "is_closure",

@@ -382,6 +382,8 @@ def cmd_lab(args, record: RunRecord) -> int:
         _emit_harness(args, record, rows)
         return 0 if ok else 1
     if args.what == "extract":
+        if args.colors < 1:
+            raise ValueError("--colors must be >= 1")
         g = twisted_chain(args.order, "bare")
         rng = random.Random(args.seed)
         colors = [rng.randint(1, args.colors) for _ in range(g.n)]

@@ -264,39 +264,6 @@ def complement(G: Graph) -> Graph:
     return Graph(G.n, adj, G.labels)
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Rectangular 0/1 matrix stored as integer bit-rows."""
-
-    rows: tuple[int, ...]
-    ncols: int
-
-    def __post_init__(self):
-        if self.ncols < 0:
-            raise ValueError("negative column count")
-        full = (1 << self.ncols) - 1
-        for i, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits beyond column {self.ncols - 1}")
-
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]]) -> "GF2Matrix":
-        if not rows:
-            return cls((), 0)
-        ncols = len(rows[0])
-        packed = []
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"ragged rows: row {i} has {len(row)} entries, expected {ncols}")
-            bits = 0
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ValueError(f"entry ({i}, {j}) is {entry!r}, not 0/1")
-                bits |= entry << j
-            packed.append(bits)
-        return cls(tuple(packed), ncols)
-
-
 def rank_of_bitrows(rows: Iterable[int]) -> int:
     """GF(2) rank of integer bit-rows via an XOR basis keyed by leading bit."""
     basis: dict[int, int] = {}
@@ -311,13 +278,6 @@ def rank_of_bitrows(rows: Iterable[int]) -> int:
                 break
             row ^= piv
     return rank
-
-
-def gf2_rank(M: GF2Matrix | Sequence[Sequence[int]]) -> int:
-    """Rank of a 0/1 matrix over GF(2)."""
-    if not isinstance(M, GF2Matrix):
-        M = GF2Matrix.from_lists(M)
-    return rank_of_bitrows(M.rows)
 
 
 def cutrank_mask(G: Graph, mask: int) -> int:

@@ -23,7 +23,6 @@ from .graph import (
     degeneracy_order,
     induced_subgraph,
     mask_of,
-    shells,
 )
 from .orderings import LinearOrder
 
@@ -145,15 +144,22 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     Minimizes over all leaf-labeled subcubic trees by a dynamic program over
     vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
     leaf set m and the cut-rank of m.  Each unordered bipartition of m is
-    inspected once, as a submask of m without its highest vertex, in
-    descending order, and the first strict minimum is kept.  The cut table
-    is filled from the masks without the last vertex, since a cut and its
-    complement have the same cut-rank.  The caterpillar bound ``ub`` of the
-    degeneracy order prunes the sweep: a subset whose cut-rank or best
-    subtree exceeds ``ub`` gets key ``ub + 1``.  No subset of an optimal
-    tree is pruned, and a split using a pruned part never beats the
-    optimum, so value and decomposition are those of the full sweep.
-    Graphs on <= 1 vertex have width 0 and no decomposition.
+    inspected as a submask of m without its highest vertex, in descending
+    order.  The cut table is filled from the masks without the last vertex,
+    since a cut and its complement have the same cut-rank.  The caterpillar
+    bound ``ub`` of the degeneracy order prunes the sweep: a subset whose
+    cut-rank or best subtree exceeds ``ub`` gets key ``ub + 1``.  No subset
+    of an optimal tree is pruned, and a split using a pruned part never
+    beats the optimum.  A subset's scan stops at the first split no worse
+    than its own cut-rank: the key is then that cut-rank, whatever the
+    remaining splits give, so every key is that of the full sweep.
+
+    The sweep keeps keys only.  The witness tree is rebuilt top down from
+    them: the whole vertex set (cut-rank 0, so left out of the sweep) and
+    each internal subset of the tree take the first strict minimum of a full
+    scan, in the same order.  Value and decomposition are thus those of the
+    unpruned full sweep.  Graphs on <= 1 vertex have width 0 and no
+    decomposition.
     """
     n = G.n
     if n <= 1:
@@ -175,25 +181,11 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     key = [pruned] * (full + 1)
     for v in range(n):
         key[1 << v] = cut[1 << v]
-    choice = [0] * (full + 1)
-    for mask in range(3, full + 1):
+    for mask in range(3, full):
         c = cut[mask]
-        if c > ub or not mask & (mask - 1):
-            continue
-        low = mask ^ (1 << (mask.bit_length() - 1))
-        b = pruned
-        bsub = 0
-        sub = low
-        while sub:
-            w = key[sub]
-            if w < b:
-                r = key[mask ^ sub]
-                if r < b:
-                    b = w if w > r else r
-                    bsub = sub
-            sub = (sub - 1) & low
-        key[mask] = b if b > c else c
-        choice[mask] = bsub
+        if c <= ub and mask & (mask - 1):
+            b = _best_split(key, mask, pruned, c)[0]
+            key[mask] = b if b > c else c
 
     nodes = 0
     edges: list[tuple[int, int]] = []
@@ -206,19 +198,43 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         if mask.bit_count() == 1:
             leaf_map.append((node, mask.bit_length() - 1))
             return node
-        sub = choice[mask]
+        sub = _best_split(key, mask, pruned, -1)[1]
         a = build(sub)
         b2 = build(mask ^ sub)
         edges.append((node, a))
         edges.append((node, b2))
         return node
 
-    top = choice[full]
+    value, top = _best_split(key, full, pruned, -1)
     a = build(top)
     b = build(full ^ top)
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
-    return WidthReport(key[full], "exact", D)
+    return WidthReport(value, "exact", D)
+
+
+def _best_split(key: list[int], mask: int, worst: int, stop: int) -> tuple[int, int]:
+    """The first strict minimum of max(key[A], key[B]) below *worst* over
+    the splits {A, B} of *mask*, and its A, which is 0 if none is below.
+
+    A runs over the submasks of mask without its highest vertex, in
+    descending order; the scan ends early at a split of value <= *stop*.
+    """
+    low = mask ^ (1 << (mask.bit_length() - 1))
+    b = worst
+    bsub = 0
+    sub = low
+    while sub:
+        w = key[sub]
+        if w < b:
+            r = key[mask ^ sub]
+            if r < b:
+                b = w if w > r else r
+                bsub = sub
+                if b <= stop:
+                    break
+        sub = (sub - 1) & low
+    return b, bsub
 
 
 def caterpillar_decomposition(order: Sequence[int]) -> RankDecomposition:
@@ -239,7 +255,8 @@ def caterpillar_decomposition(order: Sequence[int]) -> RankDecomposition:
 
 
 def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> WidthReport:
-    """Upper bound from the caterpillar decomposition of a vertex order.
+    """Upper bound from the caterpillar decomposition of a vertex order:
+    the degeneracy order, or an explicit ``LinearOrder``.
 
     The width equals the maximum cut-rank over prefix cuts of the order,
     which always dominates the exact rank-width.
@@ -248,10 +265,6 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
         raise ValueError("rank_width_upper needs at least 2 vertices")
     if isinstance(strategy, LinearOrder):
         order = list(strategy.order)
-    elif strategy == "id":
-        order = list(range(G.n))
-    elif strategy == "bfs":
-        order = _bfs_order(G)
     elif strategy == "degeneracy":
         order = degeneracy_order(G)
     else:
@@ -263,17 +276,6 @@ def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> Wi
         value = max(value, cutrank_mask(G, mask))
     D = caterpillar_decomposition(order)
     return WidthReport(value, "upper-bound", D)
-
-
-def _bfs_order(G: Graph) -> list[int]:
-    order = []
-    left = (1 << G.n) - 1
-    while left:
-        start = (left & -left).bit_length() - 1
-        for layer in shells(G, start, left, G.n):
-            order.extend(bits_of(layer))
-            left &= ~layer
-    return order
 
 
 def balanced_partition(
@@ -314,6 +316,13 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
     keeps a lower and an upper bound; a deletion is searched only as far
     as it could beat the best found so far; and the search stops once a
     value <= ``enough`` is found, ``limit`` is proved, or the bounds meet.
+    Before it recurses into a deletion, the loop reads the stored bounds of
+    what is left and makes no call when they already answer it: an upper
+    bound within ``enough``, bounds that meet, or a lower bound at the
+    limit.  These are the tests a call runs on entry, so the answer is the
+    same; most calls of the search would end there.  (The loop only runs on
+    connected subsets of >= 3 vertices, since an edge gets equal bounds at
+    once, so what is left is never a single vertex.)
     A connected subset of s vertices and m edges starts from two sound
     lower bounds: its minimum degree + 1, since the deepest vertex of an
     elimination tree has every neighbour above it; and the least t with
@@ -344,8 +353,8 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
         else:
             vs = list(bits_of(mask))
             degs = [(rows[v] & mask).bit_count() for v in vs]
+            size = len(vs)
             if known is None:
-                size = len(vs)
                 twice_m = sum(degs)
                 low = min(degs) + 1
                 while (low - 1) * (2 * size - low) < twice_m:
@@ -355,12 +364,20 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
                     return low
             best = high
             floor = limit
+            cut = min(limit, best)
             for _, v in sorted(zip(degs, vs), key=lambda dv: -dv[0]):
-                cut = min(limit, best)
-                got = td(mask ^ (1 << v), enough - 1, cut - 1) + 1
-                floor = min(floor, got)
+                child = mask ^ (1 << v)
+                c_low, c_high = bounds.get(child) or (1, size - 1)
+                if c_high < enough or c_low == c_high:
+                    got = c_high + 1
+                elif c_low >= cut - 1:
+                    got = c_low + 1
+                else:
+                    got = td(child, enough - 1, cut - 1) + 1
+                if got < floor:
+                    floor = got
                 if got < cut:
-                    best = got
+                    best = cut = got
                     if best <= enough or best <= low:
                         break
             else:

@@ -19,7 +19,7 @@ from rwcolor.graph import (
     induced_subgraph,
     power,
 )
-from rwcolor.orderings import wcol_heuristic, wcol_of_order
+from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
 from rwcolor.widths import rank_width_exact, rank_width_upper, verify_decomposition
 from rwcolor.coloring import (
     Coloring,
@@ -311,7 +311,7 @@ def test_c11_cograph_and_witness_suite(capsys):
     rng = random.Random(16)
     cases = []
     for g in (complete(16), path(16)):
-        cases.append((g, rank_width_upper(g, "id").decomposition, 1))
+        cases.append((g, rank_width_upper(g, LinearOrder.from_order(range(g.n))).decomposition, 1))
     for _ in range(3):
         ct = oracles.random_cotree(16, rng)
         g = cotree_to_graph(ct, 16)

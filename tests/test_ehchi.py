@@ -7,6 +7,7 @@ import pytest
 from rwcolor.graph import build_graph, complement, cutrank, induced_subgraph
 from rwcolor.families import h_graph, path, row_coloring
 from rwcolor.coloring import Coloring
+from rwcolor.orderings import LinearOrder
 from rwcolor.widths import rank_width_exact, rank_width_upper, verify_decomposition
 from rwcolor.ehchi import (
     Cotree,
@@ -147,7 +148,7 @@ def test_extract_base_case():
 
 def test_extract_k8():
     g = complete(8)
-    rep = rank_width_upper(g, "id")
+    rep = rank_width_upper(g, LinearOrder.from_order(range(g.n)))
     out = cograph_extract(g, rep.decomposition, 1)
     assert len(out) >= math.ceil(8 ** kappa(1))
     sub, _ = induced_subgraph(g, sorted(out))
@@ -157,7 +158,7 @@ def test_extract_k8():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_extract_paths(n):
     g = path(n)
-    rep = rank_width_upper(g, "id")
+    rep = rank_width_upper(g, LinearOrder.from_order(range(g.n)))
     assert rep.value == 1
     out = cograph_extract(g, rep.decomposition, 1)
     sub, _ = induced_subgraph(g, sorted(out))

@@ -302,6 +302,12 @@ def test_cli_lab_extract(tmp_path):
     assert obj["achieved"] >= 1
 
 
+@pytest.mark.parametrize("colors", ["0", "-1"])
+def test_cli_lab_extract_without_colors_is_usage_error(colors, capsys):
+    assert run(["lab", "extract", "--order", "2", "--colors", colors]) == 2
+    assert capsys.readouterr().err == "error: --colors must be >= 1\n"
+
+
 def test_cli_eh_and_chi(tmp_path):
     k8 = tmp_path / "k8.el"
     k8.write_text(serialize_edge_list(build_graph(8, list(itertools.combinations(range(8), 2)))))

@@ -117,6 +117,9 @@ def test_exact_returns_the_unpruned_subset_dp_value_and_tree():
               for n in range(2, 12) for k in range(10)]
     graphs += [build_graph(7, []), complete(2), complete(8)]
     graphs += [h_graph(2, 3), h_graph(3, 3), h_tilde(2, 4), h_tilde(3, 3)]
+    # where a subset's scan most often stops at its own cut-rank
+    graphs += [oracles.random_graph(12, p, rng) for p in (0.4, 0.8)]
+    graphs += [family(2, m) for family in (h_graph, h_tilde) for m in (5, 6)]
     for g in graphs:
         rep = rank_width_exact(g)
         assert (rep.value, rep.decomposition) == oracles.rank_width_by_subset_dp(g)
@@ -145,7 +148,7 @@ def test_exact_monotone_under_induced_subgraphs():
 
 def test_upper_path_order():
     for n in (2, 4, 7):
-        rep = rank_width_upper(pathg(n), "id")
+        rep = rank_width_upper(pathg(n), LinearOrder.from_order(range(n)))
         assert rep.value == 1
         assert verify_decomposition(pathg(n), rep.decomposition) == 1
 
@@ -162,10 +165,16 @@ def test_upper_dominates_exact_all_strategies():
         if g.n < 2:
             continue
         exact = rank_width_exact(g).value
-        for strategy in ("id", "bfs", "degeneracy"):
+        for strategy in (LinearOrder.from_order(range(g.n)), "degeneracy"):
             rep = rank_width_upper(g, strategy)
             assert rep.value >= exact
             assert verify_decomposition(g, rep.decomposition) == rep.value
+
+
+@pytest.mark.parametrize("strategy", ["id", "bfs"])
+def test_upper_rejects_a_strategy_other_than_degeneracy(strategy):
+    with pytest.raises(ValueError, match="unknown ordering strategy"):
+        rank_width_upper(pathg(4), strategy)
 
 
 def test_upper_accepts_explicit_order():
@@ -267,10 +276,17 @@ def test_treedepth_at_most_cap():
 
 def test_treedepth_exact_matches_the_deletion_recursion():
     rng = random.Random(77)
+    graphs = []
     for n in range(1, 13):
-        for _ in range(4):
-            g = oracles.random_graph(n, rng.uniform(0.1, 0.8), rng)
-            assert tree_depth_exact(g) == oracles.tree_depth_by_deletion(g)
+        graphs += [oracles.random_graph(n, rng.uniform(0.1, 0.8), rng) for _ in range(4)]
+    for n in (13, 14):
+        graphs += [oracles.random_graph(n, p, rng) for p in (0.4, 0.4, 0.7, 0.7)]
+    # two components and four isolated vertices, so the search splits into
+    # components, some of one vertex, before it deletes any vertex
+    graphs.append(build_graph(13, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2),
+                                   (5, 6), (6, 7), (7, 8), (8, 9), (9, 5), (5, 7)]))
+    for g in graphs:
+        assert tree_depth_exact(g) == oracles.tree_depth_by_deletion(g)
 
 
 def test_treedepth_at_most_decides_every_bound():
