@@ -355,10 +355,14 @@ def cmd_lab(args, record: RunRecord) -> int:
             _emit(args, formats.dumps_json(obj))
             record.outputs = _written(args.output)
             return 0 if rank == result.order else 1
+        if args.seeds < 1:
+            raise ValueError("--seeds must be >= 1")
         rows = _certificate_rows(twisted_chain(args.order, "bare"), args.seed, args.seeds)
         _emit_harness(args, record, rows)
         return 0 if all(verified for _, _, verified in rows) else 1
     if args.what == "ramsey":
+        if args.seeds < 1:
+            raise ValueError("--seeds must be >= 1")
         rows = []
         ok = True
         for s in range(args.seeds):

@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left
+from collections import deque
 from itertools import islice, repeat
-from operator import add, lt, mul
+from operator import le, lt
 from typing import Mapping, NoReturn
 
 from .coloring import Coloring, ColoringProfile, RefinementColoring
@@ -47,37 +48,39 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and `#` comment lines, which files written elsewhere may
     carry, are skipped, and tokens may be separated by any whitespace.
 
-    The text is checked in bulk: the layout, then 0 <= u < v < n, the
-    strict order and the edge count over whole lists.  Only when a check
-    fails is it read line by line, to name the first faulty line.
+    The text is checked in bulk, and only when a check fails is it read
+    line by line, to name the first faulty line.  The bulk checks are the
+    layout (in `_data_pairs`), the edge count, 0 <= u < v < n, and the
+    strict order, which holds exactly when the us never decrease and the
+    upper neighbours of each u, the vs of its run of lines, increase.
     """
     firsts, seconds = _data_pairs(text)
     n, m = firsts[0], seconds[0]
     us, vs = firsts[1:], seconds[1:]
     side = max(vs, default=-1) + 1  # no vertex from side on has an edge
-    # u*side + v orders the pairs with 0 <= u < v < side as (u, v) does
-    codes = list(map(add, map(mul, us, repeat(side)), vs))
     if not (
         m == len(us)
-        and (not us or (min(us) >= 0 and side <= n))
+        and all(map(le, us, islice(us, 1, None)))
+        and (not us or (us[0] >= 0 and side <= n))
         and all(map(lt, us, vs))
-        and all(map(lt, codes, islice(codes, 1, None)))
     ):
         _raise_first_fault(text)
     # us is sorted, so vs[upper_at[u] : upper_at[u + 1]] are the upper
-    # neighbours of u in increasing order; the pairs coded v*side + u and
-    # sorted give the lower neighbours the same way.  A row is set as flags
-    # over the span from its lowest to its highest neighbour only, so the
-    # work grows with the edges and the spans, never with side squared.
-    lower = sorted(map(add, map(mul, vs, repeat(side)), us))
-    lower_at = list(map(bisect_left, repeat(lower), map(mul, range(side + 1), repeat(side))))
+    # neighbours of u, and each u appended to the bucket of its v leaves
+    # every bucket holding the lower neighbours of its vertex in order.
+    # A row is set as flags over the span from its lowest to its highest
+    # neighbour only, so the work grows with the edges and the spans,
+    # never with side squared.
     upper_at = list(map(bisect_left, repeat(us), range(side + 1)))
+    lower: list[list[int]] = [[] for _ in range(side)]
+    deque(map(list.append, map(lower.__getitem__, vs), us), maxlen=0)
     flags = bytearray(side)  # all zero between rows
     rows = []
-    for u in range(side):
-        base = u * side
-        nbrs = [c - base for c in lower[lower_at[u] : lower_at[u + 1]]]
-        nbrs += vs[upper_at[u] : upper_at[u + 1]]
+    for u, nbrs in enumerate(lower):
+        above = vs[upper_at[u] : upper_at[u + 1]]
+        if not all(map(lt, above, islice(above, 1, None))):
+            _raise_first_fault(text)
+        nbrs += above
         if not nbrs:
             rows.append(0)
             continue
@@ -105,6 +108,9 @@ def _data_pairs(text: str) -> tuple[list[int], list[int]]:
     """The first and the second token of every data line as ints, header
     first, once each data line is found to hold exactly two tokens.
 
+    The lines are stripped and the blank and `#` lines dropped only when
+    the text has a `#` or a blank line; otherwise the lines are used as
+    they are, since whitespace at their ends does not change their tokens.
     Blocks of lines are joined with a "|" between lines and split at once,
     so no container per line stays alive.  When a block of k lines splits
     into 3k - 1 tokens and int() accepts every token off the places 2, 5,
@@ -113,14 +119,16 @@ def _data_pairs(text: str) -> tuple[list[int], list[int]]:
     token is converted once, so a vertex id repeated on many lines is one
     shared int.
     """
-    data = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if not data:
+    lines = text.splitlines()
+    if "#" in text or not all(map(str.strip, lines)):
+        lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not lines:
         raise ValueError("edge list has no data lines")
     to_int = functools.cache(int)  # one shared int per distinct token
     firsts: list[int] = []
     seconds: list[int] = []
-    for start in range(0, len(data), _BLOCK_LINES):
-        block = data[start : start + _BLOCK_LINES]
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
         tokens = " | ".join(block).split()
         if len(tokens) != 3 * len(block) - 1:
             _raise_first_fault(text)
@@ -171,6 +179,8 @@ def labels_from_json(text: str) -> tuple[dict, ...]:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("label sidecar must be a JSON array")
+    if not all(isinstance(d, dict) for d in data):
+        raise ValueError("label sidecar entries must be JSON objects")
     return tuple(dict(d) for d in data)
 
 
@@ -266,6 +276,13 @@ def partition_to_obj(part: Bipartition) -> dict:
 
 
 def partition_from_obj(obj: Mapping, G: Graph) -> Bipartition:
+    if not isinstance(obj, dict):
+        raise ValueError('partition must be a JSON object with "S" and "T" arrays')
+    for key in ("S", "T"):
+        if key not in obj:
+            raise ValueError(f'partition has no "{key}" array')
+        if not (isinstance(obj[key], list) and all(type(v) is int for v in obj[key])):
+            raise ValueError(f'partition "{key}" must be an array of vertex ids')
     part = Bipartition.of(G, obj["S"])
     if set(obj["T"]) != set(part.T):
         raise ValueError("S and T do not partition the vertex set")

@@ -17,6 +17,7 @@ from rwcolor.formats import (
     labels_from_json,
     labels_to_json,
     parse_edge_list,
+    partition_from_obj,
     partition_to_obj,
     serialize_edge_list,
 )
@@ -93,6 +94,16 @@ def _fault_in_a_later_block() -> str:
     return "\n".join(lines)
 
 
+def _run_fault_in_a_later_block() -> str:
+    """Over 8192 data lines, two lines of one vertex's run swapped in the
+    second block, so the first column still never decreases."""
+    g = oracles.random_graph(300, 0.3, random.Random(5))
+    lines = oracles.serialize_edge_list_by_edges(g).split("\n")
+    i = next(i for i in range(9000, len(lines)) if lines[i].split()[0] == lines[i + 1].split()[0])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines)
+
+
 HAND_WRITTEN_EDGE_LISTS = {
     "empty": "",
     "only-comments": "# c\n\n   \n",
@@ -132,6 +143,14 @@ HAND_WRITTEN_EDGE_LISTS = {
     "one-far-edge": "20000 1\n0 19999\n",
     "one-edge-between-the-last-vertices": "20000 1\n19998 19999\n",
     "fault-in-a-later-block": _fault_in_a_later_block(),
+    "upper-run-out-of-order": "5 4\n0 1\n0 3\n0 2\n0 4\n",
+    "duplicate-inside-a-run": "5 4\n0 1\n0 2\n0 2\n0 3\n",
+    "only-lower-neighbours-and-isolated-middle": "6 3\n0 5\n1 5\n2 5\n",
+    "one-vertex-spelled-two-ways": "4 2\n1 2\n01 3\n",
+    "whitespace-only-line-without-comments": "3 2\n0 1\n   \n1 2\n",
+    "hash-inside-a-data-line": "3 1\n0 1 #x\n",
+    "comment-lines-without-blank-lines": "# a\n3 2\n0 1\n# b\n1 2\n",
+    "run-fault-in-a-later-block": _run_fault_in_a_later_block(),
 }
 
 
@@ -164,6 +183,28 @@ def test_labels_round_trip():
     g = h_graph(2, 3)
     labels = labels_from_json(labels_to_json(g))
     assert labels == tuple(dict(l) for l in g.labels)
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", '["ab"]', "[{}, null]"])
+def test_labels_from_json_rejects_entries_that_are_not_objects(text):
+    with pytest.raises(ValueError, match="^label sidecar entries must be JSON objects$"):
+        labels_from_json(text)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([0, 1], 'partition must be a JSON object with "S" and "T" arrays'),
+    ({"S": 5, "T": []}, 'partition "S" must be an array of vertex ids'),
+    ({"S": [0], "T": "1"}, 'partition "T" must be an array of vertex ids'),
+    ({"S": [[0]], "T": []}, 'partition "S" must be an array of vertex ids'),
+    ({"S": [0]}, 'partition has no "T" array'),
+    ({"T": [0]}, 'partition has no "S" array'),
+    ({"S": [0, 4], "T": [1, 2]}, "S contains vertices outside the graph"),
+    ({"S": [0], "T": [1]}, "S and T do not partition the vertex set"),
+])
+def test_partition_from_obj_names_the_fault(obj, message):
+    with pytest.raises(ValueError) as err:
+        partition_from_obj(obj, build_graph(3, [(0, 1)]))
+    assert str(err.value) == message
 
 
 def test_coloring_round_trip():
@@ -308,6 +349,16 @@ def test_cli_lab_extract_without_colors_is_usage_error(colors, capsys):
     assert capsys.readouterr().err == "error: --colors must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lab", "certificate", "--order", "12"],
+    ["lab", "ramsey", "--size", "4"],
+])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_lab_harness_without_seeds_is_usage_error(argv, seeds, capsys):
+    assert run(argv + ["--seeds", seeds]) == 2
+    assert capsys.readouterr() == ("", "error: --seeds must be >= 1\n")
+
+
 def test_cli_eh_and_chi(tmp_path):
     k8 = tmp_path / "k8.el"
     k8.write_text(serialize_edge_list(build_graph(8, list(itertools.combinations(range(8), 2)))))
@@ -371,6 +422,24 @@ def test_cli_missing_file_option_is_usage_error(cli_files, capsys, argv, option)
     assert run([a.format(**cli_files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize("sidecar, text, message", [
+    ("labels", "[1, 2, 3]", "label sidecar entries must be JSON objects"),
+    ("labels", '["ab"]', "label sidecar entries must be JSON objects"),
+    ("part", "[0, 1]", 'partition must be a JSON object with "S" and "T" arrays'),
+    ("part", '{"S": 5, "T": []}', 'partition "S" must be an array of vertex ids'),
+    ("part", '{"S": [0, 1]}', 'partition has no "T" array'),
+])
+def test_cli_lab_certificate_malformed_sidecar_is_usage_error(cli_files, capsys, sidecar, text,
+                                                              message):
+    """Exit 2 names the fault; exit 1 would read as an unverified certificate."""
+    with open(cli_files[sidecar], "w") as f:
+        f.write(text)
+    argv = ["lab", "certificate", "-i", cli_files["el"], "--labels", cli_files["labels"],
+            "--partition", cli_files["part"]]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, code", [
