@@ -363,6 +363,8 @@ def cmd_lab(args, record: RunRecord) -> int:
     if args.what == "ramsey":
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")
+        if args.d < 1:
+            raise ValueError("--d must be >= 1")
         rows = []
         ok = True
         for s in range(args.seeds):

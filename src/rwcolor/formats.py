@@ -17,7 +17,7 @@ from typing import Mapping, NoReturn
 
 from .coloring import Coloring, ColoringProfile, RefinementColoring
 from .ehchi import EHParams
-from .graph import Graph, select_bits
+from .graph import Graph, mask_of_flags, select_bits
 from .lab import Bipartition, ExtractionReport, MatchingCertificate
 from .orderings import LinearOrder
 from .widths import RankDecomposition, WidthReport
@@ -87,17 +87,9 @@ def parse_edge_list(text: str) -> Graph:
         for w in nbrs:
             flags[w] = 1
         lo, hi = nbrs[0], nbrs[-1] + 1
-        rows.append(_mask(flags[lo:hi]) << lo)
+        rows.append(mask_of_flags(flags[lo:hi]) << lo)
         flags[lo:hi] = bytes(hi - lo)
     return Graph(n, (*rows, *(0,) * (n - side)))
-
-
-_FLAG_TO_BINARY_DIGIT = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask(flags: bytes) -> int:
-    """The int whose bit i is flags[i] (0 or 1)."""
-    return int(flags[::-1].translate(_FLAG_TO_BINARY_DIGIT), 2)
 
 
 # data lines joined and split at once; bounds the tokens held in memory

@@ -9,7 +9,9 @@ Every bitmask traversal of a graph in the package goes through these:
 :func:`components` (connected components of a vertex mask),
 :func:`ball` and :func:`shells` (bounded BFS inside a vertex mask), and
 :func:`degeneracy_order`.  :func:`select_bits` finds every set bit of a
-whole row in one pass, for writers that read rows out in full.
+whole row in one pass, for writers that read rows out in full, and
+:func:`mask_of_flags` is its inverse, packing a run of 0/1 flags into a
+mask in one pass, for readers that set whole rows at once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 _BINARY_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+_FLAG_TO_BINARY_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
 def select_bits(items: Sequence, mask: int) -> Iterator:
@@ -52,6 +55,18 @@ def select_bits(items: Sequence, mask: int) -> Iterator:
     low = max((mask & -mask).bit_length() - 1, 0)
     flags = bin(mask >> low).encode()[:1:-1].translate(_BINARY_DIGIT_TO_FLAG)
     return compress(islice(items, low, None), flags)
+
+
+def mask_of_flags(flags: bytes) -> int:
+    """The mask whose bit i is set when flags[i] is 1; the flags must be
+    non-empty and each 0 or 1.
+
+    The flags are read in one C-level pass (reversed, translated to binary
+    digits and parsed by ``int``), so a row or a membership test built as
+    ``bytes(map(...))`` becomes a mask without one Python step per bit, as
+    :func:`mask_of` takes.
+    """
+    return int(flags[::-1].translate(_FLAG_TO_BINARY_DIGIT), 2)
 
 
 @dataclass(frozen=True)

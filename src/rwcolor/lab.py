@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, induced_subgraph, rank_of_bitrows
+from .graph import Graph, induced_subgraph, mask_of_flags, rank_of_bitrows
 from .families import (
     chain_blocks,
     chain_labels,
@@ -36,10 +36,12 @@ class Bipartition:
     @classmethod
     def of(cls, G: Graph, S: Iterable[int]) -> "Bipartition":
         S = frozenset(S)
-        all_v = frozenset(range(G.n))
-        if not S <= all_v:
+        # T is the rest of 0..n-1, so |S| + |T| exceeds n by exactly the
+        # members of S outside the graph
+        T = frozenset(itertools.filterfalse(S.__contains__, range(G.n)))
+        if len(S) + len(T) != G.n:
             raise ValueError("S contains vertices outside the graph")
-        return cls(S, all_v - S)
+        return cls(S, T)
 
     def side(self, v: int) -> str:
         if v in self.S:
@@ -130,12 +132,51 @@ def _z_side(n: int, partition: Bipartition, i: int, j: int) -> str:
     return partition.side(chain_blocks(n)[2] + row_scalar(n, i, j) - 1)
 
 
+def _c_mask(n: int, partition: Bipartition) -> int:
+    """The S side of the order-n chain's C block as one n^2-bit mask: bit
+    s-1 is set when z with row-major scalar s, z_(i,j) with s = n(i-1)+j,
+    is in S.
+
+    Both sides are read in C-level membership passes; a C vertex on
+    neither side raises the error of :meth:`Bipartition.side`, naming the
+    smallest such vertex.
+    """
+    nn = n * n
+    c0 = chain_blocks(n)[2]
+    block = range(c0, c0 + nn)
+    s = mask_of_flags(bytes(map(partition.S.__contains__, block)))
+    t = mask_of_flags(bytes(map(partition.T.__contains__, block)))
+    uncovered = ((1 << nn) - 1) & ~(s | t)
+    if uncovered:
+        partition.side(c0 + (uncovered & -uncovered).bit_length() - 1)  # raises
+    return s
+
+
+def _line_selectors(n: int) -> tuple[int, int]:
+    """Masks of row 1 (bits 0..n-1) and column 1 (bits 0, n, 2n, ...) of
+    an n^2-bit C-block mask; row i and column j are these shifted up by
+    n(i-1) and j-1."""
+    row = (1 << n) - 1
+    return row, ((1 << n * n) - 1) // row
+
+
 def mixed_lines(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:
     """Row and column indices of the order-n chain's C block containing
-    vertices from both sides."""
+    vertices from both sides.
+
+    Read from the C-block mask of :func:`_c_mask`: row i is
+    ``(s >> n(i-1)) & (2^n - 1)`` and column j is ``(s >> (j-1)) & col``,
+    with col the bits 0, n, 2n, ...; a line is mixed when its bits are
+    neither all clear nor all set.
+    """
+    return _mixed_lines(n, _c_mask(n, partition))
+
+
+def _mixed_lines(n: int, s: int) -> tuple[list[int], list[int]]:
+    row, col = _line_selectors(n)
     lines = range(1, n + 1)
-    rows = [i for i in lines if len({_z_side(n, partition, i, j) for j in lines}) == 2]
-    cols = [j for j in lines if len({_z_side(n, partition, i, j) for i in lines}) == 2]
+    rows = [i for i in lines if (s >> n * (i - 1) & row) not in (0, row)]
+    cols = [j for j in lines if (s >> j - 1 & col) not in (0, col)]
     return rows, cols
 
 
@@ -151,23 +192,28 @@ def alternating_sequence(
     """
     if lex not in (1, 2):
         raise ValueError("lex must be 1 or 2")
-    return _alternate(n, partition, mixed_lines(n, partition)[lex - 1], lex)
+    s = _c_mask(n, partition)
+    return _alternate(n, s, _mixed_lines(n, s)[lex - 1], lex)
 
 
-def _alternate(
-    n: int, partition: Bipartition, lines: list[int], lex: int
-) -> list[tuple[int, int]]:
+def _alternate(n: int, s: int, lines: list[int], lex: int) -> list[tuple[int, int]]:
+    """The alternation along *lines* of the C-block mask *s* (bit s-1 for
+    row-major scalar s, as in :func:`_c_mask`).
+
+    The element taken from a line is its first cell on the wanted side:
+    the lowest set bit of the line read from s for S, or from the
+    complement of s for T.  In a row (lex=1) bit n(i-1)+j-1 is z_(i,j); in
+    a column (lex=2), read as ``(s >> (j-1)) & col``, bit n(i-1) is z_(i,j).
+    """
+    row, col = _line_selectors(n)
+    sides = (s, ((1 << n * n) - 1) ^ s)
     seq = []
     for pos, line in enumerate(lines):
-        want = "S" if pos % 2 == 0 else "T"
-        found = None
-        for other in range(1, n + 1):
-            i, j = (line, other) if lex == 1 else (other, line)
-            if _z_side(n, partition, i, j) == want:
-                found = (i, j)
-                break
-        assert found is not None, "mixed line lost a side"
-        seq.append(found)
+        side = sides[pos % 2]
+        bits = side >> n * (line - 1) & row if lex == 1 else side >> line - 1 & col
+        assert bits, "mixed line lost a side"
+        low = (bits & -bits).bit_length() - 1
+        seq.append((line, low + 1) if lex == 1 else (low // n + 1, line))
     return seq
 
 
@@ -227,20 +273,27 @@ def lower_bound_certificate(
     column-lex one; if both counts fall short, the non-mixed lines all sit
     on one side, which already overfills it past 2|C|/3 -- returned as an
     imbalance report instead of a certificate.
+
+    The C block is read once, into the n^2-bit mask of :func:`_c_mask`
+    (bit s-1 set when z with row-major scalar s is in S): the S count is
+    its popcount, and the mixed lines and the alternation read its rows
+    ``(s >> n(i-1)) & (2^n - 1)`` and columns ``(s >> (j-1)) & col``, col
+    having the bits 0, n, 2n, ...; only the matching step asks
+    :meth:`Bipartition.side` about single vertices.
     """
     n = chain_order(G)
     if n < 12:
         raise ValueError("lower-bound pipeline needs chain order >= 12")
-    c0 = chain_blocks(n)[2]
-    s_count = sum(1 for v in range(c0, c0 + n * n) if v in partition.S)
+    s = _c_mask(n, partition)
+    s_count = s.bit_count()
     t_count = n * n - s_count
     k = n // 12
-    mrows, mcols = mixed_lines(n, partition)
+    mrows, mcols = _mixed_lines(n, s)
     balanced = 3 * s_count >= n * n and 3 * t_count >= n * n
     if balanced and len(mrows) >= 4 * k:
-        return matching_from_alternation(n, partition, _alternate(n, partition, mrows, 1), "A")
+        return matching_from_alternation(n, partition, _alternate(n, s, mrows, 1), "A")
     if balanced and len(mcols) >= 4 * k:
-        return matching_from_alternation(n, partition, _alternate(n, partition, mcols, 2), "B")
+        return matching_from_alternation(n, partition, _alternate(n, s, mcols, 2), "B")
     # an imbalanced C block, or few mixed lines, which force all non-mixed
     # rows onto one side
     heavy = "S" if s_count >= t_count else "T"
@@ -256,11 +309,11 @@ def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
     c_list = list(range(c0, c0 + nn))
     rng.shuffle(c_list)
     cut = rng.randint((nn + 2) // 3, nn - (nn + 2) // 3)
-    S = set(c_list[:cut])
-    for v in range(c0):
-        if rng.random() < 0.5:
-            S.add(v)
-    return Bipartition.of(G, S)
+    # one coin flip per A/B vertex, in vertex order; a comprehension draws
+    # them faster than a C-level iterator over rng.random, which compares
+    # every draw with a sentinel or calls a method wrapper per flip
+    draw = rng.random
+    return Bipartition.of(G, c_list[:cut] + [v for v in range(c0) if draw() < 0.5])
 
 
 def ramsey_threshold(k: int, d: int) -> int:

@@ -9,15 +9,24 @@ code, the per-edge width check, the rooted balanced partition and the
 prune-and-suppress restriction; as the reference for the range-built
 twisted chain, the pair-by-pair rule builder; as the references for the
 bulk edge-list reader and writer, the per-line parser, the per-edge
-serializer and the per-bit symmetry scan).
+serializer and the per-bit symmetry scan; as the references for the
+mask-read certificate harness, the per-cell side lookups and the per-vertex
+coin flips).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
-from rwcolor.families import TWISTED_CHAIN_VARIANTS
+from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
 from rwcolor.graph import Graph, bits_of, build_graph
+from rwcolor.lab import (
+    Bipartition,
+    ImbalanceReport,
+    MatchingCertificate,
+    matching_from_alternation,
+)
 from rwcolor.widths import RankDecomposition
 
 
@@ -565,3 +574,86 @@ def random_cotree(n: int, rng):
         op = rng.choice(["union", "join"])
         items.append(Cotree(op, None, tuple(parts)))
     return items[0]
+
+
+def _z_side_by_lookup(n: int, partition: Bipartition, i: int, j: int) -> str:
+    """Side of z_(i,j) of an order-n chain."""
+    return partition.side(chain_blocks(n)[2] + row_scalar(n, i, j) - 1)
+
+
+def mixed_lines_by_cells(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:
+    """Row and column indices of the order-n chain's C block containing
+    vertices from both sides, asking the side of every cell twice."""
+    lines = range(1, n + 1)
+    rows = [i for i in lines if len({_z_side_by_lookup(n, partition, i, j) for j in lines}) == 2]
+    cols = [j for j in lines if len({_z_side_by_lookup(n, partition, i, j) for i in lines}) == 2]
+    return rows, cols
+
+
+def alternating_sequence_by_cells(
+    n: int, partition: Bipartition, lex: int
+) -> list[tuple[int, int]]:
+    """Greedy S/T-alternating sequence of C coordinates along a lex order."""
+    if lex not in (1, 2):
+        raise ValueError("lex must be 1 or 2")
+    return _alternate_by_cells(n, partition, mixed_lines_by_cells(n, partition)[lex - 1], lex)
+
+
+def _alternate_by_cells(
+    n: int, partition: Bipartition, lines: list[int], lex: int
+) -> list[tuple[int, int]]:
+    seq = []
+    for pos, line in enumerate(lines):
+        want = "S" if pos % 2 == 0 else "T"
+        found = None
+        for other in range(1, n + 1):
+            i, j = (line, other) if lex == 1 else (other, line)
+            if _z_side_by_lookup(n, partition, i, j) == want:
+                found = (i, j)
+                break
+        assert found is not None, "mixed line lost a side"
+        seq.append(found)
+    return seq
+
+
+def lower_bound_certificate_by_cells(
+    G: Graph, partition: Bipartition
+) -> MatchingCertificate | ImbalanceReport:
+    """Certificate of order >= floor(m/12) from a C-balanced bipartition,
+    counting and walking the C block one cell at a time."""
+    n = chain_order(G)
+    if n < 12:
+        raise ValueError("lower-bound pipeline needs chain order >= 12")
+    c0 = chain_blocks(n)[2]
+    s_count = sum(1 for v in range(c0, c0 + n * n) if v in partition.S)
+    t_count = n * n - s_count
+    k = n // 12
+    mrows, mcols = mixed_lines_by_cells(n, partition)
+    balanced = 3 * s_count >= n * n and 3 * t_count >= n * n
+    if balanced and len(mrows) >= 4 * k:
+        return matching_from_alternation(
+            n, partition, _alternate_by_cells(n, partition, mrows, 1), "A"
+        )
+    if balanced and len(mcols) >= 4 * k:
+        return matching_from_alternation(
+            n, partition, _alternate_by_cells(n, partition, mcols, 2), "B"
+        )
+    heavy = "S" if s_count >= t_count else "T"
+    return ImbalanceReport(heavy, max(s_count, t_count), n * n, len(mrows), len(mcols))
+
+
+def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
+    """Seeded bipartition balanced with respect to the C block, one coin
+    flip per A/B vertex in a Python loop."""
+    n = chain_order(G)
+    c0 = chain_blocks(n)[2]
+    rng = random.Random(seed)
+    nn = n * n
+    c_list = list(range(c0, c0 + nn))
+    rng.shuffle(c_list)
+    cut = rng.randint((nn + 2) // 3, nn - (nn + 2) // 3)
+    S = set(c_list[:cut])
+    for v in range(c0):
+        if rng.random() < 0.5:
+            S.add(v)
+    return Bipartition.of(G, S)

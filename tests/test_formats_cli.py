@@ -359,6 +359,13 @@ def test_cli_lab_harness_without_seeds_is_usage_error(argv, seeds, capsys):
     assert capsys.readouterr() == ("", "error: --seeds must be >= 1\n")
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_cli_lab_ramsey_with_d_below_one_is_usage_error(d, capsys):
+    argv = ["lab", "ramsey", "--k", "2", "--d", d, "--size", "4", "--seeds", "1"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: --d must be >= 1\n")
+
+
 def test_cli_eh_and_chi(tmp_path):
     k8 = tmp_path / "k8.el"
     k8.write_text(serialize_edge_list(build_graph(8, list(itertools.combinations(range(8), 2)))))

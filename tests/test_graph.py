@@ -17,6 +17,7 @@ from rwcolor.graph import (
     cutrank,
     induced_subgraph,
     mask_of,
+    mask_of_flags,
     power,
     rank_of_bitrows,
     select_bits,
@@ -231,6 +232,10 @@ def test_select_bits_picks_the_items_at_bits_of():
     for mask in masks:
         names = [f"v{i}" for i in range(mask.bit_length() + rng.randint(0, 3))]
         assert list(select_bits(names, mask)) == [names[i] for i in bits_of(mask)]
+        flags = bytearray(len(names) or 1)
+        for i in bits_of(mask):
+            flags[i] = 1
+        assert mask_of_flags(flags) == mask
 
 
 @pytest.mark.parametrize("u, v", [(6, 2), (2, 6)], ids=["lower", "upper"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from rwcolor import lab
 from rwcolor.graph import cutrank, rank_of_bitrows
 from rwcolor.families import twisted_chain, verify_twisted_chain
@@ -182,6 +183,95 @@ def test_balanced_bipartition_generator_is_balanced():
         part = random_balanced_bipartition(g, seed)
         s = sum(1 for v in c_ids(12) if v in part.S)
         assert 3 * s >= nn and 3 * (nn - s) >= nn
+
+
+# -- the mask-read harness against the per-cell reference ------------------------
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _assert_harness_matches_reference(g, n, part):
+    assert _outcome(mixed_lines, n, part) == _outcome(oracles.mixed_lines_by_cells, n, part)
+    for lex in (1, 2):
+        assert _outcome(alternating_sequence, n, part, lex) == _outcome(
+            oracles.alternating_sequence_by_cells, n, part, lex
+        )
+    got = _outcome(lower_bound_certificate, g, part)
+    want = _outcome(oracles.lower_bound_certificate_by_cells, g, part)
+    assert type(got) is type(want) and got == want
+
+
+def _skewed_subsets(n, rng):
+    """40 vertex sets of an order-n chain whose C blocks run from all in S to
+    all in T: the two extremes, whole rows or whole columns on one side (no
+    mixed rows, or no mixed columns), and random C blocks at lopsided and
+    near-threshold densities, each with random A and B halves."""
+    nn = n * n
+    c0 = 2 * nn
+    lines = range(n)
+    c_blocks = [set(range(c0, c0 + nn)), set()]
+    for k in (1, n // 2, n - 1):
+        c_blocks.append({c0 + n * i + j for i in lines if i < k for j in lines})
+        c_blocks.append({c0 + n * i + j for i in lines for j in lines if j < k})
+    while len(c_blocks) < 40:
+        p = rng.choice((0.01, 0.05, 0.2, 0.33, 0.34, 0.5, 0.66, 0.67, 0.8, 0.95, 0.99))
+        c_blocks.append({v for v in range(c0, c0 + nn) if rng.random() < p})
+    return [c | {v for v in range(c0) if rng.random() < 0.5} for c in c_blocks]
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 60), (4, 60), (6, 60), (12, 60), (13, 60), (24, 60),
+                                      (36, 60), (72, 2)])
+def test_harness_matches_the_per_cell_reference(n, seeds):
+    g = twisted_chain(n)
+    for seed in range(seeds):
+        part = random_balanced_bipartition(g, seed)
+        assert part == oracles.random_balanced_bipartition_by_draws(g, seed)
+        _assert_harness_matches_reference(g, n, part)
+    for S in _skewed_subsets(n, random.Random(n)):
+        part = Bipartition.of(g, S)
+        assert part == Bipartition(frozenset(S), frozenset(range(g.n)) - frozenset(S))
+        _assert_harness_matches_reference(g, n, part)
+
+
+def test_harness_names_the_smallest_uncovered_vertex_like_the_reference():
+    g = twisted_chain(12)
+    c0 = 2 * 144
+    # z at C positions 5 and 70 on neither side, another T vertex also in S
+    S = frozenset(range(c0, c0 + 60))
+    T = frozenset(v for v in range(g.n) if v not in S and v not in (c0 + 5, c0 + 70)) | {c0}
+    part = Bipartition(S - {c0 + 5}, T)
+    got = _outcome(lower_bound_certificate, g, part)
+    assert got == ("ValueError", f"vertex {c0 + 5} is on neither side")
+    assert got == _outcome(oracles.lower_bound_certificate_by_cells, g, part)
+    _assert_harness_matches_reference(g, 12, part)
+    with pytest.raises(ValueError, match="lex must be 1 or 2"):
+        alternating_sequence(12, part, 3)
+
+
+def test_bipartition_of_rejects_vertices_outside_the_graph():
+    g = twisted_chain(2)
+    for S in ([12], [-1], [0, 3, 12], ["a"]):
+        with pytest.raises(ValueError, match="S contains vertices outside the graph"):
+            Bipartition.of(g, S)
+    assert Bipartition.of(g, range(12)) == Bipartition(frozenset(range(12)), frozenset())
+
+
+def test_certificate_reads_sides_from_the_mask_not_per_cell(monkeypatch):
+    calls = []
+    real = Bipartition.side
+    monkeypatch.setattr(Bipartition, "side", lambda self, v: calls.append(v) or real(self, v))
+    n = 24
+    g = twisted_chain(n)
+    part = random_balanced_bipartition(g, 0)
+    assert isinstance(lower_bound_certificate(g, part), MatchingCertificate)
+    # the per-cell walk asked about every C vertex at least twice (2n^2)
+    assert 0 < len(calls) <= 2 * n
 
 
 # -- product Ramsey ------------------------------------------------------------
