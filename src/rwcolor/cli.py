@@ -361,10 +361,9 @@ def cmd_lab(args, record: RunRecord) -> int:
         _emit_harness(args, record, rows)
         return 0 if all(verified for _, _, verified in rows) else 1
     if args.what == "ramsey":
-        if args.seeds < 1:
-            raise ValueError("--seeds must be >= 1")
-        if args.d < 1:
-            raise ValueError("--d must be >= 1")
+        for name in ("seeds", "k", "d", "size"):
+            if getattr(args, name) < 1:
+                raise ValueError(f"--{name} must be >= 1")
         rows = []
         ok = True
         for s in range(args.seeds):

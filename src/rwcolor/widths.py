@@ -323,13 +323,21 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
     same; most calls of the search would end there.  (The loop only runs on
     connected subsets of >= 3 vertices, since an edge gets equal bounds at
     once, so what is left is never a single vertex.)
-    A connected subset of s vertices and m edges starts from two sound
-    lower bounds: its minimum degree + 1, since the deepest vertex of an
-    elimination tree has every neighbour above it; and the least t with
-    2m <= (t - 1)(2s - t), since every edge joins a vertex to one of its
-    ancestors, and a depth-t tree on s vertices has at most
-    (t - 1)(2s - t)/2 ancestor pairs (a path of t vertices, the rest at
-    depth t).  A bound like log2(s + 1) would be wrong: a star has depth 2.
+    A subset of s vertices and m edges with no stored bounds starts from two
+    sound lower bounds, taken before it is split into components: its
+    minimum degree + 1, since the deepest vertex of an elimination tree has
+    every neighbour above it; and the least t with 2m <= (t - 1)(2s - t),
+    since every edge joins a vertex to one of its ancestors, and a depth-t
+    tree on s vertices has at most (t - 1)(2s - t)/2 ancestor pairs (a path
+    of t vertices, the rest at depth t).  Both hold for a forest too: its
+    depth is the largest depth of its trees, its deepest vertex still has
+    every neighbour above it, and splitting s vertices into several trees
+    leaves no more ancestor pairs.  A bound like log2(s + 1) would be wrong:
+    a star has depth 2.  The loop bounds a deletion with no stored bounds
+    from the parent's degrees, with no call: what is left has minimum
+    degree >= the parent's minimum degree - 1 and 2m - 2 deg(v) edge-ends
+    on s - 1 vertices, so the same two bounds apply, and they answer it as
+    a stored lower bound would.
     """
     bounds: dict[int, tuple[int, int]] = {}
     rows = G.adj
@@ -343,6 +351,18 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
             return high
         if low >= limit:
             return low
+        vs = list(bits_of(mask))
+        degs = [(rows[v] & mask).bit_count() for v in vs]
+        size = len(vs)
+        twice_m = sum(degs)
+        least = min(degs)
+        if known is None:
+            low = least + 1
+            while (low - 1) * (2 * size - low) < twice_m:
+                low += 1
+            if low >= limit or low == high:
+                bounds[mask] = (low, high)
+                return low
         comps = components(G, mask)
         if len(comps) > 1:
             val = 0
@@ -351,23 +371,22 @@ def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
                 if val >= limit:
                     break
         else:
-            vs = list(bits_of(mask))
-            degs = [(rows[v] & mask).bit_count() for v in vs]
-            size = len(vs)
-            if known is None:
-                twice_m = sum(degs)
-                low = min(degs) + 1
-                while (low - 1) * (2 * size - low) < twice_m:
-                    low += 1
-                if low >= limit or low == high:
-                    bounds[mask] = (low, high)
-                    return low
             best = high
             floor = limit
             cut = min(limit, best)
-            for _, v in sorted(zip(degs, vs), key=lambda dv: -dv[0]):
+            for d, v in sorted(zip(degs, vs), key=lambda dv: -dv[0]):
                 child = mask ^ (1 << v)
-                c_low, c_high = bounds.get(child) or (1, size - 1)
+                c_known = bounds.get(child)
+                if c_known is None:
+                    # the parent's numbers bound the child: its minimum
+                    # degree is >= least - 1, and it keeps 2m - 2d edge-ends
+                    # on size - 1 vertices
+                    c_low, c_high = least, size - 1
+                    ends = twice_m - 2 * d
+                    while (c_low - 1) * (2 * c_high - c_low) < ends:
+                        c_low += 1
+                else:
+                    c_low, c_high = c_known
                 if c_high < enough or c_low == c_high:
                     got = c_high + 1
                 elif c_low >= cut - 1:

@@ -366,6 +366,16 @@ def test_cli_lab_ramsey_with_d_below_one_is_usage_error(d, capsys):
     assert capsys.readouterr() == ("", "error: --d must be >= 1\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("option", ["--k", "--size"])
+def test_cli_lab_ramsey_with_k_or_size_below_one_is_usage_error(option, value, capsys):
+    # checked before the --size x --size table is drawn
+    argv = ["lab", "ramsey", "--k", "2", "--d", "2", "--size", "4", "--seeds", "1"]
+    argv[argv.index(option) + 1] = value
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {option} must be >= 1\n")
+
+
 def test_cli_eh_and_chi(tmp_path):
     k8 = tmp_path / "k8.el"
     k8.write_text(serialize_edge_list(build_graph(8, list(itertools.combinations(range(8), 2)))))
