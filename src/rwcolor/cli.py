@@ -1,5 +1,9 @@
 """Command-line toolkit tying the library together.
 
+Every command reads and writes its files through one :class:`RunRecord`,
+so the manifest that ``--manifest`` writes lists exactly the files the run
+read and wrote.
+
 Exit codes: 0 success (and verified, where applicable), 1 not verified
 (refuted, or inconclusive where a cap left a union undecided), 2 usage or
 format errors.
@@ -53,7 +57,7 @@ from .lab import (
     monochromatic_substructure,
     random_balanced_bipartition,
     ramsey_bireduce,
-    ramsey_threshold,
+    ramsey_threshold_within,
 )
 from .orderings import wcol_exact, wcol_heuristic
 from .widths import rank_width_exact, rank_width_upper, tree_depth_exact, verify_decomposition
@@ -61,27 +65,16 @@ from .widths import rank_width_exact, rank_width_upper, tree_depth_exact, verify
 OUTDIR_ENV = "RWCOLOR_OUTDIR"
 
 
-def _resolve(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _write(path: str, text: str) -> None:
+    """Write text to path; a relative path goes under $RWCOLOR_OUTDIR when set."""
     base = os.environ.get(OUTDIR_ENV)
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _write(path: str, text: str) -> None:
-    path = _resolve(path)
+        path = os.path.join(base, path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _need(value: str | None, option: str) -> str:
@@ -91,43 +84,39 @@ def _need(value: str | None, option: str) -> str:
     return value
 
 
-def _load_graph(path: str) -> Graph:
-    return formats.parse_edge_list(_read(path))
-
-
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
-
-
 @dataclass
 class RunRecord:
-    """What a command reports for its manifest: the files it wrote and the
-    seeds it used.  :func:`main` writes the manifest once the command ends."""
+    """The one way a command reads or writes a file, and what its manifest
+    reports: the files read and written, in the order the run touched them,
+    and the seeds it drew from, which a command that draws sets itself.
+    :func:`main` writes the manifest from it once the command ends."""
 
+    inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
 
+    def read(self, path: str) -> str:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        self.inputs.append(path)
+        return text
 
-def _written(*paths: str | None) -> list[str]:
-    return [p for p in paths if p]
+    def graph(self, path: str) -> Graph:
+        return formats.parse_edge_list(self.read(path))
 
+    def write(self, path: str, text: str) -> None:
+        _write(path, text)
+        self.outputs.append(path)
 
-# The file options each command reads, in manifest order; every other command
-# reads only -i.  `gen --labels` and `color --profile` name files written.
-READS = {
-    "color": ("input", "coloring"),
-    "verify": ("input", "coloring", "decomposition", "profile"),
-    "lab": ("input", "labels", "partition"),
-    "chi": ("input", "coloring"),
-    "report": ("spec",),
-}
+    def emit(self, path: str | None, text: str) -> None:
+        """Write text to path, or to stdout when there is no path."""
+        if path:
+            self.write(path, text)
+        else:
+            sys.stdout.write(text)
 
 
 def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
-    reads = READS.get(args.command, ("input",))
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -140,7 +129,7 @@ def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
         "command": " ".join(argv),
         "parameters": params,
         "seeds": record.seeds,
-        "inputs": _written(*(getattr(args, k, None) for k in reads)),
+        "inputs": record.inputs,
         "outputs": record.outputs,
         "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
@@ -172,10 +161,10 @@ def cmd_gen(args, record: RunRecord) -> int:
     if args.family in FAMILIES:
         g = _generate(args.family, vars(args))
     elif args.family == "map":
-        rotations = formats.rotations_from_json(_read(_need(args.input, "-i/--input")))
+        rotations = formats.rotations_from_json(record.read(_need(args.input, "-i/--input")))
         g = map_graph_from_rotation(rotations)
     elif args.family == "linegraph":
-        g = line_graph_via_subdivision(_load_graph(_need(args.input, "-i/--input")))
+        g = line_graph_via_subdivision(record.graph(_need(args.input, "-i/--input")))
     elif args.family == "model":
         model = (
             interval_model(args.order)
@@ -196,45 +185,42 @@ def cmd_gen(args, record: RunRecord) -> int:
     edge_text = formats.serialize_edge_list(g)
     labels_text = formats.labels_to_json(g) if args.labels else None
     if model_text is not None and args.model_out:
-        _write(args.model_out, model_text)
-        record.outputs.append(args.model_out)
-    _emit(args, edge_text)
+        record.write(args.model_out, model_text)
+    record.emit(args.output, edge_text)
     if labels_text is not None:
-        _write(args.labels, labels_text)
-    record.outputs += _written(args.output, args.labels)
+        record.write(args.labels, labels_text)
     record.seeds = [args.seed]
     return 0
 
 
 def cmd_power(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
-    _emit(args, formats.serialize_edge_list(power(g, args.r)))
-    record.outputs = _written(args.output)
+    g = record.graph(args.input)
+    record.emit(args.output, formats.serialize_edge_list(power(g, args.r)))
     return 0
 
 
 def cmd_wcol(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
+    g = record.graph(args.input)
     if args.exact:
         value, order = wcol_exact(g, args.r)
         method = "exact"
     else:
         value, order, _ = wcol_heuristic(g, args.r)
         method = "heuristic"
+    record.emit(args.output, formats.dumps_json({"r": args.r, "value": value, "method": method}))
     if args.order_out:
-        _write(args.order_out, formats.order_to_json(order))
-    _emit(args, formats.dumps_json({"r": args.r, "value": value, "method": method}))
-    record.outputs = _written(args.output, args.order_out)
+        record.write(args.order_out, formats.order_to_json(order))
     return 0
 
 
 def cmd_color(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
+    g = record.graph(args.input)
     if args.mode == "td":
         c = treedepth_coloring(g, args.p)
-        _emit(args, formats.dumps_json(formats.coloring_to_obj(c)))
+        record.emit(args.output, formats.dumps_json(formats.coloring_to_obj(c)))
     elif args.mode == "refine":
-        base = formats.coloring_from_obj(json.loads(_read(_need(args.coloring, "-c/--coloring"))))
+        text = record.read(_need(args.coloring, "-c/--coloring"))
+        base = formats.coloring_from_obj(json.loads(text))
         if args.good:
             _, L, wsets = wcol_heuristic(g, args.r)
             ref = good_refinement(g, base, args.r, L, wsets)
@@ -242,44 +228,41 @@ def cmd_color(args, record: RunRecord) -> int:
             levels = [wcol_heuristic(g, radius) for radius in range(2, args.r + 1)]
             orders = [L for _, L, _ in levels]
             ref = excellent_refinement(g, base, args.r, orders, [ws for _, _, ws in levels])
-        _emit(args, formats.dumps_json(formats.refinement_to_obj(ref)))
+        record.emit(args.output, formats.dumps_json(formats.refinement_to_obj(ref)))
     elif args.mode == "lowrw":
         ref, profile = low_rankwidth_coloring_of_power(g, args.r, args.p)
         obj = formats.refinement_to_obj(ref)
         obj["p"] = args.p
         obj["q"] = {str(i): v for i, v in sorted(profile.q.items())}
-        _emit(args, formats.dumps_json(obj))
         if args.profile:
-            _write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
-            record.outputs.append(args.profile)
+            record.write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
+        record.emit(args.output, formats.dumps_json(obj))
     else:
         raise ValueError(f"unknown color mode {args.mode!r}")
-    record.outputs += _written(args.output)
     return 0
 
 
 def cmd_verify(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
+    g = record.graph(args.input)
     if args.what == "decomposition":
         D = formats.decomposition_from_obj(
-            json.loads(_read(_need(args.decomposition, "-d/--decomposition")))
+            json.loads(record.read(_need(args.decomposition, "-d/--decomposition")))
         )
         try:
             width = verify_decomposition(g, D)
         except ValueError as exc:
             sys.stderr.write(f"invalid decomposition: {exc}\n")
             return 1
-        _emit(args, formats.dumps_json({"width": width}))
-        record.outputs = _written(args.output)
+        record.emit(args.output, formats.dumps_json({"width": width}))
         if args.max_width is not None and width > args.max_width:
             return 1
         return 0
-    obj = json.loads(_read(_need(args.coloring, "-c/--coloring")))
+    obj = json.loads(record.read(_need(args.coloring, "-c/--coloring")))
     c = formats.coloring_from_obj(obj)
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
-        _emit(
-            args,
+        record.emit(
+            args.output,
             formats.dumps_json(
                 {
                     "verified": report.ok,
@@ -289,11 +272,10 @@ def cmd_verify(args, record: RunRecord) -> int:
                 }
             ),
         )
-        record.outputs = _written(args.output)
         return 0 if report.ok else 1
     if args.mode == "lowrw":
         if args.profile:
-            prof_obj = json.loads(_read(args.profile))
+            prof_obj = json.loads(record.read(args.profile))
             q = {int(i): v for i, v in prof_obj["q"].items()}
         elif "q" in obj:
             q = {int(i): v for i, v in obj["q"].items()}
@@ -305,38 +287,36 @@ def cmd_verify(args, record: RunRecord) -> int:
                 "file that embeds its q table"
             )
         profile = verify_low_rw_coloring(g, c, args.p, q)
-        _emit(args, formats.dumps_json(formats.profile_to_obj(profile)))
-        record.outputs = _written(args.output)
+        record.emit(args.output, formats.dumps_json(formats.profile_to_obj(profile)))
         return 0 if profile.verified else 1
     raise ValueError(f"unknown verify mode {args.mode!r}")
 
 
 def cmd_width(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
+    g = record.graph(args.input)
     if args.what == "rank":
         rep = rank_width_exact(g) if args.exact else rank_width_upper(g)
-        _emit(args, formats.dumps_json(formats.width_report_to_obj(rep)))
+        record.emit(args.output, formats.dumps_json(formats.width_report_to_obj(rep)))
     elif args.what == "treedepth":
         value = tree_depth_exact(g)
-        _emit(args, formats.dumps_json({"value": value, "method": "exact"}))
+        record.emit(args.output, formats.dumps_json({"value": value, "method": "exact"}))
     else:
         raise ValueError(f"unknown width kind {args.what!r}")
-    record.outputs = _written(args.output)
     return 0
 
 
 def cmd_lab(args, record: RunRecord) -> int:
     if args.what == "certificate":
         if args.input:
-            g = _load_graph(args.input)
-            labels = formats.labels_from_json(_read(_need(args.labels, "--labels")))
+            g = record.graph(args.input)
+            labels = formats.labels_from_json(record.read(_need(args.labels, "--labels")))
             g = Graph(g.n, g.adj, labels)
-            part_obj = json.loads(_read(_need(args.partition, "--partition")))
+            part_obj = json.loads(record.read(_need(args.partition, "--partition")))
             part = formats.partition_from_obj(part_obj, g)
             result = lower_bound_certificate(g, part)
             if isinstance(result, ImbalanceReport):
-                _emit(
-                    args,
+                record.emit(
+                    args.output,
                     formats.dumps_json(
                         {
                             "imbalance": {
@@ -347,13 +327,11 @@ def cmd_lab(args, record: RunRecord) -> int:
                         }
                     ),
                 )
-                record.outputs = _written(args.output)
                 return 1
             rank = certificate_rank(g, result)
             obj = formats.certificate_to_obj(result)
             obj["rank"] = rank
-            _emit(args, formats.dumps_json(obj))
-            record.outputs = _written(args.output)
+            record.emit(args.output, formats.dumps_json(obj))
             return 0 if rank == result.order else 1
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")
@@ -364,6 +342,7 @@ def cmd_lab(args, record: RunRecord) -> int:
         for name in ("seeds", "k", "d", "size"):
             if getattr(args, name) < 1:
                 raise ValueError(f"--{name} must be >= 1")
+        guaranteed = ramsey_threshold_within(args.k, args.d, args.size) is not None
         rows = []
         ok = True
         for s in range(args.seeds):
@@ -382,7 +361,7 @@ def cmd_lab(args, record: RunRecord) -> int:
                 args.d,
             )
             verified = res.size >= args.k
-            ok = ok and verified and res.guaranteed == (args.size >= ramsey_threshold(args.k, args.d))
+            ok = ok and verified and res.guaranteed == guaranteed
             rows.append((seed, res.size, verified))
         _emit_harness(args, record, rows)
         return 0 if ok else 1
@@ -393,8 +372,7 @@ def cmd_lab(args, record: RunRecord) -> int:
         rng = random.Random(args.seed)
         colors = [rng.randint(1, args.colors) for _ in range(g.n)]
         sub, report = monochromatic_substructure(g, colors, args.target)
-        _emit(args, formats.dumps_json(formats.extraction_report_to_obj(report)))
-        record.outputs = _written(args.output)
+        record.emit(args.output, formats.dumps_json(formats.extraction_report_to_obj(report)))
         record.seeds = [args.seed]
         return 0 if report.achieved >= 1 else 1
     raise ValueError(f"unknown lab command {args.what!r}")
@@ -426,29 +404,24 @@ def _emit_harness(args, record: RunRecord, rows) -> None:
     writer.writerow(["seed", "achieved_order", "verified"])
     for seed, order, verified in rows:
         writer.writerow([seed, order, str(bool(verified)).lower()])
-    if args.csv:
-        _write(args.csv, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    record.outputs = _written(args.csv)
+    record.emit(args.csv, buf.getvalue())
     record.seeds = [args.seed]
 
 
 def cmd_eh(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
+    g = record.graph(args.input)
     provider = even_split_provider(args.classes, args.width_bound)
     witness, kind, params = eh_witness(g, provider)
-    _emit(args, formats.dumps_json(formats.witness_to_obj(witness, kind, params, g.n)))
-    record.outputs = _written(args.output)
+    obj = formats.witness_to_obj(witness, kind, params, g.n)
+    record.emit(args.output, formats.dumps_json(obj))
     return 0
 
 
 def cmd_chi(args, record: RunRecord) -> int:
-    g = _load_graph(args.input)
-    c = formats.coloring_from_obj(json.loads(_read(args.coloring)))
+    g = record.graph(args.input)
+    c = formats.coloring_from_obj(json.loads(record.read(args.coloring)))
     out = chi_product_coloring(g, c)
-    _emit(args, formats.dumps_json(formats.coloring_to_obj(out)))
-    record.outputs = _written(args.output)
+    record.emit(args.output, formats.dumps_json(formats.coloring_to_obj(out)))
     return 0
 
 
@@ -518,20 +491,19 @@ def _sweep_row(spec: dict) -> dict:
 
 
 def cmd_report(args, record: RunRecord) -> int:
-    spec = json.loads(_read(args.spec))
+    spec = json.loads(record.read(args.spec))
     runs = spec.get("runs", [])
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS, lineterminator="\n")
     writer.writeheader()
     for run in runs:
         writer.writerow(_sweep_row(run))
-    _emit(args, buf.getvalue())
-    record.outputs = _written(args.output)
+    record.emit(args.output, buf.getvalue())
     return 0
 
 
 def cmd_rerun(args, record: RunRecord) -> int:
-    manifest = json.loads(_read(args.manifest))
+    manifest = json.loads(record.read(args.manifest))
     return main(manifest["argv"])
 
 
@@ -552,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("-o", "--output", help="output file (default stdout)")
         p.add_argument("--manifest", help="write a run manifest to this path")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     p = sub.add_parser("gen", help="generate a graph family")
     p.add_argument("family", choices=[*FAMILIES, "map", "linegraph", "model"])
@@ -568,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="write the label sidecar JSON here")
     p.add_argument("--model-out", help="write the intersection model JSON here")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("power", help="graph power")
@@ -633,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition")
     p.add_argument("--csv", help="write the harness CSV here")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.set_defaults(func=cmd_lab)
 
     p = sub.add_parser("eh", help="clique-or-independent-set witnesses")

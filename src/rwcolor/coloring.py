@@ -446,7 +446,6 @@ class ColoringProfile:
     base_colors: int = 0
     measured: dict[int, tuple[int, str]] = field(default_factory=dict)
     verified: bool | None = None
-    seed: int | None = None
 
 
 def gurski_wanke_budget(r: int, q: int) -> int:

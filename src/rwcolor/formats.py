@@ -223,7 +223,6 @@ def profile_to_obj(p: ColoringProfile) -> dict:
             str(i): {"width": w, "method": m} for i, (w, m) in sorted(p.measured.items())
         },
         "verified": p.verified,
-        "seed": p.seed,
     }
 
 

@@ -329,11 +329,9 @@ def ramsey_threshold_within(k: int, d: int, limit: int) -> int | None:
     """
     if limit < 1:
         return None
-    if d == 1:
-        return k if k <= limit else None
     if k * d * math.log2(d) + math.log2(max(k, 1)) > math.log2(limit) + 1:
         return None
-    t = k * d ** (d * k)
+    t = ramsey_threshold(k, d)
     return t if t <= limit else None
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwcolor import cli
+from rwcolor import cli, lab
 from rwcolor.coloring import Coloring
 from rwcolor.formats import (
     coloring_from_obj,
@@ -376,6 +376,25 @@ def test_cli_lab_ramsey_with_k_or_size_below_one_is_usage_error(option, value, c
     assert capsys.readouterr() == ("", f"error: {option} must be >= 1\n")
 
 
+@pytest.mark.parametrize("k, d, code", [("2000", "2000", 1), ("1", "1000000", 0)])
+def test_cli_lab_ramsey_compares_with_a_threshold_out_of_reach(monkeypatch, tmp_path, k, d,
+                                                               code):
+    # k * d**(d*k) has 43.9 M bits at k = d = 2000 and 19.9 M bits at k = 1,
+    # d = 10**6, seconds to build; the run may only learn that it exceeds
+    # --size.  A 1 x 1 block is found on every seed, so k = 1 reaches the
+    # guarantee check that compares with the threshold.
+    def built(k, d):
+        raise AssertionError(f"ramsey_threshold({k}, {d}) built in full")
+
+    monkeypatch.setattr(lab, "ramsey_threshold", built)
+    monkeypatch.setattr(cli, "ramsey_threshold", built, raising=False)
+    out = tmp_path / "ramsey.csv"
+    assert run(["lab", "ramsey", "--k", k, "--d", d, "--size", "4",
+                "--seeds", "3", "--csv", str(out)]) == code
+    lines = out.read_text().splitlines()
+    assert lines[0] == "seed,achieved_order,verified" and len(lines) == 4
+
+
 def test_cli_eh_and_chi(tmp_path):
     k8 = tmp_path / "k8.el"
     k8.write_text(serialize_edge_list(build_graph(8, list(itertools.combinations(range(8), 2)))))
@@ -481,24 +500,83 @@ def test_cli_manifest_written_for_every_finished_command(cli_files, tmp_path, ar
 
 
 @pytest.mark.parametrize("argv, read, written", [
-    (["gen", "chain", "--order", "12", "--labels", "{tmp}/l.json"], [], ["{tmp}/l.json"]),
-    (["color", "lowrw", "-p", "1", "-i", "{p4}", "--profile", "{tmp}/q.json"],
-     ["{p4}"], ["{tmp}/q.json"]),
-    (["verify", "coloring", "-p", "1", "-i", "{p4}", "-c", "{col}", "--profile", "{tmp}/q.json"],
-     ["{p4}", "{col}", "{tmp}/q.json"], []),
-    (["report", "sweep", "--spec", "{tmp}/spec.json"], ["{tmp}/spec.json"], []),
+    (["gen", "chain", "--order", "12", "--labels", "{tmp}/l.json", "-o", "{out}"],
+     [], ["{out}", "{tmp}/l.json"]),
+    (["gen", "model", "--order", "2", "--model-out", "{tmp}/m.json", "-o", "{out}"],
+     [], ["{tmp}/m.json", "{out}"]),
+    (["wcol", "-r", "2", "-i", "{p4}", "--order-out", "{tmp}/L.json", "-o", "{out}"],
+     ["{p4}"], ["{out}", "{tmp}/L.json"]),
+    (["color", "lowrw", "-p", "1", "-i", "{p4}", "--profile", "{tmp}/q.json", "-o", "{out}"],
+     ["{p4}"], ["{tmp}/q.json", "{out}"]),
+    (["verify", "coloring", "-p", "1", "-i", "{p4}", "-c", "{col}", "--profile", "{tmp}/q.json",
+      "-o", "{out}"],
+     ["{p4}", "{col}", "{tmp}/q.json"], ["{out}"]),
+    (["report", "sweep", "--spec", "{tmp}/spec.json", "-o", "{out}"],
+     ["{tmp}/spec.json"], ["{out}"]),
+    (["lab", "certificate", "--order", "12", "--seeds", "2", "--csv", "{tmp}/h.csv"],
+     [], ["{tmp}/h.csv"]),
 ])
 def test_cli_manifest_names_files_read_and_written(cli_files, tmp_path, argv, read, written):
     (tmp_path / "spec.json").write_text(json.dumps({"runs": []}))
     (tmp_path / "q.json").write_text(json.dumps({"q": {"1": 1}}))
-    fill = {**cli_files, "tmp": str(tmp_path)}
-    out = tmp_path / "out.txt"
+    fill = {**cli_files, "tmp": str(tmp_path), "out": str(tmp_path / "out.txt")}
     man = tmp_path / "run.json"
-    argv = [a.format(**fill) for a in argv] + ["-o", str(out), "--manifest", str(man)]
+    argv = [a.format(**fill) for a in argv] + ["--manifest", str(man)]
     assert run(argv) == 0
     manifest = json.loads(man.read_text())
     assert manifest["inputs"] == [a.format(**fill) for a in read]
-    assert sorted(manifest["outputs"]) == sorted([a.format(**fill) for a in written] + [str(out)])
+    assert manifest["outputs"] == [a.format(**fill) for a in written]
+
+
+@pytest.mark.parametrize("argv, code, read", [
+    # td mode colors from scratch: -c names a file that is never opened
+    (["color", "td", "-p", "2", "-i", "{p4}", "-c", "{tmp}/nowhere.json"], 0, ["{p4}"]),
+    # td mode takes no budget: --profile names a file that is never opened
+    (["verify", "coloring", "--mode", "td", "-p", "1", "-i", "{p4}", "-c", "{col}",
+      "--profile", "{tmp}/q.json"], 1, ["{p4}", "{col}"]),
+])
+def test_cli_manifest_lists_only_files_the_run_read(cli_files, tmp_path, argv, code, read):
+    (tmp_path / "q.json").write_text(json.dumps({"q": {"1": 1}}))
+    fill = {**cli_files, "tmp": str(tmp_path)}
+    out = tmp_path / "out.json"
+    man = tmp_path / "run.json"
+    argv = [a.format(**fill) for a in argv] + ["-o", str(out), "--manifest", str(man)]
+    assert run(argv) == code
+    manifest = json.loads(man.read_text())
+    assert manifest["inputs"] == [a.format(**fill) for a in read]
+    assert manifest["outputs"] == [str(out)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "-r", "2", "-i", "{p4}"],
+    ["wcol", "-r", "2", "-i", "{p4}"],
+    ["color", "td", "-p", "2", "-i", "{p4}"],
+    ["verify", "decomposition", "-i", "{p4}", "-d", "{dec}"],
+    ["width", "treedepth", "-i", "{p4}"],
+    ["eh", "extract", "-i", "{p4}"],
+    ["chi", "product", "-i", "{p4}", "-c", "{col}"],
+    ["report", "sweep", "--spec", "{tmp}/spec.json"],
+])
+def test_cli_seed_is_a_usage_error_where_nothing_is_drawn(cli_files, tmp_path, capsys, argv):
+    (tmp_path / "spec.json").write_text(json.dumps({"runs": []}))
+    argv = [a.format(**cli_files, tmp=str(tmp_path)) for a in argv]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--n", "6", "--d", "2"],
+    ["lab", "extract", "--order", "12"],
+    ["lab", "certificate", "--order", "12"],
+    ["lab", "ramsey", "--size", "32"],
+])
+def test_cli_seed_is_accepted_where_a_command_draws(tmp_path, argv):
+    man = tmp_path / "run.json"
+    assert run(argv + ["--seed", "3", "--manifest", str(man)]) == 0
+    manifest = json.loads(man.read_text())
+    assert manifest["seeds"] == [3] and manifest["parameters"]["seed"] == 3
 
 
 def test_cli_width_rank_artifact_is_byte_stable(cli_files, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -282,6 +283,15 @@ def test_ramsey_threshold_value():
     assert ramsey_threshold_within(2, 2, 32) == 32
     assert ramsey_threshold_within(2, 2, 31) is None
     assert ramsey_threshold_within(10**6, 3, 10**9) is None
+
+
+def test_ramsey_threshold_within_agrees_with_the_threshold():
+    for k, d in itertools.product(range(1, 4), range(1, 4)):
+        t = ramsey_threshold(k, d)
+        for limit in (1, t - 1, t, 2 * t, 4 * t):
+            expected = t if t <= limit else None
+            assert ramsey_threshold_within(k, d, limit) == expected, (k, d, limit)
+    assert ramsey_threshold_within(5, 1, 5) == 5 and ramsey_threshold_within(5, 1, 4) is None
 
 
 def test_ramsey_single_color():
