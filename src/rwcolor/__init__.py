@@ -27,6 +27,7 @@ from .coloring import (
     Coloring,
     ColoringProfile,
     RefinementColoring,
+    UnionReport,
     excellent_refinement,
     expand_excellent,
     expand_good,
@@ -46,6 +47,7 @@ __all__ = [
     "ColoringProfile",
     "RankDecomposition",
     "RefinementColoring",
+    "UnionReport",
     "WidthReport",
     "balanced_partition",
     "bfs_distances",

@@ -261,24 +261,10 @@ def cmd_verify(args, record: RunRecord) -> int:
     c = formats.coloring_from_obj(obj)
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
-        record.emit(
-            args.output,
-            formats.dumps_json(
-                {
-                    "verified": report.ok,
-                    "checked_unions": report.checked_unions,
-                    "failures": [list(f[0]) for f in report.failures],
-                    "inconclusive": [list(f[0]) for f in report.inconclusive],
-                }
-            ),
-        )
-        return 0 if report.ok else 1
-    if args.mode == "lowrw":
-        if args.profile:
-            prof_obj = json.loads(record.read(args.profile))
-            q = {int(i): v for i, v in prof_obj["q"].items()}
-        elif "q" in obj:
-            q = {int(i): v for i, v in obj["q"].items()}
+    elif args.mode == "lowrw":
+        if args.profile or "q" in obj:
+            table = json.loads(record.read(args.profile))["q"] if args.profile else obj["q"]
+            q = {int(i): v for i, v in table.items()}
         elif args.q_linear is not None:
             q = {i: args.q_linear * i for i in range(1, args.p + 1)}
         else:
@@ -286,10 +272,11 @@ def cmd_verify(args, record: RunRecord) -> int:
                 "budget unknown: pass --profile, --q-linear, or a coloring "
                 "file that embeds its q table"
             )
-        profile = verify_low_rw_coloring(g, c, args.p, q)
-        record.emit(args.output, formats.dumps_json(formats.profile_to_obj(profile)))
-        return 0 if profile.verified else 1
-    raise ValueError(f"unknown verify mode {args.mode!r}")
+        report = verify_low_rw_coloring(g, c, args.p, q)
+    else:
+        raise ValueError(f"unknown verify mode {args.mode!r}")
+    record.emit(args.output, formats.dumps_json(formats.union_report_to_obj(report)))
+    return 0 if report.verified else 1
 
 
 def cmd_width(args, record: RunRecord) -> int:
@@ -306,6 +293,8 @@ def cmd_width(args, record: RunRecord) -> int:
 
 
 def cmd_lab(args, record: RunRecord) -> int:
+    if args.output and (args.what == "ramsey" or args.what == "certificate" and not args.input):
+        raise ValueError("the harness writes its CSV to --csv, not to -o/--output")
     if args.what == "certificate":
         if args.input:
             g = record.graph(args.input)
@@ -459,23 +448,13 @@ def _sweep_row(spec: dict) -> dict:
         pipe = spec["pipeline"]
         kind = pipe["kind"]
         if kind == "rowcolor-verify":
-            gen = spec["generator"]
-            p = pipe["p"]
-            c = row_coloring(gen["n"], gen["m"], p)
-            profile = verify_low_rw_coloring(g, c, p, {i: 3 * i for i in range(1, p + 1)})
-            row["palette"] = c.palette_size
-            row["widths"] = ";".join(str(profile.measured[i][0]) for i in sorted(profile.measured))
-            row["budgets"] = ";".join(str(profile.q[i]) for i in sorted(profile.q))
-            row["verified"] = str(bool(profile.verified)).lower()
+            gen, p = spec["generator"], pipe["p"]
+            h, c = g, row_coloring(gen["n"], gen["m"], p)
+            q = {i: 3 * i for i in range(1, p + 1)}
         elif kind == "power-lowrw":
             r, p = pipe["r"], pipe["p"]
             ref, profile = low_rankwidth_coloring_of_power(g, r, p)
-            h = power(g, r)
-            checked = verify_low_rw_coloring(h, ref.refined, p, profile.q)
-            row["palette"] = ref.refined.palette_size
-            row["widths"] = ";".join(str(checked.measured[i][0]) for i in sorted(checked.measured))
-            row["budgets"] = ";".join(str(profile.q[i]) for i in sorted(profile.q))
-            row["verified"] = str(bool(checked.verified)).lower()
+            h, c, q = power(g, r), ref.refined, profile.q
         elif kind == "certificate":
             rows = _certificate_rows(g, pipe.get("seed", 0), pipe.get("seeds", 1))
             orders = [order for _, order, _ in rows]
@@ -484,6 +463,12 @@ def _sweep_row(spec: dict) -> dict:
             row["verified"] = str(all(verified for _, _, verified in rows)).lower()
         else:
             raise ValueError(f"unknown pipeline kind {kind!r}")
+        if kind != "certificate":
+            report = verify_low_rw_coloring(h, c, p, q)
+            row["palette"] = c.palette_size
+            row["widths"] = ";".join(str(w) for _, (w, _) in sorted(report.measured.items()))
+            row["budgets"] = ";".join(str(b) for _, b in sorted(report.q.items()))
+            row["verified"] = str(report.verified).lower()
     except Exception as exc:  # recorded per row; the runner keeps going
         row["error"] = str(exc)
     row["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)

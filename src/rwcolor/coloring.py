@@ -8,8 +8,10 @@ every small union of classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -22,6 +24,7 @@ from .graph import (
     degeneracy_order,
     induced_subgraph,
     mask_of,
+    select_bits,
     shells,
 )
 from .orderings import LinearOrder, above_masks, wcol_heuristic, wreach_sets
@@ -291,49 +294,69 @@ def greedy_proper_coloring(G: Graph) -> Coloring:
 
 
 @dataclass
-class TdColoringReport:
-    ok: bool
-    checked_unions: int
-    failures: list[tuple[tuple[int, ...], int, int]]  # (colors, size i, td found)
-    inconclusive: list[tuple[tuple[int, ...], int, int]]  # (colors, size i, component size)
+class UnionReport:
+    """Verdict on every union of i <= p color classes against its width
+    budget ``q[i]``: verified when no union is refuted or undecided."""
+
+    q: dict[int, int] = field(default_factory=dict)
+    checked_unions: int = 0
+    # per size, the worst width and "exact", or "upper-bound" when a union
+    # was only bounded; empty for a check that decides without measuring
+    measured: dict[int, tuple[int, str]] = field(default_factory=dict)
+    # refuted unions: (colors, size i, exact width)
+    failures: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
+    # undecided unions: (colors, size i, the bound that exceeded the budget)
+    inconclusive: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
+
+    @property
+    def verified(self) -> bool:
+        return not self.failures and not self.inconclusive
 
 
-def verify_td_coloring(G: Graph, c: Coloring, p: int) -> TdColoringReport:
-    """Check that every union of i <= p classes induces tree-depth <= i.
+def _check_unions(
+    G: Graph, c: Coloring, p: int, budget: Callable[[int], int], judge: Callable
+) -> UnionReport:
+    """Walk every union of i <= p classes of c on G, by increasing i, and
+    let *judge* record its verdict as ``judge(report, i, colors, mask)``.
 
-    Unions no larger than i pass outright (tree-depth never exceeds the
-    vertex count); every other union is decided per component by
-    ``tree_depth_at_most``.  A union with a component deeper than i is
-    refuted and reported with the largest exact tree-depth among such
-    components.  A union that no component refutes but that has one above
-    ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided and listed as
-    inconclusive, with the size of its largest such component.  The report
-    is ok only when every union is verified.
+    budget(i) is read once per size into ``report.q``; each union's mask is
+    the OR of its classes' masks.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
-    classes = c.classes()
-    palette = sorted(classes)
-    failures = []
-    inconclusive = []
-    checked = 0
+    masks = {col: mask_of(vs) for col, vs in c.classes().items()}
+    palette = sorted(masks)
+    report = UnionReport()
     for i in range(1, min(p, len(palette)) + 1):
+        report.q[i] = budget(i)
         for combo in itertools.combinations(palette, i):
-            union = mask_of(v for col in combo for v in classes[col])
-            checked += 1
-            if union.bit_count() <= i:
-                continue
-            deep, undecided = _components_deeper_than(G, union, i)
-            if deep:
-                td = max(tree_depth_exact(comp_g) for comp_g in deep)
-                failures.append((combo, i, td))
-            elif undecided:
-                inconclusive.append((combo, i, undecided))
-    return TdColoringReport(
-        not failures and not inconclusive, checked, failures, inconclusive
-    )
+            report.checked_unions += 1
+            judge(report, i, combo, functools.reduce(operator.or_, map(masks.get, combo)))
+    return report
+
+
+def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
+    """Check that every union of i <= p classes induces tree-depth <= i.
+
+    The budget is Q(i) = i, and no width is measured.  Each union is
+    decided per component by ``tree_depth_at_most``.  A union with a
+    component deeper than i is refuted and reported with the largest exact
+    tree-depth among such components.  A union that no component refutes
+    but that has one above ``TREE_DEPTH_EXACT_CAP`` vertices is left
+    undecided and listed as inconclusive, with the size of its largest such
+    component.
+    """
+
+    def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
+        deep, undecided = _components_deeper_than(G, union, i)
+        if deep:
+            report.failures.append((combo, i, max(tree_depth_exact(g) for g in deep)))
+        elif undecided:
+            report.inconclusive.append((combo, i, undecided))
+
+    return _check_unions(G, c, p, lambda i: i, judge)
 
 
 def _components_deeper_than(G: Graph, mask: int, i: int) -> tuple[list[Graph], int]:
@@ -430,22 +453,20 @@ def treedepth_coloring(G: Graph, p: int) -> Coloring:
         r = min(2**p, G.n)
         _, L, wsets = wcol_heuristic(G, r)
         return _first_fit(L.order, wsets)
-    assert verify_td_coloring(G, c, p).ok
+    assert verify_td_coloring(G, c, p).verified
     return c
 
 
 @dataclass
 class ColoringProfile:
-    """Budget and measurement record for a low rank-width coloring."""
+    """Budget record of a low rank-width coloring of a graph power."""
 
     p: int
     n_colors: int
     d: int
     radius: int
     q: dict[int, int]
-    base_colors: int = 0
-    measured: dict[int, tuple[int, str]] = field(default_factory=dict)
-    verified: bool | None = None
+    base_colors: int
 
 
 def gurski_wanke_budget(r: int, q: int) -> int:
@@ -495,50 +516,28 @@ def verify_low_rw_coloring(
     c: Coloring,
     p: int,
     Q: Mapping[int, int] | Callable[[int], int],
-) -> ColoringProfile:
-    """Measure widths of all unions of <= p classes of c on H against Q.
+) -> UnionReport:
+    """Measure the width of every union of <= p classes of c on H against Q.
 
     Components up to ``RANK_WIDTH_EXACT_CAP`` vertices are measured
-    exactly, larger ones contribute flagged upper bounds; a component that
-    recurs across unions is solved once.  More than ``MAX_UNIONS`` unions
-    are refused before any is measured.  The profile verifies iff every
-    measured value stays within its budget.
+    exactly, larger ones are bounded by ``rank_width_upper``; a component
+    that recurs across unions is solved once.  A union above its budget is
+    refuted only when all of its components were solved exactly, and is
+    inconclusive otherwise.  More than ``MAX_UNIONS`` unions are refused
+    before any is measured.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if len(c.colors) != H.n:
-        raise ValueError("coloring does not match the graph")
-    budget = Q if callable(Q) else (lambda i: Q[i])
-    classes = c.classes()
-    palette = sorted(classes)
-    total = sum(
-        math.comb(len(palette), i) for i in range(1, min(p, len(palette)) + 1)
-    )
+    colors = len(set(c.colors))
+    total = sum(math.comb(colors, i) for i in range(1, min(p, colors) + 1))
     if total > MAX_UNIONS:
         raise ValueError(f"{total} unions exceed the enumeration budget {MAX_UNIONS}")
-    measured: dict[int, tuple[int, str]] = {}
-    verified = True
-    q_table: dict[int, int] = {}
     widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
-    for i in range(1, min(p, len(palette)) + 1):
-        q_table[i] = budget(i)
-        worst = 0
-        method = "exact"
-        for combo in itertools.combinations(palette, i):
-            union = [v for col in combo for v in classes[col]]
-            value, m = rank_width_of_subgraph(H, union, widths)
-            if m == "upper-bound":
-                method = "upper-bound"
-            worst = max(worst, value)
-        measured[i] = (worst, method)
-        if worst > q_table[i]:
-            verified = False
-    return ColoringProfile(
-        p=p,
-        n_colors=c.palette_size,
-        d=0,
-        radius=0,
-        q=q_table,
-        measured=measured,
-        verified=verified,
-    )
+
+    def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
+        value, method = rank_width_of_subgraph(H, select_bits(range(H.n), union), widths)
+        worst, how = report.measured.get(i, (0, "exact"))
+        report.measured[i] = (max(worst, value), how if method == "exact" else method)
+        if value > report.q[i]:
+            verdicts = report.failures if method == "exact" else report.inconclusive
+            verdicts.append((combo, i, value))
+
+    return _check_unions(H, c, p, Q if callable(Q) else Q.__getitem__, judge)

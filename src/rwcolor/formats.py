@@ -15,7 +15,7 @@ from itertools import islice, repeat
 from operator import le, lt
 from typing import Mapping, NoReturn
 
-from .coloring import Coloring, ColoringProfile, RefinementColoring
+from .coloring import Coloring, ColoringProfile, RefinementColoring, UnionReport
 from .ehchi import EHParams
 from .graph import Graph, mask_of_flags, select_bits
 from .lab import Bipartition, ExtractionReport, MatchingCertificate
@@ -42,6 +42,10 @@ def serialize_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# most vertices a header may declare; refused before any n-sized list is built
+MAX_VERTICES = 1 << 20
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format, enforcing its sortedness.
 
@@ -50,16 +54,18 @@ def parse_edge_list(text: str) -> Graph:
 
     The text is checked in bulk, and only when a check fails is it read
     line by line, to name the first faulty line.  The bulk checks are the
-    layout (in `_data_pairs`), the edge count, 0 <= u < v < n, and the
-    strict order, which holds exactly when the us never decrease and the
-    upper neighbours of each u, the vs of its run of lines, increase.
+    layout (in `_data_pairs`), n <= MAX_VERTICES, the edge count,
+    0 <= u < v < n, and the strict order, which holds exactly when the us
+    never decrease and the upper neighbours of each u, the vs of its run of
+    lines, increase.
     """
     firsts, seconds = _data_pairs(text)
     n, m = firsts[0], seconds[0]
     us, vs = firsts[1:], seconds[1:]
     side = max(vs, default=-1) + 1  # no vertex from side on has an edge
     if not (
-        m == len(us)
+        n <= MAX_VERTICES
+        and m == len(us)
         and all(map(le, us, islice(us, 1, None)))
         and (not us or (us[0] >= 0 and side <= n))
         and all(map(lt, us, vs))
@@ -145,6 +151,8 @@ def _raise_first_fault(text: str) -> NoReturn:
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m'")
     n, m = int(parts[0]), int(parts[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if len(numbered) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(numbered) - 1}")
     prev = None
@@ -219,10 +227,19 @@ def profile_to_obj(p: ColoringProfile) -> dict:
         "radius": p.radius,
         "q": {str(i): v for i, v in sorted(p.q.items())},
         "base_colors": p.base_colors,
+    }
+
+
+def union_report_to_obj(report: UnionReport) -> dict:
+    return {
+        "q": {str(i): v for i, v in sorted(report.q.items())},
+        "checked_unions": report.checked_unions,
         "measured": {
-            str(i): {"width": w, "method": m} for i, (w, m) in sorted(p.measured.items())
+            str(i): {"width": w, "method": m} for i, (w, m) in sorted(report.measured.items())
         },
-        "verified": p.verified,
+        "failures": [list(colors) for colors, _, _ in report.failures],
+        "inconclusive": [list(colors) for colors, _, _ in report.inconclusive],
+        "verified": report.verified,
     }
 
 

@@ -254,27 +254,22 @@ def caterpillar_decomposition(order: Sequence[int]) -> RankDecomposition:
     return RankDecomposition(2 * n - 2, tuple(edges), leaf_map)
 
 
-def rank_width_upper(G: Graph, strategy: str | LinearOrder = "degeneracy") -> WidthReport:
-    """Upper bound from the caterpillar decomposition of a vertex order:
-    the degeneracy order, or an explicit ``LinearOrder``.
+def rank_width_upper(G: Graph, order: LinearOrder | None = None) -> WidthReport:
+    """Upper bound from the caterpillar decomposition of a vertex order,
+    the degeneracy order when *order* is None.
 
     The width equals the maximum cut-rank over prefix cuts of the order,
     which always dominates the exact rank-width.
     """
     if G.n < 2:
         raise ValueError("rank_width_upper needs at least 2 vertices")
-    if isinstance(strategy, LinearOrder):
-        order = list(strategy.order)
-    elif strategy == "degeneracy":
-        order = degeneracy_order(G)
-    else:
-        raise ValueError(f"unknown ordering strategy {strategy!r}")
+    seq = degeneracy_order(G) if order is None else list(order.order)
     value = 0
     mask = 0
-    for v in order[:-1]:
+    for v in seq[:-1]:
         mask |= 1 << v
         value = max(value, cutrank_mask(G, mask))
-    D = caterpillar_decomposition(order)
+    D = caterpillar_decomposition(seq)
     return WidthReport(value, "upper-bound", D)
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rwcolor.graph import all_pairs_distances, build_graph, induced_subgraph, power
-from rwcolor.families import grid, path, random_degenerate
+from rwcolor.families import grid, h_graph, h_tilde, path, random_degenerate, row_coloring
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
 from rwcolor.coloring import (
     Coloring,
@@ -335,13 +335,13 @@ def test_treedepth_coloring_p1_is_proper():
     c = treedepth_coloring(g, 1)
     for u, v in g.edges():
         assert c.colors[u] != c.colors[v]
-    assert verify_td_coloring(g, c, 1).ok
+    assert verify_td_coloring(g, c, 1).verified
 
 
 def test_treedepth_coloring_p4_uses_three_colors():
     c = treedepth_coloring(path(4), 2)
     assert c.palette_size == 3
-    assert verify_td_coloring(path(4), c, 2).ok
+    assert verify_td_coloring(path(4), c, 2).verified
 
 
 def test_treedepth_coloring_k4_needs_four():
@@ -358,7 +358,7 @@ def test_treedepth_coloring_identity_shortcut():
 def test_treedepth_coloring_greedy_strategy_verified():
     g = path(13)
     c = treedepth_coloring(g, 2)
-    assert verify_td_coloring(g, c, 2).ok
+    assert verify_td_coloring(g, c, 2).verified
 
 
 def test_treedepth_coloring_first_fit_passes_the_exhaustive_verifier():
@@ -369,7 +369,7 @@ def test_treedepth_coloring_first_fit_passes_the_exhaustive_verifier():
         p = rng.randint(2, 4)
         g = oracles.random_graph(n, rng.uniform(0.05, 0.5), rng)
         below += 2**p < n
-        assert verify_td_coloring(g, treedepth_coloring(g, p), p).ok
+        assert verify_td_coloring(g, treedepth_coloring(g, p), p).verified
     assert below > 100
 
 
@@ -399,14 +399,14 @@ def test_treedepth_coloring_first_fit_runs_no_union_check(monkeypatch):
 
 def test_verify_td_rejects_constant_on_p4():
     report = verify_td_coloring(path(4), constant_coloring(4), 1)
-    assert not report.ok
+    assert not report.verified
     assert report.failures[0][0] == (1,)
 
 
 def test_verify_td_grid_exact_small():
     g = grid(3, 3)
     c = treedepth_coloring(g, 2)
-    assert verify_td_coloring(g, c, 2).ok
+    assert verify_td_coloring(g, c, 2).verified
 
 
 @pytest.mark.parametrize("colors", [(1, 2), (1,) * 17])
@@ -473,7 +473,7 @@ def test_verify_td_matches_the_deletion_recursion_on_every_union():
                 if td > i:
                     failures.append((combo, i, td))
         report = verify_td_coloring(g, c, p)
-        assert (report.ok, report.checked_unions, report.failures) == (not failures, checked, failures)
+        assert (report.verified, report.checked_unions, report.failures) == (not failures, checked, failures)
 
 
 def test_verify_td_solves_exactly_only_failing_unions(monkeypatch):
@@ -488,7 +488,7 @@ def test_verify_td_solves_exactly_only_failing_unions(monkeypatch):
 
     monkeypatch.setattr(coloring, "tree_depth_exact", counted)
     g = grid(3, 3)
-    assert verify_td_coloring(g, treedepth_coloring(g, 2), 2).ok
+    assert verify_td_coloring(g, treedepth_coloring(g, 2), 2).verified
     assert calls == []
     report = verify_td_coloring(path(4), constant_coloring(4), 1)
     assert report.failures == [((1,), 1, 3)] and calls == [4]
@@ -500,20 +500,20 @@ def test_verify_td_reports_an_oversized_union_inconclusive():
     g = build_graph(21, [(v, v + 1) for v in range(20) if v != 3])
     c = Coloring((1,) * 4 + (2,) * 17, 2)
     report = verify_td_coloring(g, c, 1)
-    assert not report.ok
+    assert not report.verified
     assert report.failures == [((1,), 1, 3)]
     assert report.inconclusive == [((2,), 1, 17)]
     only_oversized = verify_td_coloring(path(20), constant_coloring(20), 2)
     assert only_oversized.failures == []
     assert only_oversized.inconclusive == [((1,), 1, 20)]
-    assert not only_oversized.ok
+    assert not only_oversized.verified
 
 
 def test_verify_td_first_fit_coloring_above_the_cap_is_inconclusive():
     g = random_degenerate(22, 3, 5)
     c = treedepth_coloring(g, 7)
     report = verify_td_coloring(g, c, 7)
-    assert (report.ok, report.failures) == (False, [])
+    assert (report.verified, report.failures) == (False, [])
     assert report.inconclusive == [((3, 4, 7, 8, 9, 10, 11), 7, 17)]
 
 
@@ -560,6 +560,25 @@ def test_verify_low_rw_rejects_k5_single_class():
     profile = verify_low_rw_coloring(complete(5), constant_coloring(5), 1, {1: 0})
     assert not profile.verified
     assert profile.measured[1][0] == 1
+
+
+def test_verify_low_rw_refutes_k5_with_its_exact_width():
+    report = verify_low_rw_coloring(complete(5), constant_coloring(5), 1, {1: 0})
+    assert report.failures == [((1,), 1, 1)]
+    assert (report.inconclusive, report.verified) == ([], False)
+
+
+@pytest.mark.parametrize("family", [h_graph, h_tilde])
+@pytest.mark.parametrize("p, undecided", [(2, 3), (3, 4)])
+def test_verify_low_rw_leaves_a_bound_above_the_budget_inconclusive(family, p, undecided):
+    # every two-row union is one component above the exact cap, and its
+    # degeneracy bound (7 on H, 8 on H~) exceeds Q(2) = 6 without refuting it
+    q = {i: 3 * i for i in range(1, p + 1)}
+    report = verify_low_rw_coloring(family(8, 8), row_coloring(8, 8, p), p, q)
+    assert report.failures == []
+    assert len(report.inconclusive) == undecided
+    assert all(i == 2 and bound > q[i] for _, i, bound in report.inconclusive)
+    assert not report.verified
 
 
 def test_verify_low_rw_flags_upper_bounds_on_big_components():

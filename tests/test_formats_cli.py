@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rwcolor import cli, lab
 from rwcolor.coloring import Coloring
 from rwcolor.formats import (
+    MAX_VERTICES,
     coloring_from_obj,
     coloring_to_obj,
     decomposition_from_obj,
@@ -179,6 +180,22 @@ def test_parse_edge_list_memory_follows_the_edges_not_the_order():
     assert peak < 8 * 2**20
 
 
+def test_parse_refuses_a_header_above_the_vertex_limit():
+    """Refused before any list of n entries is built: at n = 10^9 those
+    would take tens of GB (93 bytes per vertex were measured at n = 200,000)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            parse_edge_list("1000000000 1\n0 999999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 1: 1000000000 vertices exceed the limit of 1048576"
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=f"^line 2: {MAX_VERTICES + 1} vertices exceed"):
+        parse_edge_list(f"# comment\n{MAX_VERTICES + 1} 0\n")
+
+
 def test_labels_round_trip():
     g = h_graph(2, 3)
     labels = labels_from_json(labels_to_json(g))
@@ -269,6 +286,33 @@ def test_cli_verify_failure_exit_code(tmp_path):
     ]) == 1
 
 
+def test_cli_verify_writes_one_verdict_shape_in_both_modes(tmp_path):
+    p4, col = tmp_path / "p4.el", tmp_path / "c.json"
+    td, lowrw = tmp_path / "td.json", tmp_path / "lowrw.json"
+    assert run(["gen", "path", "--n", "4", "-o", str(p4)]) == 0
+    assert run(["color", "td", "-p", "2", "-i", str(p4), "-o", str(col)]) == 0
+    assert run(["verify", "coloring", "--mode", "td", "-p", "2", "-i", str(p4),
+                "-c", str(col), "-o", str(td)]) == 0
+    assert run(["verify", "coloring", "--mode", "lowrw", "-p", "2", "-i", str(p4),
+                "-c", str(col), "--q-linear", "1", "-o", str(lowrw)]) == 0
+    td_obj, lowrw_obj = json.loads(td.read_text()), json.loads(lowrw.read_text())
+    assert set(td_obj) == set(lowrw_obj)
+    assert not {"d", "radius", "base_colors"} & set(lowrw_obj)
+    assert td_obj["q"] == {"1": 1, "2": 2} and td_obj["measured"] == {}
+    assert lowrw_obj["measured"] == {"1": {"width": 0, "method": "exact"},
+                                     "2": {"width": 1, "method": "exact"}}
+
+
+def test_cli_color_lowrw_profile_is_a_budget_without_a_verdict(tmp_path):
+    grid3, prof = tmp_path / "grid3.el", tmp_path / "prof.json"
+    assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(grid3)]) == 0
+    assert run(["color", "lowrw", "-r", "2", "-p", "1", "-i", str(grid3),
+                "-o", str(tmp_path / "col.json"), "--profile", str(prof)]) == 0
+    obj = json.loads(prof.read_text())
+    assert "measured" not in obj and "verified" not in obj
+    assert set(obj) == {"p", "n_colors", "d", "radius", "q", "base_colors"}
+
+
 def test_cli_width_rank_exact(tmp_path):
     c5 = tmp_path / "c5.el"
     rep = tmp_path / "rep.json"
@@ -331,6 +375,18 @@ def test_cli_lab_certificate_harness(tmp_path):
     assert lines[0] == "seed,achieved_order,verified"
     assert len(lines) == 6
     assert all(line.endswith("true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["lab", "certificate", "--order", "12"],
+    ["lab", "ramsey", "--size", "4"],
+])
+def test_cli_lab_harness_refuses_the_output_option(tmp_path, argv, capsys):
+    out = tmp_path / "harness.csv"
+    assert run(argv + ["-o", str(out)]) == 2
+    err = "error: the harness writes its CSV to --csv, not to -o/--output\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
 
 
 def test_cli_lab_extract(tmp_path):

@@ -154,7 +154,7 @@ def test_upper_path_order():
 
 
 def test_upper_complete_any_order():
-    rep = rank_width_upper(complete(6), "degeneracy")
+    rep = rank_width_upper(complete(6))
     assert rep.value == 1
 
 
@@ -165,16 +165,10 @@ def test_upper_dominates_exact_all_strategies():
         if g.n < 2:
             continue
         exact = rank_width_exact(g).value
-        for strategy in (LinearOrder.from_order(range(g.n)), "degeneracy"):
-            rep = rank_width_upper(g, strategy)
+        for order in (LinearOrder.from_order(range(g.n)), None):
+            rep = rank_width_upper(g, order)
             assert rep.value >= exact
             assert verify_decomposition(g, rep.decomposition) == rep.value
-
-
-@pytest.mark.parametrize("strategy", ["id", "bfs"])
-def test_upper_rejects_a_strategy_other_than_degeneracy(strategy):
-    with pytest.raises(ValueError, match="unknown ordering strategy"):
-        rank_width_upper(pathg(4), strategy)
 
 
 def test_upper_accepts_explicit_order():
