@@ -521,10 +521,10 @@ def verify_low_rw_coloring(
 
     Components up to ``RANK_WIDTH_EXACT_CAP`` vertices are measured
     exactly, larger ones are bounded by ``rank_width_upper``; a component
-    that recurs across unions is solved once.  A union above its budget is
-    refuted only when all of its components were solved exactly, and is
-    inconclusive otherwise.  More than ``MAX_UNIONS`` unions are refused
-    before any is measured.
+    that recurs across unions is solved once.  A union is refuted, with that
+    width, when a component solved exactly is above its budget; a union
+    above its budget only through an upper bound is inconclusive.  More
+    than ``MAX_UNIONS`` unions are refused before any is measured.
     """
     colors = len(set(c.colors))
     total = sum(math.comb(colors, i) for i in range(1, min(p, colors) + 1))
@@ -533,11 +533,13 @@ def verify_low_rw_coloring(
     widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
 
     def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
-        value, method = rank_width_of_subgraph(H, select_bits(range(H.n), union), widths)
+        vs = select_bits(range(H.n), union)
+        value, method, exact = rank_width_of_subgraph(H, vs, widths)
         worst, how = report.measured.get(i, (0, "exact"))
         report.measured[i] = (max(worst, value), how if method == "exact" else method)
-        if value > report.q[i]:
-            verdicts = report.failures if method == "exact" else report.inconclusive
-            verdicts.append((combo, i, value))
+        if exact > report.q[i]:
+            report.failures.append((combo, i, exact))
+        elif value > report.q[i]:
+            report.inconclusive.append((combo, i, value))
 
     return _check_unions(H, c, p, Q if callable(Q) else Q.__getitem__, judge)

@@ -60,77 +60,6 @@ def is_cograph(G: Graph) -> tuple[bool, Cotree | None]:
     return ct is not None, ct
 
 
-def cotree_to_graph(ct: Cotree, n: int) -> Graph:
-    """Evaluate a cotree back into the graph it describes."""
-    adj = [0] * n
-
-    def rec(node: Cotree) -> int:
-        if node.op == "leaf":
-            return 1 << node.vertex
-        masks = [rec(ch) for ch in node.children]
-        if node.op == "join":
-            for i, mi in enumerate(masks):
-                others = 0
-                for j, mj in enumerate(masks):
-                    if j != i:
-                        others |= mj
-                for v in bits_of(mi):
-                    adj[v] |= others
-        total = 0
-        for m in masks:
-            total |= m
-        return total
-
-    rec(ct)
-    return Graph(n, tuple(adj))
-
-
-def decomposition_from_cotree(ct: Cotree) -> RankDecomposition | None:
-    """Width-at-most-1 rank decomposition read off a cotree.
-
-    Every tree cut groups whole modules, whose members share an outside
-    neighbourhood, so each cut matrix has at most one distinct nonzero row.
-    Returns None for a single leaf.
-    """
-    leaves = ct.leaves()
-    if len(leaves) < 2:
-        return None
-    nodes = 0
-    edges: list[tuple[int, int]] = []
-    leaf_map: list[tuple[int, int]] = []
-
-    def new_node() -> int:
-        nonlocal nodes
-        nodes += 1
-        return nodes - 1
-
-    def build(node: Cotree) -> int:
-        if node.op == "leaf":
-            nid = new_node()
-            leaf_map.append((nid, node.vertex))
-            return nid
-        roots = [build(ch) for ch in node.children]
-        cur = roots[0]
-        for nxt in roots[1:]:
-            mid = new_node()
-            edges.append((mid, cur))
-            edges.append((mid, nxt))
-            cur = mid
-        return cur
-
-    if ct.op == "leaf":
-        return None
-    roots = [build(ch) for ch in ct.children]
-    cur = roots[0]
-    for nxt in roots[1:-1]:
-        mid = new_node()
-        edges.append((mid, cur))
-        edges.append((mid, nxt))
-        cur = mid
-    edges.append((cur, roots[-1]))
-    return RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
-
-
 def kappa(p: int) -> float:
     return 1.0 / (math.log2(3) + p)
 
@@ -314,7 +243,7 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
             rep = rank_width_exact(sub)
             widths[sub.adj] = rep.value
     for col, vs in sorted(classes.items()):
-        value, _ = rank_width_of_subgraph(G, vs, widths)
+        value, _, _ = rank_width_of_subgraph(G, vs, widths)
         if value > r1:
             raise ValueError(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"

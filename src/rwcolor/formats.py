@@ -230,6 +230,11 @@ def profile_to_obj(p: ColoringProfile) -> dict:
     }
 
 
+def _union_verdict_to_obj(verdict: tuple[tuple[int, ...], int, int]) -> dict:
+    colors, size, width = verdict
+    return {"colors": list(colors), "size": size, "width": width}
+
+
 def union_report_to_obj(report: UnionReport) -> dict:
     return {
         "q": {str(i): v for i, v in sorted(report.q.items())},
@@ -237,8 +242,8 @@ def union_report_to_obj(report: UnionReport) -> dict:
         "measured": {
             str(i): {"width": w, "method": m} for i, (w, m) in sorted(report.measured.items())
         },
-        "failures": [list(colors) for colors, _, _ in report.failures],
-        "inconclusive": [list(colors) for colors, _, _ in report.inconclusive],
+        "failures": [_union_verdict_to_obj(v) for v in report.failures],
+        "inconclusive": [_union_verdict_to_obj(v) for v in report.inconclusive],
         "verified": report.verified,
     }
 

@@ -12,11 +12,16 @@ Every bitmask traversal of a graph in the package goes through these:
 whole row in one pass, for writers that read rows out in full, and
 :func:`mask_of_flags` is its inverse, packing a run of 0/1 flags into a
 mask in one pass, for readers that set whole rows at once.
+
+Cut-ranks come from :func:`cutrank_mask`, one elimination per cut, or from
+:func:`cutrank_table`, one elimination that is lane-parallel over every
+subset and fills the whole table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -306,6 +311,80 @@ def cutrank_mask(G: Graph, mask: int) -> int:
     if mask.bit_count() > co.bit_count():
         mask, co = co, mask
     return rank_of_bitrows(G.adj[v] & co for v in bits_of(mask))
+
+
+@lru_cache(maxsize=None)
+def _lane_entries(n: int) -> tuple[tuple[int, ...], ...]:
+    """For i < n - 1 and j < n, the 2^(n-1)-bit int whose bit X is set when
+    i is in X and j is not; "i in X" is built by doubling one period."""
+    lanes = 1 << (n - 1)
+    every = (1 << lanes) - 1
+    inside = []
+    for i in range(n - 1):
+        period = 1 << (i + 1)
+        pattern = ((1 << (period >> 1)) - 1) << (period >> 1)
+        while period < lanes:
+            pattern |= pattern << period
+            period <<= 1
+        inside.append(pattern)
+    outside = [every ^ p for p in inside] + [every]
+    return tuple(tuple(p & q for q in outside) for p in inside)
+
+
+def cutrank_table(G: Graph) -> list[int]:
+    """Cut-rank of every vertex mask: entry m is ``cutrank_mask(G, m)``.
+
+    One GF(2) elimination runs for all subsets X of {0, ..., n-2} at once,
+    each subset a bit position ("lane") of an int of L = 2^(n-1) bits.
+    Entry (i, j) of the matrix is the int whose bit X is A[i][j] when i is
+    in X and j is not, so lane X holds the cut matrix of (X, rest); the row
+    of vertex n-1 is zero in every lane and left out.  Column by column,
+    each lane's pivot is its first row with the column set; the pivot
+    rows' later entries, masked to their lanes, are XORed into every row
+    with the column set, which also clears each pivot row in its own lanes.
+    The lanes that found a pivot add one to bit-sliced counters; their
+    planes are read out as one byte per lane at C level, and the masks with
+    vertex n-1 take the cut-rank of their complement.
+    """
+    n = G.n
+    lanes = 1 << (n - 1)
+    rows = []
+    for adj, entries in zip(G.adj, _lane_entries(n)):
+        if adj:
+            rows.append([e if adj >> j & 1 else 0 for j, e in enumerate(entries)])
+    planes = [0] * (n // 2).bit_length()
+    for j in range(n):
+        found = 0
+        hits = []
+        pivots = []
+        for row in rows:
+            hit = row[j]
+            if hit:
+                hits.append((row, hit))
+                s = hit & ~found
+                if s:
+                    found |= s
+                    pivots.append((row, s))
+        if not found:
+            continue
+        for k in range(j + 1, n):
+            pv = 0
+            for row, s in pivots:
+                pv |= row[k] & s
+            if pv:
+                for row, hit in hits:
+                    row[k] ^= pv & hit
+        for p, plane in enumerate(planes):
+            planes[p] = plane ^ found
+            found &= plane
+            if not found:
+                break
+    ranks = 0
+    for p, plane in enumerate(planes):
+        digits = format(plane, f"0{lanes}b").encode().translate(_BINARY_DIGIT_TO_FLAG)
+        ranks += int.from_bytes(digits, "big") << p
+    low = ranks.to_bytes(lanes, "little")
+    return list(low + low[::-1])
 
 
 def cutrank(G: Graph, X: Iterable[int]) -> int:

@@ -20,6 +20,7 @@ from .graph import (
     bits_of,
     components,
     cutrank_mask,
+    cutrank_table,
     degeneracy_order,
     induced_subgraph,
     mask_of,
@@ -145,8 +146,8 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
     leaf set m and the cut-rank of m.  Each unordered bipartition of m is
     inspected as a submask of m without its highest vertex, in descending
-    order.  The cut table is filled from the masks without the last vertex,
-    since a cut and its complement have the same cut-rank.  The caterpillar
+    order.  The cut table comes from :func:`cutrank_table`, one GF(2)
+    elimination run lane-parallel over every subset.  The caterpillar
     bound ``ub`` of the degeneracy order prunes the sweep: a subset whose
     cut-rank or best subtree exceeds ``ub`` gets key ``ub + 1``.  No subset
     of an optimal tree is pruned, and a split using a pruned part never
@@ -169,9 +170,7 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
             f"exact rank-width is capped at n={cap}; use rank_width_upper instead"
         )
     full = (1 << n) - 1
-    cut = [0] * (full + 1)
-    for mask in range(1, 1 << (n - 1)):
-        cut[mask] = cut[full ^ mask] = cutrank_mask(G, mask)
+    cut = cutrank_table(G)
     ub = 0
     prefix = 0
     for v in degeneracy_order(G)[:-1]:
@@ -481,15 +480,17 @@ def rank_width_of_subgraph(
     G: Graph,
     X: Iterable[int],
     memo: dict[tuple[int, ...], int] | None = None,
-) -> tuple[int, str]:
+) -> tuple[int, str, int]:
     """Width of the induced subgraph: exact per component when small enough.
 
     Rank-width of a disconnected graph is the max over its components.
     Components above ``RANK_WIDTH_EXACT_CAP`` vertices contribute a flagged
-    upper bound.  Each
-    distinct component is solved once; a caller measuring many unions of
-    one graph may pass a *memo* dict, which maps a component's relabelled
-    adjacency to its width, to share that across calls.
+    upper bound.  Returns the max over all components, ``"exact"`` or
+    ``"upper-bound"``, and the max over the components solved exactly
+    alone, which is a lower bound on the width whatever the others give.
+    Each distinct component is solved once; a caller measuring many unions
+    of one graph may pass a *memo* dict, which maps a component's
+    relabelled adjacency to its width, to share that across calls.
     """
     mask = mask_of(X)
     outside = mask >> G.n
@@ -497,15 +498,18 @@ def rank_width_of_subgraph(
         raise ValueError(f"vertex {G.n + (outside & -outside).bit_length() - 1} not in graph")
     memo = {} if memo is None else memo
     value = 0
+    exact_value = 0
     method = "exact"
     for comp in components(G, mask):
         comp_g, _ = induced_subgraph(G, bits_of(comp))
         exact = comp_g.n <= RANK_WIDTH_EXACT_CAP
-        if not exact:
-            method = "upper-bound"
         width = memo.get(comp_g.adj)
         if width is None:
             rep = rank_width_exact(comp_g) if exact else rank_width_upper(comp_g)
             width = memo[comp_g.adj] = rep.value
         value = max(value, width)
-    return value, method
+        if exact:
+            exact_value = max(exact_value, width)
+        else:
+            method = "upper-bound"
+    return value, method, exact_value

@@ -11,7 +11,8 @@ twisted chain, the pair-by-pair rule builder; as the references for the
 bulk edge-list reader and writer, the per-line parser, the per-edge
 serializer and the per-bit symmetry scan; as the references for the
 mask-read certificate harness, the per-cell side lookups and the per-vertex
-coin flips).
+coin flips).  The cotree evaluator and the width-1 decomposition read off a
+cotree build the cograph cases the cotree tests check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from rwcolor.ehchi import Cotree
 from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
 from rwcolor.graph import Graph, bits_of, build_graph
 from rwcolor.lab import (
@@ -564,8 +566,6 @@ def max_independent_set(G: Graph) -> int:
 
 def random_cotree(n: int, rng):
     """Random union/join structure over n leaves (for generator round-trips)."""
-    from rwcolor.ehchi import Cotree
-
     items = [Cotree("leaf", v) for v in range(n)]
     rng.shuffle(items)
     while len(items) > 1:
@@ -574,6 +574,77 @@ def random_cotree(n: int, rng):
         op = rng.choice(["union", "join"])
         items.append(Cotree(op, None, tuple(parts)))
     return items[0]
+
+
+def cotree_to_graph(ct: Cotree, n: int) -> Graph:
+    """Evaluate a cotree back into the graph it describes."""
+    adj = [0] * n
+
+    def rec(node: Cotree) -> int:
+        if node.op == "leaf":
+            return 1 << node.vertex
+        masks = [rec(ch) for ch in node.children]
+        if node.op == "join":
+            for i, mi in enumerate(masks):
+                others = 0
+                for j, mj in enumerate(masks):
+                    if j != i:
+                        others |= mj
+                for v in bits_of(mi):
+                    adj[v] |= others
+        total = 0
+        for m in masks:
+            total |= m
+        return total
+
+    rec(ct)
+    return Graph(n, tuple(adj))
+
+
+def decomposition_from_cotree(ct: Cotree) -> RankDecomposition | None:
+    """Width-at-most-1 rank decomposition read off a cotree.
+
+    Every tree cut groups whole modules, whose members share an outside
+    neighbourhood, so each cut matrix has at most one distinct nonzero row.
+    Returns None for a single leaf.
+    """
+    leaves = ct.leaves()
+    if len(leaves) < 2:
+        return None
+    nodes = 0
+    edges: list[tuple[int, int]] = []
+    leaf_map: list[tuple[int, int]] = []
+
+    def new_node() -> int:
+        nonlocal nodes
+        nodes += 1
+        return nodes - 1
+
+    def build(node: Cotree) -> int:
+        if node.op == "leaf":
+            nid = new_node()
+            leaf_map.append((nid, node.vertex))
+            return nid
+        roots = [build(ch) for ch in node.children]
+        cur = roots[0]
+        for nxt in roots[1:]:
+            mid = new_node()
+            edges.append((mid, cur))
+            edges.append((mid, nxt))
+            cur = mid
+        return cur
+
+    if ct.op == "leaf":
+        return None
+    roots = [build(ch) for ch in ct.children]
+    cur = roots[0]
+    for nxt in roots[1:-1]:
+        mid = new_node()
+        edges.append((mid, cur))
+        edges.append((mid, nxt))
+        cur = mid
+    edges.append((cur, roots[-1]))
+    return RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
 
 
 def _z_side_by_lookup(n: int, partition: Bipartition, i: int, j: int) -> str:

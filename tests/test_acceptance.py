@@ -53,9 +53,7 @@ from rwcolor.lab import (
 from rwcolor.ehchi import (
     cograph_clique_or_is,
     cograph_extract,
-    cotree_to_graph,
     chi_product_coloring,
-    decomposition_from_cotree,
     eh_witness,
     even_split_provider,
     is_cograph,
@@ -314,8 +312,8 @@ def test_c11_cograph_and_witness_suite(capsys):
         cases.append((g, rank_width_upper(g, LinearOrder.from_order(range(g.n))).decomposition, 1))
     for _ in range(3):
         ct = oracles.random_cotree(16, rng)
-        g = cotree_to_graph(ct, 16)
-        cases.append((g, decomposition_from_cotree(ct), 1))
+        g = oracles.cotree_to_graph(ct, 16)
+        cases.append((g, oracles.decomposition_from_cotree(ct), 1))
     h24 = h_graph(2, 4)
     rep = rank_width_exact(h24)
     cases.append((h24, rep.decomposition, max(rep.value, 1)))

@@ -568,6 +568,17 @@ def test_verify_low_rw_refutes_k5_with_its_exact_width():
     assert (report.inconclusive, report.verified) == ([], False)
 
 
+def test_verify_low_rw_refutes_an_exact_component_beside_one_above_the_cap():
+    # K5 (exact width 1) and P20 (above the cap, bounded) as one class
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(v, v + 1) for v in range(5, 24)]
+    report = verify_low_rw_coloring(build_graph(25, edges), constant_coloring(25), 1, {1: 0})
+    assert report.failures == [((1,), 1, 1)]
+    assert report.inconclusive == []
+    assert report.measured == {1: (1, "upper-bound")}
+    assert not report.verified
+
+
 @pytest.mark.parametrize("family", [h_graph, h_tilde])
 @pytest.mark.parametrize("p, undecided", [(2, 3), (3, 4)])
 def test_verify_low_rw_leaves_a_bound_above_the_budget_inconclusive(family, p, undecided):

@@ -15,8 +15,6 @@ from rwcolor.ehchi import (
     chi_product_coloring,
     cograph_clique_or_is,
     cograph_extract,
-    cotree_to_graph,
-    decomposition_from_cotree,
     eh_witness,
     even_split_provider,
     is_cograph,
@@ -43,7 +41,7 @@ def test_complete_and_edgeless_are_cographs():
     for g in (complete(6), build_graph(5, [])):
         ok, ct = is_cograph(g)
         assert ok
-        assert cotree_to_graph(ct, g.n).adj == g.adj
+        assert oracles.cotree_to_graph(ct, g.n).adj == g.adj
 
 
 def test_is_cograph_matches_p4_free_oracle():
@@ -56,10 +54,10 @@ def test_random_cotrees_round_trip():
     for _ in range(20):
         n = rng.randint(2, 12)
         ct = oracles.random_cotree(n, rng)
-        g = cotree_to_graph(ct, n)
+        g = oracles.cotree_to_graph(ct, n)
         ok, ct2 = is_cograph(g)
         assert ok
-        assert cotree_to_graph(ct2, n).adj == g.adj
+        assert oracles.cotree_to_graph(ct2, n).adj == g.adj
 
 
 def test_cotree_decomposition_has_width_at_most_one():
@@ -67,8 +65,8 @@ def test_cotree_decomposition_has_width_at_most_one():
     for _ in range(15):
         n = rng.randint(2, 10)
         ct = oracles.random_cotree(n, rng)
-        g = cotree_to_graph(ct, n)
-        D = decomposition_from_cotree(ct)
+        g = oracles.cotree_to_graph(ct, n)
+        D = oracles.decomposition_from_cotree(ct)
         assert verify_decomposition(g, D) <= 1
 
 
@@ -92,7 +90,7 @@ def test_clique_or_is_random_cographs():
     for _ in range(12):
         n = rng.randint(4, 16)
         ct = oracles.random_cotree(n, rng)
-        g = cotree_to_graph(ct, n)
+        g = oracles.cotree_to_graph(ct, n)
         kind, out = cograph_clique_or_is(g, ct)
         assert len(out) * len(out) >= n
         best = max(oracles.max_clique(g), oracles.max_independent_set(g))
@@ -178,8 +176,8 @@ def test_extract_random_cographs():
     rng = random.Random(3)
     for _ in range(8):
         ct = oracles.random_cotree(12, rng)
-        g = cotree_to_graph(ct, 12)
-        D = decomposition_from_cotree(ct)
+        g = oracles.cotree_to_graph(ct, 12)
+        D = oracles.decomposition_from_cotree(ct)
         out = cograph_extract(g, D, 1)
         sub, _ = induced_subgraph(g, sorted(out))
         assert is_cograph(sub)[0]

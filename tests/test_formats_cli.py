@@ -303,6 +303,22 @@ def test_cli_verify_writes_one_verdict_shape_in_both_modes(tmp_path):
                                      "2": {"width": 1, "method": "exact"}}
 
 
+def test_cli_verify_lowrw_names_the_size_and_width_of_a_refuted_union(tmp_path):
+    # K5 beside P20 as one class: K5 is solved exactly with width 1 > Q(1) = 0,
+    # while P20 is above the exact cap and only bounded
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(v, v + 1) for v in range(5, 24)]
+    g_el, col, out = tmp_path / "g.el", tmp_path / "c.json", tmp_path / "v.json"
+    g_el.write_text(serialize_edge_list(build_graph(25, edges)))
+    col.write_text(json.dumps({"palette_size": 1, "colors": [1] * 25}))
+    assert run(["verify", "coloring", "--mode", "lowrw", "-p", "1", "-i", str(g_el),
+                "-c", str(col), "--q-linear", "0", "-o", str(out)]) == 1
+    verdict = json.loads(out.read_text())
+    assert verdict["failures"] == [{"colors": [1], "size": 1, "width": 1}]
+    assert verdict["inconclusive"] == []
+    assert verdict["measured"] == {"1": {"width": 1, "method": "upper-bound"}}
+
+
 def test_cli_color_lowrw_profile_is_a_budget_without_a_verdict(tmp_path):
     grid3, prof = tmp_path / "grid3.el", tmp_path / "prof.json"
     assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(grid3)]) == 0
@@ -760,7 +776,9 @@ def test_cli_verify_td_inconclusive_exits_1_without_an_error(tmp_path, capsys):
     verdict = json.loads(out.read_text())
     assert verdict["verified"] is False
     assert verdict["failures"] == []
-    assert verdict["inconclusive"] == [[3, 4, 7, 8, 9, 10, 11]]
+    assert verdict["inconclusive"] == [
+        {"colors": [3, 4, 7, 8, 9, 10, 11], "size": 7, "width": 17}
+    ]
 
 
 def test_cli_color_refine(tmp_path):

@@ -15,6 +15,8 @@ from rwcolor.graph import (
     complement,
     components,
     cutrank,
+    cutrank_mask,
+    cutrank_table,
     induced_subgraph,
     mask_of,
     mask_of_flags,
@@ -198,6 +200,40 @@ def test_cutrank_complement_symmetry_and_moves():
             v = rng.randrange(7)
             a, b = cutrank(g, X), cutrank(g, X | {v})
             assert abs(a - b) <= 1
+
+
+def _assert_table_is_the_cutrank_of_every_mask(g):
+    table = cutrank_table(g)
+    assert len(table) == 1 << g.n
+    assert table == [cutrank_mask(g, m) for m in range(1 << g.n)]
+
+
+def test_cutrank_table_on_small_and_extreme_graphs():
+    cases = [build_graph(1, []), build_graph(2, []), build_graph(2, [(0, 1)])]
+    for n in range(3, 10):
+        pairs = list(itertools.combinations(range(n), 2))
+        cases.append(build_graph(n, []))
+        cases.append(build_graph(n, pairs))
+        cases.append(build_graph(n, [(0, v) for v in range(1, n)]))
+        # the last vertex, which no lane of the elimination holds, isolated
+        cases.append(build_graph(n, [(u, v) for u, v in pairs if v < n - 1]))
+    for g in cases:
+        _assert_table_is_the_cutrank_of_every_mask(g)
+
+
+def test_cutrank_table_on_random_graphs_up_to_fourteen_vertices():
+    rng = random.Random(17)
+    for n in range(2, 15):
+        for p in (0.3, 0.7):
+            _assert_table_is_the_cutrank_of_every_mask(oracles.random_graph(n, p, rng))
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cutrank_table_property(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    _assert_table_is_the_cutrank_of_every_mask(build_graph(n, chosen))
 
 
 def test_complement_k3():

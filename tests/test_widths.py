@@ -394,8 +394,6 @@ def test_restrict_decomposition_keeps_width():
 
 def _tree_walk_cases():
     """(graph, decomposition) pairs: exact, caterpillar and cotree ones."""
-    from rwcolor.ehchi import cotree_to_graph, decomposition_from_cotree
-
     rng = random.Random(2024)
     cases = []
     for n in range(2, 12):
@@ -407,7 +405,7 @@ def _tree_walk_cases():
             cases.append((g, caterpillar_decomposition(rng.sample(range(n), n))))
         for _ in range(6):
             ct = oracles.random_cotree(n, rng)
-            cases.append((cotree_to_graph(ct, n), decomposition_from_cotree(ct)))
+            cases.append((oracles.cotree_to_graph(ct, n), oracles.decomposition_from_cotree(ct)))
     return cases
 
 
@@ -445,9 +443,16 @@ def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
         g = oracles.random_graph(8, 0.3, rng)
         X = [v for v in range(8) if rng.random() < 0.7]
         if not X:
-            assert rank_width_of_subgraph(g, X) == (0, "exact")
+            assert rank_width_of_subgraph(g, X) == (0, "exact", 0)
             continue
         sub, _ = induced_subgraph(g, X)
-        assert rank_width_of_subgraph(g, X) == (oracles.rank_width_by_trees(sub), "exact")
+        width = oracles.rank_width_by_trees(sub)
+        assert rank_width_of_subgraph(g, X) == (width, "exact", width)
+    # an edge (width 1) beside C20, above the exact cap: the exact width is
+    # kept apart from the bound of the cycle
+    g = build_graph(22, [(0, 1)] + [(2 + v, 2 + (v + 1) % 20) for v in range(20)])
+    value, method, exact = rank_width_of_subgraph(g, range(22))
+    assert (method, exact) == ("upper-bound", 1)
+    assert value == rank_width_upper(induced_subgraph(g, range(2, 22))[0]).value >= 2
     with pytest.raises(ValueError, match="vertex 5 not in graph"):
         rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1, 7, 5])
