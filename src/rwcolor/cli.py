@@ -84,6 +84,15 @@ def _need(value: str | None, option: str) -> str:
     return value
 
 
+def _refuse(args, form: str, *options: str, why: str | None = None) -> None:
+    """Refuse the first of the given file options that was passed, since
+    this command form never opens it, with `why` as the message if given;
+    called before anything is read."""
+    for option in options:
+        if getattr(args, option.rpartition("--")[2].replace("-", "_")) is not None:
+            raise ValueError(why or f"{form} does not use {option}")
+
+
 @dataclass
 class RunRecord:
     """The one way a command reads or writes a file, and what its manifest
@@ -157,6 +166,11 @@ def _generate(family: str, params: Mapping) -> Graph:
 
 
 def cmd_gen(args, record: RunRecord) -> int:
+    form = f"gen {args.family}"
+    if args.family not in ("map", "linegraph"):
+        _refuse(args, form, "-i/--input")
+    if args.family != "model":
+        _refuse(args, form, "--model-out")
     model_obj = None
     if args.family in FAMILIES:
         g = _generate(args.family, vars(args))
@@ -214,6 +228,11 @@ def cmd_wcol(args, record: RunRecord) -> int:
 
 
 def cmd_color(args, record: RunRecord) -> int:
+    form = f"color {args.mode}"
+    if args.mode != "refine":
+        _refuse(args, form, "-c/--coloring")
+    if args.mode != "lowrw":
+        _refuse(args, form, "--profile")
     g = record.graph(args.input)
     if args.mode == "td":
         c = treedepth_coloring(g, args.p)
@@ -243,6 +262,12 @@ def cmd_color(args, record: RunRecord) -> int:
 
 
 def cmd_verify(args, record: RunRecord) -> int:
+    if args.what == "decomposition":
+        _refuse(args, "verify decomposition", "-c/--coloring", "--profile")
+    else:
+        _refuse(args, f"verify coloring --mode {args.mode}", "-d/--decomposition")
+        if args.mode == "td":
+            _refuse(args, "verify coloring --mode td", "--profile")
     g = record.graph(args.input)
     if args.what == "decomposition":
         D = formats.decomposition_from_obj(
@@ -293,8 +318,15 @@ def cmd_width(args, record: RunRecord) -> int:
 
 
 def cmd_lab(args, record: RunRecord) -> int:
-    if args.output and (args.what == "ramsey" or args.what == "certificate" and not args.input):
-        raise ValueError("the harness writes its CSV to --csv, not to -o/--output")
+    if args.what == "certificate" and args.input:
+        _refuse(args, "lab certificate -i", "--csv")
+    elif args.what == "extract":
+        _refuse(args, "lab extract", "-i/--input", "--labels", "--partition", "--csv")
+    else:
+        harness = "lab certificate without -i" if args.what == "certificate" else "lab ramsey"
+        _refuse(args, harness, "-o/--output",
+                why="the harness writes its CSV to --csv, not to -o/--output")
+        _refuse(args, harness, "-i/--input", "--labels", "--partition")
     if args.what == "certificate":
         if args.input:
             g = record.graph(args.input)

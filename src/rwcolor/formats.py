@@ -7,12 +7,11 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
-import functools
 import json
 from bisect import bisect_left
 from collections import deque
 from itertools import islice, repeat
-from operator import le, lt
+from operator import lt
 from typing import Mapping, NoReturn
 
 from .coloring import Coloring, ColoringProfile, RefinementColoring, UnionReport
@@ -59,14 +58,13 @@ def parse_edge_list(text: str) -> Graph:
     never decrease and the upper neighbours of each u, the vs of its run of
     lines, increase.
     """
-    firsts, seconds = _data_pairs(text)
-    n, m = firsts[0], seconds[0]
-    us, vs = firsts[1:], seconds[1:]
+    us, vs = _data_pairs(text)
+    n, m = us.pop(0), vs.pop(0)  # the header
     side = max(vs, default=-1) + 1  # no vertex from side on has an edge
     if not (
         n <= MAX_VERTICES
         and m == len(us)
-        and all(map(le, us, islice(us, 1, None)))
+        and us == sorted(us)
         and (not us or (us[0] >= 0 and side <= n))
         and all(map(lt, us, vs))
     ):
@@ -98,43 +96,69 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, (*rows, *(0,) * (n - side)))
 
 
-# data lines joined and split at once; bounds the tokens held in memory
-_BLOCK_LINES = 8192
+# characters of text split at once, each chunk ending just after a "\n";
+# bounds the tokens held in memory
+_CHUNK_CHARS = 1 << 16
+# a chunk holding none of these, and only ASCII, has "\n" as its one line
+# break (the others of str.splitlines are "\r", "\x0b", "\x0c", "\x1c",
+# "\x1d", "\x1e", "\x85", "\u2028" and "\u2029") and no comment
+_NOT_PLAIN = "#\r\x0b\x0c\x1c\x1d\x1e"
+
+
+class _Ints(dict):
+    """Token -> int, converting each distinct token once, so a vertex id
+    repeated on many lines is one shared int."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
 
 
 def _data_pairs(text: str) -> tuple[list[int], list[int]]:
     """The first and the second token of every data line as ints, header
     first, once each data line is found to hold exactly two tokens.
 
-    The lines are stripped and the blank and `#` lines dropped only when
-    the text has a `#` or a blank line; otherwise the lines are used as
-    they are, since whitespace at their ends does not change their tokens.
-    Blocks of lines are joined with a "|" between lines and split at once,
-    so no container per line stays alive.  When a block of k lines splits
-    into 3k - 1 tokens and int() accepts every token off the places 2, 5,
-    8, ..., each line holds exactly two tokens: int() rejects "|", so the
-    k - 1 "|" between the lines fill those k - 1 places.  Each distinct
-    token is converted once, so a vertex id repeated on many lines is one
-    shared int.
+    The text is read in chunks of whole lines.  A plain chunk (see
+    `_NOT_PLAIN`) has its "\n" replaced by " | " and is split at once, so
+    no container per line is built.  When its k lines split into 3k - 1
+    tokens (the "|" of a final "\n" aside) and int() accepts every token
+    off the places 2, 5, 8, ..., each line holds exactly two tokens: int()
+    rejects "|", so the k - 1 "|" between the lines fill those k - 1
+    places.  Any other chunk, and a plain chunk that fails the count, which
+    a blank line does, has its lines stripped and its blank and `#` lines
+    dropped, and its data lines are joined with " | " and put to the same
+    test.  A plain chunk that passes the count but fails int() is faulty:
+    were each of its lines blank or two ints, the count would fail on a
+    blank line, and int() would pass without one.
     """
-    lines = text.splitlines()
-    if "#" in text or not all(map(str.strip, lines)):
-        lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-    if not lines:
-        raise ValueError("edge list has no data lines")
-    to_int = functools.cache(int)  # one shared int per distinct token
+    to_int = _Ints().__getitem__
     firsts: list[int] = []
     seconds: list[int] = []
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = lines[start : start + _BLOCK_LINES]
-        tokens = " | ".join(block).split()
-        if len(tokens) != 3 * len(block) - 1:
-            _raise_first_fault(text)
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        lines = chunk.count("\n") + (chunk[-1] != "\n")
+        tokens = []  # fails the count below, so a chunk that is not plain is filtered
+        if chunk.isascii() and not any(map(chunk.__contains__, _NOT_PLAIN)):
+            tokens = chunk.replace("\n", " | ").split()
+            if chunk[-1] == "\n":
+                tokens.pop()
+        if len(tokens) != 3 * lines - 1:
+            data = [line for line in map(str.strip, chunk.splitlines()) if line and line[0] != "#"]
+            if not data:
+                continue
+            tokens = " | ".join(data).split()
+            if len(tokens) != 3 * len(data) - 1:
+                _raise_first_fault(text)
         try:
             firsts += map(to_int, tokens[0::3])
             seconds += map(to_int, tokens[1::3])
         except ValueError:
             _raise_first_fault(text)
+    if not firsts:
+        raise ValueError("edge list has no data lines")
     return firsts, seconds
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rwcolor import cli, lab
 from rwcolor.coloring import Coloring
 from rwcolor.formats import (
+    _CHUNK_CHARS,
     MAX_VERTICES,
     coloring_from_obj,
     coloring_to_obj,
@@ -105,6 +106,38 @@ def _run_fault_in_a_later_block() -> str:
     return "\n".join(lines)
 
 
+def _chunked_edge_list() -> str:
+    """A canonical text over two chunks of the reader."""
+    text = oracles.serialize_edge_list_by_edges(oracles.random_graph(300, 0.3, random.Random(5)))
+    assert len(text) > _CHUNK_CHARS + 2**14
+    return text
+
+
+def _second_chunk_starts(text: str) -> int:
+    return text.find("\n", _CHUNK_CHARS) + 1
+
+
+def _fault_on_the_first_line_of_a_later_chunk() -> str:
+    text = _chunked_edge_list()
+    end = text.index("\n", _second_chunk_starts(text))
+    return text[:end] + " 0" + text[end:]
+
+
+def _vertex_spelled_two_ways_in_different_chunks() -> str:
+    text = _chunked_edge_list()
+    start = _second_chunk_starts(text)
+    return text[:start] + "00" + text[start:]
+
+
+def _comment_chunks_between_data_chunks() -> str:
+    """Over 128 K characters of comment and blank lines between two halves
+    of the data lines, so a chunk in the middle holds no data line."""
+    lines = _chunked_edge_list().splitlines()
+    half = len(lines) // 2
+    filler = ["# a comment", "", "   "] * (2 * _CHUNK_CHARS // 12)
+    return "\n".join([*lines[:half], *filler, *lines[half:]]) + "\n"
+
+
 HAND_WRITTEN_EDGE_LISTS = {
     "empty": "",
     "only-comments": "# c\n\n   \n",
@@ -152,6 +185,19 @@ HAND_WRITTEN_EDGE_LISTS = {
     "hash-inside-a-data-line": "3 1\n0 1 #x\n",
     "comment-lines-without-blank-lines": "# a\n3 2\n0 1\n# b\n1 2\n",
     "run-fault-in-a-later-block": _run_fault_in_a_later_block(),
+    "v-below-u-after-the-first-line-of-a-run": "10 3\n0 1\n3 4\n3 0\n",
+    "negative-v-after-the-first-line-of-a-run": "10 3\n0 1\n3 4\n3 -9\n",
+    "v-equals-u-after-the-first-line-of-a-run": "10 2\n3 4\n3 3\n",
+    **{
+        f"line-break-{ord(brk):x}-inside-a-data-line": f"3 1\n0{brk}1\n"
+        for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    },
+    "fault-on-the-first-line-of-a-later-chunk": _fault_on_the_first_line_of_a_later_chunk(),
+    "comment-and-blank-lines-only-in-a-later-chunk": _chunked_edge_list() + "# end\n\n" * 9000,
+    "a-chunk-of-comment-and-blank-lines-between-data": _comment_chunks_between_data_chunks(),
+    "crlf-over-several-chunks": _chunked_edge_list().replace("\n", "\r\n"),
+    "no-final-newline-over-several-chunks": _chunked_edge_list()[:-1],
+    "vertex-spelled-two-ways-in-different-chunks": _vertex_spelled_two_ways_in_different_chunks(),
 }
 
 
@@ -167,6 +213,18 @@ def test_edge_list_io_matches_the_per_line_references(text):
     assert got == _outcome(oracles.parse_edge_list_by_lines, text)
     if isinstance(got, Graph):
         assert serialize_edge_list(got) == oracles.serialize_edge_list_by_edges(got)
+
+
+def test_parse_edge_list_peak_stays_within_a_few_times_the_text():
+    """The order-24 chain: 332,352 edges in 2.9 MB of text."""
+    text = serialize_edge_list(twisted_chain(24))
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 def test_parse_edge_list_memory_follows_the_edges_not_the_order():
@@ -601,14 +659,11 @@ def test_cli_manifest_names_files_read_and_written(cli_files, tmp_path, argv, re
 
 
 @pytest.mark.parametrize("argv, code, read", [
-    # td mode colors from scratch: -c names a file that is never opened
-    (["color", "td", "-p", "2", "-i", "{p4}", "-c", "{tmp}/nowhere.json"], 0, ["{p4}"]),
-    # td mode takes no budget: --profile names a file that is never opened
-    (["verify", "coloring", "--mode", "td", "-p", "1", "-i", "{p4}", "-c", "{col}",
-      "--profile", "{tmp}/q.json"], 1, ["{p4}", "{col}"]),
+    (["color", "td", "-p", "2", "-i", "{p4}"], 0, ["{p4}"]),
+    (["verify", "coloring", "--mode", "td", "-p", "1", "-i", "{p4}", "-c", "{col}"], 1,
+     ["{p4}", "{col}"]),
 ])
 def test_cli_manifest_lists_only_files_the_run_read(cli_files, tmp_path, argv, code, read):
-    (tmp_path / "q.json").write_text(json.dumps({"q": {"1": 1}}))
     fill = {**cli_files, "tmp": str(tmp_path)}
     out = tmp_path / "out.json"
     man = tmp_path / "run.json"
@@ -617,6 +672,52 @@ def test_cli_manifest_lists_only_files_the_run_read(cli_files, tmp_path, argv, c
     manifest = json.loads(man.read_text())
     assert manifest["inputs"] == [a.format(**fill) for a in read]
     assert manifest["outputs"] == [str(out)]
+
+
+# every form that takes a file option it never opens, with that option
+@pytest.mark.parametrize("argv, form, option", [
+    (["gen", "path", "-i", "{g}"], "gen path", "-i/--input"),
+    (["gen", "model", "-i", "{g}"], "gen model", "-i/--input"),
+    (["gen", "chain", "--model-out", "{m}"], "gen chain", "--model-out"),
+    (["gen", "map", "-i", "{g}", "--model-out", "{m}"], "gen map", "--model-out"),
+    (["gen", "linegraph", "-i", "{g}", "--model-out", "{m}"], "gen linegraph", "--model-out"),
+    (["color", "td", "-i", "{g}", "-c", "{c}"], "color td", "-c/--coloring"),
+    (["color", "td", "-i", "{g}", "--profile", "{m}"], "color td", "--profile"),
+    (["color", "lowrw", "-i", "{g}", "-c", "{c}"], "color lowrw", "-c/--coloring"),
+    (["color", "refine", "-i", "{g}", "-c", "{c}", "--profile", "{m}"], "color refine",
+     "--profile"),
+    (["verify", "coloring", "-i", "{g}", "-c", "{c}", "-d", "{m}"],
+     "verify coloring --mode lowrw", "-d/--decomposition"),
+    (["verify", "coloring", "--mode", "td", "-i", "{g}", "-c", "{c}", "-d", "{m}"],
+     "verify coloring --mode td", "-d/--decomposition"),
+    (["verify", "coloring", "--mode", "td", "-i", "{g}", "-c", "{c}", "--profile", "{m}"],
+     "verify coloring --mode td", "--profile"),
+    (["verify", "decomposition", "-i", "{g}", "-d", "{m}", "-c", "{c}"],
+     "verify decomposition", "-c/--coloring"),
+    (["verify", "decomposition", "-i", "{g}", "-d", "{m}", "--profile", "{c}"],
+     "verify decomposition", "--profile"),
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--csv",
+      "{out}"], "lab certificate -i", "--csv"),
+    (["lab", "certificate", "--labels", "{c}"], "lab certificate without -i", "--labels"),
+    (["lab", "certificate", "--partition", "{m}"], "lab certificate without -i", "--partition"),
+    (["lab", "ramsey", "-i", "{g}", "--labels", "{c}", "--partition", "{m}"], "lab ramsey",
+     "-i/--input"),
+    (["lab", "ramsey", "--labels", "{c}"], "lab ramsey", "--labels"),
+    (["lab", "ramsey", "--partition", "{m}"], "lab ramsey", "--partition"),
+    (["lab", "extract", "-i", "{g}"], "lab extract", "-i/--input"),
+    (["lab", "extract", "--labels", "{c}"], "lab extract", "--labels"),
+    (["lab", "extract", "--partition", "{m}"], "lab extract", "--partition"),
+    (["lab", "extract", "--csv", "{out}"], "lab extract", "--csv"),
+])
+def test_cli_file_option_a_form_never_opens_is_usage_error(tmp_path, capsys, argv, form,
+                                                           option):
+    """Exit 2, naming the option, before any file is read or written: every
+    file named here is absent, so a read would fail with another message."""
+    fill = {k: str(tmp_path / k) for k in ("g", "c", "m", "out")}
+    man = tmp_path / "run.json"
+    assert run([a.format(**fill) for a in argv] + ["--manifest", str(man)]) == 2
+    assert capsys.readouterr() == ("", f"error: {form} does not use {option}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
