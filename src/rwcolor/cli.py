@@ -77,22 +77,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _need(value: str | None, option: str) -> str:
-    """The value of a file option that this command form cannot do without."""
-    if value is None:
-        raise ValueError(f"{option} is required for this command")
-    return value
-
-
-def _refuse(args, form: str, *options: str, why: str | None = None) -> None:
-    """Refuse the first of the given file options that was passed, since
-    this command form never opens it, with `why` as the message if given;
-    called before anything is read."""
-    for option in options:
-        if getattr(args, option.rpartition("--")[2].replace("-", "_")) is not None:
-            raise ValueError(why or f"{form} does not use {option}")
-
-
 @dataclass
 class RunRecord:
     """The one way a command reads or writes a file, and what its manifest
@@ -146,8 +130,9 @@ def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
 
 
 # Generators shared by `gen` and `report sweep`: family -> (builder, the
-# parameter names it takes, in order).  A sweep spec may leave out the
-# parameters in SWEEP_DEFAULTS; the CLI's own option defaults match them.
+# parameter names it takes, in order).  `gen <family>` takes one option per
+# name, with its default here; a sweep spec may leave out the parameters in
+# SWEEP_DEFAULTS.
 FAMILIES = {
     "h": (h_graph, ("n", "m")),
     "htilde": (h_tilde, ("n", "m")),
@@ -157,7 +142,10 @@ FAMILIES = {
     "grid": (grid, ("a", "b")),
     "random": (random_degenerate, ("n", "d", "seed")),
 }
-SWEEP_DEFAULTS = {"variant": "bare", "seed": 0}
+FAMILY_DEFAULTS = {
+    "n": 2, "m": 2, "a": 2, "b": 2, "d": 2, "order": 2, "variant": "bare", "seed": 0,
+}
+SWEEP_DEFAULTS = {k: FAMILY_DEFAULTS[k] for k in ("variant", "seed")}
 
 
 def _generate(family: str, params: Mapping) -> Graph:
@@ -165,46 +153,45 @@ def _generate(family: str, params: Mapping) -> Graph:
     return build(*(params[k] for k in names))
 
 
-def cmd_gen(args, record: RunRecord) -> int:
-    form = f"gen {args.family}"
-    if args.family not in ("map", "linegraph"):
-        _refuse(args, form, "-i/--input")
-    if args.family != "model":
-        _refuse(args, form, "--model-out")
-    model_obj = None
-    if args.family in FAMILIES:
-        g = _generate(args.family, vars(args))
-    elif args.family == "map":
-        rotations = formats.rotations_from_json(record.read(_need(args.input, "-i/--input")))
-        g = map_graph_from_rotation(rotations)
-    elif args.family == "linegraph":
-        g = line_graph_via_subdivision(record.graph(_need(args.input, "-i/--input")))
-    elif args.family == "model":
-        model = (
-            interval_model(args.order)
-            if args.kind == "interval"
-            else segment_model(args.order)
-        )
-        if args.kind == "interval":
-            model_obj = {"intervals": [list(iv) for iv in model.intervals]}
-        else:
-            model_obj = {"segments": [list(s) for s in model.segments]}
-        model_obj["scale"] = model.scale
-        model_obj["relabel_to_chain"] = list(model.relabel_to_chain)
-        g = intersection_graph(model)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+def _emit_graph(args, record: RunRecord, g: Graph, model_text: str | None = None) -> int:
+    """Write what a `gen` form made: the model, the edge list, the labels."""
     # build every text first, so that a failing --labels writes no file
-    model_text = formats.dumps_json(model_obj) if model_obj is not None else None
     edge_text = formats.serialize_edge_list(g)
     labels_text = formats.labels_to_json(g) if args.labels else None
-    if model_text is not None and args.model_out:
+    if model_text is not None:
         record.write(args.model_out, model_text)
     record.emit(args.output, edge_text)
     if labels_text is not None:
         record.write(args.labels, labels_text)
-    record.seeds = [args.seed]
     return 0
+
+
+def cmd_gen(args, record: RunRecord) -> int:
+    if "seed" in FAMILIES[args.family][1]:
+        record.seeds = [args.seed]
+    return _emit_graph(args, record, _generate(args.family, vars(args)))
+
+
+def cmd_gen_map(args, record: RunRecord) -> int:
+    rotations = formats.rotations_from_json(record.read(args.input))
+    return _emit_graph(args, record, map_graph_from_rotation(rotations))
+
+
+def cmd_gen_linegraph(args, record: RunRecord) -> int:
+    return _emit_graph(args, record, line_graph_via_subdivision(record.graph(args.input)))
+
+
+def cmd_gen_model(args, record: RunRecord) -> int:
+    if args.kind == "interval":
+        model = interval_model(args.order)
+        model_obj = {"intervals": [list(iv) for iv in model.intervals]}
+    else:
+        model = segment_model(args.order)
+        model_obj = {"segments": [list(s) for s in model.segments]}
+    model_obj["scale"] = model.scale
+    model_obj["relabel_to_chain"] = list(model.relabel_to_chain)
+    model_text = formats.dumps_json(model_obj) if args.model_out else None
+    return _emit_graph(args, record, intersection_graph(model), model_text)
 
 
 def cmd_power(args, record: RunRecord) -> int:
@@ -227,69 +214,49 @@ def cmd_wcol(args, record: RunRecord) -> int:
     return 0
 
 
-def cmd_color(args, record: RunRecord) -> int:
-    form = f"color {args.mode}"
-    if args.mode != "refine":
-        _refuse(args, form, "-c/--coloring")
-    if args.mode != "lowrw":
-        _refuse(args, form, "--profile")
-    g = record.graph(args.input)
-    if args.mode == "td":
-        c = treedepth_coloring(g, args.p)
-        record.emit(args.output, formats.dumps_json(formats.coloring_to_obj(c)))
-    elif args.mode == "refine":
-        text = record.read(_need(args.coloring, "-c/--coloring"))
-        base = formats.coloring_from_obj(json.loads(text))
-        if args.good:
-            _, L, wsets = wcol_heuristic(g, args.r)
-            ref = good_refinement(g, base, args.r, L, wsets)
-        else:
-            levels = [wcol_heuristic(g, radius) for radius in range(2, args.r + 1)]
-            orders = [L for _, L, _ in levels]
-            ref = excellent_refinement(g, base, args.r, orders, [ws for _, _, ws in levels])
-        record.emit(args.output, formats.dumps_json(formats.refinement_to_obj(ref)))
-    elif args.mode == "lowrw":
-        ref, profile = low_rankwidth_coloring_of_power(g, args.r, args.p)
-        obj = formats.refinement_to_obj(ref)
-        obj["p"] = args.p
-        obj["q"] = {str(i): v for i, v in sorted(profile.q.items())}
-        if args.profile:
-            record.write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
-        record.emit(args.output, formats.dumps_json(obj))
-    else:
-        raise ValueError(f"unknown color mode {args.mode!r}")
+def cmd_color_td(args, record: RunRecord) -> int:
+    c = treedepth_coloring(record.graph(args.input), args.p)
+    record.emit(args.output, formats.dumps_json(formats.coloring_to_obj(c)))
     return 0
 
 
-def cmd_verify(args, record: RunRecord) -> int:
-    if args.what == "decomposition":
-        _refuse(args, "verify decomposition", "-c/--coloring", "--profile")
-    else:
-        _refuse(args, f"verify coloring --mode {args.mode}", "-d/--decomposition")
-        if args.mode == "td":
-            _refuse(args, "verify coloring --mode td", "--profile")
+def cmd_color_refine(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    if args.what == "decomposition":
-        D = formats.decomposition_from_obj(
-            json.loads(record.read(_need(args.decomposition, "-d/--decomposition")))
-        )
-        try:
-            width = verify_decomposition(g, D)
-        except ValueError as exc:
-            sys.stderr.write(f"invalid decomposition: {exc}\n")
-            return 1
-        record.emit(args.output, formats.dumps_json({"width": width}))
-        if args.max_width is not None and width > args.max_width:
-            return 1
-        return 0
-    obj = json.loads(record.read(_need(args.coloring, "-c/--coloring")))
+    base = formats.coloring_from_obj(json.loads(record.read(args.coloring)))
+    if args.good:
+        _, L, wsets = wcol_heuristic(g, args.r)
+        ref = good_refinement(g, base, args.r, L, wsets)
+    else:
+        levels = [wcol_heuristic(g, radius) for radius in range(2, args.r + 1)]
+        orders = [L for _, L, _ in levels]
+        ref = excellent_refinement(g, base, args.r, orders, [ws for _, _, ws in levels])
+    record.emit(args.output, formats.dumps_json(formats.refinement_to_obj(ref)))
+    return 0
+
+
+def cmd_color_lowrw(args, record: RunRecord) -> int:
+    ref, profile = low_rankwidth_coloring_of_power(record.graph(args.input), args.r, args.p)
+    obj = formats.refinement_to_obj(ref)
+    obj["p"] = args.p
+    obj["q"] = {str(i): v for i, v in sorted(profile.q.items())}
+    if args.profile:
+        record.write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
+    record.emit(args.output, formats.dumps_json(obj))
+    return 0
+
+
+def cmd_verify_coloring(args, record: RunRecord) -> int:
+    if args.mode == "td" and (args.profile is not None or args.q_linear is not None):
+        raise ValueError("verify coloring --mode td does not use --profile or --q-linear")
+    g = record.graph(args.input)
+    obj = json.loads(record.read(args.coloring))
     c = formats.coloring_from_obj(obj)
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
-    elif args.mode == "lowrw":
+    else:
         if args.profile or "q" in obj:
-            table = json.loads(record.read(args.profile))["q"] if args.profile else obj["q"]
-            q = {int(i): v for i, v in table.items()}
+            table = json.loads(record.read(args.profile)) if args.profile else obj
+            q = formats.budget_from_obj(table)
         elif args.q_linear is not None:
             q = {i: args.q_linear * i for i in range(1, args.p + 1)}
         else:
@@ -298,105 +265,111 @@ def cmd_verify(args, record: RunRecord) -> int:
                 "file that embeds its q table"
             )
         report = verify_low_rw_coloring(g, c, args.p, q)
-    else:
-        raise ValueError(f"unknown verify mode {args.mode!r}")
     record.emit(args.output, formats.dumps_json(formats.union_report_to_obj(report)))
     return 0 if report.verified else 1
 
 
-def cmd_width(args, record: RunRecord) -> int:
+def cmd_verify_decomposition(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    if args.what == "rank":
-        rep = rank_width_exact(g) if args.exact else rank_width_upper(g)
-        record.emit(args.output, formats.dumps_json(formats.width_report_to_obj(rep)))
-    elif args.what == "treedepth":
-        value = tree_depth_exact(g)
-        record.emit(args.output, formats.dumps_json({"value": value, "method": "exact"}))
-    else:
-        raise ValueError(f"unknown width kind {args.what!r}")
+    D = formats.decomposition_from_obj(json.loads(record.read(args.decomposition)))
+    try:
+        width = verify_decomposition(g, D)
+    except ValueError as exc:
+        sys.stderr.write(f"invalid decomposition: {exc}\n")
+        return 1
+    record.emit(args.output, formats.dumps_json({"width": width}))
+    return 1 if args.max_width is not None and width > args.max_width else 0
+
+
+def cmd_width_rank(args, record: RunRecord) -> int:
+    g = record.graph(args.input)
+    rep = rank_width_exact(g) if args.exact else rank_width_upper(g)
+    record.emit(args.output, formats.dumps_json(formats.width_report_to_obj(rep)))
     return 0
 
 
-def cmd_lab(args, record: RunRecord) -> int:
-    if args.what == "certificate" and args.input:
-        _refuse(args, "lab certificate -i", "--csv")
-    elif args.what == "extract":
-        _refuse(args, "lab extract", "-i/--input", "--labels", "--partition", "--csv")
-    else:
-        harness = "lab certificate without -i" if args.what == "certificate" else "lab ramsey"
-        _refuse(args, harness, "-o/--output",
-                why="the harness writes its CSV to --csv, not to -o/--output")
-        _refuse(args, harness, "-i/--input", "--labels", "--partition")
-    if args.what == "certificate":
-        if args.input:
-            g = record.graph(args.input)
-            labels = formats.labels_from_json(record.read(_need(args.labels, "--labels")))
-            g = Graph(g.n, g.adj, labels)
-            part_obj = json.loads(record.read(_need(args.partition, "--partition")))
-            part = formats.partition_from_obj(part_obj, g)
-            result = lower_bound_certificate(g, part)
-            if isinstance(result, ImbalanceReport):
-                record.emit(
-                    args.output,
-                    formats.dumps_json(
-                        {
-                            "imbalance": {
-                                "heavy_side": result.heavy_side,
-                                "heavy_count": result.heavy_count,
-                                "c_size": result.c_size,
-                            }
-                        }
-                    ),
-                )
-                return 1
-            rank = certificate_rank(g, result)
-            obj = formats.certificate_to_obj(result)
-            obj["rank"] = rank
-            record.emit(args.output, formats.dumps_json(obj))
-            return 0 if rank == result.order else 1
+def cmd_width_treedepth(args, record: RunRecord) -> int:
+    value = tree_depth_exact(record.graph(args.input))
+    record.emit(args.output, formats.dumps_json({"value": value, "method": "exact"}))
+    return 0
+
+
+def cmd_lab_certificate(args, record: RunRecord) -> int:
+    """Both forms of `lab certificate`: one partition of a chain read from
+    files with -i, or the seeded harness without it."""
+    if args.input is None:
+        if args.output is not None:
+            raise ValueError("the harness writes its CSV to --csv, not to -o/--output")
+        if args.labels is not None or args.partition is not None:
+            raise ValueError("lab certificate without -i does not use --labels or --partition")
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")
         rows = _certificate_rows(twisted_chain(args.order, "bare"), args.seed, args.seeds)
         _emit_harness(args, record, rows)
         return 0 if all(verified for _, _, verified in rows) else 1
-    if args.what == "ramsey":
-        for name in ("seeds", "k", "d", "size"):
-            if getattr(args, name) < 1:
-                raise ValueError(f"--{name} must be >= 1")
-        guaranteed = ramsey_threshold_within(args.k, args.d, args.size) is not None
-        rows = []
-        ok = True
-        for s in range(args.seeds):
-            seed = args.seed + s
-            rng = random.Random(seed)
-            table = {
-                (x, y): rng.randint(1, args.d)
-                for x in range(args.size)
-                for y in range(args.size)
-            }
-            res = ramsey_bireduce(
-                lambda x, y: table[(x, y)],
-                list(range(args.size)),
-                list(range(args.size)),
-                args.k,
-                args.d,
-            )
-            verified = res.size >= args.k
-            ok = ok and verified and res.guaranteed == guaranteed
-            rows.append((seed, res.size, verified))
-        _emit_harness(args, record, rows)
-        return 0 if ok else 1
-    if args.what == "extract":
-        if args.colors < 1:
-            raise ValueError("--colors must be >= 1")
-        g = twisted_chain(args.order, "bare")
-        rng = random.Random(args.seed)
-        colors = [rng.randint(1, args.colors) for _ in range(g.n)]
-        sub, report = monochromatic_substructure(g, colors, args.target)
-        record.emit(args.output, formats.dumps_json(formats.extraction_report_to_obj(report)))
-        record.seeds = [args.seed]
-        return 0 if report.achieved >= 1 else 1
-    raise ValueError(f"unknown lab command {args.what!r}")
+    if args.labels is None or args.partition is None:
+        raise ValueError("lab certificate -i needs --labels and --partition")
+    if args.csv is not None:
+        raise ValueError("lab certificate -i does not use --csv")
+    g = record.graph(args.input)
+    labels = formats.labels_from_json(record.read(args.labels))
+    g = Graph(g.n, g.adj, labels)
+    part = formats.partition_from_obj(json.loads(record.read(args.partition)), g)
+    result = lower_bound_certificate(g, part)
+    if isinstance(result, ImbalanceReport):
+        imbalance = {
+            "heavy_side": result.heavy_side,
+            "heavy_count": result.heavy_count,
+            "c_size": result.c_size,
+        }
+        record.emit(args.output, formats.dumps_json({"imbalance": imbalance}))
+        return 1
+    rank = certificate_rank(g, result)
+    obj = formats.certificate_to_obj(result)
+    obj["rank"] = rank
+    record.emit(args.output, formats.dumps_json(obj))
+    return 0 if rank == result.order else 1
+
+
+def cmd_lab_ramsey(args, record: RunRecord) -> int:
+    for name in ("seeds", "k", "d", "size"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be >= 1")
+    guaranteed = ramsey_threshold_within(args.k, args.d, args.size) is not None
+    rows = []
+    ok = True
+    for s in range(args.seeds):
+        seed = args.seed + s
+        rng = random.Random(seed)
+        table = {
+            (x, y): rng.randint(1, args.d)
+            for x in range(args.size)
+            for y in range(args.size)
+        }
+        res = ramsey_bireduce(
+            lambda x, y: table[(x, y)],
+            list(range(args.size)),
+            list(range(args.size)),
+            args.k,
+            args.d,
+        )
+        verified = res.size >= args.k
+        ok = ok and verified and res.guaranteed == guaranteed
+        rows.append((seed, res.size, verified))
+    _emit_harness(args, record, rows)
+    return 0 if ok else 1
+
+
+def cmd_lab_extract(args, record: RunRecord) -> int:
+    if args.colors < 1:
+        raise ValueError("--colors must be >= 1")
+    g = twisted_chain(args.order, "bare")
+    rng = random.Random(args.seed)
+    colors = [rng.randint(1, args.colors) for _ in range(g.n)]
+    sub, report = monochromatic_substructure(g, colors, args.target)
+    record.emit(args.output, formats.dumps_json(formats.extraction_report_to_obj(report)))
+    record.seeds = [args.seed]
+    return 0 if report.achieved >= 1 else 1
 
 
 def _certificate_rows(g: Graph, seed0: int, seeds: int) -> list[tuple[int, int, bool]]:
@@ -521,132 +494,149 @@ def cmd_report(args, record: RunRecord) -> int:
 
 def cmd_rerun(args, record: RunRecord) -> int:
     manifest = json.loads(record.read(args.manifest))
-    return main(manifest["argv"])
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ValueError('a manifest needs an "argv" array of strings')
+    if argv[:1] == ["rerun"]:
+        # no run writes such a manifest, and replaying one may never end
+        raise ValueError("a manifest's argv cannot itself be a rerun")
+    return main(argv)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call.
 
-    :func:`main` parses every call with it.  That is safe because every
-    option default is immutable and no command writes to its ``args``.
+    Each command form is a subparser that takes exactly the options the form
+    reads, so argparse refuses any other (and any prefix of an option, which
+    could otherwise name an option of the form that was not meant).
+    :func:`main` parses every call with this parser.  That is safe because
+    every option default is immutable and no command writes to its ``args``.
     """
     parser = argparse.ArgumentParser(
         prog="rwcolor",
         description="Construct, verify, and refute low rank-width colorings.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-o", "--output", help="output file (default stdout)")
+    def forms(command, dest, help):
+        """The subparsers of a command that has several forms."""
+        p = commands.add_parser(command, help=help, allow_abbrev=False)
+        return p.add_subparsers(dest=dest, required=True)
+
+    def form(subparsers, name, func, output=True, help=None):
+        """One command form, run by func, with -o (unless output is False)
+        and --manifest."""
+        p = subparsers.add_parser(name, help=help, allow_abbrev=False)
+        if output:
+            p.add_argument("-o", "--output", help="output file (default stdout)")
         p.add_argument("--manifest", help="write a run manifest to this path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="generate a graph family")
-    p.add_argument("family", choices=[*FAMILIES, "map", "linegraph", "model"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--variant", default="bare")
+    gen = forms("gen", "family", "generate a graph family")
+    for family, (_, names) in FAMILIES.items():
+        p = form(gen, family, cmd_gen)
+        for name in names:
+            default = FAMILY_DEFAULTS[name]
+            p.add_argument(f"--{name}", type=type(default), default=default)
+    p = form(gen, "map", cmd_gen_map)
+    p.add_argument("-i", "--input", required=True, help="rotation system JSON")
+    p = form(gen, "linegraph", cmd_gen_linegraph)
+    p.add_argument("-i", "--input", required=True, help="edge list")
+    p = form(gen, "model", cmd_gen_model)
+    p.add_argument("--order", type=int, default=FAMILY_DEFAULTS["order"])
     p.add_argument("--kind", choices=["interval", "segment"], default="interval")
-    p.add_argument("-i", "--input", help="input file for map/linegraph")
-    p.add_argument("--labels", help="write the label sidecar JSON here")
     p.add_argument("--model-out", help="write the intersection model JSON here")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.set_defaults(func=cmd_gen)
+    for p in gen.choices.values():
+        p.add_argument("--labels", help="write the label sidecar JSON here")
 
-    p = sub.add_parser("power", help="graph power")
+    p = form(commands, "power", cmd_power, help="graph power")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-i", "--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_power)
 
-    p = sub.add_parser("wcol", help="weak coloring numbers")
+    p = form(commands, "wcol", cmd_wcol, help="weak coloring numbers")
     p.add_argument("-r", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true")
     group.add_argument("--heuristic", action="store_true")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--order-out", help="write the witness order JSON here")
-    common(p)
-    p.set_defaults(func=cmd_wcol)
 
-    p = sub.add_parser("color", help="tree-depth and refinement colorings")
-    p.add_argument("mode", choices=["td", "refine", "lowrw"])
-    p.add_argument("-r", type=int, default=2)
-    p.add_argument("-p", type=int, default=1)
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-c", "--coloring", help="base coloring JSON (refine mode)")
-    p.add_argument("--good", action="store_true", help="single-radius refinement")
-    p.add_argument("--profile", help="write the budget profile JSON here")
-    common(p)
-    p.set_defaults(func=cmd_color)
+    color = forms("color", "mode", "tree-depth and refinement colorings")
+    td = form(color, "td", cmd_color_td)
+    refine = form(color, "refine", cmd_color_refine)
+    lowrw = form(color, "lowrw", cmd_color_lowrw)
+    for p in (refine, lowrw):
+        p.add_argument("-r", type=int, default=2)
+    for p in (td, lowrw):
+        p.add_argument("-p", type=int, default=1)
+    for p in (td, refine, lowrw):
+        p.add_argument("-i", "--input", required=True)
+    refine.add_argument("-c", "--coloring", required=True, help="base coloring JSON")
+    refine.add_argument("--good", action="store_true", help="single-radius refinement")
+    lowrw.add_argument("--profile", help="write the budget profile JSON here")
 
-    p = sub.add_parser("verify", help="verify colorings and decompositions")
-    p.add_argument("what", choices=["coloring", "decomposition"])
+    verify = forms("verify", "what", "verify colorings and decompositions")
+    p = form(verify, "coloring", cmd_verify_coloring)
     p.add_argument("--mode", choices=["td", "lowrw"], default="lowrw")
     p.add_argument("-p", type=int, default=1)
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("-c", "--coloring")
-    p.add_argument("-d", "--decomposition")
-    p.add_argument("--profile", help="budget profile JSON")
-    p.add_argument("--q-linear", type=int, help="use the budget Q(i) = COEFF*i")
+    p.add_argument("-c", "--coloring", required=True)
+    p.add_argument("--profile", help="budget profile JSON (--mode lowrw)")
+    p.add_argument("--q-linear", type=int, help="use the budget Q(i) = COEFF*i (--mode lowrw)")
+    p = form(verify, "decomposition", cmd_verify_decomposition)
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("-d", "--decomposition", required=True)
     p.add_argument("--max-width", type=int)
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("width", help="exact widths")
-    p.add_argument("what", choices=["rank", "treedepth"])
+    width = forms("width", "what", "exact widths")
+    p = form(width, "rank", cmd_width_rank)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--upper", dest="exact", action="store_false")
-    p.add_argument("-i", "--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_width)
+    form(width, "treedepth", cmd_width_treedepth)
+    for p in width.choices.values():
+        p.add_argument("-i", "--input", required=True)
 
-    p = sub.add_parser("lab", help="lower-bound machinery")
-    p.add_argument("what", choices=["certificate", "ramsey", "extract"])
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--colors", type=int, default=2)
-    p.add_argument("--target", type=int, default=2)
-    p.add_argument("-i", "--input")
-    p.add_argument("--labels")
-    p.add_argument("--partition")
-    p.add_argument("--csv", help="write the harness CSV here")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.set_defaults(func=cmd_lab)
+    lab = forms("lab", "what", "lower-bound machinery")
+    certificate = form(lab, "certificate", cmd_lab_certificate)
+    ramsey = form(lab, "ramsey", cmd_lab_ramsey, output=False)
+    extract = form(lab, "extract", cmd_lab_extract)
+    for p in (certificate, extract):
+        p.add_argument("--order", type=int, default=12)
+    for p in (certificate, ramsey):
+        p.add_argument("--seeds", type=int, default=1)
+        p.add_argument("--csv", help="write the harness CSV here")
+    ramsey.add_argument("--k", type=int, default=2)
+    ramsey.add_argument("--d", type=int, default=2)
+    ramsey.add_argument("--size", type=int, default=32)
+    extract.add_argument("--colors", type=int, default=2)
+    extract.add_argument("--target", type=int, default=2)
+    certificate.add_argument("-i", "--input", help="chain edge list: certify one partition")
+    certificate.add_argument("--labels")
+    certificate.add_argument("--partition")
+    for p in lab.choices.values():
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
-    p = sub.add_parser("eh", help="clique-or-independent-set witnesses")
+    p = form(commands, "eh", cmd_eh, help="clique-or-independent-set witnesses")
     p.add_argument("what", choices=["extract"])
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--width-bound", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_eh)
 
-    p = sub.add_parser("chi", help="product colorings")
+    p = form(commands, "chi", cmd_chi, help="product colorings")
     p.add_argument("what", choices=["product"])
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-c", "--coloring", required=True)
-    common(p)
-    p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("report", help="experiment sweeps")
+    p = form(commands, "report", cmd_report, help="experiment sweeps")
     p.add_argument("what", choices=["sweep"])
     p.add_argument("--spec", required=True)
-    common(p)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("rerun", help="re-execute a recorded manifest")
+    p = commands.add_parser("rerun", help="re-execute a recorded manifest", allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_rerun)
 

@@ -47,9 +47,13 @@ class Coloring:
     palette_size: int
 
     def __post_init__(self):
+        if type(self.palette_size) is not int:  # a bool is refused too
+            raise ValueError(f"palette size {self.palette_size!r} is not an integer")
         if self.palette_size < 1:
             raise ValueError("palette must have at least one color")
         for v, c in enumerate(self.colors):
+            if type(c) is not int:
+                raise ValueError(f"vertex {v} has color {c!r}, not an integer")
             if not 1 <= c <= self.palette_size:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.palette_size}")
 
@@ -524,12 +528,17 @@ def verify_low_rw_coloring(
     that recurs across unions is solved once.  A union is refuted, with that
     width, when a component solved exactly is above its budget; a union
     above its budget only through an upper bound is inconclusive.  More
-    than ``MAX_UNIONS`` unions are refused before any is measured.
+    than ``MAX_UNIONS`` unions, or a budget mapping without a width for
+    some union size, are refused before any union is measured.
     """
     colors = len(set(c.colors))
     total = sum(math.comb(colors, i) for i in range(1, min(p, colors) + 1))
     if total > MAX_UNIONS:
         raise ValueError(f"{total} unions exceed the enumeration budget {MAX_UNIONS}")
+    if not callable(Q):
+        for i in range(1, min(p, colors) + 1):
+            if i not in Q:
+                raise ValueError(f"the budget gives no width for unions of size {i}")
     widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
 
     def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:

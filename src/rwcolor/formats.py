@@ -212,7 +212,19 @@ def coloring_to_obj(c: Coloring) -> dict:
     return {"palette_size": c.palette_size, "colors": list(c.colors)}
 
 
+def _int_list(x, length: int | None = None) -> bool:
+    """Whether x is a JSON array of integers (of the given length)."""
+    return isinstance(x, list) and all(type(v) is int for v in x) and length in (None, len(x))
+
+
 def coloring_from_obj(obj: Mapping) -> Coloring:
+    if not isinstance(obj, dict):
+        raise ValueError('coloring must be a JSON object with "colors" and "palette_size"')
+    for key in ("colors", "palette_size"):
+        if key not in obj:
+            raise ValueError(f'coloring has no "{key}"')
+    if not isinstance(obj["colors"], list):
+        raise ValueError('coloring "colors" must be an array of colors')
     return Coloring(tuple(obj["colors"]), obj["palette_size"])
 
 
@@ -254,6 +266,14 @@ def profile_to_obj(p: ColoringProfile) -> dict:
     }
 
 
+def budget_from_obj(obj: Mapping) -> dict[int, int]:
+    """The budget table "q" of a profile or coloring file: union size -> width."""
+    q = obj.get("q") if isinstance(obj, dict) else None
+    if not (isinstance(q, dict) and all(i.isdecimal() and type(w) is int for i, w in q.items())):
+        raise ValueError('budget "q" must be an object from union sizes to integer widths')
+    return {int(i): w for i, w in q.items()}
+
+
 def _union_verdict_to_obj(verdict: tuple[tuple[int, ...], int, int]) -> dict:
     colors, size, width = verdict
     return {"colors": list(colors), "size": size, "width": width}
@@ -285,6 +305,25 @@ def decomposition_to_obj(D: RankDecomposition) -> dict:
 
 
 def decomposition_from_obj(obj: Mapping) -> RankDecomposition:
+    if not isinstance(obj, dict):
+        raise ValueError(
+            'decomposition must be a JSON object with "nodes", "edges" and "leaf_map"'
+        )
+    for key in ("nodes", "edges", "leaf_map"):
+        if key not in obj:
+            raise ValueError(f'decomposition has no "{key}"')
+    if type(obj["nodes"]) is not int:
+        raise ValueError('decomposition "nodes" must be an integer')
+    if not (isinstance(obj["edges"], list) and all(_int_list(e, 2) for e in obj["edges"])):
+        raise ValueError('decomposition "edges" must be an array of [a, b] node pairs')
+    if not (
+        isinstance(obj["leaf_map"], list)
+        and all(isinstance(d, dict) and _int_list([d.get("leaf"), d.get("vertex")])
+                for d in obj["leaf_map"])
+    ):
+        raise ValueError(
+            'decomposition "leaf_map" must be an array of {"leaf": t, "vertex": v} objects'
+        )
     return RankDecomposition(
         obj["nodes"],
         tuple(tuple(e) for e in obj["edges"]),
@@ -318,7 +357,7 @@ def partition_from_obj(obj: Mapping, G: Graph) -> Bipartition:
     for key in ("S", "T"):
         if key not in obj:
             raise ValueError(f'partition has no "{key}" array')
-        if not (isinstance(obj[key], list) and all(type(v) is int for v in obj[key])):
+        if not _int_list(obj[key]):
             raise ValueError(f'partition "{key}" must be an array of vertex ids')
     part = Bipartition.of(G, obj["S"])
     if set(obj["T"]) != set(part.T):

@@ -653,6 +653,36 @@ def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
     assert verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1}).verified
 
 
+
+def test_verify_low_rw_names_a_union_size_the_budget_misses(monkeypatch):
+    from rwcolor import coloring
+
+    def walked(*args):
+        raise AssertionError("a union was walked")
+
+    monkeypatch.setattr(coloring, "_check_unions", walked)
+    c = Coloring((1, 2, 1, 2), 2)
+    with pytest.raises(ValueError) as err:
+        verify_low_rw_coloring(path(4), c, 2, {1: 3})
+    assert str(err.value) == "the budget gives no width for unions of size 2"
+    # sizes above the palette are never walked, so they need no width
+    monkeypatch.undo()
+    assert verify_low_rw_coloring(path(4), Coloring((1, 1, 1, 1), 1), 3, {1: 1}).verified
+
+
+@pytest.mark.parametrize("colors, palette, message", [
+    ((1.5, 1, 2), 2, "vertex 0 has color 1.5, not an integer"),
+    ((1, True, 2), 2, "vertex 1 has color True, not an integer"),
+    ((1, 2, "2"), 2, "vertex 2 has color '2', not an integer"),
+    ((1, 2, 1), 2.0, "palette size 2.0 is not an integer"),
+    ((1, 1, 1), True, "palette size True is not an integer"),
+])
+def test_coloring_takes_integer_colors_only(colors, palette, message):
+    with pytest.raises(ValueError) as err:
+        Coloring(colors, palette)
+    assert str(err.value) == message
+
+
 def test_greedy_proper_coloring_is_proper():
     rng = random.Random(90)
     for _ in range(10):

@@ -23,7 +23,7 @@ from rwcolor.formats import (
     partition_to_obj,
     serialize_edge_list,
 )
-from rwcolor.families import TWISTED_CHAIN_VARIANTS, h_graph, twisted_chain
+from rwcolor.families import TWISTED_CHAIN_VARIANTS, h_graph, random_degenerate, twisted_chain
 from rwcolor.lab import random_balanced_bipartition
 from rwcolor.graph import Graph, build_graph
 from rwcolor.widths import rank_width_exact
@@ -287,6 +287,42 @@ def test_coloring_round_trip():
     assert coloring_from_obj(coloring_to_obj(c)) == c
 
 
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, 2], 'coloring must be a JSON object with "colors" and "palette_size"'),
+    ({"palette_size": 2}, 'coloring has no "colors"'),
+    ({"colors": [1]}, 'coloring has no "palette_size"'),
+    ({"palette_size": 7, "colors": 7}, 'coloring "colors" must be an array of colors'),
+    ({"palette_size": 2, "colors": [1.5, 1]}, "vertex 0 has color 1.5, not an integer"),
+    ({"palette_size": "2", "colors": [1]}, "palette size '2' is not an integer"),
+])
+def test_coloring_from_obj_names_the_fault(obj, message):
+    with pytest.raises(ValueError) as err:
+        coloring_from_obj(obj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj, message", [
+    ("tree", 'decomposition must be a JSON object with "nodes", "edges" and "leaf_map"'),
+    ({"edges": [], "leaf_map": []}, 'decomposition has no "nodes"'),
+    ({"nodes": 2, "leaf_map": []}, 'decomposition has no "edges"'),
+    ({"nodes": 2, "edges": []}, 'decomposition has no "leaf_map"'),
+    ({"nodes": "2", "edges": [], "leaf_map": []}, 'decomposition "nodes" must be an integer'),
+    ({"nodes": 2, "edges": 5, "leaf_map": []},
+     'decomposition "edges" must be an array of [a, b] node pairs'),
+    ({"nodes": 2, "edges": [[0, 1, 2]], "leaf_map": []},
+     'decomposition "edges" must be an array of [a, b] node pairs'),
+    ({"nodes": 2, "edges": [[0, 1]], "leaf_map": [[0, 0]]},
+     'decomposition "leaf_map" must be an array of {"leaf": t, "vertex": v} objects'),
+    ({"nodes": 2, "edges": [[0, 1]], "leaf_map": [{"leaf": 0}]},
+     'decomposition "leaf_map" must be an array of {"leaf": t, "vertex": v} objects'),
+])
+def test_decomposition_from_obj_names_the_fault(obj, message):
+    with pytest.raises(ValueError) as err:
+        decomposition_from_obj(obj)
+    assert str(err.value) == message
+
+
 def test_decomposition_round_trip():
     g = build_graph(5, [(i, i + 1) for i in range(4)])
     D = rank_width_exact(g).decomposition
@@ -298,6 +334,16 @@ def test_decomposition_round_trip():
 
 def run(args):
     return cli.main(args)
+
+
+UNRECOGNIZED = "rwcolor: error: unrecognized arguments: "
+
+
+def usage_error(capsys) -> str:
+    """The last line of a usage error, which writes nothing to stdout."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
 
 
 def test_cli_gen_golden(tmp_path):
@@ -456,10 +502,14 @@ def test_cli_lab_certificate_harness(tmp_path):
     ["lab", "ramsey", "--size", "4"],
 ])
 def test_cli_lab_harness_refuses_the_output_option(tmp_path, argv, capsys):
+    """`lab certificate` takes -o in its -i form and refuses it here;
+    `lab ramsey` has no -o at all."""
     out = tmp_path / "harness.csv"
     assert run(argv + ["-o", str(out)]) == 2
-    err = "error: the harness writes its CSV to --csv, not to -o/--output\n"
-    assert capsys.readouterr() == ("", err)
+    assert usage_error(capsys) == (
+        "error: the harness writes its CSV to --csv, not to -o/--output"
+        if argv[1] == "certificate" else f"{UNRECOGNIZED}-o {out}"
+    )
     assert not out.exists()
 
 
@@ -584,10 +634,17 @@ def cli_files(tmp_path):
     (["lab", "certificate", "-i", "{el}", "--partition", "{part}"], "--labels"),
     (["lab", "certificate", "-i", "{el}", "--labels", "{labels}"], "--partition"),
 ])
-def test_cli_missing_file_option_is_usage_error(cli_files, capsys, argv, option):
-    assert run([a.format(**cli_files) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and option in err
+def test_cli_missing_file_option_is_usage_error(cli_files, tmp_path, capsys, argv, option):
+    """argparse names the option; the -i form of `lab certificate`, which
+    shares its name with the harness, checks its two sidecars by hand."""
+    man = tmp_path / "run.json"
+    assert run([a.format(**cli_files) for a in argv] + ["--manifest", str(man)]) == 2
+    assert usage_error(capsys) == (
+        "error: lab certificate -i needs --labels and --partition"
+        if argv[:2] == ["lab", "certificate"]
+        else f"rwcolor {' '.join(argv[:2])}: error: the following arguments are required: {option}"
+    )
+    assert not man.exists()
 
 
 @pytest.mark.parametrize("sidecar, text, message", [
@@ -674,6 +731,29 @@ def test_cli_manifest_lists_only_files_the_run_read(cli_files, tmp_path, argv, c
     assert manifest["outputs"] == [str(out)]
 
 
+def assert_refused(tmp_path, capsys, argv, line):
+    """Exit 2 with the given last line, before any file is read or written:
+    every file named in argv is absent, so a read would fail with another
+    message."""
+    fill = {k: str(tmp_path / k) for k in ("g", "c", "m", "out")}
+    man = tmp_path / "run.json"
+    assert run([a.format(**fill) for a in argv] + ["--manifest", str(man)]) == 2
+    assert usage_error(capsys) == line.format(**fill)
+    assert list(tmp_path.iterdir()) == []
+
+
+# what the hand checks say, for the forms that share a parser with one that reads the option
+REFUSED_BY_HAND = {
+    ("verify coloring --mode td", "--profile"):
+        "verify coloring --mode td does not use --profile or --q-linear",
+    ("lab certificate -i", "--csv"): "lab certificate -i does not use --csv",
+    ("lab certificate without -i", "--labels"):
+        "lab certificate without -i does not use --labels or --partition",
+    ("lab certificate without -i", "--partition"):
+        "lab certificate without -i does not use --labels or --partition",
+}
+
+
 # every form that takes a file option it never opens, with that option
 @pytest.mark.parametrize("argv, form, option", [
     (["gen", "path", "-i", "{g}"], "gen path", "-i/--input"),
@@ -711,13 +791,31 @@ def test_cli_manifest_lists_only_files_the_run_read(cli_files, tmp_path, argv, c
 ])
 def test_cli_file_option_a_form_never_opens_is_usage_error(tmp_path, capsys, argv, form,
                                                            option):
-    """Exit 2, naming the option, before any file is read or written: every
-    file named here is absent, so a read would fail with another message."""
-    fill = {k: str(tmp_path / k) for k in ("g", "c", "m", "out")}
-    man = tmp_path / "run.json"
-    assert run([a.format(**fill) for a in argv] + ["--manifest", str(man)]) == 2
-    assert capsys.readouterr() == ("", f"error: {form} does not use {option}\n")
-    assert list(tmp_path.iterdir()) == []
+    """The hand check's message where the form shares its parser with one
+    that reads the option; else argparse's, listing the option and all
+    that follows it."""
+    if (form, option) in REFUSED_BY_HAND:
+        line = "error: " + REFUSED_BY_HAND[form, option]
+    else:
+        line = UNRECOGNIZED + " ".join(argv[argv.index(option.split("/")[0]):])
+    assert_refused(tmp_path, capsys, argv, line)
+
+
+# options that are no files, which a form never reads
+@pytest.mark.parametrize("argv, line", [
+    (["width", "treedepth", "--upper", "-i", "{g}"], UNRECOGNIZED + "--upper"),
+    (["gen", "path", "--n", "5", "--seed", "7", "--m", "9", "--order", "3"],
+     UNRECOGNIZED + "--seed 7 --m 9 --order 3"),
+    (["color", "td", "-r", "9", "-i", "{g}"], UNRECOGNIZED + "-r 9"),
+    (["lab", "extract", "--k", "3", "--size", "5", "--seeds", "4"],
+     UNRECOGNIZED + "--k 3 --size 5 --seeds 4"),
+    (["verify", "coloring", "--mode", "td", "--q-linear", "5", "-i", "{g}", "-c", "{c}"],
+     "error: verify coloring --mode td does not use --profile or --q-linear"),
+    # an option's prefix is not taken for it: --m would otherwise be --manifest
+    (["gen", "path", "--m", "9"], UNRECOGNIZED + "--m 9"),
+])
+def test_cli_option_a_form_never_reads_is_usage_error(tmp_path, capsys, argv, line):
+    assert_refused(tmp_path, capsys, argv, line)
 
 
 @pytest.mark.parametrize("argv", [
@@ -729,6 +827,8 @@ def test_cli_file_option_a_form_never_opens_is_usage_error(tmp_path, capsys, arg
     ["eh", "extract", "-i", "{p4}"],
     ["chi", "product", "-i", "{p4}", "-c", "{col}"],
     ["report", "sweep", "--spec", "{tmp}/spec.json"],
+    ["gen", "path", "--n", "4"],
+    ["gen", "grid", "--a", "3"],
 ])
 def test_cli_seed_is_a_usage_error_where_nothing_is_drawn(cli_files, tmp_path, capsys, argv):
     (tmp_path / "spec.json").write_text(json.dumps({"runs": []}))
@@ -812,6 +912,57 @@ def test_cli_sweep_empty(tmp_path):
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1
+
+
+
+# malformed JSON is a usage error (exit 2), not a refuted verdict (exit 1)
+@pytest.mark.parametrize("argv, text, message", [
+    (["verify", "decomposition", "-i", "{p4}", "-d", "{bad}"],
+     '{"nodes": 6, "edges": 5, "leaf_map": []}',
+     'decomposition "edges" must be an array of [a, b] node pairs'),
+    (["verify", "coloring", "--q-linear", "1", "-i", "{p4}", "-c", "{bad}"],
+     '{"palette_size": 3, "colors": 7}', 'coloring "colors" must be an array of colors'),
+    (["chi", "product", "-i", "{p4}", "-c", "{bad}"], "[1, 1, 1, 1]",
+     'coloring must be a JSON object with "colors" and "palette_size"'),
+    (["verify", "coloring", "--mode", "td", "-i", "{p4}", "-c", "{bad}"],
+     '{"palette_size": 2, "colors": [1.5, 1, 2, 1]}', "vertex 0 has color 1.5, not an integer"),
+    (["verify", "coloring", "-i", "{p4}", "-c", "{bad}"],
+     '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": [3]}',
+     'budget "q" must be an object from union sizes to integer widths'),
+    (["verify", "coloring", "-i", "{p4}", "-c", "{bad}"],
+     '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": {"1": "3"}}',
+     'budget "q" must be an object from union sizes to integer widths'),
+    (["verify", "coloring", "-i", "{p4}", "-c", "{col}", "--profile", "{bad}"], '{"p": 1}',
+     'budget "q" must be an object from union sizes to integer widths'),
+])
+def test_cli_malformed_json_is_usage_error(cli_files, tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run([a.format(**cli_files, bad=bad) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_verify_names_a_union_size_the_embedded_budget_misses(cli_files, tmp_path, capsys):
+    col = tmp_path / "col.json"
+    assert run(["color", "lowrw", "-p", "1", "-i", cli_files["p4"], "-o", str(col)]) == 0
+    assert json.loads(col.read_text())["q"].keys() == {"1"}
+    assert run(["verify", "coloring", "-p", "2", "-i", cli_files["p4"], "-c", str(col)]) == 2
+    assert capsys.readouterr() == ("", "error: the budget gives no width for unions of size 2\n")
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"argv": ["rerun", "--manifest", "{man}"]}, "a manifest's argv cannot itself be a rerun"),
+    ({"argv": "gen path --n 3"}, 'a manifest needs an "argv" array of strings'),
+    ({"argv": ["gen", "path", "--n", 3]}, 'a manifest needs an "argv" array of strings'),
+    ({"command": "gen path"}, 'a manifest needs an "argv" array of strings'),
+    (["gen", "path"], 'a manifest needs an "argv" array of strings'),
+])
+def test_cli_rerun_refuses_a_malformed_manifest(tmp_path, capsys, manifest, message):
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(manifest).replace("{man}", str(man)))
+    assert run(["rerun", "--manifest", str(man)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [man]
 
 
 def test_cli_rerun_of_a_threads_manifest_is_a_usage_error(tmp_path):
@@ -976,8 +1127,9 @@ def test_cli_eh_zero_classes_is_usage_error(cli_files, capsys):
 
 @pytest.mark.parametrize("mode", ["td", "lowrw"])
 def test_cli_verify_p0_is_usage_error(cli_files, capsys, mode):
+    budget = ["--q-linear", "3"] if mode == "lowrw" else []  # --mode td refuses a budget
     assert run(["verify", "coloring", "--mode", mode, "-p", "0", "-i", cli_files["p4"],
-                "-c", cli_files["col"], "--q-linear", "3"]) == 2
+                "-c", cli_files["col"], *budget]) == 2
     assert capsys.readouterr().err == "error: p must be >= 1\n"
 
 
@@ -1030,13 +1182,19 @@ def test_cli_pipeline_and_rerun_build_the_parser_once(tmp_path):
 
 
 def test_cli_shared_parser_keeps_no_option_values(tmp_path):
-    assert run(["gen", "path", "--seed", "5", "--n", "7", "-o", str(tmp_path / "p7.el")]) == 0
+    assert run(["gen", "random", "--seed", "5", "--n", "7", "-o", str(tmp_path / "r7.el")]) == 0
     man = tmp_path / "run.json"
-    assert run(["gen", "path", "-o", str(tmp_path / "p2.el"), "--manifest", str(man)]) == 0
+    assert run(["gen", "random", "-o", str(tmp_path / "r2.el"), "--manifest", str(man)]) == 0
     params = json.loads(man.read_text())["parameters"]
     assert params["seed"] == 0 and params["n"] == 2
     assert json.loads(man.read_text())["seeds"] == [0]
-    assert (tmp_path / "p2.el").read_text().startswith("2 1\n")
+    assert (tmp_path / "r2.el").read_text() == serialize_edge_list(random_degenerate(2, 2, 0))
+    # a form that draws nothing records no seed, and only the options it reads
+    assert run(["gen", "path", "-o", str(tmp_path / "p2.el"), "--manifest", str(man)]) == 0
+    manifest = json.loads(man.read_text())
+    assert manifest["seeds"] == []
+    assert manifest["parameters"] == {"command": "gen", "family": "path", "n": 2,
+                                      "output": str(tmp_path / "p2.el")}
 
 
 def test_cli_usage_error_and_version_change_no_later_output(cli_files, capsys):
