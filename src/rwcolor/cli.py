@@ -51,6 +51,7 @@ from .families import (
 )
 from .graph import Graph, power
 from .lab import (
+    MIN_CERTIFICATE_ORDER,
     ImbalanceReport,
     certificate_rank,
     lower_bound_certificate,
@@ -304,6 +305,8 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
             raise ValueError("lab certificate without -i does not use --labels or --partition")
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")
+        if args.order < MIN_CERTIFICATE_ORDER:
+            raise ValueError(f"--order must be >= {MIN_CERTIFICATE_ORDER}")
         rows = _certificate_rows(twisted_chain(args.order, "bare"), args.seed, args.seeds)
         _emit_harness(args, record, rows)
         return 0 if all(verified for _, _, verified in rows) else 1
@@ -482,7 +485,9 @@ def _sweep_row(spec: dict) -> dict:
 
 def cmd_report(args, record: RunRecord) -> int:
     spec = json.loads(record.read(args.spec))
-    runs = spec.get("runs", [])
+    runs = spec.get("runs", []) if isinstance(spec, dict) else None
+    if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):
+        raise ValueError('a sweep spec must be a JSON object whose "runs" is an array of objects')
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS, lineterminator="\n")
     writer.writeheader()

@@ -360,7 +360,8 @@ def partition_from_obj(obj: Mapping, G: Graph) -> Bipartition:
         if not _int_list(obj[key]):
             raise ValueError(f'partition "{key}" must be an array of vertex ids')
     part = Bipartition.of(G, obj["S"])
-    if set(obj["T"]) != set(part.T):
+    T, t = frozenset(obj["T"]), part.t_mask
+    if len(T) != t.bit_count() or not all(v >= 0 and t >> v & 1 for v in T):
         raise ValueError("S and T do not partition the vertex set")
     return part
 
@@ -389,5 +390,9 @@ def witness_to_obj(vertices, kind: str, params: EHParams, n: int) -> dict:
 
 def rotations_from_json(text: str) -> list[list[int]]:
     obj = json.loads(text)
-    rot = obj["rotations"] if isinstance(obj, dict) else obj
-    return [list(r) for r in rot]
+    rot = obj.get("rotations") if isinstance(obj, dict) else obj
+    if not (isinstance(rot, list) and all(_int_list(r) for r in rot)):
+        raise ValueError(
+            'rotations must be an array of vertex-id arrays, or an object whose "rotations" is one'
+        )
+    return rot

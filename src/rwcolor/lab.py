@@ -13,9 +13,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, induced_subgraph, mask_of_flags, rank_of_bitrows
+from .graph import Graph, induced_subgraph, mask_of_flags, rank_of_bitrows, select_bits
 from .families import (
     chain_blocks,
     chain_labels,
@@ -28,26 +29,43 @@ from .families import (
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Disjoint cover (S, T) of the vertex set."""
+    """Disjoint cover (S, T) of the vertex set, one bit mask per side: bit v
+    of ``s_mask`` is set when vertex v is in S, of ``t_mask`` when it is in T.
 
-    S: frozenset
-    T: frozenset
+    The sides as vertex sets, :attr:`S` and :attr:`T`, are built from the
+    masks on first use.
+    """
+
+    s_mask: int
+    t_mask: int
 
     @classmethod
     def of(cls, G: Graph, S: Iterable[int]) -> "Bipartition":
-        S = frozenset(S)
-        # T is the rest of 0..n-1, so |S| + |T| exceeds n by exactly the
-        # members of S outside the graph
-        T = frozenset(itertools.filterfalse(S.__contains__, range(G.n)))
-        if len(S) + len(T) != G.n:
-            raise ValueError("S contains vertices outside the graph")
-        return cls(S, T)
+        """S and the rest of 0..n-1 as T.  S is read in one pass that sets
+        one flag byte per member, and the flags become the S mask."""
+        n = G.n
+        flags = bytearray(n)
+        for v in S:
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise ValueError("S contains vertices outside the graph")
+            flags[v] = 1
+        s = mask_of_flags(flags)
+        return cls(s, ((1 << n) - 1) ^ s)
+
+    @cached_property
+    def S(self) -> frozenset:
+        return frozenset(select_bits(range(self.s_mask.bit_length()), self.s_mask))
+
+    @cached_property
+    def T(self) -> frozenset:
+        return frozenset(select_bits(range(self.t_mask.bit_length()), self.t_mask))
 
     def side(self, v: int) -> str:
-        if v in self.S:
-            return "S"
-        if v in self.T:
-            return "T"
+        if v >= 0:
+            if self.s_mask >> v & 1:
+                return "S"
+            if self.t_mask >> v & 1:
+                return "T"
         raise ValueError(f"vertex {v} is on neither side")
 
 
@@ -137,19 +155,16 @@ def _c_mask(n: int, partition: Bipartition) -> int:
     s-1 is set when z with row-major scalar s, z_(i,j) with s = n(i-1)+j,
     is in S.
 
-    Both sides are read in C-level membership passes; a C vertex on
-    neither side raises the error of :meth:`Bipartition.side`, naming the
-    smallest such vertex.
+    Both sides are read by one shift of their masks; a C vertex on neither
+    side raises the error of :meth:`Bipartition.side`, naming the smallest
+    such vertex.
     """
-    nn = n * n
     c0 = chain_blocks(n)[2]
-    block = range(c0, c0 + nn)
-    s = mask_of_flags(bytes(map(partition.S.__contains__, block)))
-    t = mask_of_flags(bytes(map(partition.T.__contains__, block)))
-    uncovered = ((1 << nn) - 1) & ~(s | t)
+    block = (1 << n * n) - 1
+    uncovered = ~(partition.s_mask | partition.t_mask) >> c0 & block
     if uncovered:
         partition.side(c0 + (uncovered & -uncovered).bit_length() - 1)  # raises
-    return s
+    return partition.s_mask >> c0 & block
 
 
 def _line_selectors(n: int) -> tuple[int, int]:
@@ -264,6 +279,11 @@ def matching_from_alternation(
     return cert
 
 
+# The least chain order the lower-bound pipeline takes: below it the
+# certificate order floor(n/12) is 0.
+MIN_CERTIFICATE_ORDER = 12
+
+
 def lower_bound_certificate(
     G: Graph, partition: Bipartition
 ) -> MatchingCertificate | ImbalanceReport:
@@ -282,8 +302,8 @@ def lower_bound_certificate(
     :meth:`Bipartition.side` about single vertices.
     """
     n = chain_order(G)
-    if n < 12:
-        raise ValueError("lower-bound pipeline needs chain order >= 12")
+    if n < MIN_CERTIFICATE_ORDER:
+        raise ValueError(f"lower-bound pipeline needs chain order >= {MIN_CERTIFICATE_ORDER}")
     s = _c_mask(n, partition)
     s_count = s.bit_count()
     t_count = n * n - s_count
@@ -300,20 +320,66 @@ def lower_bound_certificate(
     return ImbalanceReport(heavy, max(s_count, t_count), n * n, len(mrows), len(mcols))
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place exactly as ``rng.shuffle(x)`` does: the same
+    permutation, and the same generator state after it.
+
+    This is the Fisher-Yates loop of :meth:`random.Random.shuffle` with its
+    ``_randbelow(i + 1)`` written out: draw k = (i+1).bit_length() random
+    bits until the draw is at most i.  Written out, it saves the Python-level
+    method call per element.
+    """
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+# byte b -> 1 when its high bit is clear, else 0
+_HIGH_BIT_CLEAR = bytes([1] * 128 + [0] * 128)
+
+
+def _coin_mask(rng: random.Random, count: int) -> int:
+    """The mask whose bit v is set when the v-th of *count* >= 1 calls of
+    ``rng.random()`` would be below 0.5, leaving *rng* in the state those
+    calls leave it in.
+
+    ``rng.random()`` reads two 32-bit words and is below 0.5 exactly when
+    bit 31 of the first is clear; ``getrandbits(64 * count)`` reads the same
+    2 * count words into its bits from the least significant up, so coin v
+    is the high bit of byte 8v + 3 of its little-endian bytes.  One C-level
+    draw replaces *count* Python calls.
+    """
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    return mask_of_flags(words[3::8].translate(_HIGH_BIT_CLEAR))
+
+
 def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
-    """Seeded bipartition balanced with respect to the C block."""
+    """Seeded bipartition balanced with respect to the C block.
+
+    The draws are those of ``rng.shuffle`` of the C block, ``rng.randint``
+    of how many of its first vertices go to S, and one ``rng.random() <
+    0.5`` coin per A/B vertex in vertex order, putting the vertex in S
+    (:func:`_shuffle` and :func:`_coin_mask` make them); the outcomes go
+    straight into the S mask.
+    """
     n = chain_order(G)
+    if n < 2:
+        raise ValueError(f"a C-balanced bipartition needs chain order >= 2, not {n}")
     c0 = chain_blocks(n)[2]
     rng = random.Random(seed)
     nn = n * n
-    c_list = list(range(c0, c0 + nn))
-    rng.shuffle(c_list)
+    positions = list(range(nn))
+    _shuffle(rng, positions)
     cut = rng.randint((nn + 2) // 3, nn - (nn + 2) // 3)
-    # one coin flip per A/B vertex, in vertex order; a comprehension draws
-    # them faster than a C-level iterator over rng.random, which compares
-    # every draw with a sentinel or calls a method wrapper per flip
-    draw = rng.random
-    return Bipartition.of(G, c_list[:cut] + [v for v in range(c0) if draw() < 0.5])
+    c_flags = bytearray(nn)
+    for i in positions[:cut]:
+        c_flags[i] = 1
+    s = _coin_mask(rng, c0) | mask_of_flags(c_flags) << c0
+    return Bipartition(s, ((1 << G.n) - 1) ^ s)
 
 
 def ramsey_threshold(k: int, d: int) -> int:

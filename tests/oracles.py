@@ -10,9 +10,10 @@ prune-and-suppress restriction; as the reference for the range-built
 twisted chain, the pair-by-pair rule builder; as the references for the
 bulk edge-list reader and writer, the per-line parser, the per-edge
 serializer and the per-bit symmetry scan; as the references for the
-mask-read certificate harness, the per-cell side lookups and the per-vertex
-coin flips).  The cotree evaluator and the width-1 decomposition read off a
-cotree build the cograph cases the cotree tests check.
+mask-read certificate harness, the per-cell side lookups and the
+generator's own shuffle and per-vertex coin flips).  The cotree evaluator
+and the width-1 decomposition read off a cotree build the cograph cases the
+cotree tests check.
 """
 
 from __future__ import annotations
@@ -714,8 +715,9 @@ def lower_bound_certificate_by_cells(
 
 
 def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
-    """Seeded bipartition balanced with respect to the C block, one coin
-    flip per A/B vertex in a Python loop."""
+    """Seeded bipartition balanced with respect to the C block, the C block
+    shuffled by ``rng.shuffle`` and one coin flip per A/B vertex in a Python
+    loop."""
     n = chain_order(G)
     c0 = chain_blocks(n)[2]
     rng = random.Random(seed)

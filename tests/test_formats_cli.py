@@ -275,6 +275,9 @@ def test_labels_from_json_rejects_entries_that_are_not_objects(text):
     ({"T": [0]}, 'partition has no "S" array'),
     ({"S": [0, 4], "T": [1, 2]}, "S contains vertices outside the graph"),
     ({"S": [0], "T": [1]}, "S and T do not partition the vertex set"),
+    ({"S": [0], "T": [1, -2]}, "S and T do not partition the vertex set"),
+    ({"S": [0], "T": [0, 2]}, "S and T do not partition the vertex set"),
+    ({"S": [0], "T": [1, 2, 5]}, "S and T do not partition the vertex set"),
 ])
 def test_partition_from_obj_names_the_fault(obj, message):
     with pytest.raises(ValueError) as err:
@@ -537,6 +540,14 @@ def test_cli_lab_extract_without_colors_is_usage_error(colors, capsys):
 def test_cli_lab_harness_without_seeds_is_usage_error(argv, seeds, capsys):
     assert run(argv + ["--seeds", seeds]) == 2
     assert capsys.readouterr() == ("", "error: --seeds must be >= 1\n")
+
+
+@pytest.mark.parametrize("order", ["-1", "0", "1", "2", "11"])
+def test_cli_lab_certificate_harness_below_order_12_is_usage_error(order, monkeypatch, capsys):
+    # refused before any bipartition is drawn
+    monkeypatch.setattr(cli, "random_balanced_bipartition", None)
+    assert run(["lab", "certificate", "--order", order, "--seeds", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: --order must be >= 12\n")
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])
@@ -934,6 +945,13 @@ def test_cli_sweep_empty(tmp_path):
      'budget "q" must be an object from union sizes to integer widths'),
     (["verify", "coloring", "-i", "{p4}", "-c", "{col}", "--profile", "{bad}"], '{"p": 1}',
      'budget "q" must be an object from union sizes to integer widths'),
+    *((["gen", "map", "-i", "{bad}"], text,
+       'rotations must be an array of vertex-id arrays, or an object whose "rotations" is one')
+      for text in ('{"rotations": 5}', '{"rotation": [[1, 2], [2, 0], [0, 1]]}', '"abc"',
+                   '[[1, 2], [2, 0], [0, 1.5]]', '{"rotations": [[1], 2]}')),
+    *((["report", "sweep", "--spec", "{bad}"], text,
+       'a sweep spec must be a JSON object whose "runs" is an array of objects')
+      for text in ('{"runs": 5}', '[{"name": "a"}]', '{"runs": [5]}', '{"runs": null}')),
 ])
 def test_cli_malformed_json_is_usage_error(cli_files, tmp_path, capsys, argv, text, message):
     bad = tmp_path / "bad.json"

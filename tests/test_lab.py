@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from rwcolor import lab
-from rwcolor.graph import cutrank, rank_of_bitrows
+from rwcolor.graph import cutrank, mask_of, rank_of_bitrows
 from rwcolor.families import twisted_chain, verify_twisted_chain
 from rwcolor.lab import (
     Bipartition,
@@ -236,7 +236,7 @@ def test_harness_matches_the_per_cell_reference(n, seeds):
         _assert_harness_matches_reference(g, n, part)
     for S in _skewed_subsets(n, random.Random(n)):
         part = Bipartition.of(g, S)
-        assert part == Bipartition(frozenset(S), frozenset(range(g.n)) - frozenset(S))
+        assert part == Bipartition(mask_of(S), mask_of(range(g.n)) & ~mask_of(S))
         _assert_harness_matches_reference(g, n, part)
 
 
@@ -246,7 +246,7 @@ def test_harness_names_the_smallest_uncovered_vertex_like_the_reference():
     # z at C positions 5 and 70 on neither side, another T vertex also in S
     S = frozenset(range(c0, c0 + 60))
     T = frozenset(v for v in range(g.n) if v not in S and v not in (c0 + 5, c0 + 70)) | {c0}
-    part = Bipartition(S - {c0 + 5}, T)
+    part = Bipartition(mask_of(S - {c0 + 5}), mask_of(T))
     got = _outcome(lower_bound_certificate, g, part)
     assert got == ("ValueError", f"vertex {c0 + 5} is on neither side")
     assert got == _outcome(oracles.lower_bound_certificate_by_cells, g, part)
@@ -255,12 +255,18 @@ def test_harness_names_the_smallest_uncovered_vertex_like_the_reference():
         alternating_sequence(12, part, 3)
 
 
+def test_balanced_bipartition_needs_chain_order_two():
+    # the order-2 chain is the smallest in the per-cell reference test
+    with pytest.raises(ValueError, match="^a C-balanced bipartition needs chain order >= 2, not 1$"):
+        random_balanced_bipartition(twisted_chain(1), 0)
+
+
 def test_bipartition_of_rejects_vertices_outside_the_graph():
     g = twisted_chain(2)
     for S in ([12], [-1], [0, 3, 12], ["a"]):
         with pytest.raises(ValueError, match="S contains vertices outside the graph"):
             Bipartition.of(g, S)
-    assert Bipartition.of(g, range(12)) == Bipartition(frozenset(range(12)), frozenset())
+    assert Bipartition.of(g, range(12)) == Bipartition(mask_of(range(12)), 0)
 
 
 def test_certificate_reads_sides_from_the_mask_not_per_cell(monkeypatch):
