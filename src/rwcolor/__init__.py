@@ -12,7 +12,7 @@ from .graph import (
     induced_subgraph,
     power,
 )
-from .orderings import LinearOrder, wcol_exact, wcol_heuristic, wcol_of_order, wreach
+from .orderings import LinearOrder, wcol_exact, wcol_heuristic, wcol_of_order
 from .widths import (
     RankDecomposition,
     WidthReport,
@@ -29,11 +29,8 @@ from .coloring import (
     RefinementColoring,
     UnionReport,
     excellent_refinement,
-    expand_excellent,
     expand_good,
     good_refinement,
-    is_closure,
-    is_hitter,
     low_rankwidth_coloring_of_power,
     treedepth_coloring,
     verify_low_rw_coloring,
@@ -55,12 +52,9 @@ __all__ = [
     "complement",
     "cutrank",
     "excellent_refinement",
-    "expand_excellent",
     "expand_good",
     "good_refinement",
     "induced_subgraph",
-    "is_closure",
-    "is_hitter",
     "low_rankwidth_coloring_of_power",
     "power",
     "rank_width_exact",
@@ -74,5 +68,4 @@ __all__ = [
     "wcol_exact",
     "wcol_heuristic",
     "wcol_of_order",
-    "wreach",
 ]

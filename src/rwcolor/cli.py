@@ -168,7 +168,10 @@ def _emit_graph(args, record: RunRecord, g: Graph, model_text: str | None = None
 
 
 def cmd_gen(args, record: RunRecord) -> int:
-    if "seed" in FAMILIES[args.family][1]:
+    names = FAMILIES[args.family][1]
+    if "order" in names and args.order < 1:
+        raise ValueError("--order must be >= 1")
+    if "seed" in names:
         record.seeds = [args.seed]
     return _emit_graph(args, record, _generate(args.family, vars(args)))
 
@@ -183,6 +186,8 @@ def cmd_gen_linegraph(args, record: RunRecord) -> int:
 
 
 def cmd_gen_model(args, record: RunRecord) -> int:
+    if args.order < 1:
+        raise ValueError("--order must be >= 1")
     if args.kind == "interval":
         model = interval_model(args.order)
         model_obj = {"intervals": [list(iv) for iv in model.intervals]}
@@ -364,8 +369,9 @@ def cmd_lab_ramsey(args, record: RunRecord) -> int:
 
 
 def cmd_lab_extract(args, record: RunRecord) -> int:
-    if args.colors < 1:
-        raise ValueError("--colors must be >= 1")
+    for name in ("order", "colors"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be >= 1")
     g = twisted_chain(args.order, "bare")
     rng = random.Random(args.seed)
     colors = [rng.randint(1, args.colors) for _ in range(g.n)]

@@ -17,8 +17,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import (
     Graph,
-    all_pairs_distances,
-    bfs_distances,
     bits_of,
     components,
     degeneracy_order,
@@ -35,7 +33,7 @@ from .widths import (
     tree_depth_exact,
 )
 
-# Most class unions verify_low_rw_coloring enumerates before refusing.
+# Most colour-connected class sets either union verifier walks before refusing.
 MAX_UNIONS = 1_000_000
 
 
@@ -186,16 +184,6 @@ def expand_good(R: RefinementColoring, X: Iterable[int]) -> set[int]:
     return {v for v, col in enumerate(R.base.colors) if col in base_union}
 
 
-def expand_excellent(R: RefinementColoring, X: Iterable[int]) -> set[int]:
-    """Expand through the whole refinement chain, outermost level first."""
-    cur = set(X)
-    node: RefinementColoring | None = R
-    while node is not None:
-        cur = expand_good(node, cur)
-        node = node.inner
-    return cur
-
-
 def excellent_refinement(
     G: Graph,
     c: Coloring,
@@ -225,60 +213,6 @@ def excellent_refinement(
     return chain
 
 
-def is_hitter(
-    G: Graph,
-    X: Iterable[int],
-    Xp: Iterable[int],
-    r: int,
-    dist: list[list] | None = None,
-) -> bool:
-    """Does Xp contain an internal vertex of some shortest path for every
-    X-pair at distance in (1, r]?"""
-    X = set(X)
-    Xp = set(Xp)
-    if not X <= Xp:
-        raise ValueError("X must be contained in its candidate hitter")
-    if dist is None:
-        dist = all_pairs_distances(G)
-    for u, v in itertools.combinations(sorted(X), 2):
-        d = dist[u][v]
-        if 1 < d <= r:
-            if not any(
-                z not in (u, v) and dist[u][z] + dist[z][v] == d for z in Xp
-            ):
-                return False
-    return True
-
-
-def is_closure(
-    G: Graph,
-    X: Iterable[int],
-    Xp: Iterable[int],
-    r: int,
-    dist: list[list] | None = None,
-) -> bool:
-    """Does the subgraph induced on Xp preserve all X-distances up to r?"""
-    X = set(X)
-    Xp = set(Xp)
-    if not X <= Xp:
-        raise ValueError("X must be contained in its candidate closure")
-    if dist is None:
-        dist = all_pairs_distances(G)
-    sub, index = induced_subgraph(G, Xp)
-    sub_dist: dict[int, list] = {}
-    for u, v in itertools.combinations(sorted(X), 2):
-        d = dist[u][v]
-        if d <= 1 or d > r:
-            continue
-        du = sub_dist.get(u)
-        if du is None:
-            du = bfs_distances(sub, index[u])
-            sub_dist[u] = du
-        if du[index[v]] != d:
-            return False
-    return True
-
-
 def _first_fit(order: Iterable[int], earlier: Sequence[Iterable[int]]) -> Coloring:
     """Color each vertex along *order* with the least color absent from
     ``earlier[v]``; vertices still uncolored there hold 0 and never block."""
@@ -303,13 +237,17 @@ class UnionReport:
     budget ``q[i]``: verified when no union is refuted or undecided."""
 
     q: dict[int, int] = field(default_factory=dict)
+    # the unions covered, C(palette, i) per size i, whatever the walk visits
     checked_unions: int = 0
-    # per size, the worst width and "exact", or "upper-bound" when a union
-    # was only bounded; empty for a check that decides without measuring
+    # per size i, the worst width over unions of at most i classes and
+    # "exact", or "upper-bound" when a component was only bounded; empty for
+    # a check that decides without measuring
     measured: dict[int, tuple[int, str]] = field(default_factory=dict)
-    # refuted unions: (colors, size i, exact width)
+    # minimal refuted unions, one per refuted colour-connected class set:
+    # (colors, size i, exact width)
     failures: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
-    # undecided unions: (colors, size i, the bound that exceeded the budget)
+    # undecided colour-connected class sets: (colors, size i, the bound that
+    # exceeded the budget)
     inconclusive: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
 
     @property
@@ -320,37 +258,90 @@ class UnionReport:
 def _check_unions(
     G: Graph, c: Coloring, p: int, budget: Callable[[int], int], judge: Callable
 ) -> UnionReport:
-    """Walk every union of i <= p classes of c on G, by increasing i, and
-    let *judge* record its verdict as ``judge(report, i, colors, mask)``.
+    """Decide every union of i <= p classes of c on G through its
+    colour-connected class sets, by increasing i, letting *judge* record a
+    verdict as ``judge(report, i, colors, mask)``.
 
-    budget(i) is read once per size into ``report.q``; each union's mask is
-    the OR of its classes' masks.
+    A union passes when each of its components does.  A component K of a
+    union U is also a component of the union of the colours it meets,
+    S(K), a subset of U that is connected in the colour quotient graph (two
+    colours adjacent when an edge joins their classes).  So for a budget
+    that never decreases with i, every union passes exactly when each
+    connected colour set S of size i <= p passes on the components of
+    G[union of S] that meet every colour of S.  Those components, ORed,
+    are the mask handed to *judge*; a set with none is skipped.  The sets
+    of size i + 1 are those of size i plus one quotient neighbour, judged
+    in lexicographic order.
+
+    budget(i) is read once per size into ``report.q``, and a budget that
+    decreases with i is refused.  ``checked_unions`` counts the unions the
+    walk covers, C(palette, i) per size.  ``measured[i]`` starts from
+    ``measured[i - 1]``: both widths only grow on induced supergraphs, so
+    the worst union of i classes is at least the worst of i - 1.  More than
+    ``MAX_UNIONS`` walked sets are refused while a size is built, before
+    any set of that size is judged.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
-    masks = {col: mask_of(vs) for col, vs in c.classes().items()}
+    classes = c.classes()
+    masks = {col: mask_of(vs) for col, vs in classes.items()}
     palette = sorted(masks)
-    report = UnionReport()
-    for i in range(1, min(p, len(palette)) + 1):
-        report.q[i] = budget(i)
-        for combo in itertools.combinations(palette, i):
-            report.checked_unions += 1
-            judge(report, i, combo, functools.reduce(operator.or_, map(masks.get, combo)))
+
+    @functools.cache
+    def near(col: int) -> frozenset:
+        """The colours next to col in the quotient graph, col among them when
+        an edge joins two of its vertices."""
+        reach = functools.reduce(operator.or_, map(G.adj.__getitem__, classes[col]))
+        return c.colors_on(bits_of(reach))
+
+    sizes = range(1, min(p, len(palette)) + 1)
+    report = UnionReport(q={i: budget(i) for i in sizes})
+    for i in sizes[1:]:
+        if report.q[i] < report.q[i - 1]:
+            raise ValueError(f"the budget decreases from size {i - 1} to size {i}")
+    level: list[tuple[int, ...]] = [()]  # grows into the single classes first
+    walked = 0
+    for i in sizes:
+        grown: set[tuple[int, ...]] = set()
+        for S in level:
+            for col in (set().union(*map(near, S)).difference(S) if S else palette):
+                grown.add(tuple(sorted((*S, col))))
+                if walked + len(grown) > MAX_UNIONS:
+                    raise ValueError(
+                        f"more than {MAX_UNIONS} colour-connected class sets to walk"
+                    )
+        level = sorted(grown)
+        walked += len(level)
+        report.checked_unions += math.comb(len(palette), i)
+        if i - 1 in report.measured:
+            report.measured[i] = report.measured[i - 1]
+        for S in level:
+            span = union = functools.reduce(operator.or_, map(masks.get, S))
+            if i > 1:  # keep the components that meet every colour of S
+                span = 0
+                for comp in components(G, union):
+                    if all(comp & masks[col] for col in S):
+                        span |= comp
+            if span:
+                judge(report, i, S, span)
     return report
 
 
 def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
     """Check that every union of i <= p classes induces tree-depth <= i.
 
-    The budget is Q(i) = i, and no width is measured.  Each union is
-    decided per component by ``tree_depth_at_most``.  A union with a
-    component deeper than i is refuted and reported with the largest exact
-    tree-depth among such components.  A union that no component refutes
-    but that has one above ``TREE_DEPTH_EXACT_CAP`` vertices is left
-    undecided and listed as inconclusive, with the size of its largest such
-    component.
+    The budget is Q(i) = i, and no width is measured.  The unions are
+    decided through their colour-connected class sets (see
+    ``_check_unions``), each on the components of its union that meet all
+    its colours, and each such component by ``tree_depth_at_most``.  A set
+    with a component deeper than i is refuted, as a minimal refuted union,
+    and reported with the largest exact tree-depth among such components.
+    A set that no component refutes but that has one above
+    ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided and listed as
+    inconclusive, with the size of its largest such component.  More than
+    ``MAX_UNIONS`` walked sets are refused, as in ``verify_low_rw_coloring``.
     """
 
     def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
@@ -523,18 +514,20 @@ def verify_low_rw_coloring(
 ) -> UnionReport:
     """Measure the width of every union of <= p classes of c on H against Q.
 
-    Components up to ``RANK_WIDTH_EXACT_CAP`` vertices are measured
-    exactly, larger ones are bounded by ``rank_width_upper``; a component
-    that recurs across unions is solved once.  A union is refuted, with that
-    width, when a component solved exactly is above its budget; a union
-    above its budget only through an upper bound is inconclusive.  More
-    than ``MAX_UNIONS`` unions, or a budget mapping without a width for
-    some union size, are refused before any union is measured.
+    The unions are decided through their colour-connected class sets (see
+    ``_check_unions``): each set is measured on the components of its union
+    that meet all its colours.  Components up to ``RANK_WIDTH_EXACT_CAP``
+    vertices are measured exactly, larger ones are bounded by
+    ``rank_width_upper``; a component that recurs across sets is solved
+    once.  A set is refuted, with that width, when a component solved
+    exactly is above its budget, and is then a minimal refuted union; a set
+    above its budget only through an upper bound is inconclusive.  A budget
+    mapping without a width for some union size, or a budget that
+    decreases with the size, is refused before any set is walked; more
+    than ``MAX_UNIONS`` walked sets before any set of the size that crosses
+    it is measured.
     """
     colors = len(set(c.colors))
-    total = sum(math.comb(colors, i) for i in range(1, min(p, colors) + 1))
-    if total > MAX_UNIONS:
-        raise ValueError(f"{total} unions exceed the enumeration budget {MAX_UNIONS}")
     if not callable(Q):
         for i in range(1, min(p, colors) + 1):
             if i not in Q:

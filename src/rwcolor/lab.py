@@ -175,40 +175,17 @@ def _line_selectors(n: int) -> tuple[int, int]:
     return row, ((1 << n * n) - 1) // row
 
 
-def mixed_lines(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:
-    """Row and column indices of the order-n chain's C block containing
-    vertices from both sides.
-
-    Read from the C-block mask of :func:`_c_mask`: row i is
-    ``(s >> n(i-1)) & (2^n - 1)`` and column j is ``(s >> (j-1)) & col``,
-    with col the bits 0, n, 2n, ...; a line is mixed when its bits are
-    neither all clear nor all set.
-    """
-    return _mixed_lines(n, _c_mask(n, partition))
-
-
 def _mixed_lines(n: int, s: int) -> tuple[list[int], list[int]]:
+    """Row and column indices of the order-n chain's C block containing
+    vertices from both sides, read from its C-block mask *s* (as from
+    :func:`_c_mask`): row i is ``(s >> n(i-1)) & (2^n - 1)`` and column j
+    is ``(s >> (j-1)) & col``, with col the bits 0, n, 2n, ...; a line is
+    mixed when its bits are neither all clear nor all set."""
     row, col = _line_selectors(n)
     lines = range(1, n + 1)
     rows = [i for i in lines if (s >> n * (i - 1) & row) not in (0, row)]
     cols = [j for j in lines if (s >> j - 1 & col) not in (0, col)]
     return rows, cols
-
-
-def alternating_sequence(
-    n: int, partition: Bipartition, lex: int
-) -> list[tuple[int, int]]:
-    """Greedy S/T-alternating sequence of C coordinates along a lex order.
-
-    lex=1 walks mixed rows in row order, lex=2 mixed columns in column
-    order, taking an S element from the first line, a T element from the
-    second, and so on.  Mixed lines contain both, so the sequence is as
-    long as the number of mixed lines.
-    """
-    if lex not in (1, 2):
-        raise ValueError("lex must be 1 or 2")
-    s = _c_mask(n, partition)
-    return _alternate(n, s, _mixed_lines(n, s)[lex - 1], lex)
 
 
 def _alternate(n: int, s: int, lines: list[int], lex: int) -> list[tuple[int, int]]:

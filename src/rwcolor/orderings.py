@@ -66,11 +66,6 @@ def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
     return [frozenset(s) for s in result]
 
 
-def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
-    """Vertices u that are the order-minimum on some u--v path of length <= r."""
-    return wreach_sets(G, L, r)[v]
-
-
 def wcol_of_order(G: Graph, L: LinearOrder, r: int) -> int:
     """Max weakly-r-reachable set size under L."""
     return max(map(len, wreach_sets(G, L, r)))

@@ -11,25 +11,44 @@ twisted chain, the pair-by-pair rule builder; as the references for the
 bulk edge-list reader and writer, the per-line parser, the per-edge
 serializer and the per-bit symmetry scan; as the references for the
 mask-read certificate harness, the per-cell side lookups and the
-generator's own shuffle and per-vertex coin flips).  The cotree evaluator
-and the width-1 decomposition read off a cotree build the cograph cases the
-cotree tests check.
+generator's own shuffle and per-vertex coin flips; as the reference for
+the walk of colour-connected class sets, the enumeration of every class
+union).  The cotree evaluator and the width-1 decomposition read off a
+cotree build the cograph cases the cotree tests check.  The helpers at the
+end (the refinement lemmas' hitter and closure checks, one vertex's weakly
+reachable set, the mixed lines and alternation of a bipartition) are
+called by the tests alone, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 
+from rwcolor.coloring import Coloring, RefinementColoring, UnionReport, expand_good
 from rwcolor.ehchi import Cotree
 from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
-from rwcolor.graph import Graph, bits_of, build_graph
+from rwcolor.graph import (
+    Graph,
+    all_pairs_distances,
+    bfs_distances,
+    bits_of,
+    build_graph,
+    induced_subgraph,
+    mask_of,
+)
 from rwcolor.lab import (
     Bipartition,
     ImbalanceReport,
     MatchingCertificate,
+    _alternate,
+    _c_mask,
+    _mixed_lines,
     matching_from_alternation,
 )
+from rwcolor.orderings import LinearOrder, wreach_sets
 from rwcolor.widths import RankDecomposition
 
 
@@ -730,3 +749,103 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
         if rng.random() < 0.5:
             S.add(v)
     return Bipartition.of(G, S)
+
+
+def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, judge) -> UnionReport:
+    """Judge every union of i <= p classes of c on G, by increasing i and
+    then lexicographically, on the whole union: ``judge(report, i, colors,
+    mask)``, with budget(i) read once per size into ``report.q``.  A
+    drop-in for ``coloring._check_unions``."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if len(c.colors) != G.n:
+        raise ValueError("coloring does not match the graph")
+    masks = {col: mask_of(vs) for col, vs in c.classes().items()}
+    palette = sorted(masks)
+    report = UnionReport()
+    for i in range(1, min(p, len(palette)) + 1):
+        report.q[i] = budget(i)
+        for combo in itertools.combinations(palette, i):
+            report.checked_unions += 1
+            judge(report, i, combo, functools.reduce(operator.or_, map(masks.get, combo)))
+    return report
+
+
+# Helpers only the tests call.
+
+
+def expand_excellent(R: RefinementColoring, X) -> set[int]:
+    """Expand through the whole refinement chain, outermost level first."""
+    cur = set(X)
+    node: RefinementColoring | None = R
+    while node is not None:
+        cur = expand_good(node, cur)
+        node = node.inner
+    return cur
+
+
+def is_hitter(G: Graph, X, Xp, r: int, dist: list[list] | None = None) -> bool:
+    """Does Xp contain an internal vertex of some shortest path for every
+    X-pair at distance in (1, r]?"""
+    X = set(X)
+    Xp = set(Xp)
+    if not X <= Xp:
+        raise ValueError("X must be contained in its candidate hitter")
+    if dist is None:
+        dist = all_pairs_distances(G)
+    for u, v in itertools.combinations(sorted(X), 2):
+        d = dist[u][v]
+        if 1 < d <= r:
+            if not any(
+                z not in (u, v) and dist[u][z] + dist[z][v] == d for z in Xp
+            ):
+                return False
+    return True
+
+
+def is_closure(G: Graph, X, Xp, r: int, dist: list[list] | None = None) -> bool:
+    """Does the subgraph induced on Xp preserve all X-distances up to r?"""
+    X = set(X)
+    Xp = set(Xp)
+    if not X <= Xp:
+        raise ValueError("X must be contained in its candidate closure")
+    if dist is None:
+        dist = all_pairs_distances(G)
+    sub, index = induced_subgraph(G, Xp)
+    sub_dist: dict[int, list] = {}
+    for u, v in itertools.combinations(sorted(X), 2):
+        d = dist[u][v]
+        if d <= 1 or d > r:
+            continue
+        du = sub_dist.get(u)
+        if du is None:
+            du = bfs_distances(sub, index[u])
+            sub_dist[u] = du
+        if du[index[v]] != d:
+            return False
+    return True
+
+
+def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
+    """Vertices u that are the order-minimum on some u--v path of length <= r."""
+    return wreach_sets(G, L, r)[v]
+
+
+def mixed_lines(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:
+    """Row and column indices of the order-n chain's C block containing
+    vertices from both sides, read from its C-block mask."""
+    return _mixed_lines(n, _c_mask(n, partition))
+
+
+def alternating_sequence(n: int, partition: Bipartition, lex: int) -> list[tuple[int, int]]:
+    """Greedy S/T-alternating sequence of C coordinates along a lex order.
+
+    lex=1 walks mixed rows in row order, lex=2 mixed columns in column
+    order, taking an S element from the first line, a T element from the
+    second, and so on.  Mixed lines contain both, so the sequence is as
+    long as the number of mixed lines.
+    """
+    if lex not in (1, 2):
+        raise ValueError("lex must be 1 or 2")
+    s = _c_mask(n, partition)
+    return _alternate(n, s, _mixed_lines(n, s)[lex - 1], lex)

@@ -24,11 +24,8 @@ from rwcolor.widths import rank_width_exact, rank_width_upper, verify_decomposit
 from rwcolor.coloring import (
     Coloring,
     excellent_refinement,
-    expand_excellent,
     expand_good,
     good_refinement,
-    is_closure,
-    is_hitter,
     low_rankwidth_coloring_of_power,
     verify_low_rw_coloring,
 )
@@ -63,6 +60,7 @@ from rwcolor import cli
 from rwcolor.formats import parse_edge_list, serialize_edge_list
 
 import oracles
+from oracles import expand_excellent, is_closure, is_hitter
 
 
 def report(capsys, label):

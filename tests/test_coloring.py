@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,13 +10,10 @@ from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
 from rwcolor.coloring import (
     Coloring,
     excellent_refinement,
-    expand_excellent,
     expand_good,
     good_refinement,
     greedy_proper_coloring,
     gurski_wanke_budget,
-    is_closure,
-    is_hitter,
     low_rankwidth_coloring_of_power,
     treedepth_coloring,
     verify_low_rw_coloring,
@@ -23,6 +21,7 @@ from rwcolor.coloring import (
 )
 
 import oracles
+from oracles import expand_excellent, is_closure, is_hitter
 
 
 def complete(n):
@@ -644,14 +643,91 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
 def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
     from rwcolor import coloring
 
-    g = path(6)
     c = Coloring(tuple(range(1, 7)), 6)
-    monkeypatch.setattr(coloring, "MAX_UNIONS", 20)  # 6 + 15 = 21 unions of <= 2 classes
-    with pytest.raises(ValueError, match="21 unions exceed the enumeration budget 20"):
-        verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1})
-    monkeypatch.setattr(coloring, "MAX_UNIONS", 21)
-    assert verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1}).verified
+    measured = []
+    solve = coloring.rank_width_of_subgraph
 
+    def counted(G, X, memo=None):
+        X = list(X)
+        measured.append(len(X))
+        return solve(G, X, memo)
+
+    monkeypatch.setattr(coloring, "rank_width_of_subgraph", counted)
+    # the budget counts the colour-connected class sets walked: on P6 the 6
+    # classes and 5 adjacent pairs, on K6, whose quotient is complete, all
+    # 6 + 15 unions of <= 2 classes
+    for g, walked in ((path(6), 11), (complete(6), 21)):
+        monkeypatch.setattr(coloring, "MAX_UNIONS", walked - 1)
+        refused = f"more than {walked - 1} colour-connected class sets to walk"
+        measured.clear()
+        with pytest.raises(ValueError, match=refused):
+            verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1})
+        assert measured == [1] * 6  # no set of the size that crossed it is measured
+        with pytest.raises(ValueError, match=refused):
+            verify_td_coloring(g, c, 2)
+        monkeypatch.setattr(coloring, "MAX_UNIONS", walked)
+        for report in (verify_low_rw_coloring(g, c, 2, {1: 0, 2: 1}), verify_td_coloring(g, c, 2)):
+            assert report.verified and report.checked_unions == 21
+    # the walk is exact only for a budget that never decreases with the size
+    for Q in ({1: 1, 2: 0}, lambda i: 3 - i):
+        with pytest.raises(ValueError, match="the budget decreases from size 1 to size 2"):
+            verify_low_rw_coloring(path(6), c, 2, Q)
+
+
+def test_union_walk_matches_enumerating_every_union(monkeypatch):
+    from rwcolor import coloring
+
+    def by_enumeration(verify, *args):
+        with monkeypatch.context() as m:
+            m.setattr(coloring, "_check_unions", oracles.check_unions_by_enumeration)
+            return verify(*args)
+
+    rng = random.Random(2021)
+    refuted = fewer = 0
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        g = oracles.random_graph(n, rng.uniform(0.15, 0.6), rng)
+        c = random_coloring(n, rng.randint(2, 6), rng)
+        p = rng.randint(1, 4)
+        q, step = {}, rng.randint(0, 3)
+        for i in range(1, p + 1):
+            q[i] = step
+            step += rng.randint(0, 2)
+        for verify, args in ((verify_low_rw_coloring, (g, c, p, q)), (verify_td_coloring, (g, c, p))):
+            walk = verify(*args)
+            ref = by_enumeration(verify, *args)
+            assert walk.verified == ref.verified
+            assert walk.measured == ref.measured
+            assert walk.checked_unions == ref.checked_unions
+            assert walk.inconclusive == ref.inconclusive
+            # a walk failure's width is that of the components meeting all
+            # its colours, at most the width of the whole union
+            union_width = {(colors, i): w for colors, i, w in ref.failures}
+            for colors, i, w in walk.failures:
+                assert w <= union_width[colors, i]
+            for colors, _, _ in ref.failures:
+                assert any(set(inner) <= set(colors) for inner, _, _ in walk.failures)
+            refuted += not ref.verified
+            fewer += len(walk.failures) < len(ref.failures)
+    assert 50 < refuted < 550 and fewer  # both verdicts, and unions the walk never lists
+
+
+def test_union_walk_verifies_the_power_coloring_of_grid_14():
+    from rwcolor import coloring
+
+    g = grid(14, 14)
+    ref, profile = low_rankwidth_coloring_of_power(g, 2, 3)
+    report = verify_low_rw_coloring(power(g, 2), ref.refined, 3, profile.q)
+    assert report.verified
+    palette = len(set(ref.refined.colors))
+    assert report.checked_unions == sum(math.comb(palette, i) for i in (1, 2, 3))
+    assert report.checked_unions > coloring.MAX_UNIONS
+
+
+def test_union_walk_verifies_the_td_coloring_of_grid_10_at_p6():
+    g = grid(10, 10)
+    report = verify_td_coloring(g, treedepth_coloring(g, 6), 6)
+    assert report.verified and report.checked_unions > 10**8
 
 
 def test_verify_low_rw_names_a_union_size_the_budget_misses(monkeypatch):

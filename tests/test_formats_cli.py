@@ -501,6 +501,18 @@ def test_cli_lab_certificate_harness(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lab", "extract", "--colors", "2"],
+    ["gen", "chain"],
+    ["gen", "model", "--kind", "interval"],
+    ["gen", "model", "--kind", "segment"],
+])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cli_order_below_one_is_usage_error_naming_the_option(argv, order, capsys):
+    assert run(argv + ["--order", order]) == 2
+    assert capsys.readouterr() == ("", "error: --order must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["lab", "certificate", "--order", "12"],
     ["lab", "ramsey", "--size", "4"],
 ])

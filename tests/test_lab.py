@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from oracles import alternating_sequence, mixed_lines
 from rwcolor import lab
 from rwcolor.graph import cutrank, mask_of, rank_of_bitrows
 from rwcolor.families import twisted_chain, verify_twisted_chain
@@ -11,11 +12,9 @@ from rwcolor.lab import (
     Bipartition,
     ImbalanceReport,
     MatchingCertificate,
-    alternating_sequence,
     certificate_rank,
     lower_bound_certificate,
     matching_from_alternation,
-    mixed_lines,
     monochromatic_substructure,
     ramsey_bireduce,
     ramsey_threshold,

@@ -11,11 +11,11 @@ from rwcolor.orderings import (
     wcol_exact,
     wcol_heuristic,
     wcol_of_order,
-    wreach,
     wreach_sets,
 )
 
 import oracles
+from oracles import wreach
 
 
 def complete(n):
