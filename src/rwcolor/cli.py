@@ -260,11 +260,11 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
     else:
-        if args.profile or "q" in obj:
+        if args.q_linear is not None:
+            q = {i: args.q_linear * i for i in range(1, args.p + 1)}
+        elif args.profile or "q" in obj:
             table = json.loads(record.read(args.profile)) if args.profile else obj
             q = formats.budget_from_obj(table)
-        elif args.q_linear is not None:
-            q = {i: args.q_linear * i for i in range(1, args.p + 1)}
         else:
             raise ValueError(
                 "budget unknown: pass --profile, --q-linear, or a coloring "
@@ -596,8 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, default=1)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-c", "--coloring", required=True)
-    p.add_argument("--profile", help="budget profile JSON (--mode lowrw)")
-    p.add_argument("--q-linear", type=int, help="use the budget Q(i) = COEFF*i (--mode lowrw)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--profile", help="budget profile JSON (--mode lowrw)")
+    group.add_argument("--q-linear", type=int, help="use the budget Q(i) = COEFF*i (--mode lowrw)")
     p = form(verify, "decomposition", cmd_verify_decomposition)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-d", "--decomposition", required=True)

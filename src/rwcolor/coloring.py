@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import (
     Graph,
+    ball,
     bits_of,
     components,
     degeneracy_order,
@@ -260,7 +261,7 @@ def _check_unions(
 ) -> UnionReport:
     """Decide every union of i <= p classes of c on G through its
     colour-connected class sets, by increasing i, letting *judge* record a
-    verdict as ``judge(report, i, colors, mask)``.
+    verdict as ``judge(report, i, colors, comps)``.
 
     A union passes when each of its components does.  A component K of a
     union U is also a component of the union of the colours it meets,
@@ -268,18 +269,22 @@ def _check_unions(
     colours adjacent when an edge joins their classes).  So for a budget
     that never decreases with i, every union passes exactly when each
     connected colour set S of size i <= p passes on the components of
-    G[union of S] that meet every colour of S.  Those components, ORed,
-    are the mask handed to *judge*; a set with none is skipped.  The sets
-    of size i + 1 are those of size i plus one quotient neighbour, judged
-    in lexicographic order.
+    G[union of S] that meet every colour of S.  Those components are split
+    here, once per set, and handed to *judge* as a list of masks; a set
+    with none is skipped.  The sets of size i + 1 are those of size i plus
+    one quotient neighbour, judged in lexicographic order.
 
     budget(i) is read once per size into ``report.q``, and a budget that
     decreases with i is refused.  ``checked_unions`` counts the unions the
     walk covers, C(palette, i) per size.  ``measured[i]`` starts from
     ``measured[i - 1]``: both widths only grow on induced supergraphs, so
     the worst union of i classes is at least the worst of i - 1.  More than
-    ``MAX_UNIONS`` walked sets are refused while a size is built, before
-    any set of that size is judged.
+    ``MAX_UNIONS`` walked sets are refused before any set of the size i
+    that crosses it is judged: before that size is built when a lower bound
+    on its count crosses it, otherwise while it is built.  The bound holds
+    because a set S of size i - 1 grows into at least |near(col)| - |S|
+    sets for each of its colours col, and a set of size i grows from at
+    most i sets of size i - 1.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -301,31 +306,29 @@ def _check_unions(
     for i in sizes[1:]:
         if report.q[i] < report.q[i - 1]:
             raise ValueError(f"the budget decreases from size {i - 1} to size {i}")
+    refused = f"more than {MAX_UNIONS} colour-connected class sets to walk"
     level: list[tuple[int, ...]] = [()]  # grows into the single classes first
     walked = 0
     for i in sizes:
+        least = sum(max(0, max(len(near(col)) for col in S) - len(S)) for S in level if S)
+        if walked + least // i > MAX_UNIONS:
+            raise ValueError(refused)
         grown: set[tuple[int, ...]] = set()
         for S in level:
             for col in (set().union(*map(near, S)).difference(S) if S else palette):
                 grown.add(tuple(sorted((*S, col))))
                 if walked + len(grown) > MAX_UNIONS:
-                    raise ValueError(
-                        f"more than {MAX_UNIONS} colour-connected class sets to walk"
-                    )
+                    raise ValueError(refused)
         level = sorted(grown)
         walked += len(level)
         report.checked_unions += math.comb(len(palette), i)
         if i - 1 in report.measured:
             report.measured[i] = report.measured[i - 1]
         for S in level:
-            span = union = functools.reduce(operator.or_, map(masks.get, S))
-            if i > 1:  # keep the components that meet every colour of S
-                span = 0
-                for comp in components(G, union):
-                    if all(comp & masks[col] for col in S):
-                        span |= comp
-            if span:
-                judge(report, i, S, span)
+            union = functools.reduce(operator.or_, map(masks.get, S))
+            comps = [k for k in components(G, union) if all(k & masks[col] for col in S)]
+            if comps:
+                judge(report, i, S, comps)
     return report
 
 
@@ -335,17 +338,29 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
     The budget is Q(i) = i, and no width is measured.  The unions are
     decided through their colour-connected class sets (see
     ``_check_unions``), each on the components of its union that meet all
-    its colours, and each such component by ``tree_depth_at_most``.  A set
-    with a component deeper than i is refuted, as a minimal refuted union,
-    and reported with the largest exact tree-depth among such components.
-    A set that no component refutes but that has one above
-    ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided and listed as
+    its colours: a component of at most i vertices passes outright, one
+    above ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided, and the
+    rest are decided by ``tree_depth_at_most``.  A set with a component
+    deeper than i is refuted, as a minimal refuted union, and reported
+    with the largest exact tree-depth among such components.  A set that
+    no component refutes but that has an undecided one is listed as
     inconclusive, with the size of its largest such component.  More than
     ``MAX_UNIONS`` walked sets are refused, as in ``verify_low_rw_coloring``.
     """
 
-    def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
-        deep, undecided = _components_deeper_than(G, union, i)
+    def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
+        deep = []
+        undecided = 0
+        for comp in comps:
+            size = comp.bit_count()
+            if size <= i:
+                continue
+            if size > TREE_DEPTH_EXACT_CAP:
+                undecided = max(undecided, size)
+                continue
+            comp_g, _ = induced_subgraph(G, bits_of(comp))
+            if not tree_depth_at_most(comp_g, i):
+                deep.append(comp_g)
         if deep:
             report.failures.append((combo, i, max(tree_depth_exact(g) for g in deep)))
         elif undecided:
@@ -354,35 +369,16 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
     return _check_unions(G, c, p, lambda i: i, judge)
 
 
-def _components_deeper_than(G: Graph, mask: int, i: int) -> tuple[list[Graph], int]:
-    """Components of G[mask] with tree-depth above i, as induced subgraphs,
-    and the size of the largest component left undecided (0 if none).
-
-    A component of at most i vertices passes outright; a larger one is
-    decided by ``tree_depth_at_most``, or left undecided when above the cap.
-    """
-    deep = []
-    undecided = 0
-    for comp in components(G, mask):
-        size = comp.bit_count()
-        if size <= i:
-            continue
-        if size > TREE_DEPTH_EXACT_CAP:
-            undecided = max(undecided, size)
-            continue
-        comp_g, _ = induced_subgraph(G, bits_of(comp))
-        if not tree_depth_at_most(comp_g, i):
-            deep.append(comp_g)
-    return deep, undecided
-
-
 def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
     """Smallest-palette coloring passing the union tree-depth checks.
 
-    Backtracking over restricted-growth assignments; after placing each
-    vertex, only unions involving its class are re-checked on the colored
-    prefix, which is sound because induced subgraphs never increase
-    tree-depth.
+    Backtracking over restricted-growth assignments.  After placing vertex
+    v, only its component in each union of <= p classes on the colored
+    prefix that contains its class is checked.  That is exact: the prefix
+    before v passed every union, a union without v's class is unchanged,
+    and a component missing v is a component of a union that the earlier
+    prefix already passed.  ``treedepth_coloring`` calls it only at
+    n <= 12, below ``TREE_DEPTH_EXACT_CAP``, so every component is decided.
     """
     n = G.n
 
@@ -394,10 +390,10 @@ def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
                 if target not in combo:
                     continue
                 union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
-                if union.bit_count() <= i:
+                comp = ball(G, upto, n, union)
+                if comp.bit_count() <= i:
                     continue
-                deep, undecided = _components_deeper_than(G, union, i)
-                if deep or undecided:
+                if not tree_depth_at_most(induced_subgraph(G, bits_of(comp))[0], i):
                     return False
         return True
 
@@ -534,8 +530,8 @@ def verify_low_rw_coloring(
                 raise ValueError(f"the budget gives no width for unions of size {i}")
     widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
 
-    def judge(report: UnionReport, i: int, combo: tuple[int, ...], union: int) -> None:
-        vs = select_bits(range(H.n), union)
+    def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
+        vs = select_bits(range(H.n), functools.reduce(operator.or_, comps))
         value, method, exact = rank_width_of_subgraph(H, vs, widths)
         worst, how = report.measured.get(i, (0, "exact"))
         report.measured[i] = (max(worst, value), how if method == "exact" else method)

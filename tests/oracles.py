@@ -13,9 +13,11 @@ serializer and the per-bit symmetry scan; as the references for the
 mask-read certificate harness, the per-cell side lookups and the
 generator's own shuffle and per-vertex coin flips; as the reference for
 the walk of colour-connected class sets, the enumeration of every class
-union).  The cotree evaluator and the width-1 decomposition read off a
-cotree build the cograph cases the cotree tests check.  The helpers at the
-end (the refinement lemmas' hitter and closure checks, one vertex's weakly
+union; as the reference for the smallest td colouring's one-component
+check, the check of every component of every union).  The cotree
+evaluator and the width-1 decomposition read off a cotree build the
+cograph cases the cotree tests check.  The helpers at the end (the
+refinement lemmas' hitter and closure checks, one vertex's weakly
 reachable set, the mixed lines and alternation of a bipartition) are
 called by the tests alone, so they live here rather than in the package.
 """
@@ -36,6 +38,7 @@ from rwcolor.graph import (
     bfs_distances,
     bits_of,
     build_graph,
+    components,
     induced_subgraph,
     mask_of,
 )
@@ -49,7 +52,7 @@ from rwcolor.lab import (
     matching_from_alternation,
 )
 from rwcolor.orderings import LinearOrder, wreach_sets
-from rwcolor.widths import RankDecomposition
+from rwcolor.widths import RankDecomposition, tree_depth_at_most
 
 
 def span_rank(rows: list[int]) -> int:
@@ -753,9 +756,9 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
 
 def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, judge) -> UnionReport:
     """Judge every union of i <= p classes of c on G, by increasing i and
-    then lexicographically, on the whole union: ``judge(report, i, colors,
-    mask)``, with budget(i) read once per size into ``report.q``.  A
-    drop-in for ``coloring._check_unions``."""
+    then lexicographically, on all components of the whole union:
+    ``judge(report, i, colors, comps)``, with budget(i) read once per size
+    into ``report.q``.  A drop-in for ``coloring._check_unions``."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
@@ -767,8 +770,51 @@ def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, judge) ->
         report.q[i] = budget(i)
         for combo in itertools.combinations(palette, i):
             report.checked_unions += 1
-            judge(report, i, combo, functools.reduce(operator.or_, map(masks.get, combo)))
+            union = functools.reduce(operator.or_, map(masks.get, combo))
+            judge(report, i, combo, components(G, union))
     return report
+
+
+def small_td_coloring_by_enumeration(G: Graph, p: int) -> Coloring:
+    """Smallest-palette coloring whose unions of i <= p classes have
+    tree-depth <= i, by backtracking over restricted-growth assignments
+    that re-check every component of every union on the colored prefix
+    containing the new vertex's class.  The reference for
+    ``coloring._exact_small_td_coloring``, which checks only the new
+    vertex's component."""
+    n = G.n
+
+    def union_ok(assign: list[int], upto: int) -> bool:
+        cols = sorted(set(assign[: upto + 1]))
+        target = assign[upto]
+        for i in range(1, min(p, len(cols)) + 1):
+            for combo in itertools.combinations(cols, i):
+                if target not in combo:
+                    continue
+                union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
+                for comp in components(G, union):
+                    if comp.bit_count() > i and not tree_depth_at_most(
+                        induced_subgraph(G, bits_of(comp))[0], i
+                    ):
+                        return False
+        return True
+
+    for k in range(1, n + 1):
+        assign = [0] * n
+
+        def backtrack(v: int, used: int) -> bool:
+            if v == n:
+                return True
+            for col in range(1, min(k, used + 1) + 1):
+                assign[v] = col
+                if union_ok(assign, v) and backtrack(v + 1, max(used, col)):
+                    return True
+            assign[v] = 0
+            return False
+
+        if backtrack(0, 0):
+            return Coloring(tuple(assign), max(assign))
+    raise AssertionError("identity coloring always satisfies the constraints")
 
 
 # Helpers only the tests call.

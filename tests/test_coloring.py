@@ -674,6 +674,79 @@ def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
             verify_low_rw_coloring(path(6), c, 2, Q)
 
 
+def test_each_walked_set_is_split_into_components_once(monkeypatch):
+    from rwcolor import coloring
+
+    splits = []
+    split = coloring.components
+
+    def counted(G, mask):
+        splits.append(mask)
+        return split(G, mask)
+
+    monkeypatch.setattr(coloring, "components", counted)
+    c = Coloring(tuple(range(1, 7)), 6)
+    # P6 with every vertex its own colour walks 6 classes and 5 adjacent pairs
+    for verify, args in ((verify_low_rw_coloring, ({1: 0, 2: 1},)), (verify_td_coloring, ())):
+        splits.clear()
+        assert verify(path(6), c, 2, *args).verified
+        assert sorted(splits) == sorted([1 << v for v in range(6)] + [3 << v for v in range(5)])
+
+
+def test_complete_quotient_is_refused_before_the_crossing_size_is_built(monkeypatch):
+    import tracemalloc
+
+    from rwcolor import coloring
+
+    judged = []
+    split = coloring.components
+
+    def counted(G, mask):
+        judged.append(mask.bit_count())
+        return split(G, mask)
+
+    monkeypatch.setattr(coloring, "components", counted)
+    g, c = complete(60), Coloring(tuple(range(1, 61)), 60)
+    # 60 classes and 1,770 pairs stay under the budget; the 34,220 triples,
+    # which the pairs' quotient degrees bound below by 33,630, cross it
+    monkeypatch.setattr(coloring, "MAX_UNIONS", 20_000)
+    for verify in (lambda: verify_td_coloring(g, c, 3),
+                   lambda: verify_low_rw_coloring(g, c, 3, {1: 9, 2: 9, 3: 9})):
+        judged.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than 20000 colour-connected class sets"):
+                verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(judged) == 2  # no triple was judged
+        # building triples until the budget is crossed peaks near 1.8 MB; the
+        # count bound refuses them at about 0.3 MB
+        assert peak < 1_000_000
+    # the threshold stays exact: K20 walks 20 + 190 + 1,140 sets at p = 3
+    for budget, verified in ((1349, False), (1350, True)):
+        monkeypatch.setattr(coloring, "MAX_UNIONS", budget)
+        if verified:
+            assert verify_td_coloring(complete(20), Coloring(tuple(range(1, 21)), 20), 3).verified
+        else:
+            with pytest.raises(ValueError, match="more than 1349"):
+                verify_td_coloring(complete(20), Coloring(tuple(range(1, 21)), 20), 3)
+
+
+def test_smallest_td_coloring_matches_checking_every_component():
+    from rwcolor import coloring
+
+    rng = random.Random(22)
+    for _ in range(30):
+        n = rng.randint(6, 12)
+        p = rng.randint(2, 4)
+        g = oracles.random_graph(n, rng.uniform(0.15, 0.6), rng)
+        want = oracles.small_td_coloring_by_enumeration(g, p)
+        assert coloring._exact_small_td_coloring(g, p) == want
+        assert treedepth_coloring(g, p) == want
+
+
 def test_union_walk_matches_enumerating_every_union(monkeypatch):
     from rwcolor import coloring
 

@@ -426,6 +426,27 @@ def test_cli_verify_lowrw_names_the_size_and_width_of_a_refuted_union(tmp_path):
     assert verdict["measured"] == {"1": {"width": 1, "method": "upper-bound"}}
 
 
+def test_cli_verify_q_linear_overrides_an_embedded_budget(tmp_path):
+    g, col, out = tmp_path / "g.el", tmp_path / "c.json", tmp_path / "v.json"
+    assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(g)]) == 0
+    assert run(["color", "lowrw", "-p", "2", "-i", str(g), "-o", str(col)]) == 0
+    verify = ["verify", "coloring", "-p", "2", "-i", str(g), "-c", str(col), "-o", str(out)]
+    assert run(verify) == 0  # the embedded q is the Gurski-Wanke budget
+    # an explicit Q(i) = 0 * i wins over it and refutes a class with an edge
+    assert run(verify + ["--q-linear", "0"]) == 1
+    verdict = json.loads(out.read_text())
+    assert verdict["q"] == {"1": 0, "2": 0}
+    assert verdict["failures"][0]["width"] == 1
+
+
+def test_cli_verify_takes_one_budget_option(cli_files, capsys):
+    assert run(["verify", "coloring", "-p", "1", "-i", cli_files["p4"], "-c", cli_files["col"],
+                "--profile", cli_files["col"], "--q-linear", "1"]) == 2
+    assert usage_error(capsys) == (
+        "rwcolor verify coloring: error: argument --q-linear: not allowed with argument --profile"
+    )
+
+
 def test_cli_color_lowrw_profile_is_a_budget_without_a_verdict(tmp_path):
     grid3, prof = tmp_path / "grid3.el", tmp_path / "prof.json"
     assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(grid3)]) == 0
