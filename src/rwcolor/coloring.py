@@ -29,6 +29,7 @@ from .graph import (
 from .orderings import LinearOrder, above_masks, wcol_heuristic, wreach_sets
 from .widths import (
     TREE_DEPTH_EXACT_CAP,
+    WidthReport,
     rank_width_of_subgraph,
     tree_depth_at_most,
     tree_depth_exact,
@@ -278,10 +279,11 @@ def _check_unions(
     decreases with i is refused.  ``checked_unions`` counts the unions the
     walk covers, C(palette, i) per size.  ``measured[i]`` starts from
     ``measured[i - 1]``: both widths only grow on induced supergraphs, so
-    the worst union of i classes is at least the worst of i - 1.  More than
-    ``MAX_UNIONS`` walked sets are refused before any set of the size i
-    that crosses it is judged: before that size is built when a lower bound
-    on its count crosses it, otherwise while it is built.  The bound holds
+    the worst union of i classes is at least the worst of i - 1.  The whole
+    walk is built before any set is judged, so more than ``MAX_UNIONS``
+    walked sets are refused with nothing judged: before the size i that
+    crosses it is built when a lower bound on its count crosses it,
+    otherwise while it is built.  The bound holds
     because a set S of size i - 1 grows into at least |near(col)| - |S|
     sets for each of its colours col, and a set of size i grows from at
     most i sets of size i - 1.
@@ -307,6 +309,7 @@ def _check_unions(
         if report.q[i] < report.q[i - 1]:
             raise ValueError(f"the budget decreases from size {i - 1} to size {i}")
     refused = f"more than {MAX_UNIONS} colour-connected class sets to walk"
+    levels: list[list[tuple[int, ...]]] = []
     level: list[tuple[int, ...]] = [()]  # grows into the single classes first
     walked = 0
     for i in sizes:
@@ -321,6 +324,8 @@ def _check_unions(
                     raise ValueError(refused)
         level = sorted(grown)
         walked += len(level)
+        levels.append(level)
+    for i, level in zip(sizes, levels):
         report.checked_unions += math.comb(len(palette), i)
         if i - 1 in report.measured:
             report.measured[i] = report.measured[i - 1]
@@ -520,15 +525,14 @@ def verify_low_rw_coloring(
     above its budget only through an upper bound is inconclusive.  A budget
     mapping without a width for some union size, or a budget that
     decreases with the size, is refused before any set is walked; more
-    than ``MAX_UNIONS`` walked sets before any set of the size that crosses
-    it is measured.
+    than ``MAX_UNIONS`` walked sets before any set is measured.
     """
     colors = len(set(c.colors))
     if not callable(Q):
         for i in range(1, min(p, colors) + 1):
             if i not in Q:
                 raise ValueError(f"the budget gives no width for unions of size {i}")
-    widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
+    widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
 
     def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
         vs = select_bits(range(H.n), functools.reduce(operator.or_, comps))

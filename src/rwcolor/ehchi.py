@@ -10,8 +10,8 @@ from typing import Callable, Iterable
 from .coloring import Coloring, greedy_proper_coloring
 from .graph import Graph, bits_of, complement, components, cutrank, induced_subgraph, mask_of
 from .widths import (
-    RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
+    WidthReport,
     balanced_partition,
     rank_width_exact,
     rank_width_of_subgraph,
@@ -219,29 +219,23 @@ def even_split_provider(n_classes: int, width_bound: int) -> ColoringProvider:
 def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHParams]:
     """Clique or independent set of size >= ceil(n^epsilon).
 
-    The provider's single-level coloring is width-verified class by class;
-    for n at least the squared palette, the majority class is decomposed
-    exactly, reduced to a cograph, and mined for its clique or independent
-    set.  Smaller graphs settle for a pair of vertices, which the epsilon
-    bound already permits.
+    The provider's single-level coloring is width-checked class by class
+    through ``rank_width_of_subgraph``, which alone chooses between the
+    exact solver and the bound.  For n at least the squared palette, the
+    majority class is reduced to a cograph along the decomposition that
+    check kept for it (exact up to ``RANK_WIDTH_EXACT_CAP`` vertices, the
+    degeneracy caterpillar above), then mined for its clique or
+    independent set.  A disconnected majority class is solved exactly as a
+    whole, for one tree over it, so above the cap it is refused.  Smaller
+    graphs settle for a pair of vertices, which the epsilon bound already
+    permits.
     """
     c, r1 = provider(G)
     if len(c.colors) != G.n:
         raise ValueError("provider coloring does not match the graph")
     n1 = c.palette_size
     classes = c.classes()
-    widths: dict[tuple[int, ...], int] = {}  # component adjacency -> width
-    n = G.n
-    extract = n >= n1 * n1
-    rep = None
-    if extract:
-        _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
-        sub, idx = induced_subgraph(G, members)
-        if 2 < sub.n <= RANK_WIDTH_EXACT_CAP:
-            # solved once: when the class is connected, the check below
-            # finds its width under the same adjacency
-            rep = rank_width_exact(sub)
-            widths[sub.adj] = rep.value
+    widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
     for col, vs in sorted(classes.items()):
         value, _, _ = rank_width_of_subgraph(G, vs, widths)
         if value > r1:
@@ -249,27 +243,29 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
                 f"class {col} has rank-width bound {value} > provider bound {r1}"
             )
     params = EHParams.for_width(r1, n1)
-    if extract:
-        back = {new: old for old, new in idx.items()}
+    n = G.n
+    if n >= n1 * n1:
+        _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
+        sub, _ = induced_subgraph(G, members)
         if sub.n <= 2:
             local = set(range(sub.n))
         else:
-            if rep is None:  # above the cap, where this raises
-                rep = rank_width_exact(sub)
+            # a connected class is a component of the check, under the same adjacency
+            rep = widths.get(sub.adj) or rank_width_exact(sub)
             local = cograph_extract(sub, rep.decomposition, r1)
-        core, core_idx = induced_subgraph(sub, sorted(local)) if local else (sub, {})
+        core_members = sorted(local)
+        core, _ = induced_subgraph(sub, core_members)
         ok, ct = is_cograph(core)
         assert ok, "extraction did not deliver a cograph"
         kind, got = cograph_clique_or_is(core, ct)
-        core_back = {new: old for old, new in core_idx.items()}
-        witness = {back[core_back[v]] for v in got}
+        # both subgraphs keep their vertices in increasing order
+        witness = {members[core_members[v]] for v in got}
+    elif n >= 2:
+        witness = {0, 1}
+        kind = "clique" if G.has_edge(0, 1) else "independent"
     else:
-        if n >= 2:
-            witness = {0, 1}
-            kind = "clique" if G.has_edge(0, 1) else "independent"
-        else:
-            witness = {0}
-            kind = "independent"
+        witness = {0}
+        kind = "independent"
     need = math.ceil(n**params.epsilon - 1e-9)
     assert len(witness) >= need, (
         f"witness of size {len(witness)} below ceil(n^eps) = {need}"

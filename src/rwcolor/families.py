@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coloring import Coloring
-from .graph import Graph, build_graph, induced_subgraph, power
+from .graph import Graph, build_graph, components, induced_subgraph, power
 
 
 def h_graph(n: int, m: int) -> Graph:
@@ -334,17 +334,9 @@ def trace_faces(rotations: Sequence[Sequence[int]]) -> list[list[tuple[int, int]
         for u in nbrs[v]:
             if v not in nbrs[u]:
                 raise ValueError(f"rotation system is asymmetric at ({v}, {u})")
-    m = sum(len(r) for r in nbrs) // 2
-    # connectivity
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in nbrs[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != n:
+    g = build_graph(n, [(v, u) for v, rot in enumerate(nbrs) for u in rot])
+    m = g.edge_count()
+    if len(components(g, (1 << n) - 1)) > 1:
         raise ValueError("rotation system describes a disconnected graph")
     if m == 0:
         return [[]]  # single vertex: one face, empty boundary walk

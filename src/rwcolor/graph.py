@@ -128,9 +128,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 def build_graph(
     n: int,

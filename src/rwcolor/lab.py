@@ -463,7 +463,7 @@ EXTRACT_COMBO_BUDGET = 300_000
 
 
 def monochromatic_substructure(
-    G: Graph, c, target: int
+    G: Graph, c: Sequence[int], target: int
 ) -> tuple[Graph, ExtractionReport]:
     """Extract a sub-chain whose three blocks are each single-colored.
 
@@ -476,7 +476,7 @@ def monochromatic_substructure(
     n = chain_order(G)
     if target < 1:
         raise ValueError("target must be >= 1")
-    c = list(c.colors) if hasattr(c, "colors") else list(c)
+    c = list(c)
     if len(c) != G.n:
         raise ValueError("coloring does not match the graph")
     d = len(set(c))

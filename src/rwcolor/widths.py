@@ -479,18 +479,21 @@ def restrict_decomposition(
 def rank_width_of_subgraph(
     G: Graph,
     X: Iterable[int],
-    memo: dict[tuple[int, ...], int] | None = None,
+    memo: dict[tuple[int, ...], WidthReport] | None = None,
 ) -> tuple[int, str, int]:
     """Width of the induced subgraph: exact per component when small enough.
 
-    Rank-width of a disconnected graph is the max over its components.
-    Components above ``RANK_WIDTH_EXACT_CAP`` vertices contribute a flagged
-    upper bound.  Returns the max over all components, ``"exact"`` or
-    ``"upper-bound"``, and the max over the components solved exactly
-    alone, which is a lower bound on the width whatever the others give.
-    Each distinct component is solved once; a caller measuring many unions
-    of one graph may pass a *memo* dict, which maps a component's
-    relabelled adjacency to its width, to share that across calls.
+    This is the one place that chooses between the exact solver and the
+    bound.  Rank-width of a disconnected graph is the max over its
+    components.  Components above ``RANK_WIDTH_EXACT_CAP`` vertices
+    contribute a flagged upper bound.  Returns the max over all components,
+    ``"exact"`` or ``"upper-bound"``, and the max over the components
+    solved exactly alone, which is a lower bound on the width whatever the
+    others give.  Each distinct component is solved once; a caller
+    measuring many unions of one graph may pass a *memo* dict, which maps a
+    component's relabelled adjacency (its vertices renumbered in
+    increasing order) to its report, decomposition included, to share that
+    across calls.
     """
     mask = mask_of(X)
     outside = mask >> G.n
@@ -503,13 +506,12 @@ def rank_width_of_subgraph(
     for comp in components(G, mask):
         comp_g, _ = induced_subgraph(G, bits_of(comp))
         exact = comp_g.n <= RANK_WIDTH_EXACT_CAP
-        width = memo.get(comp_g.adj)
-        if width is None:
-            rep = rank_width_exact(comp_g) if exact else rank_width_upper(comp_g)
-            width = memo[comp_g.adj] = rep.value
-        value = max(value, width)
+        rep = memo.get(comp_g.adj)
+        if rep is None:
+            rep = memo[comp_g.adj] = rank_width_exact(comp_g) if exact else rank_width_upper(comp_g)
+        value = max(value, rep.value)
         if exact:
-            exact_value = max(exact_value, width)
+            exact_value = max(exact_value, rep.value)
         else:
             method = "upper-bound"
     return value, method, exact_value

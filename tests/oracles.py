@@ -14,7 +14,10 @@ mask-read certificate harness, the per-cell side lookups and the
 generator's own shuffle and per-vertex coin flips; as the reference for
 the walk of colour-connected class sets, the enumeration of every class
 union; as the reference for the smallest td colouring's one-component
-check, the check of every component of every union).  The cotree
+check, the check of every component of every union; as the reference
+for the clique-or-independent-set witness that takes its class tree from
+the width check, the flow that solves the majority class exactly on its
+own).  The cotree
 evaluator and the width-1 decomposition read off a cotree build the
 cograph cases the cotree tests check.  The helpers at the end (the
 refinement lemmas' hitter and closure checks, one vertex's weakly
@@ -30,7 +33,13 @@ import operator
 import random
 
 from rwcolor.coloring import Coloring, RefinementColoring, UnionReport, expand_good
-from rwcolor.ehchi import Cotree
+from rwcolor.ehchi import (
+    Cotree,
+    EHParams,
+    cograph_clique_or_is,
+    cograph_extract,
+    is_cograph,
+)
 from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
 from rwcolor.graph import (
     Graph,
@@ -52,7 +61,12 @@ from rwcolor.lab import (
     matching_from_alternation,
 )
 from rwcolor.orderings import LinearOrder, wreach_sets
-from rwcolor.widths import RankDecomposition, tree_depth_at_most
+from rwcolor.widths import (
+    RankDecomposition,
+    rank_width_exact,
+    rank_width_of_subgraph,
+    tree_depth_at_most,
+)
 
 
 def span_rank(rows: list[int]) -> int:
@@ -818,6 +832,35 @@ def small_td_coloring_by_enumeration(G: Graph, p: int) -> Coloring:
 
 
 # Helpers only the tests call.
+
+
+def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]:
+    """Clique or independent set of size >= ceil(n^epsilon), with every
+    class width-checked on its own and the majority class's tree taken
+    from ``rank_width_exact`` on the whole class, which raises above
+    ``RANK_WIDTH_EXACT_CAP`` vertices.  The reference for
+    ``ehchi.eh_witness``, which takes that tree from its class check."""
+    c, r1 = provider(G)
+    n1 = c.palette_size
+    classes = c.classes()
+    for col, vs in sorted(classes.items()):
+        value = rank_width_of_subgraph(G, vs)[0]
+        if value > r1:
+            raise ValueError(f"class {col} has rank-width bound {value} > provider bound {r1}")
+    params = EHParams.for_width(r1, n1)
+    if G.n < n1 * n1:
+        if G.n < 2:
+            return {0}, "independent", params
+        return {0, 1}, "clique" if G.has_edge(0, 1) else "independent", params
+    _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
+    sub, _ = induced_subgraph(G, members)
+    local = set(range(sub.n))
+    if sub.n > 2:
+        local = cograph_extract(sub, rank_width_exact(sub).decomposition, r1)
+    core_members = sorted(local)
+    core, _ = induced_subgraph(sub, core_members)
+    kind, got = cograph_clique_or_is(core, is_cograph(core)[1])
+    return {members[core_members[v]] for v in got}, kind, params
 
 
 def expand_excellent(R: RefinementColoring, X) -> set[int]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rwcolor.graph import build_graph, complement, cutrank, induced_subgraph
-from rwcolor.families import h_graph, path, row_coloring
+from rwcolor.families import h_graph, h_tilde, path, row_coloring
 from rwcolor.coloring import Coloring
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import rank_width_exact, rank_width_upper, verify_decomposition
@@ -265,6 +265,61 @@ def test_eh_witness_single_class_provider():
     assert len(out) >= math.ceil(8**params.epsilon)
     for u, v in itertools.combinations(sorted(out), 2):
         assert g.has_edge(u, v) == (kind == "clique")
+
+
+def assert_witness(g, out, kind, params):
+    assert len(out) >= math.ceil(g.n**params.epsilon - 1e-9)
+    for u, v in itertools.combinations(sorted(out), 2):
+        assert g.has_edge(u, v) == (kind == "clique")
+
+
+@pytest.mark.parametrize(
+    "g, classes, bound",
+    [(path(20), 1, 1), (h_tilde(8, 8), 2, 8)],
+    ids=["P20-one-class", "htilde-8x8-two-classes"],
+)
+def test_eh_witness_extracts_from_a_class_above_the_exact_cap(g, classes, bound):
+    # the class check bounds each connected class above the cap by its
+    # degeneracy caterpillar, and the extraction runs on that same tree
+    provider = even_split_provider(classes, bound)
+    out, kind, params = eh_witness(g, provider)
+    assert_witness(g, out, kind, params)
+    with pytest.raises(ValueError, match="capped"):
+        oracles.eh_witness_by_presolve(g, provider)
+
+
+def test_eh_witness_refuses_a_disconnected_class_above_the_exact_cap():
+    # two disjoint paths on 10 vertices: each component is solved exactly,
+    # but one tree over the whole 20-vertex class needs the capped solver
+    g = build_graph(20, [(v, v + 1) for v in range(19) if v != 9])
+    with pytest.raises(ValueError, match="capped"):
+        eh_witness(g, even_split_provider(1, 1))
+
+
+def test_eh_witness_matches_the_presolve_flow_within_the_cap():
+    rng = random.Random(23)
+    capped = 0
+    for _ in range(120):
+        n = rng.randint(4, 22)
+        g = oracles.random_graph(n, rng.uniform(0.1, 0.9), rng)
+        provider = even_split_provider(rng.randint(1, 3), rng.randint(1, 10))
+        try:
+            expected = oracles.eh_witness_by_presolve(g, provider)
+        except ValueError as err:
+            if "capped" in str(err):
+                try:
+                    out = eh_witness(g, provider)
+                except ValueError as got:  # a disconnected class above the cap
+                    assert str(got) == str(err)
+                else:
+                    capped += 1
+                    assert_witness(g, *out)
+            else:
+                with pytest.raises(ValueError, match="rank-width bound"):
+                    eh_witness(g, provider)
+            continue
+        assert eh_witness(g, provider) == expected
+    assert capped > 0
 
 
 def test_eh_witness_rejects_wide_classes():
