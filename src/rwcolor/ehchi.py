@@ -10,6 +10,7 @@ from typing import Callable, Iterable
 from .coloring import Coloring, greedy_proper_coloring
 from .graph import Graph, bits_of, complement, components, cutrank, induced_subgraph, mask_of
 from .widths import (
+    RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
     WidthReport,
     balanced_partition,
@@ -245,14 +246,21 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     params = EHParams.for_width(r1, n1)
     n = G.n
     if n >= n1 * n1:
-        _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
+        col, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
         sub, _ = induced_subgraph(G, members)
         if sub.n <= 2:
             local = set(range(sub.n))
         else:
             # a connected class is a component of the check, under the same adjacency
-            rep = widths.get(sub.adj) or rank_width_exact(sub)
-            local = cograph_extract(sub, rep.decomposition, r1)
+            rep = widths.get(sub.adj)
+            if rep is None and sub.n > RANK_WIDTH_EXACT_CAP:
+                parts = len(components(sub, (1 << sub.n) - 1))
+                raise ValueError(
+                    f"majority class {col} has {sub.n} vertices in {parts} components, "
+                    f"above the exact rank-width cap of {RANK_WIDTH_EXACT_CAP} vertices "
+                    "for a disconnected class"
+                )
+            local = cograph_extract(sub, (rep or rank_width_exact(sub)).decomposition, r1)
         core_members = sorted(local)
         core, _ = induced_subgraph(sub, core_members)
         ok, ct = is_cograph(core)

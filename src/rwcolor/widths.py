@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
+    _union_rows,
     bits_of,
     components,
     cutrank_mask,
@@ -24,11 +25,12 @@ from .graph import (
     degeneracy_order,
     induced_subgraph,
     mask_of,
+    subset_lanes,
 )
 from .orderings import LinearOrder
 
 RANK_WIDTH_EXACT_CAP = 14
-TREE_DEPTH_EXACT_CAP = 16
+TREE_DEPTH_EXACT_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -299,130 +301,137 @@ def balanced_partition(
     return X, Y
 
 
-def _tree_depth_search(G: Graph, enough: int, limit: int) -> int:
-    """Tree-depth of G, searched only as far as ``enough`` and ``limit`` ask.
+def _tree_depth_bounds(G: Graph, enough: int, high: int) -> tuple[int, int]:
+    """A lower bound on the tree-depth of G, and the least depth below
+    *high* of the depth-first forests of G tried (*high* when none is).
 
-    Returns a value v with td(G) <= v <= enough when td(G) <= enough,
-    limit <= v <= td(G) when td(G) >= limit, and v == td(G) otherwise.
-    The deletion recursion (a connected graph takes 1 + the best vertex
-    deletion, tried in decreasing degree; a disconnected one the max over
-    its components) runs as an alpha-beta search.  Every vertex subset
-    keeps a lower and an upper bound; a deletion is searched only as far
-    as it could beat the best found so far; and the search stops once a
-    value <= ``enough`` is found, ``limit`` is proved, or the bounds meet.
-    Before it recurses into a deletion, the loop reads the stored bounds of
-    what is left and makes no call when they already answer it: an upper
-    bound within ``enough``, bounds that meet, or a lower bound at the
-    limit.  These are the tests a call runs on entry, so the answer is the
-    same; most calls of the search would end there.  (The loop only runs on
-    connected subsets of >= 3 vertices, since an edge gets equal bounds at
-    once, so what is left is never a single vertex.)
-    A subset of s vertices and m edges with no stored bounds starts from two
-    sound lower bounds, taken before it is split into components: its
-    minimum degree + 1, since the deepest vertex of an elimination tree has
-    every neighbour above it; and the least t with 2m <= (t - 1)(2s - t),
+    A graph of n vertices and m edges has tree-depth at least its minimum
+    degree + 1, since the deepest vertex of an elimination forest has every
+    neighbour above it; and at least the least t with 2m <= (t - 1)(2n - t),
     since every edge joins a vertex to one of its ancestors, and a depth-t
-    tree on s vertices has at most (t - 1)(2s - t)/2 ancestor pairs (a path
-    of t vertices, the rest at depth t).  Both hold for a forest too: its
-    depth is the largest depth of its trees, its deepest vertex still has
-    every neighbour above it, and splitting s vertices into several trees
-    leaves no more ancestor pairs.  A bound like log2(s + 1) would be wrong:
-    a star has depth 2.  The loop bounds a deletion with no stored bounds
-    from the parent's degrees, with no call: what is left has minimum
-    degree >= the parent's minimum degree - 1 and 2m - 2 deg(v) edge-ends
-    on s - 1 vertices, so the same two bounds apply, and they answer it as
-    a stored lower bound would.
+    forest on n vertices has at most (t - 1)(2n - t)/2 ancestor pairs (a
+    path of t vertices, the rest at depth t).  A bound like log2(n + 1)
+    would be wrong: a star has depth 2.
+
+    Every edge of a depth-first forest joins a vertex to an ancestor, so its
+    depth bounds the tree-depth from above.  The forests take their first
+    root in decreasing degree, until one is within *enough* or the lower
+    bound; none is tried when the lower bound reaches *high*.  A search is
+    cut once its path reaches *high* or the best depth so far.
     """
-    bounds: dict[int, tuple[int, int]] = {}
-    rows = G.adj
-
-    def td(mask: int, enough: int, limit: int) -> int:
-        if not mask & (mask - 1):
-            return 1
-        known = bounds.get(mask)
-        low, high = known or (1, mask.bit_count())
-        if high <= enough or low == high:
-            return high
-        if low >= limit:
-            return low
-        vs = list(bits_of(mask))
-        degs = [(rows[v] & mask).bit_count() for v in vs]
-        size = len(vs)
-        twice_m = sum(degs)
-        least = min(degs)
-        if known is None:
-            low = least + 1
-            while (low - 1) * (2 * size - low) < twice_m:
-                low += 1
-            if low >= limit or low == high:
-                bounds[mask] = (low, high)
-                return low
-        comps = components(G, mask)
-        if len(comps) > 1:
-            val = 0
-            for comp in comps:
-                val = max(val, td(comp, max(enough, val), limit))
-                if val >= limit:
-                    break
-        else:
-            best = high
-            floor = limit
-            cut = min(limit, best)
-            for d, v in sorted(zip(degs, vs), key=lambda dv: -dv[0]):
-                child = mask ^ (1 << v)
-                c_known = bounds.get(child)
-                if c_known is None:
-                    # the parent's numbers bound the child: its minimum
-                    # degree is >= least - 1, and it keeps 2m - 2d edge-ends
-                    # on size - 1 vertices
-                    c_low, c_high = least, size - 1
-                    ends = twice_m - 2 * d
-                    while (c_low - 1) * (2 * c_high - c_low) < ends:
-                        c_low += 1
+    adj = G.adj
+    degs = [row.bit_count() for row in adj]
+    low = min(degs) + 1
+    while (low - 1) * (2 * G.n - low) < sum(degs):
+        low += 1
+    if low >= high:
+        return low, high
+    enough = max(enough, low)
+    roots = sorted(range(G.n), key=degs.__getitem__, reverse=True)
+    for first in roots:
+        seen = 0
+        deepest = 1
+        for root in [first] + roots:
+            if seen >> root & 1:
+                continue
+            seen |= 1 << root
+            stack = [root]
+            while stack:
+                nxt = adj[stack[-1]] & ~seen
+                if nxt:
+                    low_bit = nxt & -nxt
+                    seen |= low_bit
+                    stack.append(low_bit.bit_length() - 1)
+                    if len(stack) > deepest:
+                        deepest = len(stack)
+                        if deepest >= high:
+                            break
                 else:
-                    c_low, c_high = c_known
-                if c_high < enough or c_low == c_high:
-                    got = c_high + 1
-                elif c_low >= cut - 1:
-                    got = c_low + 1
-                else:
-                    got = td(child, enough - 1, cut - 1) + 1
-                if got < floor:
-                    floor = got
-                if got < cut:
-                    best = cut = got
-                    if best <= enough or best <= low:
-                        break
-            else:
-                low = max(low, floor)
-            val = best if best < limit else low
-        if val >= limit:
-            bounds[mask] = (val, high)
-        elif val <= enough:
-            bounds[mask] = (low, val)
+                    stack.pop()
+            if deepest >= high:
+                break
         else:
-            bounds[mask] = (val, val)
-        return val
+            high = deepest
+            if high <= enough:
+                break
+    return low, high
 
-    return td((1 << G.n) - 1, enough, limit)
+
+def _tree_depth_levels(G: Graph, top: int) -> int:
+    """The least k <= *top* with td(G) <= k, or top + 1 when there is none,
+    by a subset dynamic program that runs on all subsets at once.
+
+    Bit S of a 2^n-bit int stands for the vertex set S (the lanes of
+    :func:`subset_lanes`), and ``level`` holds the sets of tree-depth <= k.
+    The connected sets grow from the singletons by adding a vertex with a
+    neighbour in the set until nothing changes, since every connected set
+    of >= 2 vertices has a vertex whose removal leaves it connected.
+    Level k holds level k - 1 and each S + v for S in it, which is sound
+    because td(S) <= 1 + td(S - v) for every S, and exact for a connected
+    S.  It then takes each disconnected S whose deletions S - v all lie in
+    the level, until nothing changes: that is exact too, since each
+    component of S is a component of S - v for every v outside it.
+    """
+    n = G.n
+    has = subset_lanes(n)
+    every = (1 << (1 << n)) - 1
+    lacks = [every ^ h for h in has]
+    shifts = [1 << v for v in range(n)]
+    meets = [_union_rows(has, row) for row in G.adj]
+    conn = 0
+    for s in shifts:
+        conn |= 1 << s
+    before = None
+    while conn != before:
+        before = conn
+        for s, out, near in zip(shifts, lacks, meets):
+            conn |= (conn & out & near) << s
+    split = every ^ conn ^ 1
+    whole = 1 << ((1 << n) - 1)
+    level = 1
+    for k in range(1, top + 1):
+        grown = level
+        for s, out in zip(shifts, lacks):
+            grown |= (level & out) << s
+        level = grown
+        left = split & ~level
+        while left:
+            ok = left
+            for s, out in zip(shifts, lacks):
+                ok &= ((level & out) << s) | out
+            if not ok:
+                break
+            level |= ok
+            left ^= ok
+        if level & whole:
+            return k
+    return top + 1
 
 
 def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
-    """Exact tree-depth by the bounded deletion search, asked for the exact
-    value: nothing is enough below 1 and no limit is reached at n + 1."""
+    """Exact tree-depth: the degree bound when a depth-first forest meets
+    it, otherwise the subset levels below the best such forest."""
     if G.n > cap:
         raise ValueError(f"exact tree-depth is capped at n={cap}")
-    return _tree_depth_search(G, 0, G.n + 1)
+    low, high = _tree_depth_bounds(G, 0, G.n + 1)
+    if low == high:
+        return low
+    return _tree_depth_levels(G, high - 1)
 
 
 def tree_depth_at_most(G: Graph, k: int) -> bool:
-    """Whether G has tree-depth at most k, decided by the bounded deletion
-    search, which stops at the first elimination of depth <= k or once
-    depth k + 1 is proved.  Graphs above ``TREE_DEPTH_EXACT_CAP`` vertices
-    are rejected."""
+    """Whether G has tree-depth at most k.  The answer needs no table when
+    n <= k, when the degree bound exceeds k, or when a depth-first forest
+    is within k; otherwise the subset levels run up to k.  Graphs above
+    ``TREE_DEPTH_EXACT_CAP`` vertices are rejected."""
     if G.n > TREE_DEPTH_EXACT_CAP:
         raise ValueError(f"exact tree-depth is capped at n={TREE_DEPTH_EXACT_CAP}")
-    return _tree_depth_search(G, k, k + 1) <= k
+    if G.n <= k:
+        return True
+    low, high = _tree_depth_bounds(G, k, k + 1)
+    if low > k or high <= k:
+        return high <= k
+    return _tree_depth_levels(G, k) <= k
 
 
 def restrict_decomposition(

@@ -494,14 +494,14 @@ def test_verify_td_solves_exactly_only_failing_unions(monkeypatch):
 
 
 def test_verify_td_reports_an_oversized_union_inconclusive():
-    # P4 (class 1) beside P17 (class 2): class 1 is refuted with tree-depth 3,
+    # P4 (class 1) beside P19 (class 2): class 1 is refuted with tree-depth 3,
     # class 2 is one component above the exact cap and stays undecided.
-    g = build_graph(21, [(v, v + 1) for v in range(20) if v != 3])
-    c = Coloring((1,) * 4 + (2,) * 17, 2)
+    g = build_graph(23, [(v, v + 1) for v in range(22) if v != 3])
+    c = Coloring((1,) * 4 + (2,) * 19, 2)
     report = verify_td_coloring(g, c, 1)
     assert not report.verified
     assert report.failures == [((1,), 1, 3)]
-    assert report.inconclusive == [((2,), 1, 17)]
+    assert report.inconclusive == [((2,), 1, 19)]
     only_oversized = verify_td_coloring(path(20), constant_coloring(20), 2)
     assert only_oversized.failures == []
     assert only_oversized.inconclusive == [((1,), 1, 20)]
@@ -509,11 +509,14 @@ def test_verify_td_reports_an_oversized_union_inconclusive():
 
 
 def test_verify_td_first_fit_coloring_above_the_cap_is_inconclusive():
-    g = random_degenerate(22, 3, 5)
+    g = random_degenerate(26, 3, 5)
     c = treedepth_coloring(g, 7)
     report = verify_td_coloring(g, c, 7)
     assert (report.verified, report.failures) == (False, [])
-    assert report.inconclusive == [((3, 4, 7, 8, 9, 10, 11), 7, 17)]
+    assert report.inconclusive == [((3, 4, 5, 9, 10, 11, 12), 7, 19)]
+    # the 17-vertex union of random_degenerate(22, 3, 5) is within the cap
+    g = random_degenerate(22, 3, 5)
+    assert verify_td_coloring(g, treedepth_coloring(g, 7), 7).verified
 
 
 # -- power coloring pipeline --------------------------------------------------

@@ -1071,7 +1071,7 @@ def test_cli_verify_td_inconclusive_exits_1_without_an_error(tmp_path, capsys):
     g_el = tmp_path / "g.el"
     col = tmp_path / "td.json"
     out = tmp_path / "v.json"
-    assert run(["gen", "random", "--n", "22", "--d", "3", "--seed", "5", "-o", str(g_el)]) == 0
+    assert run(["gen", "random", "--n", "26", "--d", "3", "--seed", "5", "-o", str(g_el)]) == 0
     assert run(["color", "td", "-p", "7", "-i", str(g_el), "-o", str(col)]) == 0
     assert run(["verify", "coloring", "--mode", "td", "-p", "7", "-i", str(g_el),
                 "-c", str(col), "-o", str(out)]) == 1
@@ -1080,7 +1080,7 @@ def test_cli_verify_td_inconclusive_exits_1_without_an_error(tmp_path, capsys):
     assert verdict["verified"] is False
     assert verdict["failures"] == []
     assert verdict["inconclusive"] == [
-        {"colors": [3, 4, 7, 8, 9, 10, 11], "size": 7, "width": 17}
+        {"colors": [3, 4, 5, 9, 10, 11, 12], "size": 7, "width": 19}
     ]
 
 
@@ -1174,6 +1174,17 @@ def test_cli_lab_ramsey(tmp_path):
 def test_cli_eh_zero_classes_is_usage_error(cli_files, capsys):
     assert run(["eh", "extract", "-i", cli_files["p4"], "--classes", "0"]) == 2
     assert capsys.readouterr().err == "error: n_classes must be >= 1\n"
+
+
+def test_cli_eh_names_a_disconnected_class_above_the_cap(tmp_path, capsys):
+    # two disjoint P10s as one class: no one tree over it within the exact cap
+    g = tmp_path / "pp.el"
+    g.write_text("20 18\n" + "".join(f"{v} {v + 1}\n" for v in range(19) if v != 9))
+    assert run(["eh", "extract", "-i", str(g), "--classes", "1", "--width-bound", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: majority class 1 has 20 vertices in 2 components, above the exact "
+        "rank-width cap of 14 vertices for a disconnected class\n"
+    )
 
 
 @pytest.mark.parametrize("mode", ["td", "lowrw"])

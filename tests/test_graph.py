@@ -24,6 +24,7 @@ from rwcolor.graph import (
     rank_of_bitrows,
     select_bits,
     shells,
+    subset_lanes,
 )
 from rwcolor.orderings import LinearOrder, above_masks
 
@@ -200,6 +201,18 @@ def test_cutrank_complement_symmetry_and_moves():
             v = rng.randrange(7)
             a, b = cutrank(g, X), cutrank(g, X | {v})
             assert abs(a - b) <= 1
+
+
+def test_subset_lanes_mark_the_sets_that_hold_each_vertex():
+    from rwcolor.graph import _lane_entries
+
+    for n in range(7):
+        lanes = subset_lanes(n)
+        assert [[lanes[v] >> S & 1 for S in range(1 << n)] for v in range(n)] == [
+            [S >> v & 1 for S in range(1 << n)] for v in range(n)
+        ]
+        # entry (i, n) of the cut-rank lanes, "i in X", is the lane of i one size down
+        assert [row[-1] for row in _lane_entries(n + 1)] == list(lanes)
 
 
 def _assert_table_is_the_cutrank_of_every_mask(g):

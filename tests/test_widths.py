@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rwcolor.graph import build_graph, cutrank, induced_subgraph
-from rwcolor.families import h_graph, h_tilde
+from rwcolor.families import grid, h_graph, h_tilde, random_degenerate
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
     RANK_WIDTH_EXACT_CAP,
@@ -315,24 +315,41 @@ def _dense_blocks(n, sizes, p, seed):
     return build_graph(n, edges)
 
 
+def _check_every_bound(g):
+    td = oracles.tree_depth_by_deletion(g)
+    assert tree_depth_exact(g) == td
+    for k in range(-1, g.n + 2):
+        assert tree_depth_at_most(g, k) == (td <= k)
+
+
 @pytest.mark.parametrize(
     "n, sizes, p, seed",
-    [(13, (6, 5), 0.8, 1), (13, (7, 4), 0.7, 2), (14, (7, 6), 0.8, 3), (14, (8, 4), 0.75, 4)],
+    [(13, (6, 5), 0.8, 1), (13, (7, 4), 0.7, 2), (14, (7, 6), 0.8, 3), (14, (8, 4), 0.75, 4),
+     # dense random graphs, K_n and the empty graph
+     (15, (15,), 0.3, 1), (15, (15,), 0.9, 2), (16, (16,), 0.5, 3), (16, (16,), 0.7, 4),
+     (9, (9,), 1.0, 0), (16, (16,), 1.0, 0), (1, (), 0.5, 0), (16, (), 0.5, 0)],
 )
 def test_treedepth_of_dense_components_beside_isolated_vertices(n, sizes, p, seed):
     # the forest lower bounds run on the whole vertex set before it is split
     # into its components, so they must hold for a disconnected graph
-    g = _dense_blocks(n, sizes, p, seed)
-    td = oracles.tree_depth_by_deletion(g)
-    assert tree_depth_exact(g) == td
-    for k in range(n + 2):
-        assert tree_depth_at_most(g, k) == (td <= k)
+    _check_every_bound(_dense_blocks(n, sizes, p, seed))
+
+
+@pytest.mark.parametrize("n, size, p, seed", [(14, 5, 0.7, 5), (16, 6, 0.6, 6)])
+def test_treedepth_of_two_equal_depth_components_beside_isolated_vertices(n, size, p, seed):
+    # two copies of one random block: every deletion leaves one copy whole,
+    # so only the rule for disconnected sets puts the graph in its level
+    rng = random.Random(seed)
+    block = [e for e in itertools.combinations(range(size), 2) if rng.random() < p]
+    g = build_graph(n, block + [(u + size, v + size) for u, v in block])
+    assert oracles.tree_depth_by_deletion(g) == tree_depth_exact(build_graph(size, block))
+    _check_every_bound(g)
 
 
 def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
     from rwcolor import widths
 
-    calls = {"components": 0, "bits_of": 0}
+    calls = {"components": 0, "subset_lanes": 0}
 
     def counted(name):
         inner = getattr(widths, name)
@@ -343,16 +360,13 @@ def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
 
         return wrapper
 
-    # every subset the search expands lists its vertices once with bits_of
+    # the subset levels decide connectivity on their lanes, so no subset is
+    # ever split into components, and one call reads the lane patterns once
     for name in calls:
         monkeypatch.setattr(widths, name, counted(name))
     g = oracles.random_graph(14, 0.4, random.Random(1))
     assert tree_depth_exact(g) == 8
-    # without the forest bounds ahead of the split and the child bounds in
-    # the deletion loop: 3976 components and 3319 bits_of calls; with them,
-    # 1391 and 1460
-    assert calls["components"] <= 1400
-    assert calls["bits_of"] <= 1500
+    assert calls == {"components": 0, "subset_lanes": 1}
 
 
 @pytest.mark.parametrize(
@@ -361,14 +375,15 @@ def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
         pathg(TREE_DEPTH_EXACT_CAP),
         build_graph(TREE_DEPTH_EXACT_CAP, [(0, v) for v in range(1, TREE_DEPTH_EXACT_CAP)]),
         oracles.random_graph(TREE_DEPTH_EXACT_CAP, 0.3, random.Random(16)),
+        grid(3, 6),
+        random_degenerate(18, 6, 1),
+        oracles.random_graph(18, 0.5, random.Random(18)),
     ],
-    ids=["path", "star", "random"],
+    ids=["path", "star", "random", "grid3x6", "degenerate", "random-half"],
 )
 def test_treedepth_at_the_cap_is_decided_at_its_value(g):
-    value = tree_depth_exact(g)
-    assert value == oracles.tree_depth_by_deletion(g)
-    assert tree_depth_at_most(g, value)
-    assert not tree_depth_at_most(g, value - 1)
+    assert g.n == TREE_DEPTH_EXACT_CAP
+    _check_every_bound(g)
 
 
 def test_rank_width_at_most_treedepth():
