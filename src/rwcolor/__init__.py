@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .graph import (
     Graph,
-    bfs_distances,
     build_graph,
     complement,
     cutrank,
@@ -29,7 +28,6 @@ from .coloring import (
     RefinementColoring,
     UnionReport,
     excellent_refinement,
-    expand_good,
     good_refinement,
     low_rankwidth_coloring_of_power,
     treedepth_coloring,
@@ -47,12 +45,10 @@ __all__ = [
     "UnionReport",
     "WidthReport",
     "balanced_partition",
-    "bfs_distances",
     "build_graph",
     "complement",
     "cutrank",
     "excellent_refinement",
-    "expand_good",
     "good_refinement",
     "induced_subgraph",
     "low_rankwidth_coloring_of_power",

@@ -308,17 +308,21 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
             raise ValueError("the harness writes its CSV to --csv, not to -o/--output")
         if args.labels is not None or args.partition is not None:
             raise ValueError("lab certificate without -i does not use --labels or --partition")
-        if args.seeds < 1:
+        order = 12 if args.order is None else args.order
+        seeds = 1 if args.seeds is None else args.seeds
+        seed = 0 if args.seed is None else args.seed
+        if seeds < 1:
             raise ValueError("--seeds must be >= 1")
-        if args.order < MIN_CERTIFICATE_ORDER:
+        if order < MIN_CERTIFICATE_ORDER:
             raise ValueError(f"--order must be >= {MIN_CERTIFICATE_ORDER}")
-        rows = _certificate_rows(twisted_chain(args.order, "bare"), args.seed, args.seeds)
-        _emit_harness(args, record, rows)
+        rows = _certificate_rows(twisted_chain(order, "bare"), seed, seeds)
+        _emit_harness(args.csv, record, rows, seed)
         return 0 if all(verified for _, _, verified in rows) else 1
     if args.labels is None or args.partition is None:
         raise ValueError("lab certificate -i needs --labels and --partition")
-    if args.csv is not None:
-        raise ValueError("lab certificate -i does not use --csv")
+    for name in ("order", "seeds", "seed", "csv"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"lab certificate -i does not use --{name}")
     g = record.graph(args.input)
     labels = formats.labels_from_json(record.read(args.labels))
     g = Graph(g.n, g.adj, labels)
@@ -364,7 +368,7 @@ def cmd_lab_ramsey(args, record: RunRecord) -> int:
         verified = res.size >= args.k
         ok = ok and verified and res.guaranteed == guaranteed
         rows.append((seed, res.size, verified))
-    _emit_harness(args, record, rows)
+    _emit_harness(args.csv, record, rows, args.seed)
     return 0 if ok else 1
 
 
@@ -399,16 +403,16 @@ def _certificate_rows(g: Graph, seed0: int, seeds: int) -> list[tuple[int, int, 
     return rows
 
 
-def _emit_harness(args, record: RunRecord, rows) -> None:
+def _emit_harness(path: str | None, record: RunRecord, rows, seed0: int) -> None:
     """Write a harness's (seed, achieved_order, verified) rows as CSV to
-    --csv, or to stdout without it."""
+    path, or to stdout without it, and record its base seed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "achieved_order", "verified"])
     for seed, order, verified in rows:
         writer.writerow([seed, order, str(bool(verified)).lower()])
-    record.emit(args.csv, buf.getvalue())
-    record.seeds = [args.seed]
+    record.emit(path, buf.getvalue())
+    record.seeds = [seed0]
 
 
 def cmd_eh(args, record: RunRecord) -> int:
@@ -632,6 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     certificate.add_argument("--partition")
     for p in lab.choices.values():
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    # the -i form reads none of these, so a value given to it is refused;
+    # the harness form reads 12, 1 and 0 in place of the ones left out
+    certificate.set_defaults(order=None, seeds=None, seed=None)
 
     p = form(commands, "eh", cmd_eh, help="clique-or-independent-set witnesses")
     p.add_argument("what", choices=["extract"])

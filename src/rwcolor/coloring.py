@@ -175,17 +175,6 @@ def good_refinement(
     return RefinementColoring(c, refined, decode, r, L, budget)
 
 
-def expand_good(R: RefinementColoring, X: Iterable[int]) -> set[int]:
-    """All vertices whose base color appears in the decode of X's refined colors."""
-    X = set(X)
-    if not X:
-        return set()
-    base_union: set[int] = set()
-    for q in {R.refined.colors[v] for v in X}:
-        base_union |= R.decode[q]
-    return {v for v, col in enumerate(R.base.colors) if col in base_union}
-
-
 def excellent_refinement(
     G: Graph,
     c: Coloring,
@@ -511,7 +500,7 @@ def verify_low_rw_coloring(
     H: Graph,
     c: Coloring,
     p: int,
-    Q: Mapping[int, int] | Callable[[int], int],
+    Q: Mapping[int, int],
 ) -> UnionReport:
     """Measure the width of every union of <= p classes of c on H against Q.
 
@@ -528,10 +517,9 @@ def verify_low_rw_coloring(
     than ``MAX_UNIONS`` walked sets before any set is measured.
     """
     colors = len(set(c.colors))
-    if not callable(Q):
-        for i in range(1, min(p, colors) + 1):
-            if i not in Q:
-                raise ValueError(f"the budget gives no width for unions of size {i}")
+    for i in range(1, min(p, colors) + 1):
+        if i not in Q:
+            raise ValueError(f"the budget gives no width for unions of size {i}")
     widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
 
     def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
@@ -544,4 +532,4 @@ def verify_low_rw_coloring(
         elif value > report.q[i]:
             report.inconclusive.append((combo, i, value))
 
-    return _check_unions(H, c, p, Q if callable(Q) else Q.__getitem__, judge)
+    return _check_unions(H, c, p, Q.__getitem__, judge)

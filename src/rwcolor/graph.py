@@ -27,8 +27,6 @@ from functools import lru_cache
 from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-INF = float("inf")
-
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex ids into a bitmask."""
@@ -251,21 +249,6 @@ def degeneracy_order(G: Graph) -> list[int]:
     return list(reversed(suffix))
 
 
-def bfs_distances(G: Graph, source: int) -> list:
-    """Single-source shortest-path distances; INF marks unreachable vertices."""
-    if not 0 <= source < G.n:
-        raise ValueError(f"source {source} not in graph")
-    dist = [INF] * G.n
-    for d, layer in enumerate(shells(G, source, (1 << G.n) - 1, G.n)):
-        for v in bits_of(layer):
-            dist[v] = d
-    return dist
-
-
-def all_pairs_distances(G: Graph) -> list[list]:
-    return [bfs_distances(G, v) for v in range(G.n)]
-
-
 def power(G: Graph, r: int) -> Graph:
     """r-th power: u ~ v iff 1 <= dist(u, v) <= r.  Requires r >= 1."""
     if r < 1:
@@ -331,18 +314,6 @@ def subset_lanes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4)
-def _lane_entries(n: int) -> tuple[tuple[int, ...], ...]:
-    """For i < n - 1 and j < n, the 2^(n-1)-bit int whose bit X is set when
-    i is in X and j is not, from the lanes of ``subset_lanes(n - 1)``.  The
-    cache keeps 4 sizes; the entry for n = 14 holds 186 KB, and one for
-    n = 18 would hold 4.9 MB."""
-    inside = subset_lanes(n - 1)
-    every = (1 << (1 << (n - 1))) - 1
-    outside = [every ^ p for p in inside] + [every]
-    return tuple(tuple(p & q for q in outside) for p in inside)
-
-
 def cutrank_table(G: Graph) -> list[int]:
     """Cut-rank of every vertex mask: entry m is ``cutrank_mask(G, m)``.
 
@@ -360,10 +331,14 @@ def cutrank_table(G: Graph) -> list[int]:
     """
     n = G.n
     lanes = 1 << (n - 1)
-    rows = []
-    for adj, entries in zip(G.adj, _lane_entries(n)):
-        if adj:
-            rows.append([e if adj >> j & 1 else 0 for j, e in enumerate(entries)])
+    inside = subset_lanes(n - 1)
+    every = (1 << lanes) - 1
+    outside = [every ^ p for p in inside] + [every]
+    rows = [
+        [p & q if adj >> j & 1 else 0 for j, q in enumerate(outside)]
+        for adj, p in zip(G.adj, inside)
+        if adj
+    ]
     planes = [0] * (n // 2).bit_length()
     for j in range(n):
         found = 0

@@ -301,9 +301,8 @@ def balanced_partition(
     return X, Y
 
 
-def _tree_depth_bounds(G: Graph, enough: int, high: int) -> tuple[int, int]:
-    """A lower bound on the tree-depth of G, and the least depth below
-    *high* of the depth-first forests of G tried (*high* when none is).
+def _tree_depth_low(G: Graph) -> int:
+    """A lower bound on the tree-depth of G.
 
     A graph of n vertices and m edges has tree-depth at least its minimum
     degree + 1, since the deepest vertex of an elimination forest has every
@@ -312,49 +311,41 @@ def _tree_depth_bounds(G: Graph, enough: int, high: int) -> tuple[int, int]:
     forest on n vertices has at most (t - 1)(2n - t)/2 ancestor pairs (a
     path of t vertices, the rest at depth t).  A bound like log2(n + 1)
     would be wrong: a star has depth 2.
-
-    Every edge of a depth-first forest joins a vertex to an ancestor, so its
-    depth bounds the tree-depth from above.  The forests take their first
-    root in decreasing degree, until one is within *enough* or the lower
-    bound; none is tried when the lower bound reaches *high*.  A search is
-    cut once its path reaches *high* or the best depth so far.
     """
-    adj = G.adj
-    degs = [row.bit_count() for row in adj]
+    degs = [row.bit_count() for row in G.adj]
     low = min(degs) + 1
     while (low - 1) * (2 * G.n - low) < sum(degs):
         low += 1
-    if low >= high:
-        return low, high
-    enough = max(enough, low)
-    roots = sorted(range(G.n), key=degs.__getitem__, reverse=True)
+    return low
+
+
+def _dfs_forest_within(G: Graph, k: int) -> bool:
+    """Whether a depth-first forest of G has depth <= k, which bounds the
+    tree-depth from above, since every edge of such a forest joins a vertex
+    to an ancestor.  The forests take their first root in decreasing degree,
+    and a search is cut once its path passes k."""
+    adj = G.adj
+    roots = sorted(range(G.n), key=lambda v: adj[v].bit_count(), reverse=True)
     for first in roots:
         seen = 0
-        deepest = 1
         for root in [first] + roots:
             if seen >> root & 1:
                 continue
             seen |= 1 << root
             stack = [root]
-            while stack:
+            while stack and len(stack) <= k:
                 nxt = adj[stack[-1]] & ~seen
                 if nxt:
                     low_bit = nxt & -nxt
                     seen |= low_bit
                     stack.append(low_bit.bit_length() - 1)
-                    if len(stack) > deepest:
-                        deepest = len(stack)
-                        if deepest >= high:
-                            break
                 else:
                     stack.pop()
-            if deepest >= high:
+            if stack:
                 break
         else:
-            high = deepest
-            if high <= enough:
-                break
-    return low, high
+            return True
+    return False
 
 
 def _tree_depth_levels(G: Graph, top: int) -> int:
@@ -410,13 +401,13 @@ def _tree_depth_levels(G: Graph, top: int) -> int:
 
 def tree_depth_exact(G: Graph, cap: int = TREE_DEPTH_EXACT_CAP) -> int:
     """Exact tree-depth: the degree bound when a depth-first forest meets
-    it, otherwise the subset levels below the best such forest."""
+    it, otherwise the subset levels."""
     if G.n > cap:
         raise ValueError(f"exact tree-depth is capped at n={cap}")
-    low, high = _tree_depth_bounds(G, 0, G.n + 1)
-    if low == high:
+    low = _tree_depth_low(G)
+    if _dfs_forest_within(G, low):
         return low
-    return _tree_depth_levels(G, high - 1)
+    return _tree_depth_levels(G, G.n)
 
 
 def tree_depth_at_most(G: Graph, k: int) -> bool:
@@ -428,10 +419,9 @@ def tree_depth_at_most(G: Graph, k: int) -> bool:
         raise ValueError(f"exact tree-depth is capped at n={TREE_DEPTH_EXACT_CAP}")
     if G.n <= k:
         return True
-    low, high = _tree_depth_bounds(G, k, k + 1)
-    if low > k or high <= k:
-        return high <= k
-    return _tree_depth_levels(G, k) <= k
+    if _tree_depth_low(G) > k:
+        return False
+    return _dfs_forest_within(G, k) or _tree_depth_levels(G, k) <= k
 
 
 def restrict_decomposition(

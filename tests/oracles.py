@@ -20,9 +20,11 @@ the width check, the flow that solves the majority class exactly on its
 own).  The cotree
 evaluator and the width-1 decomposition read off a cotree build the
 cograph cases the cotree tests check.  The helpers at the end (the
-refinement lemmas' hitter and closure checks, one vertex's weakly
-reachable set, the mixed lines and alternation of a bipartition) are
-called by the tests alone, so they live here rather than in the package.
+BFS distances, the expansion of a refined colour set to its base
+classes, the refinement lemmas' hitter and closure checks, one vertex's
+weakly reachable set, the mixed lines and alternation of a bipartition)
+are called by the tests alone, so they live here rather than in the
+package.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 import operator
 import random
 
-from rwcolor.coloring import Coloring, RefinementColoring, UnionReport, expand_good
+from rwcolor.coloring import Coloring, RefinementColoring, UnionReport
 from rwcolor.ehchi import (
     Cotree,
     EHParams,
@@ -43,13 +45,12 @@ from rwcolor.ehchi import (
 from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
 from rwcolor.graph import (
     Graph,
-    all_pairs_distances,
-    bfs_distances,
     bits_of,
     build_graph,
     components,
     induced_subgraph,
     mask_of,
+    shells,
 )
 from rwcolor.lab import (
     Bipartition,
@@ -67,6 +68,8 @@ from rwcolor.widths import (
     rank_width_of_subgraph,
     tree_depth_at_most,
 )
+
+INF = float("inf")
 
 
 def span_rank(rows: list[int]) -> int:
@@ -90,9 +93,8 @@ def cutrank_by_span(G: Graph, X) -> int:
 
 
 def floyd_warshall(G: Graph) -> list[list[float]]:
-    inf = float("inf")
     n = G.n
-    dist = [[0 if i == j else (1 if G.has_edge(i, j) else inf) for j in range(n)] for i in range(n)]
+    dist = [[0 if i == j else (1 if G.has_edge(i, j) else INF) for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -832,6 +834,32 @@ def small_td_coloring_by_enumeration(G: Graph, p: int) -> Coloring:
 
 
 # Helpers only the tests call.
+
+
+def bfs_distances(G: Graph, source: int) -> list:
+    """Single-source shortest-path distances; INF marks unreachable vertices."""
+    if not 0 <= source < G.n:
+        raise ValueError(f"source {source} not in graph")
+    dist = [INF] * G.n
+    for d, layer in enumerate(shells(G, source, (1 << G.n) - 1, G.n)):
+        for v in bits_of(layer):
+            dist[v] = d
+    return dist
+
+
+def all_pairs_distances(G: Graph) -> list[list]:
+    return [bfs_distances(G, v) for v in range(G.n)]
+
+
+def expand_good(R: RefinementColoring, X) -> set[int]:
+    """All vertices whose base color appears in the decode of X's refined colors."""
+    X = set(X)
+    if not X:
+        return set()
+    base_union: set[int] = set()
+    for q in {R.refined.colors[v] for v in X}:
+        base_union |= R.decode[q]
+    return {v for v, col in enumerate(R.base.colors) if col in base_union}
 
 
 def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]:

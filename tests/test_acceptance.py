@@ -13,7 +13,6 @@ import random
 import pytest
 
 from rwcolor.graph import (
-    all_pairs_distances,
     build_graph,
     cutrank,
     induced_subgraph,
@@ -24,7 +23,6 @@ from rwcolor.widths import rank_width_exact, rank_width_upper, verify_decomposit
 from rwcolor.coloring import (
     Coloring,
     excellent_refinement,
-    expand_good,
     good_refinement,
     low_rankwidth_coloring_of_power,
     verify_low_rw_coloring,
@@ -60,7 +58,7 @@ from rwcolor import cli
 from rwcolor.formats import parse_edge_list, serialize_edge_list
 
 import oracles
-from oracles import expand_excellent, is_closure, is_hitter
+from oracles import all_pairs_distances, expand_excellent, expand_good, is_closure, is_hitter
 
 
 def report(capsys, label):

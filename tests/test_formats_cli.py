@@ -857,6 +857,13 @@ def test_cli_file_option_a_form_never_opens_is_usage_error(tmp_path, capsys, arg
      "error: verify coloring --mode td does not use --profile or --q-linear"),
     # an option's prefix is not taken for it: --m would otherwise be --manifest
     (["gen", "path", "--m", "9"], UNRECOGNIZED + "--m 9"),
+    # the harness options, which the -i form of lab certificate never reads
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--order",
+      "99"], "error: lab certificate -i does not use --order"),
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--seeds",
+      "5"], "error: lab certificate -i does not use --seeds"),
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--seed",
+      "7"], "error: lab certificate -i does not use --seed"),
 ])
 def test_cli_option_a_form_never_reads_is_usage_error(tmp_path, capsys, argv, line):
     assert_refused(tmp_path, capsys, argv, line)

@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rwcolor.graph import (
     Graph,
-    INF,
-    all_pairs_distances,
     ball,
-    bfs_distances,
     bits_of,
     build_graph,
     complement,
@@ -29,6 +26,7 @@ from rwcolor.graph import (
 from rwcolor.orderings import LinearOrder, above_masks
 
 import oracles
+from oracles import INF, all_pairs_distances, bfs_distances
 
 
 def test_build_k2():
@@ -204,15 +202,11 @@ def test_cutrank_complement_symmetry_and_moves():
 
 
 def test_subset_lanes_mark_the_sets_that_hold_each_vertex():
-    from rwcolor.graph import _lane_entries
-
     for n in range(7):
         lanes = subset_lanes(n)
         assert [[lanes[v] >> S & 1 for S in range(1 << n)] for v in range(n)] == [
             [S >> v & 1 for S in range(1 << n)] for v in range(n)
         ]
-        # entry (i, n) of the cut-rank lanes, "i in X", is the lane of i one size down
-        assert [row[-1] for row in _lane_entries(n + 1)] == list(lanes)
 
 
 def _assert_table_is_the_cutrank_of_every_mask(g):

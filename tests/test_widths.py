@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rwcolor.graph import build_graph, cutrank, induced_subgraph
-from rwcolor.families import grid, h_graph, h_tilde, random_degenerate
+from rwcolor.families import cycle, grid, h_graph, h_tilde, random_degenerate
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
     RANK_WIDTH_EXACT_CAP,
@@ -384,6 +384,37 @@ def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
 def test_treedepth_at_the_cap_is_decided_at_its_value(g):
     assert g.n == TREE_DEPTH_EXACT_CAP
     _check_every_bound(g)
+
+
+@pytest.mark.parametrize(
+    "g, td, shortcut",
+    [
+        (complete(18), 18, True),
+        (build_graph(18, [(0, v) for v in range(1, 18)]), 2, True),
+        (pathg(18), 5, False),
+        (cycle(18), 6, False),
+        (build_graph(18, []), 1, True),
+    ],
+    ids=["K18", "star", "path", "cycle", "empty"],
+)
+def test_treedepth_at_the_cap_matches_closed_forms(monkeypatch, g, td, shortcut):
+    # td(P_n) = ceil(log2(n + 1)) and td(C_n) = 1 + td(P_(n-1)).  A depth-first
+    # forest meets the degree bound of K_n, the star and the empty graph, so
+    # those are answered without the subset levels.
+    from rwcolor import widths
+
+    levels = []
+    inner = widths._tree_depth_levels
+
+    def counted(G, top):
+        levels.append(top)
+        return inner(G, top)
+
+    monkeypatch.setattr(widths, "_tree_depth_levels", counted)
+    assert tree_depth_exact(g) == td
+    for k in range(-1, 20):
+        assert tree_depth_at_most(g, k) == (td <= k)
+    assert bool(levels) != shortcut
 
 
 def test_rank_width_at_most_treedepth():
