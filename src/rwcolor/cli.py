@@ -61,7 +61,13 @@ from .lab import (
     ramsey_threshold_within,
 )
 from .orderings import wcol_exact, wcol_heuristic
-from .widths import rank_width_exact, rank_width_upper, tree_depth_exact, verify_decomposition
+from .widths import (
+    RANK_WIDTH_EXACT_CAP,
+    rank_width_exact,
+    rank_width_upper,
+    tree_depth_exact,
+    verify_decomposition,
+)
 
 OUTDIR_ENV = "RWCOLOR_OUTDIR"
 
@@ -289,6 +295,10 @@ def cmd_verify_decomposition(args, record: RunRecord) -> int:
 
 def cmd_width_rank(args, record: RunRecord) -> int:
     g = record.graph(args.input)
+    if args.exact and g.n > RANK_WIDTH_EXACT_CAP:
+        raise ValueError(
+            f"exact rank-width is capped at n={RANK_WIDTH_EXACT_CAP}; use --upper instead"
+        )
     rep = rank_width_exact(g) if args.exact else rank_width_upper(g)
     record.emit(args.output, formats.dumps_json(formats.width_report_to_obj(rep)))
     return 0

@@ -4,7 +4,9 @@ Everything here is deliberately naive: span enumeration instead of
 elimination, path enumeration instead of pruned search, full tree
 enumeration instead of subset dynamic programming (and, as the references
 for pruned searches, the unpruned subset DP, the n! order sweep and the
-unbounded deletion recursion; as the references for the one-walk tree
+unbounded deletion recursion; as the reference for exact rank-width's
+bitset-decided largest subsets, the integer-order submask scan; as the
+references for the one-walk tree
 code, the per-edge width check, the rooted balanced partition and the
 prune-and-suppress restriction; as the reference for the range-built
 twisted chain, the pair-by-pair rule builder; as the references for the
@@ -48,6 +50,8 @@ from rwcolor.graph import (
     bits_of,
     build_graph,
     components,
+    cutrank_table,
+    degeneracy_order,
     induced_subgraph,
     mask_of,
     shells,
@@ -64,6 +68,7 @@ from rwcolor.lab import (
 from rwcolor.orderings import LinearOrder, wreach_sets
 from rwcolor.widths import (
     RankDecomposition,
+    _best_split,
     rank_width_exact,
     rank_width_of_subgraph,
     tree_depth_at_most,
@@ -297,6 +302,54 @@ def rank_width_by_subset_dp(G: Graph) -> tuple[int, RankDecomposition | None]:
     b = build(full ^ top)
     edges.append((a, b))
     return best[full], RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
+
+
+def rank_width_by_scan(G: Graph) -> tuple[int, RankDecomposition | None]:
+    """The pruned subset DP in integer order, every set's splits scanned as
+    submasks: ``rank_width_exact`` must return this value and this tree."""
+    n = G.n
+    if n <= 1:
+        return 0, None
+    full = (1 << n) - 1
+    cut = cutrank_table(G)
+    ub = 0
+    prefix = 0
+    for v in degeneracy_order(G)[:-1]:
+        prefix |= 1 << v
+        ub = max(ub, cut[prefix])
+    pruned = ub + 1
+    key = [pruned] * (full + 1)
+    for v in range(n):
+        key[1 << v] = cut[1 << v]
+    for mask in range(3, full):
+        c = cut[mask]
+        if c <= ub and mask & (mask - 1):
+            b = _best_split(key, mask, pruned, c)[0]
+            key[mask] = b if b > c else c
+
+    nodes = 0
+    edges: list[tuple[int, int]] = []
+    leaf_map: list[tuple[int, int]] = []
+
+    def build(mask: int) -> int:
+        nonlocal nodes
+        node = nodes
+        nodes += 1
+        if mask.bit_count() == 1:
+            leaf_map.append((node, mask.bit_length() - 1))
+            return node
+        sub = _best_split(key, mask, pruned, -1)[1]
+        a = build(sub)
+        b2 = build(mask ^ sub)
+        edges.append((node, a))
+        edges.append((node, b2))
+        return node
+
+    value, top = _best_split(key, full, pruned, -1)
+    a = build(top)
+    b = build(full ^ top)
+    edges.append((a, b))
+    return value, RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
 
 
 def verify_decomposition_by_edges(G: Graph, D: RankDecomposition) -> int:

@@ -466,6 +466,23 @@ def test_cli_width_rank_exact(tmp_path):
     assert obj["value"] == 2 and obj["method"] == "exact"
 
 
+def test_cli_width_rank_above_the_cap_names_the_upper_option(tmp_path, capsys):
+    path = tmp_path / "p.el"
+    assert run(["gen", "path", "--n", "15", "-o", str(path)]) == 0
+    assert run(["width", "rank", "-i", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: exact rank-width is capped at n=14; use --upper instead\n"
+    )
+
+
+def test_cli_width_rank_upper_on_one_vertex(tmp_path):
+    k1 = tmp_path / "k1.el"
+    rep = tmp_path / "rep.json"
+    k1.write_text("1 0\n")
+    assert run(["width", "rank", "--upper", "-i", str(k1), "-o", str(rep)]) == 0
+    assert json.loads(rep.read_text()) == {"value": 0, "method": "upper-bound"}
+
+
 def test_cli_width_treedepth(tmp_path):
     p4 = tmp_path / "p4.el"
     run(["gen", "path", "--n", "4", "-o", str(p4)])

@@ -125,6 +125,52 @@ def test_exact_returns_the_unpruned_subset_dp_value_and_tree():
         assert (rep.value, rep.decomposition) == oracles.rank_width_by_subset_dp(g)
 
 
+def clique_beside_path(n):
+    k = n // 2
+    return build_graph(n, list(itertools.combinations(range(k), 2))
+                       + [(i, i + 1) for i in range(k, n - 1)])
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_exact_returns_the_integer_order_scan_value_and_tree(n):
+    rng = random.Random(2600 + n)
+    graphs = [oracles.random_graph(n, p, rng) for p in (0.15, 0.3, 0.5, 0.8)]
+    graphs += [build_graph(n, []), complete(n), clique_beside_path(n)]
+    if n == 14:
+        graphs += [h_graph(2, 7), h_tilde(2, 7)]
+    for g in graphs:
+        rep = rank_width_exact(g)
+        assert (rep.value, rep.decomposition) == oracles.rank_width_by_scan(g)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_exact_above_the_cap_returns_the_integer_order_scan_value_and_tree(n):
+    g = oracles.random_graph(n, 0.3, random.Random(n))
+    rep = rank_width_exact(g, cap=n)
+    assert (rep.value, rep.decomposition) == oracles.rank_width_by_scan(g)
+
+
+def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
+    """At n = 14, the sets of 10 to 13 vertices are decided by bitsets; only
+    the witness rebuild scans them: at most n - 2 internal subsets of the
+    tree and the whole set."""
+    from rwcolor import widths
+
+    scans = [0] * 15
+    scan = widths._best_split
+
+    def counted(key, mask, worst, stop):
+        scans[mask.bit_count()] += 1
+        return scan(key, mask, worst, stop)
+
+    monkeypatch.setattr(widths, "_best_split", counted)
+    g = oracles.random_graph(14, 0.4, random.Random(26))
+    rank_width_exact(g)
+    assert scans[14] == 1
+    assert sum(scans[10:]) <= 14
+    assert sum(scans[2:10]) > 1000
+
+
 @pytest.mark.parametrize("n", [13, 14])
 def test_exact_at_the_cap_returns_a_decomposition_of_its_width(n):
     rng = random.Random(n)
@@ -144,6 +190,11 @@ def test_exact_monotone_under_induced_subgraphs():
             X = sorted(rng.sample(range(8), size))
             sub, _ = induced_subgraph(g, X)
             assert rank_width_exact(sub).value <= rw
+
+
+def test_upper_on_one_vertex_is_zero_without_a_decomposition():
+    rep = rank_width_upper(build_graph(1, []))
+    assert (rep.value, rep.method, rep.decomposition) == (0, "upper-bound", None)
 
 
 def test_upper_path_order():
