@@ -60,7 +60,7 @@ from .lab import (
     ramsey_bireduce,
     ramsey_threshold_within,
 )
-from .orderings import wcol_exact, wcol_heuristic
+from .orderings import WCOL_EXACT_CAP, wcol_exact, wcol_heuristic
 from .widths import (
     RANK_WIDTH_EXACT_CAP,
     rank_width_exact,
@@ -214,6 +214,10 @@ def cmd_power(args, record: RunRecord) -> int:
 
 def cmd_wcol(args, record: RunRecord) -> int:
     g = record.graph(args.input)
+    if args.exact and g.n > WCOL_EXACT_CAP:
+        raise ValueError(
+            f"exact wcol is capped at n={WCOL_EXACT_CAP}; run wcol without --exact instead"
+        )
     if args.exact:
         value, order = wcol_exact(g, args.r)
         method = "exact"

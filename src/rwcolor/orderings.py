@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .graph import Graph, ball, bits_of, shells
 
-WCOL_EXACT_CAP = 12
+WCOL_EXACT_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
+    if len(L) != G.n:
+        raise ValueError(f"the order has {len(L)} vertices and the graph {G.n}")
     above = above_masks(L)
     result: list[set] = [set() for _ in range(G.n)]
     for u in range(G.n):
@@ -77,14 +79,26 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
     Depth-first branch and bound over order prefixes, trying vertices in
     increasing id.  Placing u next among the remaining set S adds 1 to the
     count of every vertex in ``ball(G, u, r, S)``, so the counts depend
-    only on the prefix and a branch is cut once a count reaches the
-    incumbent, which starts one above ``wcol_heuristic``.  A state
+    only on the prefix, and the incumbent starts one above
+    ``wcol_heuristic``.  A child is entered only if a lower bound on its
+    best completion stays below the incumbent.  Each v in the child's
+    remaining set R ends with at least ``counts[v] + 1`` plus, for r >= 1,
+    one for each neighbour in R placed before it.  The least maximum of
+    that over all orders of R is the smallest-last value: repeatedly
+    remove the v with the least ``counts[v] + |N(v) & R|`` and keep the
+    largest such value plus one.  It reaches the incumbent exactly when
+    some H within R has ``counts[v] + |N(v) & H| >= incumbent - 1`` for
+    every v in H (the last of H in any order has that many earlier
+    neighbours), so the search peels, a whole set at a time, every vertex
+    below that limit, and cuts the child if anything is left.  A state
     ``(S, counts on S)`` whose subtree found no improvement is never
     searched again: every completion of it reaches the incumbent it was
-    entered under, and the incumbent only falls.  The result is the value
-    and the lexicographically first optimal order, as from a sweep of all
-    n! orders.  Instances above the cap are rejected in favour of
-    wcol_heuristic.
+    entered under, and the incumbent only falls.  The bound reads only
+    the child's state and cuts only completions that cannot beat the
+    incumbent, so the first optimal order in depth-first order is still
+    the first found: the result is the value and the lexicographically
+    first optimal order, as from a sweep of all n! orders.  Instances
+    above the cap are rejected in favour of wcol_heuristic.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
@@ -94,11 +108,26 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
             f"wcol_exact is an exponential search capped at n={cap}; "
             "use wcol_heuristic for larger graphs"
         )
+    adj = G.adj if r else (0,) * n
     best = wcol_heuristic(G, r)[0] + 1
     best_order: tuple[int, ...] = ()
     counts = [0] * n
     prefix: list[int] = []
     failed: set[tuple] = set()
+
+    def completes_below(R: int) -> bool:
+        """Whether the smallest-last bound on R's completion is below best:
+        peel R down to the vertices that keep ``best - 1`` or more."""
+        limit = best - 1
+        while R:
+            low = 0
+            for v in bits_of(R):
+                if counts[v] + (adj[v] & R).bit_count() < limit:
+                    low |= 1 << v
+            if not low:
+                return False
+            R ^= low
+        return True
 
     def search(S: int, high: int) -> None:
         nonlocal best, best_order
@@ -119,9 +148,10 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
                 counts[v] += 1
                 if counts[v] > top:
                     top = counts[v]
-            if top < best:
+            rest = S ^ (1 << u)
+            if top < best and completes_below(rest):
                 prefix.append(u)
-                search(S ^ (1 << u), top)
+                search(rest, top)
                 prefix.pop()
             for v in hit:
                 counts[v] -= 1

@@ -4,9 +4,10 @@ Everything here is deliberately naive: span enumeration instead of
 elimination, path enumeration instead of pruned search, full tree
 enumeration instead of subset dynamic programming (and, as the references
 for pruned searches, the unpruned subset DP, the n! order sweep and the
-unbounded deletion recursion; as the reference for exact rank-width's
-bitset-decided largest subsets, the integer-order submask scan; as the
-references for the one-walk tree
+unbounded deletion recursion; as the reference for exact wcol's
+completion bound, the prefix search cut by the counts alone; as the
+reference for exact rank-width's bitset-decided largest subsets, the
+integer-order submask scan; as the references for the one-walk tree
 code, the per-edge width check, the rooted balanced partition and the
 prune-and-suppress restriction; as the reference for the range-built
 twisted chain, the pair-by-pair rule builder; as the references for the
@@ -47,6 +48,7 @@ from rwcolor.ehchi import (
 from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
 from rwcolor.graph import (
     Graph,
+    ball,
     bits_of,
     build_graph,
     components,
@@ -65,7 +67,7 @@ from rwcolor.lab import (
     _mixed_lines,
     matching_from_alternation,
 )
-from rwcolor.orderings import LinearOrder, wreach_sets
+from rwcolor.orderings import LinearOrder, wcol_heuristic, wreach_sets
 from rwcolor.widths import (
     RankDecomposition,
     _best_split,
@@ -211,6 +213,49 @@ def wcol_by_permutations(G: Graph, r: int):
             best_order = L
     assert best_order is not None
     return best_val, best_order
+
+
+def wcol_by_search(G: Graph, r: int):
+    """The prefix branch and bound cut by the counts alone, with no bound
+    on the completion: ``wcol_exact`` must return this value and this
+    order."""
+    n = G.n
+    best = wcol_heuristic(G, r)[0] + 1
+    best_order: tuple[int, ...] = ()
+    counts = [0] * n
+    prefix: list[int] = []
+    failed: set[tuple] = set()
+
+    def search(S: int, high: int) -> None:
+        nonlocal best, best_order
+        if not S:
+            best = high
+            best_order = tuple(prefix)
+            return
+        key = (S, tuple(counts[v] for v in bits_of(S)))
+        if key in failed:
+            return
+        entry = best
+        for u in bits_of(S):
+            if high >= best:
+                break
+            hit = list(bits_of(ball(G, u, r, S)))
+            top = high
+            for v in hit:
+                counts[v] += 1
+                if counts[v] > top:
+                    top = counts[v]
+            if top < best:
+                prefix.append(u)
+                search(S ^ (1 << u), top)
+                prefix.pop()
+            for v in hit:
+                counts[v] -= 1
+        if best == entry:
+            failed.add(key)
+
+    search((1 << n) - 1, 0)
+    return best, LinearOrder.from_order(best_order)
 
 
 def subcubic_trees(n: int):

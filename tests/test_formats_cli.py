@@ -1078,6 +1078,15 @@ def test_cli_wcol(tmp_path):
     assert json.loads(out.read_text())["value"] >= 3
 
 
+def test_cli_wcol_exact_above_the_cap_names_the_heuristic_form(tmp_path, capsys):
+    path = tmp_path / "p.el"
+    assert run(["gen", "path", "--n", "15", "-o", str(path)]) == 0
+    assert run(["wcol", "-r", "2", "--exact", "-i", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: exact wcol is capped at n=14; run wcol without --exact instead\n"
+    )
+
+
 def test_cli_color_td_and_verify(tmp_path):
     p4 = tmp_path / "p4.el"
     run(["gen", "path", "--n", "4", "-o", str(p4)])

@@ -75,6 +75,15 @@ def test_wreach_monotone_in_radius_and_membership():
                 assert all(L.position[u] <= L.position[v] for u in small[v])
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 1]])
+def test_wreach_sets_rejects_an_order_of_another_length(order):
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="the order has"):
+        wreach_sets(p3, LinearOrder.from_order(order), 2)
+    with pytest.raises(ValueError, match="the order has"):
+        wcol_of_order(p3, LinearOrder.from_order(order), 2)
+
+
 def test_wcol_of_order_edgeless():
     g = build_graph(5, [])
     assert wcol_of_order(g, LinearOrder.identity(5), 3) == 1
@@ -151,6 +160,31 @@ def test_wcol_exact_returns_the_permutation_sweep_value_and_order():
         r = 1 + k % 3
         value, L = wcol_exact(g, r)
         ref_value, ref_L = oracles.wcol_by_permutations(g, r)
+        assert (value, L.order) == (ref_value, ref_L.order)
+
+
+def test_wcol_exact_returns_the_reference_search_value_and_order():
+    # n = 9..11 at r = 1..3, then C12 at r = 5, whose order is pinned
+    rng = random.Random(27)
+    cases = [(oracles.random_graph(n, rng.uniform(0.2, 0.6), rng), 1 + k % 3)
+             for k, n in enumerate([9, 10, 11] * 3)]
+    cases.append((build_graph(12, [(i, (i + 1) % 12) for i in range(12)]), 5))
+    for g, r in cases:
+        value, L = wcol_exact(g, r)
+        ref_value, ref_L = oracles.wcol_by_search(g, r)
+        assert (value, L.order) == (ref_value, ref_L.order)
+    assert L.order == (0, 1, 4, 2, 3, 7, 5, 6, 9, 8, 10, 11)
+
+
+def test_wcol_exact_at_radius_zero_is_one_with_the_identity_order():
+    for g in (grid(3, 3), complete(5)):
+        value, L = wcol_exact(g, 0)
+        assert (value, L.order) == (1, tuple(range(g.n)))
+    rng = random.Random(0)
+    for n in range(1, 7):
+        g = oracles.random_graph(n, 0.5, rng)
+        value, L = wcol_exact(g, 0)
+        ref_value, ref_L = oracles.wcol_by_permutations(g, 0)
         assert (value, L.order) == (ref_value, ref_L.order)
 
 
