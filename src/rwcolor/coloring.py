@@ -23,7 +23,6 @@ from .graph import (
     degeneracy_order,
     induced_subgraph,
     mask_of,
-    select_bits,
     shells,
 )
 from .orderings import LinearOrder, above_masks, wcol_heuristic, wreach_sets
@@ -247,11 +246,12 @@ class UnionReport:
 
 
 def _check_unions(
-    G: Graph, c: Coloring, p: int, budget: Callable[[int], int], judge: Callable
+    G: Graph, c: Coloring, p: int, budget: Callable[[int], int], bound: Callable
 ) -> UnionReport:
     """Decide every union of i <= p classes of c on G through its
-    colour-connected class sets, by increasing i, letting *judge* record a
-    verdict as ``judge(report, i, colors, comps)``.
+    colour-connected class sets, by increasing i, each through
+    ``bound(comps, q)``, which bounds the width of the components *comps*
+    of a set's union against its budget q as ``(low, high, method)``.
 
     A union passes when each of its components does.  A component K of a
     union U is also a component of the union of the colours it meets,
@@ -260,9 +260,16 @@ def _check_unions(
     that never decreases with i, every union passes exactly when each
     connected colour set S of size i <= p passes on the components of
     G[union of S] that meet every colour of S.  Those components are split
-    here, once per set, and handed to *judge* as a list of masks; a set
+    here, once per set, and handed to *bound* as a list of masks; a set
     with none is skipped.  The sets of size i + 1 are those of size i plus
     one quotient neighbour, judged in lexicographic order.
+
+    The one verdict rule: a set is refuted, with *low*, when low > q, and
+    is then a minimal refuted union; otherwise it is inconclusive, with
+    *high*, when high > q.  A *method* other than None names how *high*
+    was measured, ``"exact"`` or ``"upper-bound"``, and records it in
+    ``measured[i]``, which reads "upper-bound" once any set of size <= i
+    was only bounded.
 
     budget(i) is read once per size into ``report.q``, and a budget that
     decreases with i is refused.  ``checked_unions`` counts the unions the
@@ -318,11 +325,20 @@ def _check_unions(
         report.checked_unions += math.comb(len(palette), i)
         if i - 1 in report.measured:
             report.measured[i] = report.measured[i - 1]
+        q = report.q[i]
         for S in level:
             union = functools.reduce(operator.or_, map(masks.get, S))
             comps = [k for k in components(G, union) if all(k & masks[col] for col in S)]
-            if comps:
-                judge(report, i, S, comps)
+            if not comps:
+                continue
+            low, high, method = bound(comps, q)
+            if method is not None:
+                worst, how = report.measured.get(i, (0, "exact"))
+                report.measured[i] = (max(worst, high), how if method == "exact" else method)
+            if low > q:
+                report.failures.append((S, i, low))
+            elif high > q:
+                report.inconclusive.append((S, i, high))
     return report
 
 
@@ -333,34 +349,25 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
     decided through their colour-connected class sets (see
     ``_check_unions``), each on the components of its union that meet all
     its colours: a component of at most i vertices passes outright, one
-    above ``TREE_DEPTH_EXACT_CAP`` vertices is left undecided, and the
-    rest are decided by ``tree_depth_at_most``.  A set with a component
-    deeper than i is refuted, as a minimal refuted union, and reported
-    with the largest exact tree-depth among such components.  A set that
-    no component refutes but that has an undecided one is listed as
-    inconclusive, with the size of its largest such component.  More than
+    above ``TREE_DEPTH_EXACT_CAP`` vertices is bounded by its size, and
+    the rest are decided by ``tree_depth_at_most``, with the exact
+    tree-depth taken only of a component deeper than i.  More than
     ``MAX_UNIONS`` walked sets are refused, as in ``verify_low_rw_coloring``.
     """
 
-    def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
-        deep = []
-        undecided = 0
+    def bound(comps: list[int], q: int) -> tuple[int, int, None]:
+        deep, undecided = [], 0
         for comp in comps:
             size = comp.bit_count()
-            if size <= i:
-                continue
             if size > TREE_DEPTH_EXACT_CAP:
                 undecided = max(undecided, size)
-                continue
-            comp_g, _ = induced_subgraph(G, bits_of(comp))
-            if not tree_depth_at_most(comp_g, i):
-                deep.append(comp_g)
-        if deep:
-            report.failures.append((combo, i, max(tree_depth_exact(g) for g in deep)))
-        elif undecided:
-            report.inconclusive.append((combo, i, undecided))
+            elif size > q:
+                comp_g, _ = induced_subgraph(G, bits_of(comp))
+                if not tree_depth_at_most(comp_g, q):
+                    deep.append(comp_g)
+        return max(map(tree_depth_exact, deep), default=0), undecided, None
 
-    return _check_unions(G, c, p, lambda i: i, judge)
+    return _check_unions(G, c, p, lambda i: i, bound)
 
 
 def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
@@ -505,31 +512,18 @@ def verify_low_rw_coloring(
     """Measure the width of every union of <= p classes of c on H against Q.
 
     The unions are decided through their colour-connected class sets (see
-    ``_check_unions``): each set is measured on the components of its union
-    that meet all its colours.  Components up to ``RANK_WIDTH_EXACT_CAP``
-    vertices are measured exactly, larger ones are bounded by
-    ``rank_width_upper``; a component that recurs across sets is solved
-    once.  A set is refuted, with that width, when a component solved
-    exactly is above its budget, and is then a minimal refuted union; a set
-    above its budget only through an upper bound is inconclusive.  A budget
-    mapping without a width for some union size, or a budget that
-    decreases with the size, is refused before any set is walked; more
-    than ``MAX_UNIONS`` walked sets before any set is measured.
+    ``_check_unions``), each bounded by ``rank_width_of_subgraph`` on the
+    components of its union that meet all its colours: a component that
+    recurs across sets is solved once.  A budget mapping without a width
+    for some union size, or a budget that decreases with the size, is
+    refused before any set is walked; more than ``MAX_UNIONS`` walked sets
+    before any set is measured.
     """
     colors = len(set(c.colors))
     for i in range(1, min(p, colors) + 1):
         if i not in Q:
             raise ValueError(f"the budget gives no width for unions of size {i}")
     widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
-
-    def judge(report: UnionReport, i: int, combo: tuple[int, ...], comps: list[int]) -> None:
-        vs = select_bits(range(H.n), functools.reduce(operator.or_, comps))
-        value, method, exact = rank_width_of_subgraph(H, vs, widths)
-        worst, how = report.measured.get(i, (0, "exact"))
-        report.measured[i] = (max(worst, value), how if method == "exact" else method)
-        if exact > report.q[i]:
-            report.failures.append((combo, i, exact))
-        elif value > report.q[i]:
-            report.inconclusive.append((combo, i, value))
-
-    return _check_unions(H, c, p, Q.__getitem__, judge)
+    return _check_unions(
+        H, c, p, Q.__getitem__, lambda comps, q: rank_width_of_subgraph(H, comps, widths)
+    )

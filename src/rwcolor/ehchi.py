@@ -238,7 +238,7 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     classes = c.classes()
     widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
     for col, vs in sorted(classes.items()):
-        value, _, _ = rank_width_of_subgraph(G, vs, widths)
+        _, value, _ = rank_width_of_subgraph(G, components(G, mask_of(vs)), widths)
         if value > r1:
             raise ValueError(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"

@@ -20,7 +20,6 @@ from .graph import (
     Graph,
     _union_rows,
     bits_of,
-    components,
     cutrank_mask,
     cutrank_table,
     degeneracy_order,
@@ -516,40 +515,39 @@ def restrict_decomposition(
 
 def rank_width_of_subgraph(
     G: Graph,
-    X: Iterable[int],
+    comps: Sequence[int],
     memo: dict[tuple[int, ...], WidthReport] | None = None,
-) -> tuple[int, str, int]:
-    """Width of the induced subgraph: exact per component when small enough.
+) -> tuple[int, int, str]:
+    """Width of the induced subgraph on the components *comps* (vertex
+    masks of G): exact per component when small enough.
 
     This is the one place that chooses between the exact solver and the
     bound.  Rank-width of a disconnected graph is the max over its
     components.  Components above ``RANK_WIDTH_EXACT_CAP`` vertices
-    contribute a flagged upper bound.  Returns the max over all components,
-    ``"exact"`` or ``"upper-bound"``, and the max over the components
-    solved exactly alone, which is a lower bound on the width whatever the
-    others give.  Each distinct component is solved once; a caller
-    measuring many unions of one graph may pass a *memo* dict, which maps a
-    component's relabelled adjacency (its vertices renumbered in
-    increasing order) to its report, decomposition included, to share that
-    across calls.
+    contribute a flagged upper bound.  Returns ``(low, high, method)``:
+    the max over the components solved exactly alone, which is a lower
+    bound on the width whatever the others give; the max over all
+    components; and ``"exact"`` or ``"upper-bound"``.  Each distinct
+    component is solved once; a caller measuring many unions of one graph
+    may pass a *memo* dict, which maps a component's relabelled adjacency
+    (its vertices renumbered in increasing order) to its report,
+    decomposition included, to share that across calls.
     """
-    mask = mask_of(X)
-    outside = mask >> G.n
+    outside = sum(comps) >> G.n  # components are disjoint: their sum is their union
     if outside:
         raise ValueError(f"vertex {G.n + (outside & -outside).bit_length() - 1} not in graph")
     memo = {} if memo is None else memo
-    value = 0
-    exact_value = 0
+    low = high = 0
     method = "exact"
-    for comp in components(G, mask):
+    for comp in comps:
         comp_g, _ = induced_subgraph(G, bits_of(comp))
         exact = comp_g.n <= RANK_WIDTH_EXACT_CAP
         rep = memo.get(comp_g.adj)
         if rep is None:
             rep = memo[comp_g.adj] = rank_width_exact(comp_g) if exact else rank_width_upper(comp_g)
-        value = max(value, rep.value)
+        high = max(high, rep.value)
         if exact:
-            exact_value = max(exact_value, rep.value)
+            low = max(low, rep.value)
         else:
             method = "upper-bound"
-    return value, method, exact_value
+    return low, high, method

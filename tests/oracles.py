@@ -868,11 +868,14 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
     return Bipartition.of(G, S)
 
 
-def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, judge) -> UnionReport:
+def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, bound) -> UnionReport:
     """Judge every union of i <= p classes of c on G, by increasing i and
-    then lexicographically, on all components of the whole union:
-    ``judge(report, i, colors, comps)``, with budget(i) read once per size
-    into ``report.q``.  A drop-in for ``coloring._check_unions``."""
+    then lexicographically, on all components of the whole union, with
+    budget(i) read once per size into ``report.q``: ``bound(comps, q)``
+    gives ``(low, high, method)``, and the union is refuted with low when
+    low > q, else inconclusive with high when high > q.  A method other
+    than None is recorded in ``measured[i]`` with the worst high over
+    unions of at most i classes.  A drop-in for ``coloring._check_unions``."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
@@ -881,11 +884,19 @@ def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, judge) ->
     palette = sorted(masks)
     report = UnionReport()
     for i in range(1, min(p, len(palette)) + 1):
-        report.q[i] = budget(i)
+        q = report.q[i] = budget(i)
         for combo in itertools.combinations(palette, i):
             report.checked_unions += 1
             union = functools.reduce(operator.or_, map(masks.get, combo))
-            judge(report, i, combo, components(G, union))
+            low, high, method = bound(components(G, union), q)
+            if method is not None:
+                seen = [*report.measured.values(), (high, method)]  # sizes up to i so far
+                how = "upper-bound" if any(m == "upper-bound" for _, m in seen) else "exact"
+                report.measured[i] = (max(w for w, _ in seen), how)
+            if low > q:
+                report.failures.append((combo, i, low))
+            elif high > q:
+                report.inconclusive.append((combo, i, high))
     return report
 
 
@@ -970,7 +981,7 @@ def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]
     n1 = c.palette_size
     classes = c.classes()
     for col, vs in sorted(classes.items()):
-        value = rank_width_of_subgraph(G, vs)[0]
+        value = rank_width_of_subgraph(G, components(G, mask_of(vs)))[1]
         if value > r1:
             raise ValueError(f"class {col} has rank-width bound {value} > provider bound {r1}")
     params = EHParams.for_width(r1, n1)

@@ -501,6 +501,9 @@ def test_verify_td_reports_an_oversized_union_inconclusive():
     assert not report.verified
     assert report.failures == [((1,), 1, 3)]
     assert report.inconclusive == [((2,), 1, 19)]
+    # the same two paths as one class: the refuted P4 beats the undecided P19
+    report = verify_td_coloring(g, constant_coloring(23), 1)
+    assert (report.failures, report.inconclusive, report.measured) == ([((1,), 1, 3)], [], {})
     only_oversized = verify_td_coloring(path(20), constant_coloring(20), 2)
     assert only_oversized.failures == []
     assert only_oversized.inconclusive == [((1,), 1, 20)]
@@ -624,7 +627,10 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
     for i in (1, 2, 3):
         unions = [[v for col in combo for v in classes[col]]
                   for combo in itertools.combinations(sorted(classes), i)]
-        expected[i] = (max(widths.rank_width_of_subgraph(g, u)[0] for u in unions), "exact")
+        expected[i] = (
+            max(widths.rank_width_of_subgraph(g, components(g, mask_of(u)))[1] for u in unions),
+            "exact",
+        )
         for u in unions:
             for comp in components(g, mask_of(u)):
                 distinct.add(induced_subgraph(g, bits_of(comp))[0].adj)
@@ -642,6 +648,37 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
     assert sorted(calls) == sorted(distinct)
 
 
+def test_verify_low_rw_matches_the_subset_dp_on_every_union():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = oracles.random_graph(n, rng.uniform(0.2, 0.7), rng)
+        c = random_coloring(n, rng.randint(1, 4), rng)
+        p = rng.randint(1, 3)
+        q, step = {}, rng.randint(0, 2)
+        for i in range(1, p + 1):
+            q[i] = step
+            step += rng.randint(0, 1)
+        classes = c.classes()
+        sizes = range(1, min(p, len(classes)) + 1)
+        width = {}
+        for i in sizes:
+            for combo in itertools.combinations(sorted(classes), i):
+                sub, _ = induced_subgraph(g, [v for col in combo for v in classes[col]])
+                width[combo] = oracles.rank_width_by_subset_dp(sub)[0]
+        report = verify_low_rw_coloring(g, c, p, q)
+        assert report.verified == all(w <= q[len(combo)] for combo, w in width.items())
+        assert report.measured == {
+            i: (max(w for combo, w in width.items() if len(combo) <= i), "exact") for i in sizes
+        }
+        assert report.inconclusive == []
+        for combo, i, w in report.failures:
+            assert q[i] < w <= width[combo]
+        outcomes.add(report.verified)
+    assert outcomes == {False, True}
+
+
 def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
     from rwcolor import coloring
 
@@ -649,10 +686,9 @@ def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
     measured = []
     solve = coloring.rank_width_of_subgraph
 
-    def counted(G, X, memo=None):
-        X = list(X)
-        measured.append(len(X))
-        return solve(G, X, memo)
+    def counted(G, comps, memo=None):
+        measured.append(len(comps))
+        return solve(G, comps, memo)
 
     monkeypatch.setattr(coloring, "rank_width_of_subgraph", counted)
     # the budget counts the colour-connected class sets walked: on P6 the 6
@@ -676,7 +712,7 @@ def test_verify_low_rw_refuses_more_unions_than_the_budget(monkeypatch):
 
 
 def test_each_walked_set_is_split_into_components_once(monkeypatch):
-    from rwcolor import coloring
+    from rwcolor import coloring, widths
 
     splits = []
     split = coloring.components
@@ -685,7 +721,9 @@ def test_each_walked_set_is_split_into_components_once(monkeypatch):
         splits.append(mask)
         return split(G, mask)
 
+    # the width layer may split nothing again: count its binding too, if any
     monkeypatch.setattr(coloring, "components", counted)
+    monkeypatch.setattr(widths, "components", counted, raising=False)
     c = Coloring(tuple(range(1, 7)), 6)
     # P6 with every vertex its own colour walks 6 classes and 5 adjacent pairs
     for verify, args in ((verify_low_rw_coloring, ({1: 0, 2: 1},)), (verify_td_coloring, ())):

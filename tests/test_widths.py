@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rwcolor.graph import build_graph, cutrank, induced_subgraph
+from rwcolor.graph import build_graph, components, cutrank, induced_subgraph, mask_of
 from rwcolor.families import cycle, grid, h_graph, h_tilde, random_degenerate
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
@@ -398,12 +398,12 @@ def test_treedepth_of_two_equal_depth_components_beside_isolated_vertices(n, siz
 
 
 def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
-    from rwcolor import widths
+    from rwcolor import graph, widths
 
     calls = {"components": 0, "subset_lanes": 0}
 
     def counted(name):
-        inner = getattr(widths, name)
+        inner = getattr(graph, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -412,9 +412,10 @@ def test_treedepth_bounds_subsets_before_it_splits_or_recurses(monkeypatch):
         return wrapper
 
     # the subset levels decide connectivity on their lanes, so no subset is
-    # ever split into components, and one call reads the lane patterns once
+    # ever split into components, and one call reads the lane patterns once;
+    # the width layer need not bind components at all
     for name in calls:
-        monkeypatch.setattr(widths, name, counted(name))
+        monkeypatch.setattr(widths, name, counted(name), raising=False)
     g = oracles.random_graph(14, 0.4, random.Random(1))
     assert tree_depth_exact(g) == 8
     assert calls == {"components": 0, "subset_lanes": 1}
@@ -539,17 +540,18 @@ def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
     for _ in range(20):
         g = oracles.random_graph(8, 0.3, rng)
         X = [v for v in range(8) if rng.random() < 0.7]
+        comps = components(g, mask_of(X))
         if not X:
-            assert rank_width_of_subgraph(g, X) == (0, "exact", 0)
+            assert rank_width_of_subgraph(g, comps) == (0, 0, "exact")
             continue
         sub, _ = induced_subgraph(g, X)
         width = oracles.rank_width_by_trees(sub)
-        assert rank_width_of_subgraph(g, X) == (width, "exact", width)
+        assert rank_width_of_subgraph(g, comps) == (width, width, "exact")
     # an edge (width 1) beside C20, above the exact cap: the exact width is
     # kept apart from the bound of the cycle
     g = build_graph(22, [(0, 1)] + [(2 + v, 2 + (v + 1) % 20) for v in range(20)])
-    value, method, exact = rank_width_of_subgraph(g, range(22))
+    exact, value, method = rank_width_of_subgraph(g, components(g, (1 << 22) - 1))
     assert (method, exact) == ("upper-bound", 1)
     assert value == rank_width_upper(induced_subgraph(g, range(2, 22))[0]).value >= 2
     with pytest.raises(ValueError, match="vertex 5 not in graph"):
-        rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1, 7, 5])
+        rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1 << 1, 1 << 7, 1 << 5])
