@@ -24,7 +24,6 @@ from .widths import (
 )
 from .coloring import (
     Coloring,
-    ColoringProfile,
     RefinementColoring,
     UnionReport,
     excellent_refinement,
@@ -39,7 +38,6 @@ __all__ = [
     "Graph",
     "LinearOrder",
     "Coloring",
-    "ColoringProfile",
     "RankDecomposition",
     "RefinementColoring",
     "UnionReport",

@@ -251,12 +251,12 @@ def cmd_color_refine(args, record: RunRecord) -> int:
 
 
 def cmd_color_lowrw(args, record: RunRecord) -> int:
-    ref, profile = low_rankwidth_coloring_of_power(record.graph(args.input), args.r, args.p)
+    ref, q = low_rankwidth_coloring_of_power(record.graph(args.input), args.r, args.p)
     obj = formats.refinement_to_obj(ref)
     obj["p"] = args.p
-    obj["q"] = {str(i): v for i, v in sorted(profile.q.items())}
+    obj["q"] = formats.budget_to_obj(q)
     if args.profile:
-        record.write(args.profile, formats.dumps_json(formats.profile_to_obj(profile)))
+        record.write(args.profile, formats.dumps_json(formats.profile_to_obj(ref, q)))
     record.emit(args.output, formats.dumps_json(obj))
     return 0
 
@@ -485,13 +485,15 @@ def _sweep_row(spec: dict) -> dict:
             q = {i: 3 * i for i in range(1, p + 1)}
         elif kind == "power-lowrw":
             r, p = pipe["r"], pipe["p"]
-            ref, profile = low_rankwidth_coloring_of_power(g, r, p)
-            h, c, q = power(g, r), ref.refined, profile.q
+            ref, q = low_rankwidth_coloring_of_power(g, r, p)
+            h, c = power(g, r), ref.refined
         elif kind == "certificate":
             rows = _certificate_rows(g, pipe.get("seed", 0), pipe.get("seeds", 1))
+            if not rows:
+                raise ValueError("seeds must be >= 1")
             orders = [order for _, order, _ in rows]
-            row["min_order"] = min(orders) if orders else ""
-            row["max_order"] = max(orders) if orders else ""
+            row["min_order"] = min(orders)
+            row["max_order"] = max(orders)
             row["verified"] = str(all(verified for _, _, verified in rows)).lower()
         else:
             raise ValueError(f"unknown pipeline kind {kind!r}")
@@ -501,6 +503,8 @@ def _sweep_row(spec: dict) -> dict:
             row["widths"] = ";".join(str(w) for _, (w, _) in sorted(report.measured.items()))
             row["budgets"] = ";".join(str(b) for _, b in sorted(report.q.items()))
             row["verified"] = str(report.verified).lower()
+    except KeyError as exc:  # a key the spec leaves out
+        row["error"] = f'missing "{exc.args[0]}"'
     except Exception as exc:  # recorded per row; the runner keeps going
         row["error"] = str(exc)
     row["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)

@@ -246,7 +246,7 @@ class UnionReport:
 
 
 def _check_unions(
-    G: Graph, c: Coloring, p: int, budget: Callable[[int], int], bound: Callable
+    G: Graph, c: Coloring, p: int, Q: Mapping[int, int], bound: Callable
 ) -> UnionReport:
     """Decide every union of i <= p classes of c on G through its
     colour-connected class sets, by increasing i, each through
@@ -271,18 +271,19 @@ def _check_unions(
     ``measured[i]``, which reads "upper-bound" once any set of size <= i
     was only bounded.
 
-    budget(i) is read once per size into ``report.q``, and a budget that
-    decreases with i is refused.  ``checked_unions`` counts the unions the
-    walk covers, C(palette, i) per size.  ``measured[i]`` starts from
-    ``measured[i - 1]``: both widths only grow on induced supergraphs, so
-    the worst union of i classes is at least the worst of i - 1.  The whole
-    walk is built before any set is judged, so more than ``MAX_UNIONS``
-    walked sets are refused with nothing judged: before the size i that
-    crosses it is built when a lower bound on its count crosses it,
-    otherwise while it is built.  The bound holds
-    because a set S of size i - 1 grows into at least |near(col)| - |S|
-    sets for each of its colours col, and a set of size i grows from at
-    most i sets of size i - 1.
+    The budget table Q is read once per size into ``report.q``.  A table
+    without a width for a size the walk reaches, or one that decreases with
+    i, is refused before any set is walked.  ``checked_unions`` counts the
+    unions the walk covers, C(palette, i) per size.  ``measured[i]`` starts
+    from ``measured[i - 1]``: both widths only grow on induced supergraphs,
+    so the worst union of i classes is at least the worst of i - 1.  The
+    whole walk is built before any set is judged, so more than
+    ``MAX_UNIONS`` walked sets are refused with nothing judged: before the
+    size i that crosses it is built when a lower bound on its count crosses
+    it, otherwise while it is built.  The bound holds because a set S of
+    size i - 1 grows into at least |near(col)| - |S| sets for each of its
+    colours col, and a set of size i grows from at most i sets of size
+    i - 1.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -300,7 +301,10 @@ def _check_unions(
         return c.colors_on(bits_of(reach))
 
     sizes = range(1, min(p, len(palette)) + 1)
-    report = UnionReport(q={i: budget(i) for i in sizes})
+    for i in sizes:
+        if i not in Q:
+            raise ValueError(f"the budget gives no width for unions of size {i}")
+    report = UnionReport(q={i: Q[i] for i in sizes})
     for i in sizes[1:]:
         if report.q[i] < report.q[i - 1]:
             raise ValueError(f"the budget decreases from size {i - 1} to size {i}")
@@ -367,7 +371,7 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
                     deep.append(comp_g)
         return max(map(tree_depth_exact, deep), default=0), undecided, None
 
-    return _check_unions(G, c, p, lambda i: i, bound)
+    return _check_unions(G, c, p, {i: i for i in range(1, min(p, G.n) + 1)}, bound)
 
 
 def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
@@ -449,18 +453,6 @@ def treedepth_coloring(G: Graph, p: int) -> Coloring:
     return c
 
 
-@dataclass
-class ColoringProfile:
-    """Budget record of a low rank-width coloring of a graph power."""
-
-    p: int
-    n_colors: int
-    d: int
-    radius: int
-    q: dict[int, int]
-    base_colors: int
-
-
 def gurski_wanke_budget(r: int, q: int) -> int:
     """Rank-width bound for the r-th power of a graph of tree-width <= q."""
     return 2 * (r + 1) ** (q + 1) - 2
@@ -470,13 +462,13 @@ def low_rankwidth_coloring_of_power(
     G: Graph,
     r: int,
     p: int,
-) -> tuple[RefinementColoring, ColoringProfile]:
+) -> tuple[RefinementColoring, dict[int, int]]:
     """Color G so that small class unions of power(G, r) have bounded width.
 
     Takes a (d*p)-tree-depth coloring, where d multiplies the per-radius
     doubled weak-coloring values of heuristic orders for radii 2..r, and
-    refines it through the excellent chain.  The profile carries the width
-    budget per union size.
+    refines it through the excellent chain.  Returns the refinement and the
+    width budget Q per union size 1..p.
     """
     if r < 2:
         raise ValueError("power coloring needs radius >= 2")
@@ -491,16 +483,7 @@ def low_rankwidth_coloring_of_power(
     base = treedepth_coloring(G, d * p)
     ref = excellent_refinement(G, base, r, orders, wsets)
     assert ref.d == d
-    q = {i: gurski_wanke_budget(r, d * i) for i in range(1, p + 1)}
-    profile = ColoringProfile(
-        p=p,
-        n_colors=ref.refined.palette_size,
-        d=d,
-        radius=r,
-        q=q,
-        base_colors=base.palette_size,
-    )
-    return ref, profile
+    return ref, {i: gurski_wanke_budget(r, d * i) for i in range(1, p + 1)}
 
 
 def verify_low_rw_coloring(
@@ -514,16 +497,10 @@ def verify_low_rw_coloring(
     The unions are decided through their colour-connected class sets (see
     ``_check_unions``), each bounded by ``rank_width_of_subgraph`` on the
     components of its union that meet all its colours: a component that
-    recurs across sets is solved once.  A budget mapping without a width
-    for some union size, or a budget that decreases with the size, is
-    refused before any set is walked; more than ``MAX_UNIONS`` walked sets
-    before any set is measured.
+    recurs across sets is solved once.  The walk refuses a budget without a
+    width for some union size, or one that decreases with the size, before
+    any set is walked, and more than ``MAX_UNIONS`` walked sets before any
+    set is measured.
     """
-    colors = len(set(c.colors))
-    for i in range(1, min(p, colors) + 1):
-        if i not in Q:
-            raise ValueError(f"the budget gives no width for unions of size {i}")
     widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
-    return _check_unions(
-        H, c, p, Q.__getitem__, lambda comps, q: rank_width_of_subgraph(H, comps, widths)
-    )
+    return _check_unions(H, c, p, Q, lambda comps, q: rank_width_of_subgraph(H, comps, widths))

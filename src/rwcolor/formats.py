@@ -14,7 +14,7 @@ from itertools import islice, repeat
 from operator import lt
 from typing import Mapping, NoReturn
 
-from .coloring import Coloring, ColoringProfile, RefinementColoring, UnionReport
+from .coloring import Coloring, RefinementColoring, UnionReport
 from .ehchi import EHParams
 from .graph import Graph, mask_of_flags, select_bits
 from .lab import Bipartition, ExtractionReport, MatchingCertificate
@@ -255,21 +255,29 @@ def refinement_to_obj(R: RefinementColoring) -> dict:
     return obj
 
 
-def profile_to_obj(p: ColoringProfile) -> dict:
+def profile_to_obj(ref: RefinementColoring, q: Mapping[int, int]) -> dict:
+    """Budget q of a power coloring, with its palette, d, radius and base palette."""
     return {
-        "p": p.p,
-        "n_colors": p.n_colors,
-        "d": p.d,
-        "radius": p.radius,
-        "q": {str(i): v for i, v in sorted(p.q.items())},
-        "base_colors": p.base_colors,
+        "p": len(q),
+        "n_colors": ref.refined.palette_size,
+        "d": ref.d,
+        "radius": ref.radius,
+        "q": budget_to_obj(q),
+        "base_colors": ref.original_base.palette_size,
     }
 
 
+def budget_to_obj(q: Mapping[int, int]) -> dict[str, int]:
+    """The budget table "q" as JSON: union size, in decimal, -> width."""
+    return {str(i): w for i, w in sorted(q.items())}
+
+
 def budget_from_obj(obj: Mapping) -> dict[int, int]:
-    """The budget table "q" of a profile or coloring file: union size -> width."""
+    """The budget table "q" of a profile or coloring file: union size -> width,
+    each size in the one form ``budget_to_obj`` writes, so no two keys meet."""
     q = obj.get("q") if isinstance(obj, dict) else None
-    if not (isinstance(q, dict) and all(i.isdecimal() and type(w) is int for i, w in q.items())):
+    sizes_ok = isinstance(q, dict) and all(i.isascii() and i.isdecimal() and i[0] != "0" for i in q)
+    if not (sizes_ok and all(type(w) is int for w in q.values())):
         raise ValueError('budget "q" must be an object from union sizes to integer widths')
     return {int(i): w for i, w in q.items()}
 
@@ -281,7 +289,7 @@ def _union_verdict_to_obj(verdict: tuple[tuple[int, ...], int, int]) -> dict:
 
 def union_report_to_obj(report: UnionReport) -> dict:
     return {
-        "q": {str(i): v for i, v in sorted(report.q.items())},
+        "q": budget_to_obj(report.q),
         "checked_unions": report.checked_unions,
         "measured": {
             str(i): {"width": w, "method": m} for i, (w, m) in sorted(report.measured.items())

@@ -871,7 +871,7 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
 def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, bound) -> UnionReport:
     """Judge every union of i <= p classes of c on G, by increasing i and
     then lexicographically, on all components of the whole union, with
-    budget(i) read once per size into ``report.q``: ``bound(comps, q)``
+    budget[i] read once per size into ``report.q``: ``bound(comps, q)``
     gives ``(low, high, method)``, and the union is refuted with low when
     low > q, else inconclusive with high when high > q.  A method other
     than None is recorded in ``measured[i]`` with the worst high over
@@ -884,7 +884,7 @@ def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, bound) ->
     palette = sorted(masks)
     report = UnionReport()
     for i in range(1, min(p, len(palette)) + 1):
-        q = report.q[i] = budget(i)
+        q = report.q[i] = budget[i]
         for combo in itertools.combinations(palette, i):
             report.checked_unions += 1
             union = functools.reduce(operator.or_, map(masks.get, combo))

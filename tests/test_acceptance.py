@@ -234,9 +234,9 @@ def test_c7_power_coloring_end_to_end(capsys):
     for a, b in ((4, 4), (5, 4), (6, 6)):
         g = grid(a, b)
         r, p = 2, 2
-        ref, profile = low_rankwidth_coloring_of_power(g, r, p)
+        ref, q = low_rankwidth_coloring_of_power(g, r, p)
         h = power(g, r)
-        checked = verify_low_rw_coloring(h, ref.refined, p, profile.q)
+        checked = verify_low_rw_coloring(h, ref.refined, p, q)
         assert checked.verified
         classes = ref.refined.classes()
         rng = random.Random(7_2026)

@@ -526,7 +526,7 @@ def test_verify_td_first_fit_coloring_above_the_cap_is_inconclusive():
 
 def test_power_pipeline_p6():
     g = path(6)
-    ref, profile = low_rankwidth_coloring_of_power(g, 2, 1)
+    ref, _ = low_rankwidth_coloring_of_power(g, 2, 1)
     h = power(g, 2)
     for q, members in ref.refined.classes().items():
         X = sorted(members)
@@ -540,17 +540,17 @@ def test_power_pipeline_p6():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_power_pipeline_random_degenerate_20(seed):
     g = random_degenerate(20, 2, seed)
-    ref, profile = low_rankwidth_coloring_of_power(g, 2, 1)
-    checked = verify_low_rw_coloring(power(g, 2), ref.refined, 1, profile.q)
+    ref, q = low_rankwidth_coloring_of_power(g, 2, 1)
+    checked = verify_low_rw_coloring(power(g, 2), ref.refined, 1, q)
     assert checked.verified
 
 
 def test_power_pipeline_budget_formula():
     assert gurski_wanke_budget(2, 2) == 52  # 2 * 3^3 - 2
     g = grid(3, 3)
-    ref, profile = low_rankwidth_coloring_of_power(g, 2, 2)
-    assert profile.q[1] == gurski_wanke_budget(2, profile.d)
-    assert profile.q[2] == gurski_wanke_budget(2, 2 * profile.d)
+    ref, q = low_rankwidth_coloring_of_power(g, 2, 2)
+    assert q[1] == gurski_wanke_budget(2, ref.d)
+    assert q[2] == gurski_wanke_budget(2, 2 * ref.d)
 
 
 def test_verify_low_rw_edgeless():
@@ -828,8 +828,8 @@ def test_union_walk_verifies_the_power_coloring_of_grid_14():
     from rwcolor import coloring
 
     g = grid(14, 14)
-    ref, profile = low_rankwidth_coloring_of_power(g, 2, 3)
-    report = verify_low_rw_coloring(power(g, 2), ref.refined, 3, profile.q)
+    ref, q = low_rankwidth_coloring_of_power(g, 2, 3)
+    report = verify_low_rw_coloring(power(g, 2), ref.refined, 3, q)
     assert report.verified
     palette = len(set(ref.refined.colors))
     assert report.checked_unions == sum(math.comb(palette, i) for i in (1, 2, 3))
@@ -845,10 +845,10 @@ def test_union_walk_verifies_the_td_coloring_of_grid_10_at_p6():
 def test_verify_low_rw_names_a_union_size_the_budget_misses(monkeypatch):
     from rwcolor import coloring
 
-    def walked(*args):
-        raise AssertionError("a union was walked")
+    def split(*args):
+        raise AssertionError("a set was judged")
 
-    monkeypatch.setattr(coloring, "_check_unions", walked)
+    monkeypatch.setattr(coloring, "components", split)
     c = Coloring((1, 2, 1, 2), 2)
     with pytest.raises(ValueError) as err:
         verify_low_rw_coloring(path(4), c, 2, {1: 3})

@@ -455,6 +455,16 @@ def test_cli_color_lowrw_profile_is_a_budget_without_a_verdict(tmp_path):
     obj = json.loads(prof.read_text())
     assert "measured" not in obj and "verified" not in obj
     assert set(obj) == {"p", "n_colors", "d", "radius", "q", "base_colors"}
+    # the profile states the colouring's own numbers
+    for r in (2, 3):
+        col = tmp_path / f"col{r}.json"
+        assert run(["color", "lowrw", "-r", str(r), "-p", "2", "-i", str(grid3),
+                    "-o", str(col), "--profile", str(prof)]) == 0
+        obj, colored = json.loads(prof.read_text()), json.loads(col.read_text())
+        same = {"n_colors": "palette_size", "base_colors": "base_palette", "d": "d",
+                "radius": "radius", "p": "p", "q": "q"}
+        assert {k: obj[k] for k in same} == {k: colored[v] for k, v in same.items()}
+        assert obj["radius"] == r and obj["p"] == 2 and list(obj["q"]) == ["1", "2"]
 
 
 def test_cli_width_rank_exact(tmp_path):
@@ -1009,6 +1019,11 @@ def test_cli_sweep_empty(tmp_path):
     *((["report", "sweep", "--spec", "{bad}"], text,
        'a sweep spec must be a JSON object whose "runs" is an array of objects')
       for text in ('{"runs": 5}', '[{"name": "a"}]', '{"runs": [5]}', '{"runs": null}')),
+    # budget keys the writer never writes: a leading zero, non-ASCII digits, size 0
+    *((["verify", "coloring", "-i", "{p4}", "-c", "{bad}"],
+       '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": %s}' % q,
+       'budget "q" must be an object from union sizes to integer widths')
+      for q in ('{"1": 9, "01": 0}', '{"\\u0661": 0, "1": 9}', '{"0": 5, "1": 9}')),
 ])
 def test_cli_malformed_json_is_usage_error(cli_files, tmp_path, capsys, argv, text, message):
     bad = tmp_path / "bad.json"
@@ -1237,12 +1252,22 @@ def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
              "pipeline": {"kind": "rowcolor-verify", "p": 0}},
             {"name": "power", "generator": {"family": "path", "n": 4},
              "pipeline": {"kind": "power-lowrw", "r": 2, "p": 0}},
+            # no certificate is drawn, so none is verified
+            *({"name": "certs", "generator": {"family": "chain", "order": 12},
+               "pipeline": {"kind": "certificate", "seeds": seeds}} for seeds in (0, -3)),
+            # a key the spec leaves out is named
+            {"name": "nopipe", "generator": {"family": "path", "n": 4}},
+            {"name": "gridrows", "generator": {"family": "grid", "a": 3, "b": 3},
+             "pipeline": {"kind": "rowcolor-verify", "p": 1}},
         ]
     }))
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert [row["error"] for row in rows] == ["p must be >= 1"] * 2
-    assert [row["verified"] for row in rows] == ["", ""]
+    assert [row["error"] for row in rows] == [
+        *["p must be >= 1"] * 2, *["seeds must be >= 1"] * 2, 'missing "pipeline"', 'missing "n"',
+    ]
+    assert [row["verified"] for row in rows] == [""] * 6
+    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 6
 
 
 @pytest.mark.parametrize("method", ["--exact", "--heuristic"])
