@@ -15,7 +15,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import random
 import sys
@@ -103,6 +102,9 @@ class RunRecord:
 
     def graph(self, path: str) -> Graph:
         return formats.parse_edge_list(self.read(path))
+
+    def json(self, path: str):
+        return formats.loads_json(self.read(path))
 
     def write(self, path: str, text: str) -> None:
         _write(path, text)
@@ -238,7 +240,7 @@ def cmd_color_td(args, record: RunRecord) -> int:
 
 def cmd_color_refine(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    base = formats.coloring_from_obj(json.loads(record.read(args.coloring)))
+    base = formats.coloring_from_obj(record.json(args.coloring))
     if args.good:
         _, L, wsets = wcol_heuristic(g, args.r)
         ref = good_refinement(g, base, args.r, L, wsets)
@@ -265,7 +267,7 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
     if args.mode == "td" and (args.profile is not None or args.q_linear is not None):
         raise ValueError("verify coloring --mode td does not use --profile or --q-linear")
     g = record.graph(args.input)
-    obj = json.loads(record.read(args.coloring))
+    obj = record.json(args.coloring)
     c = formats.coloring_from_obj(obj)
     if args.mode == "td":
         report = verify_td_coloring(g, c, args.p)
@@ -273,7 +275,7 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
         if args.q_linear is not None:
             q = {i: args.q_linear * i for i in range(1, args.p + 1)}
         elif args.profile or "q" in obj:
-            table = json.loads(record.read(args.profile)) if args.profile else obj
+            table = record.json(args.profile) if args.profile else obj
             q = formats.budget_from_obj(table)
         else:
             raise ValueError(
@@ -287,7 +289,7 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
 
 def cmd_verify_decomposition(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    D = formats.decomposition_from_obj(json.loads(record.read(args.decomposition)))
+    D = formats.decomposition_from_obj(record.json(args.decomposition))
     try:
         width = verify_decomposition(g, D)
     except ValueError as exc:
@@ -340,7 +342,7 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
     g = record.graph(args.input)
     labels = formats.labels_from_json(record.read(args.labels))
     g = Graph(g.n, g.adj, labels)
-    part = formats.partition_from_obj(json.loads(record.read(args.partition)), g)
+    part = formats.partition_from_obj(record.json(args.partition), g)
     result = lower_bound_certificate(g, part)
     if isinstance(result, ImbalanceReport):
         imbalance = {
@@ -440,7 +442,7 @@ def cmd_eh(args, record: RunRecord) -> int:
 
 def cmd_chi(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    c = formats.coloring_from_obj(json.loads(record.read(args.coloring)))
+    c = formats.coloring_from_obj(record.json(args.coloring))
     out = chi_product_coloring(g, c)
     record.emit(args.output, formats.dumps_json(formats.coloring_to_obj(out)))
     return 0
@@ -461,8 +463,7 @@ SWEEP_FIELDS = [
 ]
 
 
-def _sweep_generate(spec: dict) -> Graph:
-    gen = spec["generator"]
+def _sweep_generate(gen: dict) -> Graph:
     family = gen["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
@@ -473,14 +474,17 @@ def _sweep_row(spec: dict) -> dict:
     t0 = time.perf_counter()
     row = {f: "" for f in SWEEP_FIELDS}
     row["name"] = spec.get("name", "")
-    row["family"] = spec.get("generator", {}).get("family", "")
     try:
-        g = _sweep_generate(spec)
+        gen = spec["generator"]
+        if not isinstance(gen, dict):
+            raise ValueError('"generator" must be an object')
+        row["family"] = gen.get("family", "")
+        g = _sweep_generate(gen)
         row["n"] = g.n
         pipe = spec["pipeline"]
         kind = pipe["kind"]
         if kind == "rowcolor-verify":
-            gen, p = spec["generator"], pipe["p"]
+            p = pipe["p"]
             h, c = g, row_coloring(gen["n"], gen["m"], p)
             q = {i: 3 * i for i in range(1, p + 1)}
         elif kind == "power-lowrw":
@@ -512,7 +516,7 @@ def _sweep_row(spec: dict) -> dict:
 
 
 def cmd_report(args, record: RunRecord) -> int:
-    spec = json.loads(record.read(args.spec))
+    spec = record.json(args.spec)
     runs = spec.get("runs", []) if isinstance(spec, dict) else None
     if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):
         raise ValueError('a sweep spec must be a JSON object whose "runs" is an array of objects')
@@ -526,7 +530,7 @@ def cmd_report(args, record: RunRecord) -> int:
 
 
 def cmd_rerun(args, record: RunRecord) -> int:
-    manifest = json.loads(record.read(args.manifest))
+    manifest = record.json(args.manifest)
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise ValueError('a manifest needs an "argv" array of strings')
@@ -695,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
         if code in (0, 1) and args.func is not cmd_rerun and args.manifest:
             _write_manifest(args, argv, record, t0)
         return code
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from itertools import islice, repeat
 from operator import lt
 from typing import Mapping, NoReturn
@@ -24,6 +24,20 @@ from .widths import RankDecomposition, WidthReport
 
 def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"a JSON object repeats the key {json.dumps(key)}")
+    return obj
+
+
+def loads_json(text: str):
+    """The JSON value of text, refusing an object that repeats a key, which
+    ``json.loads`` alone would merge by keeping the last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def serialize_edge_list(G: Graph) -> str:
@@ -200,12 +214,12 @@ def labels_to_json(G: Graph) -> str:
 
 
 def labels_from_json(text: str) -> tuple[dict, ...]:
-    data = json.loads(text)
+    data = loads_json(text)
     if not isinstance(data, list):
         raise ValueError("label sidecar must be a JSON array")
     if not all(isinstance(d, dict) for d in data):
         raise ValueError("label sidecar entries must be JSON objects")
-    return tuple(dict(d) for d in data)
+    return tuple(data)
 
 
 def coloring_to_obj(c: Coloring) -> dict:
@@ -397,7 +411,7 @@ def witness_to_obj(vertices, kind: str, params: EHParams, n: int) -> dict:
 
 
 def rotations_from_json(text: str) -> list[list[int]]:
-    obj = json.loads(text)
+    obj = loads_json(text)
     rot = obj.get("rotations") if isinstance(obj, dict) else obj
     if not (isinstance(rot, list) and all(_int_list(r) for r in rot)):
         raise ValueError(

@@ -457,9 +457,43 @@ class ExtractionReport:
     y_cols: tuple[int, ...]
 
 
-# Most row sets of one size the unguaranteed extraction scans before it
-# stops growing the order.
+# The unguaranteed extraction tries block order k only while C(n, k), the
+# number of k-row sets of an order-n chain, is at most this; it caps the
+# block order tried, not the work the search does.
 EXTRACT_COMBO_BUDGET = 300_000
+
+
+def _first_block(row_masks: list[list[int]], n: int, k: int) -> tuple | None:
+    """``(xs, ys, ti)``: the lexicographically first k rows xs that share k
+    columns under one color triple, the least such triple index ti, and
+    its first k columns ys; None when no k rows do.
+
+    Bit y - 1 of ``row_masks[x - 1][ti]`` is set when grid point (x, y) has
+    triple ti.  Rows join the prefix depth-first in increasing order, each
+    ANDing its masks into the prefix's; a triple left with fewer than k
+    columns drops out, and a prefix with no triple left is dropped.
+    """
+    xs: list[int] = []
+
+    def extend(start: int, alive: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        if len(xs) == k:
+            return alive
+        for x in range(start, n - k + len(xs) + 1):
+            row = row_masks[x]
+            kept = [(ti, r) for ti, m in alive if (r := m & row[ti]).bit_count() >= k]
+            if kept:
+                xs.append(x + 1)
+                found = extend(x + 1, kept)
+                if found:
+                    return found
+                xs.pop()
+        return None
+
+    alive = extend(0, [(ti, (1 << n) - 1) for ti in range(len(row_masks[0]))])
+    if alive is None:
+        return None
+    ti, cand = alive[0]
+    return tuple(xs), tuple(itertools.islice(select_bits(range(1, n + 1), cand), k)), ti
 
 
 def monochromatic_substructure(
@@ -469,9 +503,13 @@ def monochromatic_substructure(
 
     Reduces the index grid in three stages (C, then A, then B layer); with
     chain orders past the triple Ramsey threshold the stage-wise counting
-    is guaranteed, otherwise a backtracking search over equal-size index
-    blocks maximizes the achieved order.  The output graph carries fresh
-    canonical chain labels and receives at most 3 colors.
+    is guaranteed.  Below it, the block order k grows from 1 while C(n, k)
+    is at most ``EXTRACT_COMBO_BUDGET`` and a search over row prefixes
+    (:func:`_first_block`) finds a k-by-k block: the lexicographically
+    first k rows that share k columns under one (C, A, B) color triple,
+    the first such triple in sorted order, and its first k columns.  The
+    output graph carries fresh canonical chain labels and receives at
+    most 3 colors.
     """
     n = chain_order(G)
     if target < 1:
@@ -481,6 +519,15 @@ def monochromatic_substructure(
         raise ValueError("coloring does not match the graph")
     d = len(set(c))
     a0, b0, c0 = chain_blocks(n)
+    nn = n * n
+    # grid[x - 1][y - 1] = colors of z_(x,y), v_s and w_t, with s and t the
+    # row- and column-major scalars of (x, y): row x of the C and A blocks,
+    # and the B block from w_x on with stride n
+    grid = [
+        list(zip(c[c0 + n * i : c0 + n * i + n], c[a0 + n * i : a0 + n * i + n],
+                 c[b0 + i : b0 + nn : n]))
+        for i in range(n)
+    ]
 
     def cell(x: int, y: int) -> tuple[int, int, int]:
         """The C, A and B vertices of grid point (x, y): z_(x,y), v_s and
@@ -489,7 +536,7 @@ def monochromatic_substructure(
         return c0 + s - 1, a0 + s - 1, b0 + col_scalar(n, x, y) - 1
 
     def colors_at(x: int, y: int) -> tuple:
-        return tuple(c[v] for v in cell(x, y))
+        return grid[x - 1][y - 1]
 
     def chain_thresholds(t: int) -> tuple[int | None, int | None, int | None]:
         t1 = ramsey_threshold_within(t, d, n)
@@ -524,42 +571,25 @@ def monochromatic_substructure(
         stage_sizes = (len(s1.xs), len(s2.xs), len(s3.xs))
     else:
         # Any order-k sub-chain restricts to stages of exactly size k, so
-        # scanning equal-size row sets is complete.  For each row x and each
-        # color triple, precompute the bitmask of columns where all three
-        # layers hit that triple; candidate columns of a row set are then
-        # one AND per triple.
-        triples = sorted(
-            {colors_at(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
-        )
-        row_masks: list[dict[tuple, int]] = [{}]
-        for x in range(1, n + 1):
-            masks = {t: 0 for t in triples}
-            for y in range(1, n + 1):
-                masks[colors_at(x, y)] |= 1 << (y - 1)
+        # searching equal-size row sets is complete.  For each row and each
+        # color triple, the bitmask of columns where all three layers hit
+        # that triple; the common columns of a row set are one AND per
+        # triple.
+        triples = sorted(set().union(*grid))
+        index = {t: ti for ti, t in enumerate(triples)}
+        row_masks = []
+        for row in grid:
+            masks = [0] * len(triples)
+            for y, t in enumerate(row):
+                masks[index[t]] |= 1 << y
             row_masks.append(masks)
         k = 1
         while k <= n and math.comb(n, k) <= EXTRACT_COMBO_BUDGET:
-            found = None
-            for xs in itertools.combinations(range(1, n + 1), k):
-                for t in triples:
-                    cand = row_masks[xs[0]][t]
-                    for x in xs[1:]:
-                        cand &= row_masks[x][t]
-                        if cand.bit_count() < k:
-                            break
-                    if cand.bit_count() >= k:
-                        ys = []
-                        while cand and len(ys) < k:
-                            low = cand & -cand
-                            ys.append(low.bit_length())
-                            cand ^= low
-                        found = (xs, tuple(ys), t)
-                        break
-                if found:
-                    break
+            found = _first_block(row_masks, n, k)
             if not found:
                 break
-            best_xs, best_ys, best_colors = found
+            best_xs, best_ys, ti = found
+            best_colors = triples[ti]
             stage_sizes = (k, k, k)
             k += 1
 

@@ -15,14 +15,15 @@ bulk edge-list reader and writer, the per-line parser, the per-edge
 serializer and the per-bit symmetry scan; as the references for the
 mask-read certificate harness, the per-cell side lookups and the
 generator's own shuffle and per-vertex coin flips; as the reference for
-the walk of colour-connected class sets, the enumeration of every class
-union; as the reference for the smallest td colouring's one-component
-check, the check of every component of every union; as the reference
-for the clique-or-independent-set witness that takes its class tree from
-the width check, the flow that solves the majority class exactly on its
-own).  The cotree
-evaluator and the width-1 decomposition read off a cotree build the
-cograph cases the cotree tests check.  The helpers at the end (the
+the row-prefix search of the sub-chain extraction, the scan of every row
+set; as the reference for the walk of colour-connected class sets, the
+enumeration of every class union; as the reference for the smallest td
+colouring's one-component check, the check of every component of every
+union; as the reference for the clique-or-independent-set witness that
+takes its class tree from the width check, the flow that solves the
+majority class exactly on its own).  The cotree evaluator and the
+width-1 decomposition read off a cotree build the cograph cases the
+cotree tests check.  The helpers at the end (the
 BFS distances, the expansion of a refined colour set to its base
 classes, the refinement lemmas' hitter and closure checks, one vertex's
 weakly reachable set, the mixed lines and alternation of a bipartition)
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 
@@ -45,7 +47,15 @@ from rwcolor.ehchi import (
     cograph_extract,
     is_cograph,
 )
-from rwcolor.families import TWISTED_CHAIN_VARIANTS, chain_blocks, chain_order, row_scalar
+from rwcolor.families import (
+    TWISTED_CHAIN_VARIANTS,
+    chain_blocks,
+    chain_labels,
+    chain_order,
+    col_scalar,
+    row_scalar,
+    verify_twisted_chain,
+)
 from rwcolor.graph import (
     Graph,
     ball,
@@ -59,13 +69,17 @@ from rwcolor.graph import (
     shells,
 )
 from rwcolor.lab import (
+    EXTRACT_COMBO_BUDGET,
     Bipartition,
+    ExtractionReport,
     ImbalanceReport,
     MatchingCertificate,
     _alternate,
     _c_mask,
     _mixed_lines,
     matching_from_alternation,
+    ramsey_bireduce,
+    ramsey_threshold_within,
 )
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wreach_sets
 from rwcolor.widths import (
@@ -866,6 +880,119 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
         if rng.random() < 0.5:
             S.add(v)
     return Bipartition.of(G, S)
+
+
+def extract_by_combinations(G: Graph, c, target: int) -> tuple[Graph, ExtractionReport]:
+    """Extract a sub-chain whose three blocks are each single-colored, below
+    the Ramsey threshold by scanning every k-row set in combination order
+    for each k, and reading each grid point's colors cell by cell."""
+    n = chain_order(G)
+    if target < 1:
+        raise ValueError("target must be >= 1")
+    c = list(c)
+    if len(c) != G.n:
+        raise ValueError("coloring does not match the graph")
+    d = len(set(c))
+    a0, b0, c0 = chain_blocks(n)
+
+    def cell(x: int, y: int) -> tuple[int, int, int]:
+        """The C, A and B vertices of grid point (x, y): z_(x,y), v_s and
+        w_t, with s and t its row- and column-major scalars."""
+        s = row_scalar(n, x, y)
+        return c0 + s - 1, a0 + s - 1, b0 + col_scalar(n, x, y) - 1
+
+    def colors_at(x: int, y: int) -> tuple:
+        return tuple(c[v] for v in cell(x, y))
+
+    def chain_thresholds(t: int) -> tuple[int | None, int | None, int | None]:
+        t1 = ramsey_threshold_within(t, d, n)
+        t2 = ramsey_threshold_within(t1, d, n) if t1 is not None else None
+        t3 = ramsey_threshold_within(t2, d, n) if t2 is not None else None
+        return t1, t2, t3
+
+    # largest target whose full threshold chain fits inside this instance
+    t_eff = None
+    for t in range(n, target - 1, -1):
+        t1, t2, t3 = chain_thresholds(t)
+        if t3 is not None and n >= t3:
+            t_eff = t
+            m1, m2, m3 = t1, t2, t3
+            break
+    guaranteed = t_eff is not None
+    if not guaranteed:
+        m1, m2, m3 = chain_thresholds(target)
+
+    best_xs: tuple[int, ...] = ()
+    best_ys: tuple[int, ...] = ()
+    best_colors: tuple = ()
+    stage_sizes = (0, 0, 0)
+
+    if guaranteed:
+        idx = list(range(1, n + 1))
+        s1 = ramsey_bireduce(lambda x, y: colors_at(x, y)[0], idx, idx, m2, d)
+        s2 = ramsey_bireduce(lambda x, y: colors_at(x, y)[1], list(s1.xs), list(s1.ys), m1, d)
+        s3 = ramsey_bireduce(lambda x, y: colors_at(x, y)[2], list(s2.xs), list(s2.ys), t_eff, d)
+        best_xs, best_ys = tuple(sorted(s3.xs)), tuple(sorted(s3.ys))
+        best_colors = colors_at(best_xs[0], best_ys[0])
+        stage_sizes = (len(s1.xs), len(s2.xs), len(s3.xs))
+    else:
+        # Any order-k sub-chain restricts to stages of exactly size k, so
+        # scanning equal-size row sets is complete.  For each row x and each
+        # color triple, precompute the bitmask of columns where all three
+        # layers hit that triple; candidate columns of a row set are then
+        # one AND per triple.
+        triples = sorted(
+            {colors_at(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
+        )
+        row_masks: list[dict[tuple, int]] = [{}]
+        for x in range(1, n + 1):
+            masks = {t: 0 for t in triples}
+            for y in range(1, n + 1):
+                masks[colors_at(x, y)] |= 1 << (y - 1)
+            row_masks.append(masks)
+        k = 1
+        while k <= n and math.comb(n, k) <= EXTRACT_COMBO_BUDGET:
+            found = None
+            for xs in itertools.combinations(range(1, n + 1), k):
+                for t in triples:
+                    cand = row_masks[xs[0]][t]
+                    for x in xs[1:]:
+                        cand &= row_masks[x][t]
+                        if cand.bit_count() < k:
+                            break
+                    if cand.bit_count() >= k:
+                        ys = []
+                        while cand and len(ys) < k:
+                            low = cand & -cand
+                            ys.append(low.bit_length())
+                            cand ^= low
+                        found = (xs, tuple(ys), t)
+                        break
+                if found:
+                    break
+            if not found:
+                break
+            best_xs, best_ys, best_colors = found
+            stage_sizes = (k, k, k)
+            k += 1
+
+    achieved = len(best_xs)
+    if achieved == 0:
+        raise AssertionError("an order-1 block always exists")
+    sub, _ = induced_subgraph(G, [v for x in best_xs for y in best_ys for v in cell(x, y)])
+    out = Graph(sub.n, sub.adj, chain_labels(achieved))
+    verify_twisted_chain(out)
+    report = ExtractionReport(
+        target=target,
+        achieved=achieved,
+        guaranteed=bool(guaranteed and achieved >= target),
+        colors_used=best_colors,
+        stage_sizes=stage_sizes,
+        thresholds=(m3, m2, m1),
+        x_rows=best_xs,
+        y_cols=best_ys,
+    )
+    return out, report
 
 
 def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, bound) -> UnionReport:

@@ -266,6 +266,11 @@ def test_labels_from_json_rejects_entries_that_are_not_objects(text):
         labels_from_json(text)
 
 
+def test_labels_from_json_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match='^a JSON object repeats the key "row"$'):
+        labels_from_json('[{"block": "C", "row": 1, "row": 2, "col": 1}]')
+
+
 @pytest.mark.parametrize("obj, message", [
     ([0, 1], 'partition must be a JSON object with "S" and "T" arrays'),
     ({"S": 5, "T": []}, 'partition "S" must be an array of vertex ids'),
@@ -1024,6 +1029,11 @@ def test_cli_sweep_empty(tmp_path):
        '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": %s}' % q,
        'budget "q" must be an object from union sizes to integer widths')
       for q in ('{"1": 9, "01": 0}', '{"\\u0661": 0, "1": 9}', '{"0": 5, "1": 9}')),
+    # a repeated key is refused where the file is parsed, not merged to its last value: P4 as
+    # one class has width 1 > Q(1) = 0
+    (["verify", "coloring", "-p", "1", "-i", "{p4}", "-c", "{bad}"],
+     '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": {"1": 0, "1": 9}}',
+     'a JSON object repeats the key "1"'),
 ])
 def test_cli_malformed_json_is_usage_error(cli_files, tmp_path, capsys, argv, text, message):
     bad = tmp_path / "bad.json"
@@ -1259,15 +1269,17 @@ def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
             {"name": "nopipe", "generator": {"family": "path", "n": 4}},
             {"name": "gridrows", "generator": {"family": "grid", "a": 3, "b": 3},
              "pipeline": {"kind": "rowcolor-verify", "p": 1}},
+            {"name": "x", "generator": 5, "pipeline": {"kind": "certificate"}},
         ]
     }))
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["error"] for row in rows] == [
         *["p must be >= 1"] * 2, *["seeds must be >= 1"] * 2, 'missing "pipeline"', 'missing "n"',
+        '"generator" must be an object',
     ]
-    assert [row["verified"] for row in rows] == [""] * 6
-    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 6
+    assert [row["verified"] for row in rows] == [""] * 7
+    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 7
 
 
 @pytest.mark.parametrize("method", ["--exact", "--heuristic"])

@@ -371,3 +371,25 @@ def test_extraction_order20_statistics():
         if rep.achieved >= 2:
             hits += 1
     assert hits >= 19
+
+
+EXTRACT_ORDERS = (6, 8, 10, 12, 16, 20, 24)
+# one colour drawn with the given probability, the rest uniform over the
+# palette: the blocks grow, so the search reaches k >= 4
+BIASED = ((3, 0.85), (4, 0.9), (2, 0.8))
+
+
+@pytest.mark.parametrize("order, colors, bias", [
+    *((order, colors, 0.0) for order in EXTRACT_ORDERS for colors in (1, 2, 3, 4)),
+    *((order, *BIASED[i % 3]) for i, order in enumerate(EXTRACT_ORDERS)),
+])
+def test_extraction_matches_the_combination_scan(order, colors, bias):
+    """The row-prefix search returns the scan's block: the first row set in
+    combination order, its first triple in sorted order, its first columns."""
+    g = twisted_chain(order)
+    rng = random.Random(order)
+    c = [1 if rng.random() < bias else rng.randint(1, colors) for _ in range(g.n)]
+    sub, rep = monochromatic_substructure(g, c, 2)
+    want_sub, want_rep = oracles.extract_by_combinations(g, c, 2)
+    assert rep == want_rep
+    assert sub.adj == want_sub.adj
