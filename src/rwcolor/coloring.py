@@ -366,7 +366,7 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
             if size > TREE_DEPTH_EXACT_CAP:
                 undecided = max(undecided, size)
             elif size > q:
-                comp_g, _ = induced_subgraph(G, bits_of(comp))
+                comp_g = induced_subgraph(G, comp)
                 if not tree_depth_at_most(comp_g, q):
                     deep.append(comp_g)
         return max(map(tree_depth_exact, deep), default=0), undecided, None
@@ -398,7 +398,7 @@ def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
                 comp = ball(G, upto, n, union)
                 if comp.bit_count() <= i:
                     continue
-                if not tree_depth_at_most(induced_subgraph(G, bits_of(comp))[0], i):
+                if not tree_depth_at_most(induced_subgraph(G, comp), i):
                     return False
         return True
 

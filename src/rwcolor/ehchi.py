@@ -5,10 +5,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .coloring import Coloring, greedy_proper_coloring
-from .graph import Graph, bits_of, complement, components, cutrank, induced_subgraph, mask_of
+from .graph import (
+    Graph,
+    bits_of,
+    check_vertex_mask,
+    complement,
+    components,
+    cutrank_mask,
+    induced_subgraph,
+    mask_of,
+    select_bits,
+)
 from .widths import (
     RANK_WIDTH_EXACT_CAP,
     RankDecomposition,
@@ -88,41 +98,38 @@ class EHParams:
         return cls(p, k, dl, min(terms))
 
 
-def uniform_blocks(
-    G: Graph, A: Iterable[int], B: Iterable[int], p: int
-) -> tuple[set[int], set[int], str]:
-    """Largest same-neighbourhood class of A with a uniform block of B.
+def uniform_blocks(G: Graph, A: int, B: int, p: int) -> tuple[int, int, str]:
+    """Largest same-neighbourhood class of A with a uniform block of B, as vertex masks.
 
     A cut of rank at most p admits at most 2^p distinct rows, so the
     largest class keeps at least |A|/2^p vertices; its members see a common
     neighbourhood P in B, and the larger of (P, B minus P) is completely
-    adjacent, respectively non-adjacent, to all of it.
+    adjacent, respectively non-adjacent, to all of it.  Ties between
+    classes go to the one with the smallest vertex.
     """
-    A = sorted(set(A))
-    B = sorted(set(B))
+    check_vertex_mask(A, G.n)
+    check_vertex_mask(B, G.n)
     if not A or not B:
         raise ValueError("both sides must be nonempty")
-    bmask = mask_of(B)
-    groups: dict[int, list[int]] = {}
-    for v in A:
-        groups.setdefault(G.adj[v] & bmask, []).append(v)
+    groups: dict[int, int] = {}  # neighbourhood in B -> the members of A that see it
+    for v in bits_of(A):
+        pattern = G.adj[v] & B
+        groups[pattern] = groups.get(pattern, 0) | 1 << v
     if len(groups) > 2**p:
-        rank = cutrank(G, A)
+        rank = cutrank_mask(G, A)
         raise ValueError(
             f"{len(groups)} neighbourhood patterns on the cut exceed 2^{p}; "
             f"measured cut-rank is {rank}, violating the width-{p} precondition"
         )
-    pattern, members = max(groups.items(), key=lambda kv: (len(kv[1]), -min(kv[1])))
-    a_prime = set(members)
-    b_in = set(bits_of(pattern))
-    b_out = set(B) - b_in
-    if len(b_in) > len(b_out):
-        return a_prime, b_in, "complete"
-    return a_prime, b_out, "anticomplete"
+    pattern, members = max(groups.items(), key=lambda kv: (kv[1].bit_count(), -(kv[1] & -kv[1])))
+    b_out = B & ~pattern
+    if pattern.bit_count() > b_out.bit_count():
+        return members, pattern, "complete"
+    return members, b_out, "anticomplete"
 
 
-def cograph_extract(G: Graph, D: RankDecomposition | None, p: int) -> set[int]:
-    """Vertex set of size >= n^kappa(p) inducing a cograph.
+def cograph_extract(G: Graph, D: RankDecomposition | None, p: int) -> int:
+    """Vertex mask of size >= n^kappa(p) inducing a cograph.
 
     Splits along a balanced tree cut of the width-p decomposition, keeps a
     uniform block pair, recurses on both sides, and returns their union;
@@ -135,28 +142,23 @@ def cograph_extract(G: Graph, D: RankDecomposition | None, p: int) -> set[int]:
         if w > p:
             raise ValueError(f"decomposition width {w} exceeds the bound {p}")
 
-    def rec(H: Graph, DH: RankDecomposition | None) -> set[int]:
+    def rec(H: Graph, DH: RankDecomposition | None, ids: tuple[int, ...]) -> int:
+        """The extracted mask of G, where vertex v of H is vertex ids[v] of G."""
         if H.n <= 2:
-            return set(range(H.n))
-        A, B = balanced_partition(H, range(H.n), DH)
+            return mask_of(ids)
+        A, B = balanced_partition(H, (1 << H.n) - 1, DH)
         a_p, b_p, _ = uniform_blocks(H, A, B, p)
-        out: set[int] = set()
-        for block in (sorted(a_p), sorted(b_p)):
-            if len(block) == 1:
-                out.add(block[0])
-                continue
-            sub, idx = induced_subgraph(H, block)
-            back = {new: old for old, new in idx.items()}
-            sub_d = restrict_decomposition(DH, block, idx)
-            got = rec(sub, sub_d)
-            out |= {back[v] for v in got}
+        out = 0
+        for block in (a_p, b_p):
+            kept = tuple(select_bits(ids, block))
+            out |= rec(induced_subgraph(H, block), restrict_decomposition(DH, block), kept)
         bound = H.n ** kappa(p)
-        assert len(out) >= bound - 1e-9, (
-            f"extracted {len(out)} vertices, below {H.n}^kappa({p}) = {bound:.4f}"
+        assert out.bit_count() >= bound - 1e-9, (
+            f"extracted {out.bit_count()} vertices, below {H.n}^kappa({p}) = {bound:.4f}"
         )
         return out
 
-    return rec(G, D)
+    return rec(G, D, tuple(range(G.n)))
 
 
 def cograph_clique_or_is(G: Graph, ct: Cotree) -> tuple[str, set[int]]:
@@ -247,9 +249,9 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     n = G.n
     if n >= n1 * n1:
         col, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
-        sub, _ = induced_subgraph(G, members)
+        sub = induced_subgraph(G, mask_of(members))
         if sub.n <= 2:
-            local = set(range(sub.n))
+            local = (1 << sub.n) - 1
         else:
             # a connected class is a component of the check, under the same adjacency
             rep = widths.get(sub.adj)
@@ -261,13 +263,13 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
                     "for a disconnected class"
                 )
             local = cograph_extract(sub, (rep or rank_width_exact(sub)).decomposition, r1)
-        core_members = sorted(local)
-        core, _ = induced_subgraph(sub, core_members)
+        core = induced_subgraph(sub, local)
         ok, ct = is_cograph(core)
         assert ok, "extraction did not deliver a cograph"
         kind, got = cograph_clique_or_is(core, ct)
         # both subgraphs keep their vertices in increasing order
-        witness = {members[core_members[v]] for v in got}
+        kept = tuple(select_bits(members, local))
+        witness = {kept[v] for v in got}
     elif n >= 2:
         witness = {0, 1}
         kind = "clique" if G.has_edge(0, 1) else "independent"
@@ -289,10 +291,9 @@ def chi_product_coloring(G: Graph, c: Coloring) -> Coloring:
         raise ValueError("coloring does not match the graph")
     pair: list[tuple[int, int] | None] = [None] * G.n
     for col, members in sorted(c.classes().items()):
-        sub, idx = induced_subgraph(G, members)
-        sub_col = greedy_proper_coloring(sub)
-        for v in members:
-            pair[v] = (col, sub_col.colors[idx[v]])
+        sub_col = greedy_proper_coloring(induced_subgraph(G, mask_of(members)))
+        for v, sub_c in zip(members, sub_col.colors):
+            pair[v] = (col, sub_c)
     keys = sorted({p for p in pair if p is not None})
     ids = {k: i + 1 for i, k in enumerate(keys)}
     out = Coloring(tuple(ids[p] for p in pair), len(keys))

@@ -388,10 +388,7 @@ def map_graph_from_rotation(rotations: Sequence[Sequence[int]]) -> Graph:
     """Adjacency of faces sharing a vertex: the square of the radial graph
     induced on its face vertices."""
     R, n = radial_graph(rotations)
-    sq = power(R, 2)
-    faces = list(range(n, R.n))
-    sub, _ = induced_subgraph(sq, faces)
-    return sub
+    return induced_subgraph(power(R, 2), (1 << R.n) - (1 << n))
 
 
 def line_graph_via_subdivision(G: Graph) -> Graph:
@@ -406,9 +403,7 @@ def line_graph_via_subdivision(G: Graph) -> Graph:
         edges1.append((u, n + e))
         edges1.append((v, n + e))
     G1 = build_graph(n + len(edge_list), edges1)
-    sq = power(G1, 2)
-    sub, _ = induced_subgraph(sq, range(n, n + len(edge_list)))
-    return sub
+    return induced_subgraph(power(G1, 2), (1 << G1.n) - (1 << n))
 
 
 def path(n: int) -> Graph:

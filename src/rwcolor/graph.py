@@ -154,27 +154,43 @@ def build_graph(
     return g
 
 
-def induced_subgraph(G: Graph, X: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on X, plus the old->new index map.
+def check_vertex_mask(mask: int, n: int) -> None:
+    """Refuse *mask* as a vertex set of an n-vertex graph when it is negative
+    (its bits never end) or has a bit at or above n, naming the lowest."""
+    if mask < 0:
+        raise ValueError(f"vertex mask {mask} is negative")
+    outside = mask >> n
+    if outside:
+        raise ValueError(f"vertex {n + (outside & -outside).bit_length() - 1} not in graph")
 
-    Vertices of X are renumbered 0..|X|-1 preserving relative order.
+
+def induced_subgraph(G: Graph, mask: int) -> Graph:
+    """Induced subgraph on the vertex mask.
+
+    Vertex v becomes the number of set bits of *mask* below v, so the kept
+    vertices, and their labels, keep their relative order.
     """
-    keep = sorted(set(X))
-    if not keep:
+    check_vertex_mask(mask, G.n)
+    if not mask:
         raise ValueError("induced subgraph on an empty vertex set")
-    for v in keep:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} not in graph")
-    index = {v: i for i, v in enumerate(keep)}
-    keep_mask = mask_of(keep)
-    adj = []
-    for v in keep:
-        row = 0
-        for u in bits_of(G.adj[v] & keep_mask):
-            row |= 1 << index[u]
-        adj.append(row)
-    labels = tuple(G.labels[v] for v in keep) if G.labels is not None else None
-    return Graph(len(keep), tuple(adj), labels), index
+    index = {}  # kept vertex -> the number of kept vertices below it
+    left = mask
+    while left:
+        low = left & -left
+        index[low.bit_length() - 1] = len(index)
+        left ^= low
+    adj = G.adj
+    rows = []
+    for v in index:
+        row = adj[v] & mask
+        new = 0
+        while row:
+            bit = row & -row
+            new |= 1 << index[bit.bit_length() - 1]
+            row ^= bit
+        rows.append(new)
+    labels = tuple(G.labels[v] for v in index) if G.labels is not None else None
+    return Graph(len(rows), tuple(rows), labels)
 
 
 def _union_rows(adj: Sequence[int], mask: int) -> int:

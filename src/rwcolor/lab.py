@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, induced_subgraph, mask_of_flags, rank_of_bitrows, select_bits
+from .graph import Graph, induced_subgraph, mask_of, mask_of_flags, rank_of_bitrows, select_bits
 from .families import (
     chain_blocks,
     chain_labels,
@@ -596,7 +596,7 @@ def monochromatic_substructure(
     achieved = len(best_xs)
     if achieved == 0:
         raise AssertionError("an order-1 block always exists")
-    sub, _ = induced_subgraph(G, [v for x in best_xs for y in best_ys for v in cell(x, y)])
+    sub = induced_subgraph(G, mask_of(v for x in best_xs for y in best_ys for v in cell(x, y)))
     out = Graph(sub.n, sub.adj, chain_labels(achieved))
     verify_twisted_chain(out)
     report = ExtractionReport(

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import (
     Graph,
     _union_rows,
-    bits_of,
+    check_vertex_mask,
     cutrank_mask,
     cutrank_table,
     degeneracy_order,
     induced_subgraph,
-    mask_of,
     subset_lanes,
 )
 from .orderings import LinearOrder
@@ -312,31 +311,25 @@ def rank_width_upper(G: Graph, order: LinearOrder | None = None) -> WidthReport:
     return WidthReport(value, "upper-bound", D)
 
 
-def balanced_partition(
-    G: Graph, C: Iterable[int], D: RankDecomposition
-) -> tuple[set[int], set[int]]:
-    """Bipartition (X, Y) with |C|/3 <= |X cap C| <= 2|C|/3 and small cut-rank.
+def balanced_partition(G: Graph, C: int, D: RankDecomposition) -> tuple[int, int]:
+    """Bipartition (X, Y), as vertex masks, with |C|/3 <= |X cap C| <= 2|C|/3
+    and small cut-rank, for a vertex mask C.
 
     Roots the decomposition by subdividing its lexicographically smallest
     edge, then takes the deepest node (smallest id on ties) whose descendant
     leaves hold at least a third of C.  The returned cut is a tree cut of D,
     so its cut-rank is at most the width of D.
     """
-    c_set = set(C)
-    outside = [v for v in c_set if not 0 <= v < G.n]
-    if outside:
-        raise ValueError(f"vertex {min(outside)} not in graph")
-    if len(c_set) < 3:
+    check_vertex_mask(C, G.n)
+    size = C.bit_count()
+    if size < 3:
         raise ValueError("balanced partition needs |C| >= 3")
     order, _, depth, below = _check_structure(G, D)
-    c_mask = mask_of(c_set)
     t = max(
-        (s for s in order if 3 * (below[s] & c_mask).bit_count() >= len(c_set)),
+        (s for s in order if 3 * (below[s] & C).bit_count() >= size),
         key=lambda s: (depth[s], -s),
     )
-    X = set(bits_of(below[t]))
-    Y = set(range(G.n)) - X
-    return X, Y
+    return below[t], ((1 << G.n) - 1) ^ below[t]
 
 
 def _tree_depth_low(G: Graph) -> int:
@@ -462,10 +455,9 @@ def tree_depth_at_most(G: Graph, k: int) -> bool:
     return _dfs_forest_within(G, k) or _tree_depth_levels(G, k) <= k
 
 
-def restrict_decomposition(
-    D: RankDecomposition, keep_vertices: Iterable[int], relabel: dict[int, int] | None = None
-) -> RankDecomposition | None:
-    """Decomposition induced on a vertex subset by pruning and suppression.
+def restrict_decomposition(D: RankDecomposition, keep: int) -> RankDecomposition | None:
+    """Decomposition induced on the vertex mask *keep* by pruning and
+    suppression.
 
     A node survives iff it is a kept leaf or at least 3 of its directions
     hold kept leaves; this drops the leaves outside the subset, the
@@ -473,23 +465,23 @@ def restrict_decomposition(
     Each survivor links to its nearest surviving ancestor in a hanging of
     the tree, and the (at most two) survivors without one link to each
     other.  Nodes are renumbered in order of their old ids.  Cut-ranks of
-    the surviving cuts only shrink, so the width never grows.  Returns None
-    for subsets of size < 2.  With *relabel*, leaf vertices are renamed
-    old->new.
+    the surviving cuts only shrink, so the width never grows.  A kept leaf
+    vertex v becomes the number of set bits of *keep* below v, as in
+    ``induced_subgraph``, so the result decomposes that subgraph.  Returns
+    None for subsets of size < 2.
     """
-    keep = set(keep_vertices)
-    if len(keep) < 2:
+    check_vertex_mask(keep, len(D.leaf_map))
+    if keep.bit_count() < 2:
         return None
     leaf = D.leaf_vertex()
-    kept_leaves = {t for t, v in leaf.items() if v in keep}
-    kept = mask_of(leaf[t] for t in kept_leaves)
+    kept_leaves = {t for t, v in leaf.items() if keep >> v & 1}
     order, parent, _, below = _hang(D, D.edges[0])
     root = D.node_count
     live = [0] * (root + 1)  # directions holding kept leaves
     for t in order:
-        if below[t] & kept:
+        if below[t] & keep:
             live[parent[t]] += 1
-        if kept & ~below[t]:
+        if keep & ~below[t]:
             live[t] += 1
     survivors = sorted(t for t in order if t in kept_leaves or live[t] >= 3)
     new_id = {t: i for i, t in enumerate(survivors)}
@@ -506,10 +498,7 @@ def restrict_decomposition(
             edges.append(tuple(sorted((new_id[nearest[t]], new_id[t]))))
     if len(tops) == 2:
         edges.append(tuple(tops))
-    leaf_map = []
-    for t in sorted(kept_leaves):
-        v = leaf[t]
-        leaf_map.append((new_id[t], relabel[v] if relabel is not None else v))
+    leaf_map = [(new_id[t], (keep & ((1 << leaf[t]) - 1)).bit_count()) for t in sorted(kept_leaves)]
     return RankDecomposition(len(survivors), tuple(sorted(edges)), tuple(leaf_map))
 
 
@@ -533,14 +522,12 @@ def rank_width_of_subgraph(
     (its vertices renumbered in increasing order) to its report,
     decomposition included, to share that across calls.
     """
-    outside = sum(comps) >> G.n  # components are disjoint: their sum is their union
-    if outside:
-        raise ValueError(f"vertex {G.n + (outside & -outside).bit_length() - 1} not in graph")
+    check_vertex_mask(sum(comps), G.n)  # components are disjoint: their sum is their union
     memo = {} if memo is None else memo
     low = high = 0
     method = "exact"
     for comp in comps:
-        comp_g, _ = induced_subgraph(G, bits_of(comp))
+        comp_g = induced_subgraph(G, comp)
         exact = comp_g.n <= RANK_WIDTH_EXACT_CAP
         rep = memo.get(comp_g.adj)
         if rep is None:

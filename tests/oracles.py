@@ -9,7 +9,8 @@ completion bound, the prefix search cut by the counts alone; as the
 reference for exact rank-width's bitset-decided largest subsets, the
 integer-order submask scan; as the references for the one-walk tree
 code, the per-edge width check, the rooted balanced partition and the
-prune-and-suppress restriction; as the reference for the range-built
+prune-and-suppress restriction; as the reference for the mask-walked
+induced subgraph, the sorted vertex list with its index map; as the reference for the range-built
 twisted chain, the pair-by-pair rule builder; as the references for the
 bulk edge-list reader and writer, the per-line parser, the per-edge
 serializer and the per-bit symmetry scan; as the references for the
@@ -64,7 +65,6 @@ from rwcolor.graph import (
     components,
     cutrank_table,
     degeneracy_order,
-    induced_subgraph,
     mask_of,
     shells,
 )
@@ -436,6 +436,29 @@ def verify_decomposition_by_edges(G: Graph, D: RankDecomposition) -> int:
                     stack.append(s)
         width = max(width, cutrank_mask(G, mask))
     return width
+
+
+def induced_subgraph_by_vertices(G: Graph, X) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on the vertex iterable X, plus the old->new index
+    map: X is sorted, checked vertex by vertex and renumbered 0..|X|-1 in
+    that order; ``graph.induced_subgraph`` on mask_of(X) must build the same
+    graph, labels included."""
+    keep = sorted(set(X))
+    if not keep:
+        raise ValueError("induced subgraph on an empty vertex set")
+    for v in keep:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} not in graph")
+    index = {v: i for i, v in enumerate(keep)}
+    keep_mask = mask_of(keep)
+    adj = []
+    for v in keep:
+        row = 0
+        for u in bits_of(G.adj[v] & keep_mask):
+            row |= 1 << index[u]
+        adj.append(row)
+    labels = tuple(G.labels[v] for v in keep) if G.labels is not None else None
+    return Graph(len(keep), tuple(adj), labels), index
 
 
 def balanced_partition_by_rooting(
@@ -979,7 +1002,9 @@ def extract_by_combinations(G: Graph, c, target: int) -> tuple[Graph, Extraction
     achieved = len(best_xs)
     if achieved == 0:
         raise AssertionError("an order-1 block always exists")
-    sub, _ = induced_subgraph(G, [v for x in best_xs for y in best_ys for v in cell(x, y)])
+    sub, _ = induced_subgraph_by_vertices(
+        G, [v for x in best_xs for y in best_ys for v in cell(x, y)]
+    )
     out = Graph(sub.n, sub.adj, chain_labels(achieved))
     verify_twisted_chain(out)
     report = ExtractionReport(
@@ -1046,7 +1071,7 @@ def small_td_coloring_by_enumeration(G: Graph, p: int) -> Coloring:
                 union = mask_of(v for v in range(upto + 1) if assign[v] in combo)
                 for comp in components(G, union):
                     if comp.bit_count() > i and not tree_depth_at_most(
-                        induced_subgraph(G, bits_of(comp))[0], i
+                        induced_subgraph_by_vertices(G, bits_of(comp))[0], i
                     ):
                         return False
         return True
@@ -1117,12 +1142,12 @@ def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]
             return {0}, "independent", params
         return {0, 1}, "clique" if G.has_edge(0, 1) else "independent", params
     _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
-    sub, _ = induced_subgraph(G, members)
+    sub, _ = induced_subgraph_by_vertices(G, members)
     local = set(range(sub.n))
     if sub.n > 2:
-        local = cograph_extract(sub, rank_width_exact(sub).decomposition, r1)
+        local = set(bits_of(cograph_extract(sub, rank_width_exact(sub).decomposition, r1)))
     core_members = sorted(local)
-    core, _ = induced_subgraph(sub, core_members)
+    core, _ = induced_subgraph_by_vertices(sub, core_members)
     kind, got = cograph_clique_or_is(core, is_cograph(core)[1])
     return {members[core_members[v]] for v in got}, kind, params
 
@@ -1164,7 +1189,7 @@ def is_closure(G: Graph, X, Xp, r: int, dist: list[list] | None = None) -> bool:
         raise ValueError("X must be contained in its candidate closure")
     if dist is None:
         dist = all_pairs_distances(G)
-    sub, index = induced_subgraph(G, Xp)
+    sub, index = induced_subgraph_by_vertices(G, Xp)
     sub_dist: dict[int, list] = {}
     for u, v in itertools.combinations(sorted(X), 2):
         d = dist[u][v]

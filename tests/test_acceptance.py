@@ -16,6 +16,7 @@ from rwcolor.graph import (
     build_graph,
     cutrank,
     induced_subgraph,
+    mask_of,
     power,
 )
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
@@ -152,7 +153,7 @@ def test_c4_row_coloring_structure_and_widths(capsys):
                         )
                         if not union:
                             continue
-                        sub, _ = induced_subgraph(g, union)
+                        sub = induced_subgraph(g, mask_of(union))
                         for comp_mask in _component_masks(sub):
                             comp = [union[v] for v in range(sub.n) if comp_mask >> v & 1]
                             rows = sorted({g.labels[v]["row"] for v in comp})
@@ -161,7 +162,7 @@ def test_c4_row_coloring_structure_and_widths(capsys):
                             # structural equality with the stacked family
                             cols = len(comp) // len(rows)
                             model = h_graph(len(rows), cols) if cols else None
-                            comp_g, _ = induced_subgraph(g, comp)
+                            comp_g = induced_subgraph(g, mask_of(comp))
                             assert comp_g.adj == model.adj
                             if comp_g.n <= 12:
                                 key = (len(rows), cols)
@@ -248,9 +249,9 @@ def test_c7_power_coloring_end_to_end(capsys):
             sample.append(sorted(rng.sample(range(g.n), rng.randint(1, 8))))
         for X in sample:
             Xpp = sorted(expand_excellent(ref, set(X)))
-            lhs, _ = induced_subgraph(h, X)
-            sub, idx = induced_subgraph(g, Xpp)
-            rhs, _ = induced_subgraph(power(sub, r), [idx[v] for v in X])
+            lhs = induced_subgraph(h, mask_of(X))
+            sub, idx = oracles.induced_subgraph_by_vertices(g, Xpp)
+            rhs = induced_subgraph(power(sub, r), mask_of(idx[v] for v in X))
             assert lhs.adj == rhs.adj
     report(capsys, "C7 power-of-grid coloring verifies against the power budget")
 
@@ -316,9 +317,8 @@ def test_c11_cograph_and_witness_suite(capsys):
     for g, D, p in cases:
         assert verify_decomposition(g, D) <= p
         out = cograph_extract(g, D, p)
-        sub, _ = induced_subgraph(g, sorted(out))
-        assert is_cograph(sub)[0]
-        assert len(out) >= g.n ** kappa(p) - 1e-9
+        assert is_cograph(induced_subgraph(g, out))[0]
+        assert out.bit_count() >= g.n ** kappa(p) - 1e-9
 
     witness_cases = [
         (complete(16), even_split_provider(2, 1)),
@@ -348,7 +348,7 @@ def test_c12_product_coloring_suite(capsys):
         from rwcolor.coloring import greedy_proper_coloring
 
         for col, members in c.classes().items():
-            sub, _ = induced_subgraph(g, members)
+            sub = induced_subgraph(g, mask_of(members))
             per_class_max = max(per_class_max, greedy_proper_coloring(sub).palette_size)
         assert out.palette_size <= c.palette_size * per_class_max
     report(capsys, "C12 product colorings proper on 50 seeded instances")

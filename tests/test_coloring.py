@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rwcolor.graph import build_graph, induced_subgraph, power
+from rwcolor.graph import build_graph, induced_subgraph, mask_of, power
 from rwcolor.families import grid, h_graph, h_tilde, path, random_degenerate, row_coloring
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
 from rwcolor.coloring import (
@@ -317,7 +317,7 @@ def test_excellent_distance_composition():
     for _ in range(25):
         X = set(rng.sample(range(16), 3))
         Xpp = sorted(expand_excellent(ref, X))
-        sub, idx = induced_subgraph(g, Xpp)
+        sub, idx = oracles.induced_subgraph_by_vertices(g, Xpp)
         sdist = all_pairs_distances(sub)
         for u, v in itertools.combinations(sorted(X), 2):
             if dist[u][v] <= 3:
@@ -466,7 +466,7 @@ def test_verify_td_matches_the_deletion_recursion_on_every_union():
         for i in range(1, min(p, len(palette)) + 1):
             for combo in itertools.combinations(palette, i):
                 checked += 1
-                sub, _ = induced_subgraph(g, [v for col in combo for v in classes[col]])
+                sub = induced_subgraph(g, mask_of(v for col in combo for v in classes[col]))
                 td = oracles.tree_depth_by_deletion(sub)
                 if td > i:
                     failures.append((combo, i, td))
@@ -531,9 +531,9 @@ def test_power_pipeline_p6():
     for q, members in ref.refined.classes().items():
         X = sorted(members)
         Xpp = sorted(expand_excellent(ref, set(X)))
-        lhs, _ = induced_subgraph(h, X)
-        sub, idx = induced_subgraph(g, Xpp)
-        rhs, _ = induced_subgraph(power(sub, 2), [idx[v] for v in X])
+        lhs = induced_subgraph(h, mask_of(X))
+        sub, idx = oracles.induced_subgraph_by_vertices(g, Xpp)
+        rhs = induced_subgraph(power(sub, 2), mask_of(idx[v] for v in X))
         assert lhs.adj == rhs.adj
 
 
@@ -616,7 +616,7 @@ def test_verify_low_rw_h53_row_coloring():
 def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
     from rwcolor import widths
     from rwcolor.families import h_graph, row_coloring
-    from rwcolor.graph import bits_of, components, mask_of
+    from rwcolor.graph import components
 
     g = h_graph(6, 4)
     c = row_coloring(6, 4, 3)
@@ -633,7 +633,7 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
         )
         for u in unions:
             for comp in components(g, mask_of(u)):
-                distinct.add(induced_subgraph(g, bits_of(comp))[0].adj)
+                distinct.add(induced_subgraph(g, comp).adj)
     calls = []
     solve = widths.rank_width_exact
 
@@ -665,7 +665,7 @@ def test_verify_low_rw_matches_the_subset_dp_on_every_union():
         width = {}
         for i in sizes:
             for combo in itertools.combinations(sorted(classes), i):
-                sub, _ = induced_subgraph(g, [v for col in combo for v in classes[col]])
+                sub = induced_subgraph(g, mask_of(v for col in combo for v in classes[col]))
                 width[combo] = oracles.rank_width_by_subset_dp(sub)[0]
         report = verify_low_rw_coloring(g, c, p, q)
         assert report.verified == all(w <= q[len(combo)] for combo, w in width.items())

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from rwcolor.graph import build_graph, complement, cutrank, induced_subgraph
+from rwcolor.graph import bits_of, build_graph, complement, cutrank, induced_subgraph, mask_of
 from rwcolor.families import h_graph, h_tilde, path, row_coloring
 from rwcolor.coloring import Coloring
 from rwcolor.orderings import LinearOrder
@@ -103,14 +103,14 @@ def test_clique_or_is_random_cographs():
 
 def test_uniform_blocks_equal_rows():
     g = complete(6)
-    a_p, b_p, rel = uniform_blocks(g, {0, 1, 2}, {3, 4, 5}, 1)
-    assert a_p == {0, 1, 2} and b_p == {3, 4, 5} and rel == "complete"
+    a_p, b_p, rel = uniform_blocks(g, 0b000111, 0b111000, 1)
+    assert a_p == 0b000111 and b_p == 0b111000 and rel == "complete"
 
 
 def test_uniform_blocks_complete_bipartite():
     g = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    a_p, b_p, rel = uniform_blocks(g, {0, 1, 2}, {3, 4, 5}, 1)
-    assert rel == "complete" and b_p == {3, 4, 5}
+    a_p, b_p, rel = uniform_blocks(g, 0b000111, 0b111000, 1)
+    assert rel == "complete" and b_p == 0b111000
 
 
 def test_uniform_blocks_verified_uniform():
@@ -122,11 +122,12 @@ def test_uniform_blocks_verified_uniform():
         r = cutrank(g, A)
         if r > 2:
             continue
-        a_p, b_p, rel = uniform_blocks(g, A, B, 2)
-        assert len(a_p) * (2**2) >= len(A)
-        assert 2 * len(b_p) >= len(B)
-        for u in a_p:
-            for v in b_p:
+        a_p, b_p, rel = uniform_blocks(g, mask_of(A), mask_of(B), 2)
+        assert a_p & ~mask_of(A) == 0 and b_p & ~mask_of(B) == 0
+        assert a_p.bit_count() * (2**2) >= len(A)
+        assert 2 * b_p.bit_count() >= len(B)
+        for u in bits_of(a_p):
+            for v in bits_of(b_p):
                 assert g.has_edge(u, v) == (rel == "complete")
 
 
@@ -134,7 +135,23 @@ def test_uniform_blocks_rank_violation_detected():
     # C_5 cut of rank 2 presents 3 > 2^1 patterns under a p=1 claim
     c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(ValueError, match="cut-rank"):
-        uniform_blocks(c5, {0, 1, 2}, {3, 4}, 1)
+        uniform_blocks(c5, 0b00111, 0b11000, 1)
+
+
+@pytest.mark.parametrize(
+    "A, B, fault",
+    [
+        (0, 0b11000, "both sides must be nonempty"),
+        (0b00111, 0, "both sides must be nonempty"),
+        (-1, 0b11000, "vertex mask -1 is negative"),
+        (0b00111, -8, "vertex mask -8 is negative"),
+        (0b00111, 0b1011000, "vertex 6 not in graph"),
+    ],
+)
+def test_uniform_blocks_refuses_an_empty_or_negative_mask_or_a_vertex_outside(A, B, fault):
+    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        uniform_blocks(c5, A, B, 1)
 
 
 # -- cograph extraction -----------------------------------------------------------
@@ -142,15 +159,15 @@ def test_uniform_blocks_rank_violation_detected():
 
 def test_extract_base_case():
     g = build_graph(2, [(0, 1)])
-    assert cograph_extract(g, None, 1) == {0, 1}
+    assert cograph_extract(g, None, 1) == 0b11
 
 
 def test_extract_k8():
     g = complete(8)
     rep = rank_width_upper(g, LinearOrder.from_order(range(g.n)))
     out = cograph_extract(g, rep.decomposition, 1)
-    assert len(out) >= math.ceil(8 ** kappa(1))
-    sub, _ = induced_subgraph(g, sorted(out))
+    assert out.bit_count() >= math.ceil(8 ** kappa(1))
+    sub = induced_subgraph(g, out)
     assert is_cograph(sub)[0]
 
 
@@ -160,9 +177,8 @@ def test_extract_paths(n):
     rep = rank_width_upper(g, LinearOrder.from_order(range(g.n)))
     assert rep.value == 1
     out = cograph_extract(g, rep.decomposition, 1)
-    sub, _ = induced_subgraph(g, sorted(out))
-    assert is_cograph(sub)[0]
-    assert len(out) >= n ** kappa(1) - 1e-9
+    assert is_cograph(induced_subgraph(g, out))[0]
+    assert out.bit_count() >= n ** kappa(1) - 1e-9
 
 
 def test_extract_rejects_wide_decomposition():
@@ -180,9 +196,8 @@ def test_extract_random_cographs():
         g = oracles.cotree_to_graph(ct, 12)
         D = oracles.decomposition_from_cotree(ct)
         out = cograph_extract(g, D, 1)
-        sub, _ = induced_subgraph(g, sorted(out))
-        assert is_cograph(sub)[0]
-        assert len(out) >= 12 ** kappa(1) - 1e-9
+        assert is_cograph(induced_subgraph(g, out))[0]
+        assert out.bit_count() >= 12 ** kappa(1) - 1e-9
 
 
 # -- witnesses --------------------------------------------------------------------
@@ -360,9 +375,8 @@ def test_chi_product_htilde():
         assert out.colors[u] != out.colors[v]
     per_class = {}
     for col, members in c.classes().items():
-        sub, _ = induced_subgraph(g, members)
         from rwcolor.coloring import greedy_proper_coloring
 
-        per_class[col] = greedy_proper_coloring(sub).palette_size
+        per_class[col] = greedy_proper_coloring(induced_subgraph(g, mask_of(members))).palette_size
     assert out.palette_size <= c.palette_size * max(per_class.values())
 

@@ -23,6 +23,7 @@ from rwcolor.graph import (
     shells,
     subset_lanes,
 )
+from rwcolor.families import radial_graph, twisted_chain
 from rwcolor.orderings import LinearOrder, above_masks
 
 import oracles
@@ -56,28 +57,33 @@ def test_build_rejects_empty_graph():
 
 def test_induced_cycle_minus_vertex_is_path():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    sub, index = induced_subgraph(c4, {0, 1, 2})
+    sub = induced_subgraph(c4, 0b0111)
     assert sub.edges() == [(0, 1), (1, 2)]
-    assert index == {0: 0, 1: 1, 2: 2}
 
 
 def test_induced_identity():
     g = build_graph(5, [(0, 2), (1, 4)])
-    sub, index = induced_subgraph(g, range(5))
-    assert sub.adj == g.adj
-    assert index == {v: v for v in range(5)}
+    assert induced_subgraph(g, 0b11111).adj == g.adj
 
 
 def test_induced_nonadjacent_pair():
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    sub, _ = induced_subgraph(p4, {0, 3})
+    sub = induced_subgraph(p4, 0b1001)
     assert sub.edge_count() == 0
 
 
 def test_induced_empty_rejected():
     g = build_graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [])
+    with pytest.raises(ValueError, match="^induced subgraph on an empty vertex set$"):
+        induced_subgraph(g, 0)
+
+
+@pytest.mark.parametrize(
+    "mask, fault", [(-1, "vertex mask -1 is negative"), (0b1100, "vertex 2 not in graph")]
+)
+def test_induced_refuses_a_negative_mask_or_a_vertex_outside_the_graph(mask, fault):
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        induced_subgraph(build_graph(2, [(0, 1)]), mask)
 
 
 def test_bfs_path():
@@ -317,7 +323,7 @@ def test_components_match_floyd_warshall_reachability():
         if not verts:
             assert comps == []
             continue
-        sub, index = induced_subgraph(g, verts)
+        sub, index = oracles.induced_subgraph_by_vertices(g, verts)
         fw = oracles.floyd_warshall(sub)
         # the components partition the mask, in order of smallest vertex
         assert sum(c.bit_count() for c in comps) == mask.bit_count()
@@ -335,7 +341,7 @@ def test_ball_and_shells_match_distances_in_the_induced_subgraph():
     for rng, g, within in _random_cases(22, 200):
         v = rng.randrange(g.n)
         verts = sorted(set(bits_of(within)) | {v})
-        sub, index = induced_subgraph(g, verts)
+        sub, index = oracles.induced_subgraph_by_vertices(g, verts)
         dist = oracles.floyd_warshall(sub)[index[v]]
         for r in range(0, 5):
             layers = shells(g, v, within, r)
@@ -348,16 +354,38 @@ def test_ball_and_shells_match_distances_in_the_induced_subgraph():
             assert mask_of(w for layer in layers for w in bits_of(layer)) == expect
 
 
+def _grid_rotations(a):
+    """The plane rotation system of the a x a grid: each vertex's neighbours
+    counter-clockwise from the right."""
+    rot = []
+    for r in range(a):
+        for c in range(a):
+            steps = ((0, 1), (-1, 0), (0, -1), (1, 0))
+            rot.append([(r + i) * a + c + j for i, j in steps if 0 <= r + i < a and 0 <= c + j < a])
+    return rot
+
+
 def test_induced_subgraph_matches_has_edge():
-    for _, g, mask in _random_cases(23, 200):
+    cases = [(g, mask) for _, g, mask in _random_cases(23, 200)]
+    # labelled graphs, under dense, sparse and whole masks
+    rng = random.Random(25)
+    for g in (twisted_chain(12), radial_graph(_grid_rotations(4))[0]):
+        assert g.labels is not None
+        for _ in range(6):
+            cases.append((g, rng.getrandbits(g.n)))
+            cases.append((g, rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n)))
+        cases.append((g, (1 << g.n) - 1))
+    for g, mask in cases:
         verts = sorted(bits_of(mask))
         if not verts:
             continue
-        sub, index = induced_subgraph(g, verts)
-        assert sub.n == len(verts)
+        sub = induced_subgraph(g, mask)
+        ref, index = oracles.induced_subgraph_by_vertices(g, verts)
+        assert (sub.n, sub.adj, sub.labels) == (ref.n, ref.adj, ref.labels)
         assert index == {v: i for i, v in enumerate(verts)}
-        for a, b in itertools.combinations(verts, 2):
-            assert sub.has_edge(index[a], index[b]) == g.has_edge(a, b)
+        if g.n <= 9:
+            for a, b in itertools.combinations(verts, 2):
+                assert sub.has_edge(index[a], index[b]) == g.has_edge(a, b)
         sub.validate_symmetric()
 
 

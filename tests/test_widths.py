@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rwcolor.graph import build_graph, components, cutrank, induced_subgraph, mask_of
+from rwcolor.graph import bits_of, build_graph, components, cutrank_mask, induced_subgraph, mask_of
 from rwcolor.families import cycle, grid, h_graph, h_tilde, random_degenerate
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
@@ -187,8 +187,7 @@ def test_exact_monotone_under_induced_subgraphs():
         rw = rank_width_exact(g).value
         for _ in range(5):
             size = rng.randint(1, 8)
-            X = sorted(rng.sample(range(8), size))
-            sub, _ = induced_subgraph(g, X)
+            sub = induced_subgraph(g, mask_of(rng.sample(range(8), size)))
             assert rank_width_exact(sub).value <= rw
 
 
@@ -231,42 +230,49 @@ def test_upper_accepts_explicit_order():
 def test_balanced_partition_p4():
     p4 = pathg(4)
     D = rank_width_exact(p4).decomposition
-    X, Y = balanced_partition(p4, range(4), D)
-    assert len(X) >= 2 and len(Y) >= 2
-    assert cutrank(p4, X) <= 1
+    X, Y = balanced_partition(p4, 0b1111, D)
+    assert X.bit_count() >= 2 and Y.bit_count() >= 2
+    assert cutrank_mask(p4, X) <= 1
 
 
 def test_balanced_partition_three_element_core():
     g = complete(6)
     D = rank_width_exact(g).decomposition
-    C = {0, 3, 5}
+    C = mask_of({0, 3, 5})
     X, Y = balanced_partition(g, C, D)
-    assert len(X & C) in (1, 2)
-    assert len(Y & C) in (1, 2)
+    assert (X & C).bit_count() in (1, 2)
+    assert (Y & C).bit_count() in (1, 2)
 
 
 def test_balanced_partition_h22_cut_bound():
     g = h_graph(2, 2)
     rep = rank_width_exact(g)
-    X, Y = balanced_partition(g, range(g.n), rep.decomposition)
-    assert cutrank(g, X) <= rep.value
-    assert len(X) >= g.n / 3 and len(Y) >= g.n / 3
+    X, Y = balanced_partition(g, (1 << g.n) - 1, rep.decomposition)
+    assert cutrank_mask(g, X) <= rep.value
+    assert X.bit_count() >= g.n / 3 and Y.bit_count() >= g.n / 3
 
 
 def test_balanced_partition_small_core_rejected():
     g = complete(4)
     D = rank_width_exact(g).decomposition
-    with pytest.raises(ValueError):
-        balanced_partition(g, {0, 1}, D)
+    with pytest.raises(ValueError, match=r"needs \|C\| >= 3"):
+        balanced_partition(g, 0b11, D)
+    with pytest.raises(ValueError, match=r"needs \|C\| >= 3"):
+        balanced_partition(g, 0, D)
 
 
+# explicit ids, so that the case of vertex 10 keeps the id that test reports know it by
 @pytest.mark.parametrize(
-    "core, missing", [({0, 1, *range(10, 21)}, 10), ({-1, 0, 1, 2}, -1)]
+    "core, fault",
+    [
+        pytest.param(mask_of({0, 1, *range(10, 21)}), "vertex 10 not in graph", id="core0-10"),
+        pytest.param(-1, "vertex mask -1 is negative", id="negative"),
+    ],
 )
-def test_balanced_partition_rejects_a_core_vertex_outside_the_graph(core, missing):
+def test_balanced_partition_rejects_a_core_vertex_outside_the_graph(core, fault):
     p4 = pathg(4)
     D = rank_width_exact(p4).decomposition
-    with pytest.raises(ValueError, match=f"^vertex {missing} not in graph$"):
+    with pytest.raises(ValueError, match=f"^{fault}$"):
         balanced_partition(p4, core, D)
 
 
@@ -275,12 +281,12 @@ def test_balanced_partition_random_cores():
     for _ in range(12):
         g = oracles.random_graph(9, 0.35, rng)
         rep = rank_width_exact(g)
-        C = set(rng.sample(range(9), rng.randint(3, 9)))
+        C = mask_of(rng.sample(range(9), rng.randint(3, 9)))
         X, Y = balanced_partition(g, C, rep.decomposition)
-        assert X | Y == set(range(9)) and not X & Y
-        assert 3 * len(X & C) >= len(C)
-        assert 3 * len(Y & C) >= len(C)
-        assert cutrank(g, X) <= rep.value
+        assert X | Y == 0b111111111 and not X & Y
+        assert 3 * (X & C).bit_count() >= C.bit_count()
+        assert 3 * (Y & C).bit_count() >= C.bit_count()
+        assert cutrank_mask(g, X) <= rep.value
 
 
 def test_treedepth_base_cases():
@@ -484,10 +490,19 @@ def test_restrict_decomposition_keeps_width():
     for _ in range(8):
         g = oracles.random_graph(8, 0.4, rng)
         rep = rank_width_exact(g)
-        keep = sorted(rng.sample(range(8), rng.randint(2, 7)))
-        sub, idx = induced_subgraph(g, keep)
-        D = restrict_decomposition(rep.decomposition, keep, idx)
-        assert verify_decomposition(sub, D) <= rep.value
+        keep = mask_of(rng.sample(range(8), rng.randint(2, 7)))
+        D = restrict_decomposition(rep.decomposition, keep)
+        assert verify_decomposition(induced_subgraph(g, keep), D) <= rep.value
+
+
+@pytest.mark.parametrize(
+    "keep, fault", [(-1, "vertex mask -1 is negative"), (0b110011, "vertex 4 not in graph")]
+)
+def test_restrict_decomposition_refuses_a_negative_mask_or_a_vertex_outside(keep, fault):
+    D = rank_width_exact(pathg(4)).decomposition
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        restrict_decomposition(D, keep)
+    assert restrict_decomposition(D, 0) is None
 
 
 def _tree_walk_cases():
@@ -516,16 +531,14 @@ def test_tree_walks_match_the_per_walk_references():
         for _ in range(3):
             if g.n >= 3:
                 C = rng.sample(range(g.n), rng.randint(3, g.n))
-                assert balanced_partition(g, C, D) == oracles.balanced_partition_by_rooting(
-                    g, C, D
+                X, Y = balanced_partition(g, mask_of(C), D)
+                assert (set(bits_of(X)), set(bits_of(Y))) == (
+                    oracles.balanced_partition_by_rooting(g, C, D)
                 )
             keep = rng.sample(range(g.n), rng.randint(0, g.n))
-            idx = {v: i for i, v in enumerate(sorted(keep))}
-            assert restrict_decomposition(D, keep) == oracles.restrict_decomposition_by_pruning(
-                D, keep
-            )
-            assert restrict_decomposition(D, keep, idx) == (
-                oracles.restrict_decomposition_by_pruning(D, keep, idx)
+            rank = {v: i for i, v in enumerate(sorted(keep))}
+            assert restrict_decomposition(D, mask_of(keep)) == (
+                oracles.restrict_decomposition_by_pruning(D, keep, rank)
             )
 
 
@@ -539,19 +552,18 @@ def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
     rng = random.Random(31)
     for _ in range(20):
         g = oracles.random_graph(8, 0.3, rng)
-        X = [v for v in range(8) if rng.random() < 0.7]
-        comps = components(g, mask_of(X))
+        X = mask_of(v for v in range(8) if rng.random() < 0.7)
+        comps = components(g, X)
         if not X:
             assert rank_width_of_subgraph(g, comps) == (0, 0, "exact")
             continue
-        sub, _ = induced_subgraph(g, X)
-        width = oracles.rank_width_by_trees(sub)
+        width = oracles.rank_width_by_trees(induced_subgraph(g, X))
         assert rank_width_of_subgraph(g, comps) == (width, width, "exact")
     # an edge (width 1) beside C20, above the exact cap: the exact width is
     # kept apart from the bound of the cycle
     g = build_graph(22, [(0, 1)] + [(2 + v, 2 + (v + 1) % 20) for v in range(20)])
     exact, value, method = rank_width_of_subgraph(g, components(g, (1 << 22) - 1))
     assert (method, exact) == ("upper-bound", 1)
-    assert value == rank_width_upper(induced_subgraph(g, range(2, 22))[0]).value >= 2
+    assert value == rank_width_upper(induced_subgraph(g, (1 << 22) - 4)).value >= 2
     with pytest.raises(ValueError, match="vertex 5 not in graph"):
         rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1 << 1, 1 << 7, 1 << 5])
