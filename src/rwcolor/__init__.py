@@ -7,7 +7,7 @@ from .graph import (
     Graph,
     build_graph,
     complement,
-    cutrank,
+    cutrank_mask,
     induced_subgraph,
     power,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "balanced_partition",
     "build_graph",
     "complement",
-    "cutrank",
+    "cutrank_mask",
     "excellent_refinement",
     "good_refinement",
     "induced_subgraph",

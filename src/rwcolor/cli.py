@@ -273,7 +273,7 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
         report = verify_td_coloring(g, c, args.p)
     else:
         if args.q_linear is not None:
-            q = {i: args.q_linear * i for i in range(1, args.p + 1)}
+            q = {i: args.q_linear * i for i in range(1, min(args.p, len(set(c.colors))) + 1)}
         elif args.profile or "q" in obj:
             table = record.json(args.profile) if args.profile else obj
             q = formats.budget_from_obj(table)
@@ -482,11 +482,13 @@ def _sweep_row(spec: dict) -> dict:
         g = _sweep_generate(gen)
         row["n"] = g.n
         pipe = spec["pipeline"]
+        if not isinstance(pipe, dict):
+            raise ValueError('"pipeline" must be an object')
         kind = pipe["kind"]
         if kind == "rowcolor-verify":
             p = pipe["p"]
             h, c = g, row_coloring(gen["n"], gen["m"], p)
-            q = {i: 3 * i for i in range(1, p + 1)}
+            q = {i: 3 * i for i in range(1, min(p, len(set(c.colors))) + 1)}
         elif kind == "power-lowrw":
             r, p = pipe["r"], pipe["p"]
             ref, q = low_rankwidth_coloring_of_power(g, r, p)

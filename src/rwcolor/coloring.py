@@ -56,14 +56,16 @@ class Coloring:
             if not 1 <= c <= self.palette_size:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.palette_size}")
 
-    def classes(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
+    def classes(self) -> dict[int, int]:
+        """Each used colour's class as a vertex mask, in order of first use."""
+        out: dict[int, int] = {}
         for v, c in enumerate(self.colors):
-            out.setdefault(c, []).append(v)
-        return {c: tuple(vs) for c, vs in out.items()}
+            out[c] = out.get(c, 0) | 1 << v
+        return out
 
-    def colors_on(self, X: Iterable[int]) -> frozenset:
-        return frozenset(self.colors[v] for v in X)
+    def colors_on(self, X: int) -> frozenset:
+        """The colours on the vertex mask X."""
+        return frozenset(self.colors[v] for v in bits_of(X))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def good_refinement(
     c: Coloring,
     r: int,
     L: LinearOrder,
-    wsets: Sequence[frozenset] | None = None,
+    wsets: Sequence[int] | None = None,
 ) -> RefinementColoring:
     """Refine *c* so small unions of new classes admit shortest-path hitters.
 
@@ -139,7 +141,7 @@ def good_refinement(
     u < v, the color of the highest vertex on a shortest u-v detour running
     entirely above v (when one of length <= r exists).  The collected sets,
     interned to dense ids, are the refined colors.  *wsets* are the weakly
-    r-reachable sets under L when the caller has them already, as from
+    r-reachable masks under L when the caller has them already, as from
     ``wcol_heuristic``; without them L is walked here.
     """
     if r < 2:
@@ -150,21 +152,16 @@ def good_refinement(
     above = above_masks(L)
     if wsets is None:
         wsets = wreach_sets(G, L, r)
-    budget = 2 * max(len(s) for s in wsets)
-    collected: list[set[int]] = [set() for _ in range(G.n)]
-    for v in range(G.n):
-        for u in wsets[v]:
-            collected[v].add(c.colors[u])
-    for v in range(G.n):
-        for u in sorted(wsets[v]):
-            if u == v or G.has_edge(u, v):
-                continue
+    budget = 2 * max(map(int.bit_count, wsets))
+    collected: list[set[int]] = []
+    for v, reach in enumerate(wsets):
+        cs = {c.colors[u] for u in bits_of(reach)}
+        for u in bits_of(reach & ~G.adj[v] & ~(1 << v)):
             path = _high_shortest_path(G, above, u, v, r)
             if path is not None:
-                z = max(path, key=lambda w: pos[w])
-                collected[v].add(c.colors[z])
-    for v, cs in enumerate(collected):
+                cs.add(c.colors[max(path, key=pos.__getitem__)])
         assert len(cs) <= budget, f"vertex {v} exceeded the 2*wcol budget"
+        collected.append(cs)
     keys = sorted({tuple(sorted(cs)) for cs in collected})
     ids = {k: i + 1 for i, k in enumerate(keys)}
     refined = Coloring(
@@ -179,7 +176,7 @@ def excellent_refinement(
     c: Coloring,
     r: int,
     orders: Sequence[LinearOrder],
-    wsets: Sequence[Sequence[frozenset]] | None = None,
+    wsets: Sequence[Sequence[int]] | None = None,
 ) -> RefinementColoring:
     """Compose good refinements at radii 2..r into one distance-closing chain.
 
@@ -203,12 +200,13 @@ def excellent_refinement(
     return chain
 
 
-def _first_fit(order: Iterable[int], earlier: Sequence[Iterable[int]]) -> Coloring:
-    """Color each vertex along *order* with the least color absent from
-    ``earlier[v]``; vertices still uncolored there hold 0 and never block."""
+def _first_fit(order: Iterable[int], earlier: Sequence[int]) -> Coloring:
+    """Color each vertex along *order* with the least color absent from the
+    vertex mask ``earlier[v]``; vertices still uncolored there hold 0 and
+    never block."""
     colors = [0] * len(earlier)
     for v in order:
-        used = {colors[u] for u in earlier[v]}
+        used = {colors[u] for u in bits_of(earlier[v])}
         col = 1
         while col in used:
             col += 1
@@ -218,7 +216,7 @@ def _first_fit(order: Iterable[int], earlier: Sequence[Iterable[int]]) -> Colori
 
 def greedy_proper_coloring(G: Graph) -> Coloring:
     """Greedy proper coloring along the degeneracy order."""
-    return _first_fit(degeneracy_order(G), [bits_of(row) for row in G.adj])
+    return _first_fit(degeneracy_order(G), G.adj)
 
 
 @dataclass
@@ -290,15 +288,14 @@ def _check_unions(
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
     classes = c.classes()
-    masks = {col: mask_of(vs) for col, vs in classes.items()}
-    palette = sorted(masks)
+    palette = sorted(classes)
 
     @functools.cache
     def near(col: int) -> frozenset:
         """The colours next to col in the quotient graph, col among them when
         an edge joins two of its vertices."""
-        reach = functools.reduce(operator.or_, map(G.adj.__getitem__, classes[col]))
-        return c.colors_on(bits_of(reach))
+        reach = functools.reduce(operator.or_, map(G.adj.__getitem__, bits_of(classes[col])))
+        return c.colors_on(reach)
 
     sizes = range(1, min(p, len(palette)) + 1)
     for i in sizes:
@@ -331,8 +328,8 @@ def _check_unions(
             report.measured[i] = report.measured[i - 1]
         q = report.q[i]
         for S in level:
-            union = functools.reduce(operator.or_, map(masks.get, S))
-            comps = [k for k in components(G, union) if all(k & masks[col] for col in S)]
+            union = functools.reduce(operator.or_, map(classes.get, S))
+            comps = [k for k in components(G, union) if all(k & classes[col] for col in S)]
             if not comps:
                 continue
             low, high, method = bound(comps, q)

@@ -239,8 +239,8 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     n1 = c.palette_size
     classes = c.classes()
     widths: dict[tuple[int, ...], WidthReport] = {}  # component adjacency -> report
-    for col, vs in sorted(classes.items()):
-        _, value, _ = rank_width_of_subgraph(G, components(G, mask_of(vs)), widths)
+    for col, members in sorted(classes.items()):
+        _, value, _ = rank_width_of_subgraph(G, components(G, members), widths)
         if value > r1:
             raise ValueError(
                 f"class {col} has rank-width bound {value} > provider bound {r1}"
@@ -248,8 +248,8 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     params = EHParams.for_width(r1, n1)
     n = G.n
     if n >= n1 * n1:
-        col, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
-        sub = induced_subgraph(G, mask_of(members))
+        col, members = max(sorted(classes.items()), key=lambda kv: (kv[1].bit_count(), -kv[0]))
+        sub = induced_subgraph(G, members)
         if sub.n <= 2:
             local = (1 << sub.n) - 1
         else:
@@ -268,7 +268,7 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
         assert ok, "extraction did not deliver a cograph"
         kind, got = cograph_clique_or_is(core, ct)
         # both subgraphs keep their vertices in increasing order
-        kept = tuple(select_bits(members, local))
+        kept = tuple(select_bits(select_bits(range(n), members), local))
         witness = {kept[v] for v in got}
     elif n >= 2:
         witness = {0, 1}
@@ -291,8 +291,8 @@ def chi_product_coloring(G: Graph, c: Coloring) -> Coloring:
         raise ValueError("coloring does not match the graph")
     pair: list[tuple[int, int] | None] = [None] * G.n
     for col, members in sorted(c.classes().items()):
-        sub_col = greedy_proper_coloring(induced_subgraph(G, mask_of(members)))
-        for v, sub_c in zip(members, sub_col.colors):
+        sub_col = greedy_proper_coloring(induced_subgraph(G, members))
+        for v, sub_c in zip(bits_of(members), sub_col.colors):
             pair[v] = (col, sub_c)
     keys = sorted({p for p in pair if p is not None})
     ids = {k: i + 1 for i, k in enumerate(keys)}

@@ -370,7 +370,8 @@ def certificate_to_obj(cert: MatchingCertificate) -> dict:
 
 
 def partition_to_obj(part: Bipartition) -> dict:
-    return {"S": sorted(part.S), "T": sorted(part.T)}
+    return {side: list(select_bits(range(mask.bit_length()), mask))
+            for side, mask in (("S", part.s_mask), ("T", part.t_mask))}
 
 
 def partition_from_obj(obj: Mapping, G: Graph) -> Bipartition:

@@ -48,7 +48,7 @@ _BINARY_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
 _FLAG_TO_BINARY_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
-def select_bits(items: Sequence, mask: int) -> Iterator:
+def select_bits(items: Iterable, mask: int) -> Iterator:
     """The items at the set bit positions of *mask* >= 0, in increasing
     position order; *items* must reach past the highest set bit.
 
@@ -299,7 +299,8 @@ def rank_of_bitrows(rows: Iterable[int]) -> int:
 
 
 def cutrank_mask(G: Graph, mask: int) -> int:
-    """Cut-rank of the bipartition (mask, rest), with mask given as a bitmask."""
+    """GF(2) rank of the adjacency block between the vertex mask and the rest;
+    an empty or full mask has cut-rank 0."""
     full = (1 << G.n) - 1
     mask &= full
     co = full ^ mask
@@ -388,11 +389,3 @@ def cutrank_table(G: Graph) -> list[int]:
         ranks += int.from_bytes(digits, "big") << p
     low = ranks.to_bytes(lanes, "little")
     return list(low + low[::-1])
-
-
-def cutrank(G: Graph, X: Iterable[int]) -> int:
-    """GF(2) rank of the adjacency block between X and its complement.
-
-    Empty or full X has cut-rank 0 by convention.
-    """
-    return cutrank_mask(G, mask_of(X))

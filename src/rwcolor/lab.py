@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, induced_subgraph, mask_of, mask_of_flags, rank_of_bitrows, select_bits
@@ -31,9 +30,6 @@ from .families import (
 class Bipartition:
     """Disjoint cover (S, T) of the vertex set, one bit mask per side: bit v
     of ``s_mask`` is set when vertex v is in S, of ``t_mask`` when it is in T.
-
-    The sides as vertex sets, :attr:`S` and :attr:`T`, are built from the
-    masks on first use.
     """
 
     s_mask: int
@@ -51,14 +47,6 @@ class Bipartition:
             flags[v] = 1
         s = mask_of_flags(flags)
         return cls(s, ((1 << n) - 1) ^ s)
-
-    @cached_property
-    def S(self) -> frozenset:
-        return frozenset(select_bits(range(self.s_mask.bit_length()), self.s_mask))
-
-    @cached_property
-    def T(self) -> frozenset:
-        return frozenset(select_bits(range(self.t_mask.bit_length()), self.t_mask))
 
     def side(self, v: int) -> str:
         if v >= 0:

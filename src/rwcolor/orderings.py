@@ -50,27 +50,27 @@ def above_masks(L: LinearOrder) -> list[int]:
     return above
 
 
-def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[frozenset]:
-    """Weakly r-reachable sets for all vertices at once.
+def wreach_sets(G: Graph, L: LinearOrder, r: int) -> list[int]:
+    """Weakly r-reachable sets for all vertices at once, as vertex masks.
 
-    One bounded search per source u marks u into the set of every vertex it
-    reaches while staying above u in the order.
+    One bounded search per source u sets bit u in the mask of every vertex
+    it reaches while staying above u in the order.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     if len(L) != G.n:
         raise ValueError(f"the order has {len(L)} vertices and the graph {G.n}")
     above = above_masks(L)
-    result: list[set] = [set() for _ in range(G.n)]
+    result = [0] * G.n
     for u in range(G.n):
         for v in bits_of(ball(G, u, r, above[u])):
-            result[v].add(u)
-    return [frozenset(s) for s in result]
+            result[v] |= 1 << u
+    return result
 
 
 def wcol_of_order(G: Graph, L: LinearOrder, r: int) -> int:
     """Max weakly-r-reachable set size under L."""
-    return max(map(len, wreach_sets(G, L, r)))
+    return max(map(int.bit_count, wreach_sets(G, L, r)))
 
 
 def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, LinearOrder]:
@@ -162,15 +162,15 @@ def wcol_exact(G: Graph, r: int, cap: int = WCOL_EXACT_CAP) -> tuple[int, Linear
     return best, LinearOrder.from_order(best_order)
 
 
-def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder, list[frozenset]]:
+def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder, list[int]]:
     """Degeneracy-style order: repeatedly place a low-reach vertex last.
 
     The removed vertex minimizes a weighted count of remaining vertices
     within distance r (shell at distance d weighted 2^(r-d); shell 0, the
     vertex itself, adds the same 2^r to every score); ties go to the
     smallest vertex id.  Returns the measured wcol of the produced order,
-    the order, and its weakly r-reachable sets, which callers that need
-    them take from here instead of walking the order again.
+    the order, and its weakly r-reachable sets as masks, which callers
+    that need them take from here instead of walking the order again.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
@@ -191,4 +191,4 @@ def wcol_heuristic(G: Graph, r: int) -> tuple[int, LinearOrder, list[frozenset]]
     order = list(reversed(suffix))
     L = LinearOrder.from_order(order)
     wsets = wreach_sets(G, L, r)
-    return max(map(len, wsets)), L, wsets
+    return max(map(int.bit_count, wsets)), L, wsets

@@ -870,7 +870,7 @@ def lower_bound_certificate_by_cells(
     if n < 12:
         raise ValueError("lower-bound pipeline needs chain order >= 12")
     c0 = chain_blocks(n)[2]
-    s_count = sum(1 for v in range(c0, c0 + n * n) if v in partition.S)
+    s_count = sum(1 for v in range(c0, c0 + n * n) if partition.s_mask >> v & 1)
     t_count = n * n - s_count
     k = n // 12
     mrows, mcols = mixed_lines_by_cells(n, partition)
@@ -1032,7 +1032,7 @@ def check_unions_by_enumeration(G: Graph, c: Coloring, p: int, budget, bound) ->
         raise ValueError("p must be >= 1")
     if len(c.colors) != G.n:
         raise ValueError("coloring does not match the graph")
-    masks = {col: mask_of(vs) for col, vs in c.classes().items()}
+    masks = c.classes()
     palette = sorted(masks)
     report = UnionReport()
     for i in range(1, min(p, len(palette)) + 1):
@@ -1133,7 +1133,7 @@ def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]
     n1 = c.palette_size
     classes = c.classes()
     for col, vs in sorted(classes.items()):
-        value = rank_width_of_subgraph(G, components(G, mask_of(vs)))[1]
+        value = rank_width_of_subgraph(G, components(G, vs))[1]
         if value > r1:
             raise ValueError(f"class {col} has rank-width bound {value} > provider bound {r1}")
     params = EHParams.for_width(r1, n1)
@@ -1141,7 +1141,8 @@ def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]
         if G.n < 2:
             return {0}, "independent", params
         return {0, 1}, "clique" if G.has_edge(0, 1) else "independent", params
-    _, members = max(sorted(classes.items()), key=lambda kv: (len(kv[1]), -kv[0]))
+    _, mask = max(sorted(classes.items()), key=lambda kv: (kv[1].bit_count(), -kv[0]))
+    members = list(bits_of(mask))
     sub, _ = induced_subgraph_by_vertices(G, members)
     local = set(range(sub.n))
     if sub.n > 2:
@@ -1206,7 +1207,7 @@ def is_closure(G: Graph, X, Xp, r: int, dist: list[list] | None = None) -> bool:
 
 def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:
     """Vertices u that are the order-minimum on some u--v path of length <= r."""
-    return wreach_sets(G, L, r)[v]
+    return frozenset(bits_of(wreach_sets(G, L, r)[v]))
 
 
 def mixed_lines(n: int, partition: Bipartition) -> tuple[list[int], list[int]]:

@@ -13,8 +13,9 @@ import random
 import pytest
 
 from rwcolor.graph import (
+    bits_of,
     build_graph,
-    cutrank,
+    cutrank_mask,
     induced_subgraph,
     mask_of,
     power,
@@ -76,13 +77,13 @@ def test_c1_cutrank_oracle_equivalence(capsys):
         for g in oracles.all_graphs(n):
             for bits in range(1 << n):
                 X = {v for v in range(n) if bits >> v & 1}
-                assert cutrank(g, X) == oracles.cutrank_by_span(g, X)
+                assert cutrank_mask(g, bits) == oracles.cutrank_by_span(g, X)
     rng = random.Random(20260809)
     for _ in range(500):
         g = oracles.random_graph(8, rng.uniform(0.2, 0.8), rng)
         for bits in range(1 << 8):
             X = {v for v in range(8) if bits >> v & 1}
-            assert cutrank(g, X) == oracles.cutrank_by_span(g, X)
+            assert cutrank_mask(g, bits) == oracles.cutrank_by_span(g, X)
     report(capsys, "C1 cut-rank oracle equivalence")
 
 
@@ -149,7 +150,7 @@ def test_c4_row_coloring_structure_and_widths(capsys):
                 for i in range(1, p + 1):
                     for combo in itertools.combinations(palette, i):
                         union = sorted(
-                            v for col in combo for v in classes.get(col, ())
+                            v for col in combo for v in bits_of(classes.get(col, 0))
                         )
                         if not union:
                             continue
@@ -185,7 +186,7 @@ def _sample_unions_and_subsets(ref, g, rng):
     sets = []
     for i in (1, 2):
         for combo in itertools.combinations(sorted(classes), i):
-            sets.append({v for col in combo for v in classes[col]})
+            sets.append({v for col in combo for v in bits_of(classes[col])})
     for _ in range(200):
         size = rng.randint(1, 6)
         sets.append(set(rng.sample(range(g.n), size)))
@@ -204,10 +205,10 @@ def test_c5_good_refinement_suite(capsys):
                 violations += 1
             for X in _sample_unions_and_subsets(ref, g, rng):
                 Xp = expand_good(ref, X)
-                p = len(ref.refined.colors_on(X))
+                p = len(ref.refined.colors_on(mask_of(X)))
                 if not is_hitter(g, X, Xp, r, dist):
                     violations += 1
-                if len(c.colors_on(Xp)) > 2 * w * p:
+                if len(c.colors_on(mask_of(Xp))) > 2 * w * p:
                     violations += 1
     assert violations == 0
     report(capsys, "C5 single-radius refinement suite (50 seeds, r in {2,3})")
@@ -222,10 +223,10 @@ def test_c6_excellent_refinement_suite(capsys):
         d = ref.d
         for X in _sample_unions_and_subsets(ref, g, rng):
             Xpp = expand_excellent(ref, X)
-            p = len(ref.refined.colors_on(X))
+            p = len(ref.refined.colors_on(mask_of(X)))
             if not is_closure(g, X, Xpp, 3, dist):
                 violations += 1
-            if len(c.colors_on(Xpp)) > d * p:
+            if len(c.colors_on(mask_of(Xpp))) > d * p:
                 violations += 1
     assert violations == 0
     report(capsys, "C6 multi-radius refinement suite (50 seeds, r=3)")
@@ -244,7 +245,7 @@ def test_c7_power_coloring_end_to_end(capsys):
         sample = []
         for i in (1, 2):
             for combo in itertools.combinations(sorted(classes), i):
-                sample.append(sorted({v for col in combo for v in classes[col]}))
+                sample.append(sorted({v for col in combo for v in bits_of(classes[col])}))
         for _ in range(100):
             sample.append(sorted(rng.sample(range(g.n), rng.randint(1, 8))))
         for X in sample:
@@ -348,7 +349,7 @@ def test_c12_product_coloring_suite(capsys):
         from rwcolor.coloring import greedy_proper_coloring
 
         for col, members in c.classes().items():
-            sub = induced_subgraph(g, mask_of(members))
+            sub = induced_subgraph(g, members)
             per_class_max = max(per_class_max, greedy_proper_coloring(sub).palette_size)
         assert out.palette_size <= c.palette_size * per_class_max
     report(capsys, "C12 product colorings proper on 50 seeded instances")

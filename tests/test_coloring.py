@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rwcolor.graph import build_graph, induced_subgraph, mask_of, power
+from rwcolor.graph import bits_of, build_graph, induced_subgraph, mask_of, power
 from rwcolor.families import grid, h_graph, h_tilde, path, random_degenerate, row_coloring
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wcol_of_order
 from rwcolor.coloring import (
@@ -40,7 +40,7 @@ def sample_sets(ref, G, rng, classes_up_to=2, extra=50):
     sets = []
     for i in range(1, classes_up_to + 1):
         for combo in itertools.combinations(sorted(classes), i):
-            sets.append({v for col in combo for v in classes[col]})
+            sets.append({v for col in combo for v in bits_of(classes[col])})
     for _ in range(extra):
         size = rng.randint(1, max(2, G.n // 3))
         sets.append(set(rng.sample(range(G.n), size)))
@@ -106,8 +106,8 @@ def test_expand_good_single_class_color_budget():
     L = wcol_heuristic(g, 2)[1]
     ref = good_refinement(g, c, 2, L)
     for q, members in ref.refined.classes().items():
-        Xp = expand_good(ref, members)
-        assert len(c.colors_on(Xp)) <= len(ref.decode[q])
+        Xp = expand_good(ref, bits_of(members))
+        assert len(c.colors_on(mask_of(Xp))) <= len(ref.decode[q])
 
 
 def test_good_refinement_hitter_property_sampled():
@@ -123,8 +123,8 @@ def test_good_refinement_hitter_property_sampled():
                 Xp = expand_good(ref, X)
                 assert X <= Xp
                 assert is_hitter(g, X, Xp, r, dist)
-                p = len(ref.refined.colors_on(X))
-                assert len(c.colors_on(Xp)) <= ref.budget * p
+                p = len(ref.refined.colors_on(mask_of(X)))
+                assert len(c.colors_on(mask_of(Xp))) <= ref.budget * p
 
 
 def test_good_refinement_three_class_unions():
@@ -136,10 +136,10 @@ def test_good_refinement_three_class_unions():
     ref = good_refinement(g, c, 2, L)
     classes = ref.refined.classes()
     for combo in itertools.combinations(sorted(classes), min(3, len(classes))):
-        X = {v for col in combo for v in classes[col]}
+        X = {v for col in combo for v in bits_of(classes[col])}
         Xp = expand_good(ref, X)
         assert is_hitter(g, X, Xp, 2, dist)
-        assert len(c.colors_on(Xp)) <= ref.budget * len(combo)
+        assert len(c.colors_on(mask_of(Xp))) <= ref.budget * len(combo)
 
 
 def _detour_contributions_oracle(g, c, r, L):
@@ -153,7 +153,7 @@ def _detour_contributions_oracle(g, c, r, L):
     wsets = wreach_sets(g, L, r)
     out = {v: set() for v in range(g.n)}
     for v in range(g.n):
-        for u in sorted(wsets[v]):
+        for u in bits_of(wsets[v]):
             if u == v or g.has_edge(u, v):
                 continue
             best = None
@@ -192,7 +192,7 @@ def test_good_refinement_detour_colors_match_path_oracle():
 
         wsets = wreach_sets(g, L, 2)
         for v in range(12):
-            reach_colors = {c.colors[u] for u in wsets[v]}
+            reach_colors = {c.colors[u] for u in bits_of(wsets[v])}
             got = ref.decode[ref.refined.colors[v]] - reach_colors
             allowed = set()
             for item in oracle[v]:
@@ -304,8 +304,8 @@ def test_excellent_closure_and_bounds_sampled():
         for X in sample_sets(ref, g, rng, classes_up_to=2, extra=25):
             Xpp = expand_excellent(ref, X)
             assert is_closure(g, X, Xpp, 3, dist)
-            p = len(ref.refined.colors_on(X))
-            assert len(c.colors_on(Xpp)) <= d * p
+            p = len(ref.refined.colors_on(mask_of(X)))
+            assert len(c.colors_on(mask_of(Xpp))) <= d * p
 
 
 def test_excellent_distance_composition():
@@ -466,7 +466,7 @@ def test_verify_td_matches_the_deletion_recursion_on_every_union():
         for i in range(1, min(p, len(palette)) + 1):
             for combo in itertools.combinations(palette, i):
                 checked += 1
-                sub = induced_subgraph(g, mask_of(v for col in combo for v in classes[col]))
+                sub = induced_subgraph(g, sum(classes[col] for col in combo))
                 td = oracles.tree_depth_by_deletion(sub)
                 if td > i:
                     failures.append((combo, i, td))
@@ -529,7 +529,7 @@ def test_power_pipeline_p6():
     ref, _ = low_rankwidth_coloring_of_power(g, 2, 1)
     h = power(g, 2)
     for q, members in ref.refined.classes().items():
-        X = sorted(members)
+        X = list(bits_of(members))
         Xpp = sorted(expand_excellent(ref, set(X)))
         lhs = induced_subgraph(h, mask_of(X))
         sub, idx = oracles.induced_subgraph_by_vertices(g, Xpp)
@@ -625,14 +625,14 @@ def test_verify_low_rw_solves_each_distinct_component_once(monkeypatch):
     expected = {}
     distinct = set()
     for i in (1, 2, 3):
-        unions = [[v for col in combo for v in classes[col]]
+        unions = [sum(classes[col] for col in combo)
                   for combo in itertools.combinations(sorted(classes), i)]
         expected[i] = (
-            max(widths.rank_width_of_subgraph(g, components(g, mask_of(u)))[1] for u in unions),
+            max(widths.rank_width_of_subgraph(g, components(g, u))[1] for u in unions),
             "exact",
         )
         for u in unions:
-            for comp in components(g, mask_of(u)):
+            for comp in components(g, u):
                 distinct.add(induced_subgraph(g, comp).adj)
     calls = []
     solve = widths.rank_width_exact
@@ -665,7 +665,7 @@ def test_verify_low_rw_matches_the_subset_dp_on_every_union():
         width = {}
         for i in sizes:
             for combo in itertools.combinations(sorted(classes), i):
-                sub = induced_subgraph(g, mask_of(v for col in combo for v in classes[col]))
+                sub = induced_subgraph(g, sum(classes[col] for col in combo))
                 width[combo] = oracles.rank_width_by_subset_dp(sub)[0]
         report = verify_low_rw_coloring(g, c, p, q)
         assert report.verified == all(w <= q[len(combo)] for combo, w in width.items())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rwcolor.graph import Graph, build_graph, induced_subgraph
+from rwcolor.graph import Graph, bits_of, build_graph, induced_subgraph
 from rwcolor.families import (
     TWISTED_CHAIN_VARIANTS,
     chain_order,
@@ -73,7 +73,7 @@ def test_row_coloring_components_are_row_runs():
     classes = c.classes()
     for combo_size in (1, 2):
         for combo in itertools.combinations(sorted(classes), combo_size):
-            rows = sorted({g.labels[v]["row"] for col in combo for v in classes[col]})
+            rows = sorted({g.labels[v]["row"] for col in combo for v in bits_of(classes[col])})
             runs = []
             for r in rows:
                 if runs and runs[-1][-1] == r - 1:

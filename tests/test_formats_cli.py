@@ -431,6 +431,18 @@ def test_cli_verify_lowrw_names_the_size_and_width_of_a_refuted_union(tmp_path):
     assert verdict["measured"] == {"1": {"width": 1, "method": "upper-bound"}}
 
 
+def test_cli_verify_q_linear_sizes_the_budget_by_the_walk(tmp_path):
+    # the walk reads sizes up to min(p, colours used), so a huge p builds no more
+    p4, col = tmp_path / "p4.el", tmp_path / "c.json"
+    small, huge = tmp_path / "small.json", tmp_path / "huge.json"
+    assert run(["gen", "path", "--n", "4", "-o", str(p4)]) == 0
+    assert run(["color", "td", "-p", "2", "-i", str(p4), "-o", str(col)]) == 0
+    for p, out in (("4", small), ("1000000000", huge)):
+        assert run(["verify", "coloring", "-p", p, "--q-linear", "1", "-i", str(p4),
+                    "-c", str(col), "-o", str(out)]) == 0
+    assert huge.read_bytes() == small.read_bytes()
+
+
 def test_cli_verify_q_linear_overrides_an_embedded_budget(tmp_path):
     g, col, out = tmp_path / "g.el", tmp_path / "c.json", tmp_path / "v.json"
     assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(g)]) == 0
@@ -1270,16 +1282,33 @@ def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
             {"name": "gridrows", "generator": {"family": "grid", "a": 3, "b": 3},
              "pipeline": {"kind": "rowcolor-verify", "p": 1}},
             {"name": "x", "generator": 5, "pipeline": {"kind": "certificate"}},
+            # a string or an array in place of the pipeline object
+            *({"name": "y", "generator": {"family": "path", "n": 4}, "pipeline": pipe}
+              for pipe in ("certificate", [{"kind": "certificate"}])),
         ]
     }))
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["error"] for row in rows] == [
         *["p must be >= 1"] * 2, *["seeds must be >= 1"] * 2, 'missing "pipeline"', 'missing "n"',
-        '"generator" must be an object',
+        '"generator" must be an object', *['"pipeline" must be an object'] * 2,
     ]
-    assert [row["verified"] for row in rows] == [""] * 7
-    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 7
+    assert [row["verified"] for row in rows] == [""] * 9
+    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 9
+
+
+def test_cli_sweep_row_budgets_cover_the_walked_sizes_only(tmp_path):
+    # three rows carry three colours, so the walk reads sizes 1..3 whatever p is
+    spec, out = tmp_path / "sweep.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps({"runs": [
+        {"name": f"p{p}", "generator": {"family": "h", "n": 3, "m": 3},
+         "pipeline": {"kind": "rowcolor-verify", "p": p}} for p in (3, 10**9)
+    ]}))
+    assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
+    small, huge = csv.DictReader(out.read_text().splitlines())
+    assert huge["budgets"] == small["budgets"] == "3;6;9"
+    assert (huge["widths"], huge["verified"], huge["error"]) == (
+        small["widths"], small["verified"], "")
 
 
 @pytest.mark.parametrize("method", ["--exact", "--heuristic"])

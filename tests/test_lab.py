@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import alternating_sequence, mixed_lines
 from rwcolor import lab
-from rwcolor.graph import cutrank, mask_of, rank_of_bitrows
+from rwcolor.graph import cutrank_mask, mask_of, rank_of_bitrows
 from rwcolor.families import twisted_chain, verify_twisted_chain
 from rwcolor.lab import (
     Bipartition,
@@ -137,8 +137,8 @@ def test_certificate_rank_bounded_by_cutrank():
         part = random_balanced_bipartition(g, seed)
         res = lower_bound_certificate(g, part)
         assert isinstance(res, MatchingCertificate)
-        first = part.S if res.direction[0] == "S" else part.T
-        assert certificate_rank(g, res) <= cutrank(g, first)
+        first = part.s_mask if res.direction[0] == "S" else part.t_mask
+        assert certificate_rank(g, res) <= cutrank_mask(g, first)
 
 
 def test_lower_bound_certificate_imbalance():
@@ -181,7 +181,7 @@ def test_balanced_bipartition_generator_is_balanced():
     nn = 144
     for seed in range(20):
         part = random_balanced_bipartition(g, seed)
-        s = sum(1 for v in c_ids(12) if v in part.S)
+        s = sum(1 for v in c_ids(12) if part.s_mask >> v & 1)
         assert 3 * s >= nn and 3 * (nn - s) >= nn
 
 
