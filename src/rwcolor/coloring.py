@@ -465,7 +465,8 @@ def low_rankwidth_coloring_of_power(
     Takes a (d*p)-tree-depth coloring, where d multiplies the per-radius
     doubled weak-coloring values of heuristic orders for radii 2..r, and
     refines it through the excellent chain.  Returns the refinement and the
-    width budget Q per union size 1..p.
+    width budget Q per union size 1..min(p, colours used), the sizes the
+    union walk reads.
     """
     if r < 2:
         raise ValueError("power coloring needs radius >= 2")
@@ -480,7 +481,8 @@ def low_rankwidth_coloring_of_power(
     base = treedepth_coloring(G, d * p)
     ref = excellent_refinement(G, base, r, orders, wsets)
     assert ref.d == d
-    return ref, {i: gurski_wanke_budget(r, d * i) for i in range(1, p + 1)}
+    sizes = range(1, min(p, len(set(ref.refined.colors))) + 1)
+    return ref, {i: gurski_wanke_budget(r, d * i) for i in sizes}
 
 
 def verify_low_rw_coloring(

@@ -13,12 +13,13 @@ its traversal order, parents, depths and leaf masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence
 
 from .graph import (
     Graph,
     _union_rows,
+    bits_of,
     check_vertex_mask,
     cutrank_mask,
     cutrank_table,
@@ -147,19 +148,22 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
     leaf set m and the cut-rank of m.  The cut table comes from
     :func:`cutrank_table`, one GF(2) elimination run lane-parallel over every
-    subset.  The caterpillar bound ``ub`` of the degeneracy order prunes the
-    sweep: a subset whose cut-rank or best subtree exceeds ``ub`` gets key
-    ``ub + 1``.  No subset of an optimal tree is pruned, and a split using a
-    pruned part never beats the optimum.
+    subset.  The width ``ub`` of :func:`_greedy_caterpillar`, read from that
+    table, prunes the sweep: a subset whose cut-rank or best subtree exceeds
+    ``ub`` gets key ``ub + 1``, and every other keeps its unpruned key.  No
+    subset of an optimal tree is pruned, and a split using a pruned part
+    never beats the optimum.
 
     The sweep decides every proper subset of a set before the set itself.
     The sets of fewer than max(n - 4, (n + 6) // 2) vertices go first, in
-    integer order, since a set's proper subsets are smaller ints.  Each
-    scans its splits with :func:`_best_split`, every unordered bipartition
-    once as a submask without its highest vertex, and stops at the first
-    split no worse than its own cut-rank: the key is then that cut-rank,
-    whatever the remaining splits give.  The larger sets follow one size at
-    a time, each decided by bitsets instead of a scan (after Oum,
+    integer order, since a set's proper subsets are smaller ints; those of
+    cut-rank <= ``ub`` are picked in one C-level pass (``compress`` over the
+    table's bytes, translated by a ``<= ub`` table).  Each stops at the
+    first split no worse than its own cut-rank, its key whatever the other
+    splits give: the split at its highest vertex is tried inline, then
+    :func:`_best_split` scans every unordered bipartition once as a submask
+    without the highest vertex.  The larger sets follow one size at a
+    time, each decided by bitsets instead of a scan (after Oum,
     "Computing rank-width exactly", IPL 2009).  Before each size, for each
     t <= ub, bit m of the 2^n-bit int ``low`` is set when key[m] <= t, and
     ``rev`` is ``low`` bit-reversed, both read from the keys at C level.
@@ -176,8 +180,10 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     The sweep keeps keys only.  The witness tree is rebuilt top down from
     them: the whole vertex set (cut-rank 0, so left out of the sweep) and
     each internal subset of the tree take the first strict minimum of a full
-    scan.  Value and decomposition are thus those of the unpruned full
-    sweep.  Graphs on <= 1 vertex have width 0 and no decomposition.
+    scan.  That minimum is at most the width, so at most ``ub``, and no
+    split using a part above ``ub`` reaches it: value and decomposition are
+    those of the unpruned full sweep, whatever the bound.  Graphs on <= 1
+    vertex have width 0 and no decomposition.
     """
     n = G.n
     if n <= 1:
@@ -188,21 +194,22 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         )
     full = (1 << n) - 1
     cut = cutrank_table(G)
-    ub = 0
-    prefix = 0
-    for v in degeneracy_order(G)[:-1]:
-        prefix |= 1 << v
-        ub = max(ub, cut[prefix])
+    ub = _greedy_caterpillar(G, cut)[1]
     pruned = ub + 1
     key = [pruned] * (full + 1)
     for v in range(n):
         key[1 << v] = cut[1 << v]
     top = max(n - 4, (n + 6) // 2)
-    for mask in range(3, full):
-        c = cut[mask]
-        if c <= ub and 1 < mask.bit_count() < top:
-            b = _best_split(key, mask, pruned, c)[0]
-            key[mask] = b if b > c else c
+    within = bytes(cut).translate(bytes(t <= ub for t in range(256)))
+    for mask in compress(range(full), within):
+        if 1 < mask.bit_count() < top:
+            c = cut[mask]
+            high = 1 << (mask.bit_length() - 1)
+            if key[mask ^ high] <= c >= key[high]:
+                key[mask] = c
+            else:
+                b = _best_split(key, mask, pruned, c)[0]
+                key[mask] = b if b > c else c
     every = (1 << (1 << n)) - 1
     lacks = [every ^ lane for lane in subset_lanes(n)]
     for size in range(top, n):
@@ -248,6 +255,31 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
     return WidthReport(value, "exact", D)
+
+
+def _greedy_caterpillar(G: Graph, cut: list[int]) -> tuple[list[int], int]:
+    """A caterpillar order of G by least prefix cut-rank, and its width,
+    read from G's cut table *cut*.
+
+    The order starts at a least-degree vertex and then appends, at each
+    step, the vertex whose prefix has the least cut-rank, smallest id on
+    ties.  A prefix X cuts at most n - |X|, so once the width reaches the
+    number of vertices left no later prefix can raise it, and those follow
+    in increasing order.
+    """
+    first = min(range(G.n), key=lambda v: G.adj[v].bit_count())
+    order = [first]
+    prefix = 1 << first
+    rest = ((1 << G.n) - 1) ^ prefix
+    width = cut[prefix]
+    while width < rest.bit_count():
+        v = min(bits_of(rest), key=lambda u: cut[prefix | 1 << u])
+        order.append(v)
+        prefix |= 1 << v
+        rest ^= 1 << v
+        width = max(width, cut[prefix])
+    order.extend(bits_of(rest))
+    return order, width
 
 
 def _best_split(key: list[int], mask: int, worst: int, stop: int) -> tuple[int, int]:

@@ -553,6 +553,14 @@ def test_power_pipeline_budget_formula():
     assert q[2] == gurski_wanke_budget(2, 2 * ref.d)
 
 
+def test_power_pipeline_budget_covers_the_walked_sizes_only():
+    # P4 at r = 2 uses 4 colours, so the walk reads sizes 1..4 whatever p is
+    ref, q = low_rankwidth_coloring_of_power(path(4), 2, 50)
+    assert len(set(ref.refined.colors)) == 4
+    assert q == {i: gurski_wanke_budget(2, i * ref.d) for i in range(1, 5)}
+    assert verify_low_rw_coloring(power(path(4), 2), ref.refined, 50, q).verified
+
+
 def test_verify_low_rw_edgeless():
     g = build_graph(5, [])
     profile = verify_low_rw_coloring(g, Coloring((1, 1, 2, 2, 2), 2), 2, {1: 0, 2: 0})

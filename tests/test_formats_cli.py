@@ -443,6 +443,17 @@ def test_cli_verify_q_linear_sizes_the_budget_by_the_walk(tmp_path):
     assert huge.read_bytes() == small.read_bytes()
 
 
+def test_cli_color_lowrw_sizes_the_budget_by_the_walk(tmp_path):
+    # P4 at r = 2 uses 4 colours; at p = 3000 the table once had 3000 entries,
+    # whose largest ran past Python's 4300-digit limit on int to str
+    p4, col = tmp_path / "p4.el", tmp_path / "c.json"
+    assert run(["gen", "path", "--n", "4", "-o", str(p4)]) == 0
+    assert run(["color", "lowrw", "-r", "2", "-p", "3000", "-i", str(p4), "-o", str(col)]) == 0
+    obj = json.loads(col.read_text())
+    assert obj["p"] == 3000
+    assert list(obj["q"]) == ["1", "2", "3", "4"]
+
+
 def test_cli_verify_q_linear_overrides_an_embedded_budget(tmp_path):
     g, col, out = tmp_path / "g.el", tmp_path / "c.json", tmp_path / "v.json"
     assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", str(g)]) == 0

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from rwcolor.graph import bits_of, build_graph, components, cutrank_mask, induced_subgraph, mask_of
+from rwcolor.graph import (
+    bits_of, build_graph, components, cutrank_mask, cutrank_table, induced_subgraph, mask_of,
+)
 from rwcolor.families import cycle, grid, h_graph, h_tilde, random_degenerate
 from rwcolor.orderings import LinearOrder
 from rwcolor.widths import (
@@ -141,6 +143,32 @@ def test_exact_returns_the_integer_order_scan_value_and_tree(n):
     for g in graphs:
         rep = rank_width_exact(g)
         assert (rep.value, rep.decomposition) == oracles.rank_width_by_scan(g)
+
+
+@pytest.mark.parametrize("n, d", [(12, 5), (13, 4), (14, 4), (14, 6)])
+def test_exact_returns_the_integer_order_scan_tree_where_the_bounds_differ(n, d):
+    # the reference prunes by the degeneracy caterpillar, the solver by the
+    # greedy one; on (14, 4, 5) they are 6 and 3, and (13, 4, 2) has them 4 and 5
+    for seed in range(1, 6):
+        g = random_degenerate(n, d, seed)
+        rep = rank_width_exact(g)
+        assert (rep.value, rep.decomposition) == oracles.rank_width_by_scan(g)
+
+
+def test_greedy_caterpillar_is_a_decomposition_of_its_width():
+    from rwcolor.widths import _greedy_caterpillar
+
+    graphs = [g for n in range(2, 6) for g in oracles.all_graphs(n)]
+    rng = random.Random(33)
+    graphs += [oracles.random_graph(n, p, rng) for n in range(6, 13) for p in (0.2, 0.4, 0.7)]
+    graphs += [random_degenerate(12, d, seed) for d in (2, 5) for seed in (1, 2)]
+    for g in graphs:
+        order, width = _greedy_caterpillar(g, cutrank_table(g))
+        assert sorted(order) == list(range(g.n))
+        assert verify_decomposition(g, caterpillar_decomposition(order)) == width
+        assert width >= rank_width_exact(g).value
+    g = random_degenerate(14, 4, 5)  # the greedy width is the rank-width there
+    assert (_greedy_caterpillar(g, cutrank_table(g))[1], rank_width_upper(g).value) == (3, 6)
 
 
 @pytest.mark.parametrize("n", [15, 16])
