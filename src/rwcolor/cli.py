@@ -34,6 +34,8 @@ from .coloring import (
 )
 from .ehchi import chi_product_coloring, eh_witness, even_split_provider
 from .families import (
+    chain_cross_row,
+    chain_order,
     cycle,
     grid,
     h_graph,
@@ -53,9 +55,11 @@ from .lab import (
     MIN_CERTIFICATE_ORDER,
     ImbalanceReport,
     certificate_rank,
+    chain_bipartition,
+    chain_certificate,
+    chain_certificate_rank,
     lower_bound_certificate,
     monochromatic_substructure,
-    random_balanced_bipartition,
     ramsey_bireduce,
     ramsey_threshold_within,
 )
@@ -331,7 +335,7 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
             raise ValueError("--seeds must be >= 1")
         if order < MIN_CERTIFICATE_ORDER:
             raise ValueError(f"--order must be >= {MIN_CERTIFICATE_ORDER}")
-        rows = _certificate_rows(twisted_chain(order, "bare"), seed, seeds)
+        rows = _certificate_rows(order, seed, seeds)
         _emit_harness(args.csv, record, rows, seed)
         return 0 if all(verified for _, _, verified in rows) else 1
     if args.labels is None or args.partition is None:
@@ -401,21 +405,24 @@ def cmd_lab_extract(args, record: RunRecord) -> int:
     return 0 if report.achieved >= 1 else 1
 
 
-def _certificate_rows(g: Graph, seed0: int, seeds: int) -> list[tuple[int, int, bool]]:
-    """(seed, order, verified) per seeded balanced bipartition of the chain g.
+def _certificate_rows(n: int, seed0: int, seeds: int) -> list[tuple[int, int, bool]]:
+    """(seed, order, verified) per seeded balanced bipartition of the
+    order-n chain, which is not built: each rank is taken on the rows that
+    the certificate's pairs name, made by the chain's cross rule.
 
     An imbalanced bipartition gives order 0, unverified.  A certificate is
     verified when its rank equals its order; its order is at least
     floor(m/12) by construction, since it is only built from enough mixed
     lines.
     """
+    row = functools.partial(chain_cross_row, n)
     rows = []
     for seed in range(seed0, seed0 + seeds):
-        result = lower_bound_certificate(g, random_balanced_bipartition(g, seed))
+        result = chain_certificate(n, chain_bipartition(n, seed))
         if isinstance(result, ImbalanceReport):
             rows.append((seed, 0, False))
         else:
-            rows.append((seed, result.order, certificate_rank(g, result) == result.order))
+            rows.append((seed, result.order, chain_certificate_rank(result, row) == result.order))
     return rows
 
 
@@ -463,11 +470,24 @@ SWEEP_FIELDS = [
 ]
 
 
+def _spec_int(obj: dict, key: str, default: int | None = None) -> int:
+    """obj[key], or *default* when given and the key is left out, refused
+    by name unless it is a JSON integer (not true or false, 2.0 or "2")."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f'"{key}" must be an integer')
+    return value
+
+
 def _sweep_generate(gen: dict) -> Graph:
     family = gen["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
-    return _generate(family, {**SWEEP_DEFAULTS, **gen})
+    params = {**SWEEP_DEFAULTS, **gen}
+    for name in FAMILIES[family][1]:
+        if name != "variant":
+            _spec_int(params, name)
+    return _generate(family, params)
 
 
 def _sweep_row(spec: dict) -> dict:
@@ -486,17 +506,18 @@ def _sweep_row(spec: dict) -> dict:
             raise ValueError('"pipeline" must be an object')
         kind = pipe["kind"]
         if kind == "rowcolor-verify":
-            p = pipe["p"]
-            h, c = g, row_coloring(gen["n"], gen["m"], p)
+            p = _spec_int(pipe, "p")
+            h, c = g, row_coloring(_spec_int(gen, "n"), _spec_int(gen, "m"), p)
             q = {i: 3 * i for i in range(1, min(p, len(set(c.colors))) + 1)}
         elif kind == "power-lowrw":
-            r, p = pipe["r"], pipe["p"]
+            r, p = _spec_int(pipe, "r"), _spec_int(pipe, "p")
             ref, q = low_rankwidth_coloring_of_power(g, r, p)
             h, c = power(g, r), ref.refined
         elif kind == "certificate":
-            rows = _certificate_rows(g, pipe.get("seed", 0), pipe.get("seeds", 1))
-            if not rows:
+            seed, seeds = _spec_int(pipe, "seed", 0), _spec_int(pipe, "seeds", 1)
+            if seeds < 1:
                 raise ValueError("seeds must be >= 1")
+            rows = _certificate_rows(chain_order(g), seed, seeds)
             orders = [order for _, order, _ in rows]
             row["min_order"] = min(orders)
             row["max_order"] = max(orders)

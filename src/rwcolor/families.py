@@ -128,6 +128,24 @@ def _cross_rows(n: int) -> list[int]:
     return rows
 
 
+def chain_cross_row(n: int, v: int) -> int:
+    """Row v of :func:`_cross_rows`, built alone: v_k sees one run of C
+    from row-major scalar k on, and w_t, t = n(j-1)+i, the C columns after
+    column j and column j from row i on."""
+    nn = n * n
+    a0, b0, c0 = chain_blocks(n)
+    if not a0 <= v < b0 + nn:
+        raise ValueError(f"vertex {v} is not in the A or B block of the order-{n} chain")
+    if v < b0:
+        k = v - a0 + 1
+        return ((1 << (nn - k + 1)) - 1) << (c0 + k - 1)
+    j, i = divmod(v - b0, n)  # t - 1 = n*j + i, both from 0
+    stripe = ((1 << nn) - 1) // ((1 << n) - 1)  # column 1: bits 0, n, 2n, ...
+    after = stripe * (((1 << n) - 1) ^ ((1 << (j + 1)) - 1))
+    down = stripe >> n * i << n * i + j
+    return (after | down) << c0
+
+
 def twisted_chain(n: int, variant: str = "bare") -> Graph:
     """Twisted chain graph of order n.
 
@@ -184,7 +202,7 @@ def chain_order(G: Graph) -> int:
     if G.n % 3 != 0 or n * n != nn:
         raise ValueError("vertex count is not 3*n^2")
     labels = chain_labels(n)
-    if tuple(G.labels) != labels:
+    if G.labels is not labels and tuple(G.labels) != labels:
         for v, (got, want) in enumerate(zip(G.labels, labels)):
             if got != want:
                 name = f"{want['k']}" if "k" in want else f"({want['i']},{want['j']})"

@@ -5,6 +5,9 @@ submatrix inside the cut matrix, certifying a rank lower bound.  Balanced
 bipartitions of a chain always contain such matchings, which is how large
 chains defeat small rank-width.  A product-Ramsey reducer extracts
 few-colored sub-chains from colored chains.
+
+The harness steps work from the chain's order, so a certificate is drawn
+and checked without building the chain.
 """
 
 from __future__ import annotations
@@ -109,28 +112,38 @@ class ImbalanceReport:
         return 3 * self.heavy_count > 2 * self.c_size
 
 
-def certificate_rank(G: Graph, cert: MatchingCertificate) -> int:
-    """GF(2) rank of the cut submatrix the certificate points at.
+def chain_certificate_rank(cert: MatchingCertificate, row: Callable[[int], int]) -> int:
+    """GF(2) rank of the cut submatrix the certificate points at, reading
+    the row of each A/B vertex v its pairs name as ``row(v)``: an adjacency
+    row of the order-``cert.m`` chain, or its C part from
+    :func:`families.chain_cross_row`.
 
     Validates the interleaving condition first (naming the failing index);
     for a certificate built from a genuine chain the rank equals its order.
     """
-    n = chain_order(G)
-    if cert.m != n:
-        raise ValueError(f"certificate is for order {cert.m}, graph has order {n}")
+    n = cert.m
     cert.check_chain()
     a0, b0, c0 = chain_blocks(n)
     row_base = a0 if cert.side == "A" else b0
     cols = [c0 + row_scalar(n, b, c) - 1 for _, b, c in cert.pairs]
     rows = []
     for a, _, _ in cert.pairs:
-        src = G.adj[row_base + a - 1]
+        src = row(row_base + a - 1)
         bitsrow = 0
         for jj, z in enumerate(cols):
             if src >> z & 1:
                 bitsrow |= 1 << jj
         rows.append(bitsrow)
     return rank_of_bitrows(rows)
+
+
+def certificate_rank(G: Graph, cert: MatchingCertificate) -> int:
+    """:func:`chain_certificate_rank` on the adjacency rows of the chain G,
+    whose order must be the certificate's."""
+    n = chain_order(G)
+    if cert.m != n:
+        raise ValueError(f"certificate is for order {cert.m}, graph has order {n}")
+    return chain_certificate_rank(cert, G.adj.__getitem__)
 
 
 def _z_side(n: int, partition: Bipartition, i: int, j: int) -> str:
@@ -249,10 +262,9 @@ def matching_from_alternation(
 MIN_CERTIFICATE_ORDER = 12
 
 
-def lower_bound_certificate(
-    G: Graph, partition: Bipartition
-) -> MatchingCertificate | ImbalanceReport:
-    """Certificate of order >= floor(m/12) from a C-balanced bipartition.
+def chain_certificate(n: int, partition: Bipartition) -> MatchingCertificate | ImbalanceReport:
+    """Certificate of order >= floor(m/12) from a bipartition of the order-n
+    chain that is balanced on the C block.
 
     Enough mixed rows feed the row-lex pipeline, enough mixed columns the
     column-lex one; if both counts fall short, the non-mixed lines all sit
@@ -266,7 +278,6 @@ def lower_bound_certificate(
     having the bits 0, n, 2n, ...; only the matching step asks
     :meth:`Bipartition.side` about single vertices.
     """
-    n = chain_order(G)
     if n < MIN_CERTIFICATE_ORDER:
         raise ValueError(f"lower-bound pipeline needs chain order >= {MIN_CERTIFICATE_ORDER}")
     s = _c_mask(n, partition)
@@ -283,6 +294,13 @@ def lower_bound_certificate(
     # rows onto one side
     heavy = "S" if s_count >= t_count else "T"
     return ImbalanceReport(heavy, max(s_count, t_count), n * n, len(mrows), len(mcols))
+
+
+def lower_bound_certificate(
+    G: Graph, partition: Bipartition
+) -> MatchingCertificate | ImbalanceReport:
+    """:func:`chain_certificate` for the chain G."""
+    return chain_certificate(chain_order(G), partition)
 
 
 def _shuffle(rng: random.Random, x: list) -> None:
@@ -322,8 +340,9 @@ def _coin_mask(rng: random.Random, count: int) -> int:
     return mask_of_flags(words[3::8].translate(_HIGH_BIT_CLEAR))
 
 
-def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
-    """Seeded bipartition balanced with respect to the C block.
+def chain_bipartition(n: int, seed: int) -> Bipartition:
+    """Seeded bipartition of the order-n chain, balanced with respect to
+    the C block.
 
     The draws are those of ``rng.shuffle`` of the C block, ``rng.randint``
     of how many of its first vertices go to S, and one ``rng.random() <
@@ -331,7 +350,6 @@ def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
     (:func:`_shuffle` and :func:`_coin_mask` make them); the outcomes go
     straight into the S mask.
     """
-    n = chain_order(G)
     if n < 2:
         raise ValueError(f"a C-balanced bipartition needs chain order >= 2, not {n}")
     c0 = chain_blocks(n)[2]
@@ -344,7 +362,12 @@ def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
     for i in positions[:cut]:
         c_flags[i] = 1
     s = _coin_mask(rng, c0) | mask_of_flags(c_flags) << c0
-    return Bipartition(s, ((1 << G.n) - 1) ^ s)
+    return Bipartition(s, ((1 << 3 * nn) - 1) ^ s)
+
+
+def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:
+    """:func:`chain_bipartition` for the chain G."""
+    return chain_bipartition(chain_order(G), seed)
 
 
 def ramsey_threshold(k: int, d: int) -> int:

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from rwcolor import families
 from rwcolor.graph import Graph, bits_of, build_graph, induced_subgraph
 from rwcolor.families import (
     TWISTED_CHAIN_VARIANTS,
+    chain_cross_row,
+    chain_labels,
     chain_order,
     cycle,
     grid,
@@ -155,6 +158,41 @@ def test_chain_order_names_the_mislabeled_vertex(v, wrong, message):
     with pytest.raises(ValueError) as exc:
         chain_order(Graph(tc.n, tc.adj, tuple(labels)))
     assert str(exc.value) == message
+
+
+def test_chain_order_skips_the_compare_for_the_shared_labels(monkeypatch):
+    compared = []
+
+    class Labels(tuple):
+        def __ne__(self, other):
+            compared.append(other)
+            return tuple.__ne__(self, other)
+
+    shared = Labels(chain_labels(6))
+    monkeypatch.setattr(families, "chain_labels", lambda n: shared)
+    tc = twisted_chain(6)
+    assert tc.labels is shared
+    assert chain_order(tc) == 6 and compared == []
+    # equal labels in another tuple are still compared
+    assert chain_order(Graph(tc.n, tc.adj, tuple(tc.labels))) == 6 and len(compared) == 1
+
+
+@pytest.mark.parametrize("variant", TWISTED_CHAIN_VARIANTS)
+def test_chain_cross_row_matches_the_built_chain(variant):
+    # the A/B rows inside C; the interval variant adds A and B cliques,
+    # which the cross rule leaves out
+    for n in range(1, 37):
+        g = twisted_chain(n, variant)
+        nn = n * n
+        c_block = ((1 << nn) - 1) << 2 * nn
+        for v in range(2 * nn):
+            assert chain_cross_row(n, v) == g.adj[v] & c_block, (n, v)
+
+
+@pytest.mark.parametrize("v", [-1, 8, 11])
+def test_chain_cross_row_refuses_a_c_vertex(v):
+    with pytest.raises(ValueError, match=f"^vertex {v} is not in the A or B block of the order-2 chain$"):
+        chain_cross_row(2, v)
 
 
 def _toggle_edge(g, u, v):

@@ -633,7 +633,7 @@ def test_cli_lab_harness_without_seeds_is_usage_error(argv, seeds, capsys):
 @pytest.mark.parametrize("order", ["-1", "0", "1", "2", "11"])
 def test_cli_lab_certificate_harness_below_order_12_is_usage_error(order, monkeypatch, capsys):
     # refused before any bipartition is drawn
-    monkeypatch.setattr(cli, "random_balanced_bipartition", None)
+    monkeypatch.setattr(cli, "chain_bipartition", None)
     assert run(["lab", "certificate", "--order", order, "--seeds", "2"]) == 2
     assert capsys.readouterr() == ("", "error: --order must be >= 12\n")
 
@@ -1214,7 +1214,12 @@ def test_cli_gen_failure_writes_no_file(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_certificate_rows_reach_order_72():
-    assert cli._certificate_rows(twisted_chain(72), 0, 2) == [(0, 22, True), (1, 23, True)]
+    assert cli._certificate_rows(72, 0, 2) == [(0, 22, True), (1, 23, True)]
+
+
+def test_cli_lab_certificate_harness_reaches_order_200(capsys):
+    assert run(["lab", "certificate", "--order", "200", "--seeds", "2"]) == 0
+    assert capsys.readouterr() == ("seed,achieved_order,verified\n0,50,true\n1,57,true\n", "")
 
 
 def test_cli_lab_certificate_single_partition(tmp_path):
@@ -1296,6 +1301,21 @@ def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
             # a string or an array in place of the pipeline object
             *({"name": "y", "generator": {"family": "path", "n": 4}, "pipeline": pipe}
               for pipe in ("certificate", [{"kind": "certificate"}])),
+            # an integer key that is not a JSON integer is named
+            *({"name": "certs", "generator": {"family": "chain", "order": 12},
+               "pipeline": {"kind": "certificate", "seeds": seeds}} for seeds in (True, "2", 2.0)),
+            {"name": "certs", "generator": {"family": "chain", "order": 12},
+             "pipeline": {"kind": "certificate", "seed": 1.0}},
+            {"name": "rows", "generator": {"family": "h", "n": 2, "m": 2},
+             "pipeline": {"kind": "rowcolor-verify", "p": True}},
+            {"name": "gridrows", "generator": {"family": "grid", "a": 3, "b": 3, "n": 3, "m": False},
+             "pipeline": {"kind": "rowcolor-verify", "p": 1}},
+            {"name": "power", "generator": {"family": "path", "n": True},
+             "pipeline": {"kind": "power-lowrw", "r": 2, "p": 1}},
+            {"name": "power", "generator": {"family": "path", "n": 4},
+             "pipeline": {"kind": "power-lowrw", "r": "2", "p": 1}},
+            {"name": "random", "generator": {"family": "random", "n": 6, "d": 2, "seed": False},
+             "pipeline": {"kind": "power-lowrw", "r": 2, "p": 1}},
         ]
     }))
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
@@ -1303,9 +1323,14 @@ def test_cli_sweep_rows_with_p0_record_the_error(tmp_path):
     assert [row["error"] for row in rows] == [
         *["p must be >= 1"] * 2, *["seeds must be >= 1"] * 2, 'missing "pipeline"', 'missing "n"',
         '"generator" must be an object', *['"pipeline" must be an object'] * 2,
+        *['"seeds" must be an integer'] * 3, '"seed" must be an integer', '"p" must be an integer',
+        '"m" must be an integer', '"n" must be an integer', '"r" must be an integer',
+        '"seed" must be an integer',
     ]
-    assert [row["verified"] for row in rows] == [""] * 9
-    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 9
+    assert [row["verified"] for row in rows] == [""] * 18
+    assert [row["min_order"] + row["max_order"] for row in rows] == [""] * 18
+    # a generator value refused by name never reaches the n column
+    assert [row["n"] for row in rows[9:]] == ["432"] * 4 + ["4", "9", "", "4", ""]
 
 
 def test_cli_sweep_row_budgets_cover_the_walked_sizes_only(tmp_path):

@@ -1,18 +1,23 @@
+import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import oracles
 from oracles import alternating_sequence, mixed_lines
-from rwcolor import lab
+from rwcolor import cli, lab
 from rwcolor.graph import cutrank_mask, mask_of, rank_of_bitrows
-from rwcolor.families import twisted_chain, verify_twisted_chain
+from rwcolor.families import chain_cross_row, twisted_chain, verify_twisted_chain
 from rwcolor.lab import (
     Bipartition,
     ImbalanceReport,
     MatchingCertificate,
     certificate_rank,
+    chain_bipartition,
+    chain_certificate,
+    chain_certificate_rank,
     lower_bound_certificate,
     matching_from_alternation,
     monochromatic_substructure,
@@ -174,6 +179,48 @@ def test_certificate_pipeline_validates_the_chain_once_per_call(monkeypatch):
     cert = lower_bound_certificate(g, random_balanced_bipartition(g, 0))
     assert certificate_rank(g, cert) == cert.order
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", range(12, 37))
+def test_harness_from_the_order_matches_the_graph_path(n):
+    g = twisted_chain(n)
+    row = functools.partial(chain_cross_row, n)
+    want_rows = []
+    for seed in range(50):
+        part = chain_bipartition(n, seed)
+        assert part == random_balanced_bipartition(g, seed)
+        cert = chain_certificate(n, part)
+        assert cert == lower_bound_certificate(g, part)
+        if isinstance(cert, ImbalanceReport):
+            want_rows.append((seed, 0, False))
+            continue
+        rank = certificate_rank(g, cert)
+        assert chain_certificate_rank(cert, row) == rank
+        want_rows.append((seed, cert.order, rank == cert.order))
+    assert cli._certificate_rows(n, 0, 50) == want_rows
+
+
+def test_certificate_rank_reads_only_the_rows_its_pairs_name():
+    n = 24
+    g = twisted_chain(n)
+    cert = lower_bound_certificate(g, random_balanced_bipartition(g, 0))
+    read = []
+    rank = chain_certificate_rank(cert, lambda v: read.append(v) or g.adj[v])
+    assert rank == cert.order == len(read)
+    base = 0 if cert.side == "A" else n * n
+    assert read == [base + a - 1 for a, _, _ in cert.pairs]
+
+
+def test_harness_of_order_96_builds_no_chain():
+    tracemalloc.start()
+    try:
+        rows = cli._certificate_rows(96, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [(0, 28, True), (1, 26, True)]
+    # the order-96 chain's rows alone take about 64 MB
+    assert peak < 10_000_000
 
 
 def test_balanced_bipartition_generator_is_balanced():
