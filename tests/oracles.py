@@ -667,7 +667,7 @@ def parse_edge_list_by_lines(text: str) -> Graph:
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m'")
-    n, m = int(parts[0]), int(parts[1])
+    n, m = _ints_of_line(lineno, parts)
     if len(data_lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(data_lines) - 1}")
     edges = []
@@ -676,7 +676,7 @@ def parse_edge_list_by_lines(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: edge line must be 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _ints_of_line(lineno, parts)
         if not (0 <= u < v < n):
             raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
         if prev is not None and (u, v) <= prev:
@@ -684,6 +684,17 @@ def parse_edge_list_by_lines(text: str) -> Graph:
         prev = (u, v)
         edges.append((u, v))
     return build_graph(n, edges)
+
+
+def _ints_of_line(lineno: int, parts: list[str]) -> list[int]:
+    """int() of each token of a line, naming the first token it refuses."""
+    out = []
+    for token in parts:
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {token!r} is not an integer") from None
+    return out
 
 
 def validate_symmetric_by_scan(self: Graph) -> None:

@@ -138,6 +138,42 @@ def _comment_chunks_between_data_chunks() -> str:
     return "\n".join([*lines[:half], *filler, *lines[half:]]) + "\n"
 
 
+def _lines_at_the_chunk_boundary() -> tuple[list[str], int]:
+    """The lines of `_chunked_edge_list` and the index of the first line of
+    its second chunk, which starts inside the run of vertex 136."""
+    text = _chunked_edge_list()
+    k = text.count("\n", 0, _second_chunk_starts(text))
+    lines = text.split("\n")
+    assert lines[k - 1].split()[0] == lines[k].split()[0]
+    return lines, k
+
+
+def _edge_repeated_across_a_chunk_boundary() -> str:
+    """The first line of the second chunk (line 9421) repeats the last line
+    of the first, so only the pair carried across the boundary shows it."""
+    lines, k = _lines_at_the_chunk_boundary()
+    lines[k] = lines[k - 1]
+    return "\n".join(lines)
+
+
+def _lines_swapped_across_a_chunk_boundary() -> str:
+    lines, k = _lines_at_the_chunk_boundary()
+    lines[k - 1], lines[k] = lines[k], lines[k - 1]
+    text = "\n".join(lines)
+    assert text.count("\n", 0, _second_chunk_starts(text)) == k
+    return text
+
+
+def _only_lower_neighbours_finished_after_the_last_chunk() -> str:
+    """Vertex 300 is joined to every lower vertex, so each chunk adds to its
+    row, which is whole only after the last chunk; vertex 301 is isolated."""
+    g = oracles.random_graph(300, 0.3, random.Random(5))
+    text = oracles.serialize_edge_list_by_edges(
+        build_graph(302, g.edges() + [(u, 300) for u in range(300)]))
+    assert len(text) > _CHUNK_CHARS + 2**14
+    return text
+
+
 HAND_WRITTEN_EDGE_LISTS = {
     "empty": "",
     "only-comments": "# c\n\n   \n",
@@ -198,6 +234,11 @@ HAND_WRITTEN_EDGE_LISTS = {
     "crlf-over-several-chunks": _chunked_edge_list().replace("\n", "\r\n"),
     "no-final-newline-over-several-chunks": _chunked_edge_list()[:-1],
     "vertex-spelled-two-ways-in-different-chunks": _vertex_spelled_two_ways_in_different_chunks(),
+    "run-split-across-two-chunks": "\n".join(_lines_at_the_chunk_boundary()[0]),
+    "edge-repeated-across-a-chunk-boundary": _edge_repeated_across_a_chunk_boundary(),
+    "lines-swapped-across-a-chunk-boundary": _lines_swapped_across_a_chunk_boundary(),
+    "only-lower-neighbours-finished-after-the-last-chunk":
+        _only_lower_neighbours_finished_after_the_last_chunk(),
 }
 
 
@@ -216,7 +257,8 @@ def test_edge_list_io_matches_the_per_line_references(text):
 
 
 def test_parse_edge_list_peak_stays_within_a_few_times_the_text():
-    """The order-24 chain: 332,352 edges in 2.9 MB of text."""
+    """The order-24 chain: 332,352 edges in 2.9 MB of text, read one chunk
+    at a time into rows (about 0.7x the text at peak)."""
     text = serialize_edge_list(twisted_chain(24))
     tracemalloc.start()
     try:
@@ -224,7 +266,7 @@ def test_parse_edge_list_peak_stays_within_a_few_times_the_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * len(text)
+    assert peak < len(text)
 
 
 def test_parse_edge_list_memory_follows_the_edges_not_the_order():
@@ -1019,6 +1061,13 @@ def test_cli_sweep_empty(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
 
+
+
+def test_cli_names_the_line_of_a_token_that_is_not_an_integer(tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_text("3 2\n0 1\n1 two\n")
+    assert run(["power", "-r", "2", "-i", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: 'two' is not an integer\n")
 
 
 # malformed JSON is a usage error (exit 2), not a refuted verdict (exit 1)
