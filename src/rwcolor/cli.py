@@ -34,8 +34,8 @@ from .coloring import (
 )
 from .ehchi import chi_product_coloring, eh_witness, even_split_provider
 from .families import (
+    TWISTED_CHAIN_VARIANTS,
     chain_cross_row,
-    chain_order,
     cycle,
     grid,
     h_graph,
@@ -499,8 +499,21 @@ def _sweep_row(spec: dict) -> dict:
         if not isinstance(gen, dict):
             raise ValueError('"generator" must be an object')
         row["family"] = gen.get("family", "")
-        g = _sweep_generate(gen)
-        row["n"] = g.n
+        pipe = spec.get("pipeline")
+        if isinstance(pipe, dict) and pipe.get("kind") == "certificate":
+            # like the harness, read the chain's order and refuse what twisted_chain would
+            if gen["family"] != "chain":
+                raise ValueError(f"a certificate run needs the chain family, not {gen['family']!r}")
+            order = _spec_int(gen, "order")
+            if order < 1:
+                raise ValueError("order must be >= 1")
+            variant = gen.get("variant", SWEEP_DEFAULTS["variant"])
+            if variant not in TWISTED_CHAIN_VARIANTS:
+                raise ValueError(f"unknown variant {variant!r}")
+            row["n"] = 3 * order * order
+        else:
+            g = _sweep_generate(gen)
+            row["n"] = g.n
         pipe = spec["pipeline"]
         if not isinstance(pipe, dict):
             raise ValueError('"pipeline" must be an object')
@@ -517,8 +530,8 @@ def _sweep_row(spec: dict) -> dict:
             seed, seeds = _spec_int(pipe, "seed", 0), _spec_int(pipe, "seeds", 1)
             if seeds < 1:
                 raise ValueError("seeds must be >= 1")
-            rows = _certificate_rows(chain_order(g), seed, seeds)
-            orders = [order for _, order, _ in rows]
+            rows = _certificate_rows(order, seed, seeds)
+            orders = [achieved for _, achieved, _ in rows]
             row["min_order"] = min(orders)
             row["max_order"] = max(orders)
             row["verified"] = str(all(verified for _, _, verified in rows)).lower()
@@ -540,7 +553,7 @@ def _sweep_row(spec: dict) -> dict:
 
 def cmd_report(args, record: RunRecord) -> int:
     spec = record.json(args.spec)
-    runs = spec.get("runs", []) if isinstance(spec, dict) else None
+    runs = spec.get("runs") if isinstance(spec, dict) else None
     if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):
         raise ValueError('a sweep spec must be a JSON object whose "runs" is an array of objects')
     buf = io.StringIO()

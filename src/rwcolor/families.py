@@ -112,26 +112,19 @@ def chain_labels(n: int) -> tuple[dict, ...]:
     )
 
 
-def _cross_rows(n: int) -> list[int]:
-    """Rows of v_1..v_{n^2}, w_1..w_{n^2} inside C: v_k sees every z whose
-    row-major scalar is >= k, w_k every z whose column-major scalar is."""
-    nn = n * n
-    a0, b0, c0 = chain_blocks(n)
-    rows = [0] * (2 * nn)
-    for k in range(1, nn + 1):
-        rows[a0 + k - 1] = ((1 << (nn - k + 1)) - 1) << (c0 + k - 1)
-    seen = 0
-    for j in range(n, 0, -1):  # column-major scalar descending
-        for i in range(n, 0, -1):
-            seen |= 1 << (c0 + row_scalar(n, i, j) - 1)
-            rows[b0 + col_scalar(n, i, j) - 1] = seen
-    return rows
+@functools.cache
+def chain_lines(n: int) -> tuple[int, int]:
+    """Masks of row 1 (bits 0..n-1) and column 1 (bits 0, n, 2n, ...) of
+    the order-n chain's C block as an n^2-bit mask, bit s-1 for row-major
+    scalar s; row i and column j are these shifted up by n(i-1) and j-1."""
+    row = (1 << n) - 1
+    return row, ((1 << n * n) - 1) // row
 
 
 def chain_cross_row(n: int, v: int) -> int:
-    """Row v of :func:`_cross_rows`, built alone: v_k sees one run of C
-    from row-major scalar k on, and w_t, t = n(j-1)+i, the C columns after
-    column j and column j from row i on."""
+    """Row v of the order-n chain inside C, v in A or B: v_k sees one run
+    of C from row-major scalar k on, and w_t, t = n(j-1)+i, the z of
+    column-major scalar >= t: the columns after j, and column j from row i."""
     nn = n * n
     a0, b0, c0 = chain_blocks(n)
     if not a0 <= v < b0 + nn:
@@ -140,9 +133,9 @@ def chain_cross_row(n: int, v: int) -> int:
         k = v - a0 + 1
         return ((1 << (nn - k + 1)) - 1) << (c0 + k - 1)
     j, i = divmod(v - b0, n)  # t - 1 = n*j + i, both from 0
-    stripe = ((1 << nn) - 1) // ((1 << n) - 1)  # column 1: bits 0, n, 2n, ...
-    after = stripe * (((1 << n) - 1) ^ ((1 << (j + 1)) - 1))
-    down = stripe >> n * i << n * i + j
+    row, col = chain_lines(n)
+    after = col * (row ^ ((1 << (j + 1)) - 1))
+    down = col >> n * i << n * i + j
     return (after | down) << c0
 
 
@@ -164,7 +157,7 @@ def twisted_chain(n: int, variant: str = "bare") -> Graph:
         raise ValueError(f"unknown variant {variant!r}")
     nn = n * n
     a0, b0, c0 = chain_blocks(n)
-    adj = _cross_rows(n) + [0] * nn
+    adj = [chain_cross_row(n, v) for v in range(2 * nn)] + [0] * nn
     # z sees v_1..v_s and w_1..w_t, s and t its row- and column-major scalars
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -180,13 +173,13 @@ def twisted_chain(n: int, variant: str = "bare") -> Graph:
         # z_(i,j) and z_(i',j') cross iff (s - s')(t - t') > 0: iff the grid
         # points are distinct and comparable in the product order of (i, j).
         full = (1 << nn) - 1
-        stripe = full // ((1 << n) - 1)  # bit n(i'-1) for every row i'
+        row, col = chain_lines(n)
         for i in range(1, n + 1):
             rows_le = (1 << (n * i)) - 1
             rows_ge = full ^ ((1 << (n * (i - 1))) - 1)
             for j in range(1, n + 1):
-                cols_le = stripe * ((1 << j) - 1)
-                cols_ge = stripe * (((1 << n) - 1) ^ ((1 << (j - 1)) - 1))
+                cols_le = col * ((1 << j) - 1)
+                cols_ge = col * (row ^ ((1 << (j - 1)) - 1))
                 s = row_scalar(n, i, j)
                 crossing = (rows_le & cols_le | rows_ge & cols_ge) & ~(1 << (s - 1))
                 adj[c0 + s - 1] |= crossing << c0
@@ -219,10 +212,9 @@ def verify_twisted_chain(G: Graph) -> int:
     nn = n * n
     a0, b0, c0 = chain_blocks(n)
     cmask = ((1 << nn) - 1) << c0
-    want = _cross_rows(n)
     for k in range(1, nn + 1):
-        bad_v = (G.adj[a0 + k - 1] & cmask) ^ want[a0 + k - 1]
-        bad_w = (G.adj[b0 + k - 1] & cmask) ^ want[b0 + k - 1]
+        bad_v = (G.adj[a0 + k - 1] & cmask) ^ chain_cross_row(n, a0 + k - 1)
+        bad_w = (G.adj[b0 + k - 1] & cmask) ^ chain_cross_row(n, b0 + k - 1)
         bad = bad_v | bad_w
         if bad:
             z = (bad & -bad).bit_length() - 1

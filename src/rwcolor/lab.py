@@ -22,6 +22,7 @@ from .graph import Graph, induced_subgraph, mask_of, mask_of_flags, rank_of_bitr
 from .families import (
     chain_blocks,
     chain_labels,
+    chain_lines,
     chain_order,
     col_scalar,
     row_scalar,
@@ -168,21 +169,13 @@ def _c_mask(n: int, partition: Bipartition) -> int:
     return partition.s_mask >> c0 & block
 
 
-def _line_selectors(n: int) -> tuple[int, int]:
-    """Masks of row 1 (bits 0..n-1) and column 1 (bits 0, n, 2n, ...) of
-    an n^2-bit C-block mask; row i and column j are these shifted up by
-    n(i-1) and j-1."""
-    row = (1 << n) - 1
-    return row, ((1 << n * n) - 1) // row
-
-
 def _mixed_lines(n: int, s: int) -> tuple[list[int], list[int]]:
     """Row and column indices of the order-n chain's C block containing
     vertices from both sides, read from its C-block mask *s* (as from
-    :func:`_c_mask`): row i is ``(s >> n(i-1)) & (2^n - 1)`` and column j
-    is ``(s >> (j-1)) & col``, with col the bits 0, n, 2n, ...; a line is
-    mixed when its bits are neither all clear nor all set."""
-    row, col = _line_selectors(n)
+    :func:`_c_mask`): row i is ``(s >> n(i-1)) & row`` and column j is
+    ``(s >> (j-1)) & col``, with row and col from :func:`families.chain_lines`;
+    a line is mixed when its bits are neither all clear nor all set."""
+    row, col = chain_lines(n)
     lines = range(1, n + 1)
     rows = [i for i in lines if (s >> n * (i - 1) & row) not in (0, row)]
     cols = [j for j in lines if (s >> j - 1 & col) not in (0, col)]
@@ -198,7 +191,7 @@ def _alternate(n: int, s: int, lines: list[int], lex: int) -> list[tuple[int, in
     complement of s for T.  In a row (lex=1) bit n(i-1)+j-1 is z_(i,j); in
     a column (lex=2), read as ``(s >> (j-1)) & col``, bit n(i-1) is z_(i,j).
     """
-    row, col = _line_selectors(n)
+    row, col = chain_lines(n)
     sides = (s, ((1 << n * n) - 1) ^ s)
     seq = []
     for pos, line in enumerate(lines):

@@ -179,10 +179,11 @@ def test_chain_order_skips_the_compare_for_the_shared_labels(monkeypatch):
 
 @pytest.mark.parametrize("variant", TWISTED_CHAIN_VARIANTS)
 def test_chain_cross_row_matches_the_built_chain(variant):
-    # the A/B rows inside C; the interval variant adds A and B cliques,
+    # the A/B rows inside C of the per-bit reference chain, which does not
+    # read the rule under test; the interval variant adds A and B cliques,
     # which the cross rule leaves out
     for n in range(1, 37):
-        g = twisted_chain(n, variant)
+        g = oracles.twisted_chain_by_rule(n, variant)
         nn = n * n
         c_block = ((1 << nn) - 1) << 2 * nn
         for v in range(2 * nn):

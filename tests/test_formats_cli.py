@@ -1035,6 +1035,42 @@ def test_cli_sweep(tmp_path):
     assert rows[6].split(",")[7] != "0"  # min_order of the chain run
 
 
+def test_cli_sweep_certificate_row_builds_no_chain(tmp_path, monkeypatch):
+    # test_cli_sweep's chain-12 row, as it read when the row built its chain, then
+    # the generators that building the chain would refuse, refused without it
+    spec, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({"runs": [
+        {"name": "chain-12", "generator": {"family": "chain", "order": 12},
+         "pipeline": {"kind": "certificate", "seeds": 5, "seed": 1}},
+        *({"name": "c", "generator": gen, "pipeline": {"kind": "certificate"}} for gen in (
+            {"family": "h", "n": 2, "m": 2},
+            {"family": "chain", "order": 0},
+            {"family": "chain", "order": 12, "variant": "nosuch"},
+            {"family": "chain", "order": 12.0},
+            {"family": "chain"},
+        )),
+    ]}))
+
+    def refuse(family, params):
+        raise AssertionError(f"generated a {family} graph")
+
+    monkeypatch.setattr(cli, "_generate", refuse)
+    assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
+    header, chain12, *refused = out.read_text().splitlines()
+    assert header == ",".join(cli.SWEEP_FIELDS)
+    fields = chain12.split(",")
+    del fields[cli.SWEEP_FIELDS.index("elapsed_ms")]
+    assert fields == ["chain-12", "chain", "432", "", "", "", "true", "3", "5", ""]
+    rows = list(csv.DictReader([header, *refused]))
+    assert [(row["n"], row["error"]) for row in rows] == [
+        ("", "a certificate run needs the chain family, not 'h'"),
+        ("", "order must be >= 1"),
+        ("", "unknown variant 'nosuch'"),
+        ("", '"order" must be an integer'),
+        ("", 'missing "order"'),
+    ]
+
+
 def test_cli_sweep_records_row_errors_and_continues(tmp_path):
     spec = tmp_path / "sweep.json"
     out = tmp_path / "out.csv"
@@ -1106,6 +1142,10 @@ def test_cli_names_the_line_of_a_token_that_is_not_an_integer(tmp_path, capsys):
     (["verify", "coloring", "-p", "1", "-i", "{p4}", "-c", "{bad}"],
      '{"palette_size": 1, "colors": [1, 1, 1, 1], "q": {"1": 0, "1": 9}}',
      'a JSON object repeats the key "1"'),
+    # a sweep spec without "runs", or with it misspelt, is refused too
+    *((["report", "sweep", "--spec", "{bad}"], text,
+       'a sweep spec must be a JSON object whose "runs" is an array of objects')
+      for text in ('{}', '{"run": []}')),
 ])
 def test_cli_malformed_json_is_usage_error(cli_files, tmp_path, capsys, argv, text, message):
     bad = tmp_path / "bad.json"
