@@ -407,7 +407,8 @@ def partition_from_obj(obj: Mapping, G: Graph) -> Bipartition:
             raise ValueError(f'partition "{key}" must be an array of vertex ids')
     part = Bipartition.of(G, obj["S"])
     T, t = frozenset(obj["T"]), part.t_mask
-    if len(T) != t.bit_count() or not all(v >= 0 and t >> v & 1 for v in T):
+    if (len(T) != t.bit_count() or not all(v >= 0 and t >> v & 1 for v in T)
+            or len(obj["S"]) + len(obj["T"]) != G.n):
         raise ValueError("S and T do not partition the vertex set")
     return part
 

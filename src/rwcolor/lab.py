@@ -505,15 +505,18 @@ def monochromatic_substructure(
 ) -> tuple[Graph, ExtractionReport]:
     """Extract a sub-chain whose three blocks are each single-colored.
 
-    Reduces the index grid in three stages (C, then A, then B layer); with
-    chain orders past the triple Ramsey threshold the stage-wise counting
-    is guaranteed.  Below it, the block order k grows from 1 while C(n, k)
-    is at most ``EXTRACT_COMBO_BUDGET`` and a search over row prefixes
-    (:func:`_first_block`) finds a k-by-k block: the lexicographically
-    first k rows that share k columns under one (C, A, B) color triple,
-    the first such triple in sorted order, and its first k columns.  The
-    output graph carries fresh canonical chain labels and receives at
-    most 3 colors.
+    The three-stage Ramsey reduction (C, then A, then B layer) is
+    guaranteed once the chain order reaches its iterated thresholds
+    k * d**(d*k).  With d >= 2 colors the third is above 2**2047, so only
+    a one-color coloring with target <= n reaches them: every threshold is
+    then k itself, each stage keeps the whole grid, and the sub-chain is G
+    under fresh labels, guaranteed.  Every other case grows the block
+    order k from 1 while C(n, k) is at most ``EXTRACT_COMBO_BUDGET``, and
+    a search over row prefixes (:func:`_first_block`) finds a k-by-k
+    block: the lexicographically first k rows that share k columns under
+    one (C, A, B) color triple, the first such triple in sorted order, and
+    its first k columns.  The output graph carries fresh canonical chain
+    labels and receives at most 3 colors.
     """
     n = chain_order(G)
     if target < 1:
@@ -539,26 +542,14 @@ def monochromatic_substructure(
         s = row_scalar(n, x, y)
         return c0 + s - 1, a0 + s - 1, b0 + col_scalar(n, x, y) - 1
 
-    def colors_at(x: int, y: int) -> tuple:
-        return grid[x - 1][y - 1]
-
     def chain_thresholds(t: int) -> tuple[int | None, int | None, int | None]:
         t1 = ramsey_threshold_within(t, d, n)
         t2 = ramsey_threshold_within(t1, d, n) if t1 is not None else None
         t3 = ramsey_threshold_within(t2, d, n) if t2 is not None else None
         return t1, t2, t3
 
-    # largest target whose full threshold chain fits inside this instance
-    t_eff = None
-    for t in range(n, target - 1, -1):
-        t1, t2, t3 = chain_thresholds(t)
-        if t3 is not None and n >= t3:
-            t_eff = t
-            m1, m2, m3 = t1, t2, t3
-            break
-    guaranteed = t_eff is not None
-    if not guaranteed:
-        m1, m2, m3 = chain_thresholds(target)
+    guaranteed = d == 1 and target <= n
+    m1, m2, m3 = chain_thresholds(n if guaranteed else target)
 
     best_xs: tuple[int, ...] = ()
     best_ys: tuple[int, ...] = ()
@@ -566,13 +557,9 @@ def monochromatic_substructure(
     stage_sizes = (0, 0, 0)
 
     if guaranteed:
-        idx = list(range(1, n + 1))
-        s1 = ramsey_bireduce(lambda x, y: colors_at(x, y)[0], idx, idx, m2, d)
-        s2 = ramsey_bireduce(lambda x, y: colors_at(x, y)[1], list(s1.xs), list(s1.ys), m1, d)
-        s3 = ramsey_bireduce(lambda x, y: colors_at(x, y)[2], list(s2.xs), list(s2.ys), t_eff, d)
-        best_xs, best_ys = tuple(sorted(s3.xs)), tuple(sorted(s3.ys))
-        best_colors = colors_at(best_xs[0], best_ys[0])
-        stage_sizes = (len(s1.xs), len(s2.xs), len(s3.xs))
+        best_xs = best_ys = tuple(range(1, n + 1))
+        best_colors = grid[0][0]
+        stage_sizes = (n, n, n)
     else:
         # Any order-k sub-chain restricts to stages of exactly size k, so
         # searching equal-size row sets is complete.  For each row and each
@@ -600,13 +587,16 @@ def monochromatic_substructure(
     achieved = len(best_xs)
     if achieved == 0:
         raise AssertionError("an order-1 block always exists")
-    sub = induced_subgraph(G, mask_of(v for x in best_xs for y in best_ys for v in cell(x, y)))
+    if guaranteed:
+        sub = G
+    else:
+        sub = induced_subgraph(G, mask_of(v for x in best_xs for y in best_ys for v in cell(x, y)))
     out = Graph(sub.n, sub.adj, chain_labels(achieved))
     verify_twisted_chain(out)
     report = ExtractionReport(
         target=target,
         achieved=achieved,
-        guaranteed=bool(guaranteed and achieved >= target),
+        guaranteed=guaranteed,
         colors_used=best_colors,
         stage_sizes=stage_sizes,
         thresholds=(m3, m2, m1),

@@ -17,7 +17,8 @@ serializer and the per-bit symmetry scan; as the references for the
 mask-read certificate harness, the per-cell side lookups and the
 generator's own shuffle and per-vertex coin flips; as the reference for
 the row-prefix search of the sub-chain extraction, the scan of every row
-set; as the reference for the walk of colour-connected class sets, the
+set, and for its one-colour case, the three-stage Ramsey reduction; as
+the reference for the walk of colour-connected class sets, the
 enumeration of every class union; as the reference for the smallest td
 colouring's one-component check, the check of every component of every
 union; as the reference for the clique-or-independent-set witness that
@@ -917,9 +918,11 @@ def random_balanced_bipartition_by_draws(G: Graph, seed: int) -> Bipartition:
 
 
 def extract_by_combinations(G: Graph, c, target: int) -> tuple[Graph, ExtractionReport]:
-    """Extract a sub-chain whose three blocks are each single-colored, below
-    the Ramsey threshold by scanning every k-row set in combination order
-    for each k, and reading each grid point's colors cell by cell."""
+    """Extract a sub-chain whose three blocks are each single-colored: by
+    the three-stage Ramsey reduction once its thresholds fit the order
+    (one colour only), and below them by scanning every k-row set in
+    combination order for each k, reading each grid point's colors cell
+    by cell."""
     n = chain_order(G)
     if target < 1:
         raise ValueError("target must be >= 1")

@@ -325,6 +325,8 @@ def test_labels_from_json_refuses_a_repeated_key():
     ({"S": [0], "T": [1, -2]}, "S and T do not partition the vertex set"),
     ({"S": [0], "T": [0, 2]}, "S and T do not partition the vertex set"),
     ({"S": [0], "T": [1, 2, 5]}, "S and T do not partition the vertex set"),
+    ({"S": [0, 0], "T": [1, 2]}, "S and T do not partition the vertex set"),
+    ({"S": [0], "T": [1, 2, 2]}, "S and T do not partition the vertex set"),
 ])
 def test_partition_from_obj_names_the_fault(obj, message):
     with pytest.raises(ValueError) as err:

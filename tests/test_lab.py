@@ -391,6 +391,31 @@ def test_extraction_constant_coloring_keeps_everything():
     assert verify_twisted_chain(sub) == 6
 
 
+def test_extraction_guarantee_is_the_one_colour_case(monkeypatch):
+    """Two or more colours never reach the third stage threshold, even at
+    order 2**60; one colour meets every threshold, and its extraction is the
+    chain itself, taken without a Ramsey stage or an induced subgraph."""
+    for d in range(2, 9):
+        for t in range(1, 65):
+            m = t
+            for _ in range(3):
+                m = m and ramsey_threshold_within(m, d, 2**60)
+            assert m is None, (d, t)
+    n = 24
+    for t in range(1, n + 1):
+        assert ramsey_threshold_within(t, 1, n) == t
+
+    def forbidden(*args):
+        raise AssertionError("the one-colour extraction copies the chain")
+
+    monkeypatch.setattr(lab, "ramsey_bireduce", forbidden)
+    monkeypatch.setattr(lab, "induced_subgraph", forbidden)
+    g = twisted_chain(n)
+    sub, rep = monochromatic_substructure(g, [1] * g.n, 2)
+    assert rep.achieved == n and rep.guaranteed
+    assert sub.adj == g.adj
+
+
 def test_extraction_output_is_chain_with_three_colors():
     g = twisted_chain(10)
     for seed in range(8):
