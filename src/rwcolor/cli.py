@@ -20,7 +20,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, TextIO
 
 from . import __version__
 from . import formats
@@ -75,8 +75,9 @@ from .widths import (
 OUTDIR_ENV = "RWCOLOR_OUTDIR"
 
 
-def _write(path: str, text: str) -> None:
-    """Write text to path; a relative path goes under $RWCOLOR_OUTDIR when set."""
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its chunks, to path; a relative path goes under
+    $RWCOLOR_OUTDIR when set."""
     base = os.environ.get(OUTDIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -84,7 +85,15 @@ def _write(path: str, text: str) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _put(fh, text)
+
+
+def _put(fh: TextIO, text: str | Iterable[str]) -> None:
+    """Write a str, or an iterable of str chunks as they come, to fh."""
+    if isinstance(text, str):
         fh.write(text)
+    else:
+        fh.writelines(text)
 
 
 @dataclass
@@ -105,21 +114,24 @@ class RunRecord:
         return text
 
     def graph(self, path: str) -> Graph:
-        return formats.parse_edge_list(self.read(path))
+        with open(path, "rb") as fh:
+            g = formats.read_edge_list(fh)
+        self.inputs.append(path)
+        return g
 
     def json(self, path: str):
         return formats.loads_json(self.read(path))
 
-    def write(self, path: str, text: str) -> None:
+    def write(self, path: str, text: str | Iterable[str]) -> None:
         _write(path, text)
         self.outputs.append(path)
 
-    def emit(self, path: str | None, text: str) -> None:
-        """Write text to path, or to stdout when there is no path."""
+    def emit(self, path: str | None, text: str | Iterable[str]) -> None:
+        """Write text, or its chunks, to path, or to stdout when there is no path."""
         if path:
             self.write(path, text)
         else:
-            sys.stdout.write(text)
+            _put(sys.stdout, text)
 
 
 def _write_manifest(args, argv, record: RunRecord, t0: float) -> None:
@@ -168,12 +180,12 @@ def _generate(family: str, params: Mapping) -> Graph:
 
 def _emit_graph(args, record: RunRecord, g: Graph, model_text: str | None = None) -> int:
     """Write what a `gen` form made: the model, the edge list, the labels."""
-    # build every text first, so that a failing --labels writes no file
-    edge_text = formats.serialize_edge_list(g)
+    # build the labels first, so that a failing --labels writes no file; the
+    # edge list is written as its chunks come
     labels_text = formats.labels_to_json(g) if args.labels else None
     if model_text is not None:
         record.write(args.model_out, model_text)
-    record.emit(args.output, edge_text)
+    record.emit(args.output, formats.edge_list_chunks(g))
     if labels_text is not None:
         record.write(args.labels, labels_text)
     return 0
@@ -214,7 +226,7 @@ def cmd_gen_model(args, record: RunRecord) -> int:
 
 def cmd_power(args, record: RunRecord) -> int:
     g = record.graph(args.input)
-    record.emit(args.output, formats.serialize_edge_list(power(g, args.r)))
+    record.emit(args.output, formats.edge_list_chunks(power(g, args.r)))
     return 0
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain, islice
-from operator import lt
-from typing import Iterator, Mapping, NoReturn
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn
 
 from .coloring import Coloring, RefinementColoring, UnionReport
 from .ehchi import EHParams
@@ -40,19 +39,39 @@ def loads_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
+# about the characters read and split at once (bytes, from a file), each
+# chunk running on to just after a "\n", and written at once; bounds the
+# tokens held in memory
+_CHUNK_CHARS = 1 << 16
+
+
 def serialize_edge_list(G: Graph) -> str:
-    """Canonical edge-list text: `n m` header then sorted `u v` lines.
+    """Canonical edge-list text: `n m` header then sorted `u v` lines."""
+    return "".join(edge_list_chunks(G))
+
+
+def edge_list_chunks(G: Graph) -> Iterator[str]:
+    """The canonical edge-list text in pieces of whole rows' lines, each
+    piece the first group of rows to reach ``_CHUNK_CHARS`` characters (the
+    header opens the first), so that a writer that takes them as they come
+    never holds the whole text, and a small text is one write.
 
     Each row's lines are one join over precomputed vertex names.
     """
     names = list(map(str, range(G.n)))
-    uppers = [row >> (u + 1) << (u + 1) for u, row in enumerate(G.adj)]
-    lines = [f"{G.n} {sum(map(int.bit_count, uppers))}"]
-    for u, above in enumerate(uppers):
+    group = [f"{G.n} {sum((row >> (u + 1)).bit_count() for u, row in enumerate(G.adj))}\n"]
+    size = 0
+    for u, row in enumerate(G.adj):
+        above = row >> (u + 1) << (u + 1)
         if above:
             head = names[u] + " "
-            lines.append(head + ("\n" + head).join(select_bits(names, above)))
-    return "\n".join(lines) + "\n"
+            group.append(head + ("\n" + head).join(select_bits(names, above)) + "\n")
+            size += len(group[-1])
+            if size >= _CHUNK_CHARS:
+                yield "".join(group)
+                group, size = [], 0
+    if group:
+        yield "".join(group)
 
 
 # most vertices a header may declare; refused before any n-sized list is built
@@ -64,74 +83,117 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and `#` comment lines, which files written elsewhere may
     carry, are skipped, and tokens may be separated by any whitespace.
-
-    Each chunk of text becomes rows as soon as `_data_pairs` reads it, so
-    no list of the whole file's edges is built: on the order-24 chain the
-    parse peaks at about 0.7x the text under ``tracemalloc``.  The chunks
-    are checked in bulk, and only when a check fails is the text read line
-    by line, to name the first faulty line.  The bulk checks are the layout
-    (in `_data_pairs`), n <= MAX_VERTICES before any n-sized list is built,
-    and per chunk 0 <= u < v < n and the strict order, which holds exactly
-    when the us never decrease, the chunk's first pair is above the last
-    pair before it, and the upper neighbours of each u, the vs of its run
-    of lines, increase.  The edge count is checked last.
+    See `_graph_of_chunks` for how the text is read and checked.
     """
-    pairs = _data_pairs(text)
-    first = next(pairs, None)
-    if first is None:
-        raise ValueError("edge list has no data lines")
-    n, m = first[0].pop(0), first[1].pop(0)  # the header
-    if n > MAX_VERTICES:
-        _raise_first_fault(text)
-    rows = [0] * n
-    flags = bytearray(max(n, 0))  # all zero between runs; Graph refuses n < 1
-    # the pair every edge must be above: (0, 0) is below exactly the pairs
-    # with u > 0 or u == 0 < v, so it also refuses a negative first u
-    last = (0, 0)
-    edges = 0
-    for firsts, seconds in chain([first], pairs):
-        if not firsts:
-            continue
-        if not (
-            (firsts[0], seconds[0]) > last
-            and firsts == sorted(firsts)
-            and max(seconds) < n
-            and all(map(lt, firsts, seconds))
-        ):
-            _raise_first_fault(text)
-        last = firsts[-1], seconds[-1]
-        edges += len(firsts)
-        # each run of one u ORs u's bit into the rows of its upper
-        # neighbours and sets u's upper half from flags over the span of
-        # the run only, so the work grows with the edges, never with n
-        # squared; a run split over two chunks ORs its halves together
-        start = 0
-        while start < len(firsts):
-            u = firsts[start]
-            end = bisect_right(firsts, u, start)
-            above = seconds[start:end]
-            if not all(map(lt, above, islice(above, 1, None))):
-                _raise_first_fault(text)
-            bit = 1 << u
-            for v in above:
-                flags[v] = 1
-                rows[v] |= bit
-            lo, hi = above[0], above[-1] + 1
-            rows[u] |= mask_of_flags(flags[lo:hi]) << lo
-            flags[lo:hi] = bytes(hi - lo)
-            start = end
-    if edges != m:
-        _raise_first_fault(text)
-    return Graph(n, tuple(rows))
+    return _graph_of_chunks(_text_chunks(text), lambda: text)
 
 
-# characters of text split at once, each chunk ending just after a "\n";
-# bounds the tokens held in memory
-_CHUNK_CHARS = 1 << 16
-# a chunk holding none of these, and only ASCII, has "\n" as its one line
-# break (the others of str.splitlines are "\r", "\x0b", "\x0c", "\x1c",
-# "\x1d", "\x1e", "\x85", "\u2028" and "\u2029") and no comment
-_NOT_PLAIN = "#\r\x0b\x0c\x1c\x1d\x1e"
+def read_edge_list(fh: BinaryIO) -> Graph:
+    """The graph of an edge-list file open in binary mode, or the error,
+    that `parse_edge_list` gives on the file's text.
+
+    The file is read one chunk of whole lines at a time, the chunks that
+    `_text_chunks` cuts from its text, and each chunk is decoded alone,
+    which is safe because UTF-8 never puts the byte of "\n" inside a
+    character; so neither the bytes nor the text of the file are held
+    whole.  Only a file that fails a check, or is not UTF-8, is read again
+    whole, for the message of its first fault.  A pipe, which cannot be
+    read twice, is read whole.
+    """
+    if not fh.seekable():
+        return parse_edge_list(fh.read().decode("utf-8"))
+
+    def whole() -> str:
+        fh.seek(0)
+        return fh.read().decode("utf-8")
+
+    return _graph_of_chunks(_file_chunks(fh), whole)
+
+
+def _text_chunks(text: str) -> Iterator[str]:
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _file_chunks(fh: BinaryIO) -> Iterator[str]:
+    while block := fh.read(_CHUNK_CHARS):
+        yield (block + fh.readline()).decode("utf-8")
+
+
+class _Fault(Exception):
+    """A bulk check of an edge list failed; the first faulty line is named
+    by reading the whole text line by line."""
+
+
+def _graph_of_chunks(chunks: Iterable[str], whole: Callable[[], str]) -> Graph:
+    """The graph of the edge-list text that chunks of whole lines make up.
+
+    Each chunk becomes rows as soon as `_data_pairs` reads it, so no list
+    of the whole file's edges is built: on the order-24 chain the parse
+    peaks at about 0.7x the text under ``tracemalloc``.  The chunks are
+    checked in bulk, and only when a check fails (or a chunk is not UTF-8)
+    is ``whole()`` read line by line, to name the first faulty line.  The
+    bulk checks are the layout (in `_data_pairs`), n <= MAX_VERTICES before
+    any n-sized list is built, and, once per run of lines of one u, the
+    strict order: the run holds only u, u rises above the last u or repeats
+    it (a run split over two chunks, or one vertex spelled two ways) with
+    its first v above the last v, and its vs rise from above u to below n:
+    they are sorted and, as their flags show, distinct.  The edge count is
+    checked last.
+    """
+    try:
+        pairs = _data_pairs(chunks)
+        first = next(pairs, None)
+        if first is None:
+            raise ValueError("edge list has no data lines")
+        n, m = first[0].pop(0), first[1].pop(0)  # the header
+        if n > MAX_VERTICES:
+            raise _Fault
+        rows = [0] * n
+        flags = bytearray(max(n, 0))  # all zero between runs; Graph refuses n < 1
+        # (0, 0) is below exactly the pairs with u > 0 or u == 0 < v, so it
+        # also refuses a negative first u
+        last_u = last_v = 0
+        edges = 0
+        for us, vs in chain([first], pairs):
+            edges += len(us)
+            start = 0
+            while start < len(us):
+                u = us[start]
+                end = bisect_right(us, u, start)
+                above = vs[start:end]
+                lo, hi = above[0], above[-1] + 1
+                if not (
+                    (u > last_u or u == last_u and lo > last_v)
+                    and u < lo
+                    and hi <= n
+                    and us[start:end].count(u) == end - start
+                    and above == sorted(above)
+                ):
+                    raise _Fault
+                last_u, last_v = u, hi - 1
+                # the run ORs u's bit into the rows of its upper neighbours
+                # and sets u's upper half from flags over the span of the
+                # run only, so the work grows with the edges, never with n
+                # squared; a run split over two chunks ORs its halves together
+                bit = 1 << u
+                for v in above:
+                    flags[v] = 1
+                    rows[v] |= bit
+                upper = mask_of_flags(flags[lo:hi])
+                if upper.bit_count() < end - start:  # the sorted vs repeat one
+                    raise _Fault
+                rows[u] |= upper << lo
+                flags[lo:hi] = bytes(hi - lo)
+                start = end
+        if edges == m:
+            return Graph(n, tuple(rows))
+    except (_Fault, UnicodeDecodeError):
+        pass  # named outside the handler, so the error carries no context
+    _raise_first_fault(whole())
 
 
 class _Ints(dict):
@@ -143,47 +205,46 @@ class _Ints(dict):
         return value
 
 
-def _data_pairs(text: str) -> Iterator[tuple[list[int], list[int]]]:
-    """Per chunk of the text that holds a data line, the first and the
-    second token of each of its data lines as ints, the header first, once
-    each data line of the chunk is found to hold exactly two tokens.
+_DIGITS = str.maketrans("", "", "0123456789")
 
-    The text is read in chunks of whole lines.  A plain chunk (see
-    `_NOT_PLAIN`) has its "\n" replaced by " | " and is split at once, so
-    no container per line is built.  When its k lines split into 3k - 1
-    tokens (the "|" of a final "\n" aside) and int() accepts every token
-    off the places 2, 5, 8, ..., each line holds exactly two tokens: int()
-    rejects "|", so the k - 1 "|" between the lines fill those k - 1
-    places.  Any other chunk, and a plain chunk that fails the count, which
-    a blank line does, has its lines stripped and its blank and `#` lines
-    dropped, and its data lines are joined with " | " and put to the same
-    test.  A plain chunk that passes the count but fails int() is faulty:
-    were each of its lines blank or two ints, the count would fail on a
-    blank line, and int() would pass without one.
+
+def _data_pairs(chunks: Iterable[str]) -> Iterator[tuple[list[int], list[int]]]:
+    """Per chunk that holds a data line, the first and the second token of
+    each of its data lines as ints, the header first, once each data line
+    of the chunk is found to hold exactly two tokens.
+
+    A plain chunk, one whose k lines leave exactly " \n" each once their
+    ASCII digits are deleted, is split at once, so no container per line
+    is built: when it splits into 2k tokens, each line holds two runs of
+    digits.  Any other chunk has its lines stripped and its blank and `#`
+    lines dropped, and its data lines are joined with " | " and split: when
+    its k data lines split into 3k - 1 tokens and int() accepts every token
+    off the places 2, 5, 8, ..., each line holds exactly two tokens, since
+    int() rejects "|", so the k - 1 "|" between the lines fill those k - 1
+    places.
     """
     to_int = _Ints().__getitem__
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        lines = chunk.count("\n") + (chunk[-1] != "\n")
-        tokens = []  # fails the count below, so a chunk that is not plain is filtered
-        if chunk.isascii() and not any(map(chunk.__contains__, _NOT_PLAIN)):
-            tokens = chunk.replace("\n", " | ").split()
-            if chunk[-1] == "\n":
-                tokens.pop()
-        if len(tokens) != 3 * lines - 1:
+    for chunk in chunks:
+        if chunk[-1] != "\n":  # the last line of a text without a final line break
+            chunk += "\n"
+        lines = chunk.count("\n")
+        tokens = []  # releases the last chunk's tokens before this one is split
+        if chunk.translate(_DIGITS) == " \n" * lines:
+            tokens = chunk.split()
+        if len(tokens) == 2 * lines:
+            step = 2
+        else:
             data = [line for line in map(str.strip, chunk.splitlines()) if line and line[0] != "#"]
             if not data:
                 continue
             tokens = " | ".join(data).split()
             if len(tokens) != 3 * len(data) - 1:
-                _raise_first_fault(text)
+                raise _Fault
+            step = 3
         try:
-            pair = list(map(to_int, tokens[0::3])), list(map(to_int, tokens[1::3]))
+            pair = list(map(to_int, tokens[0::step])), list(map(to_int, tokens[1::step]))
         except ValueError:
-            _raise_first_fault(text)
+            raise _Fault from None
         yield pair
 
 

@@ -509,14 +509,17 @@ def monochromatic_substructure(
     guaranteed once the chain order reaches its iterated thresholds
     k * d**(d*k).  With d >= 2 colors the third is above 2**2047, so only
     a one-color coloring with target <= n reaches them: every threshold is
-    then k itself, each stage keeps the whole grid, and the sub-chain is G
-    under fresh labels, guaranteed.  Every other case grows the block
-    order k from 1 while C(n, k) is at most ``EXTRACT_COMBO_BUDGET``, and
-    a search over row prefixes (:func:`_first_block`) finds a k-by-k
-    block: the lexicographically first k rows that share k columns under
-    one (C, A, B) color triple, the first such triple in sorted order, and
-    its first k columns.  The output graph carries fresh canonical chain
-    labels and receives at most 3 colors.
+    then k itself and each stage keeps the whole grid.  A one-color
+    coloring gives the whole chain whatever the target: the sub-chain is G
+    under fresh labels, guaranteed when target <= n, and with no threshold
+    when the target is above the order.  With two or more colors, the
+    block order k grows from 1 while C(n, k) is at most
+    ``EXTRACT_COMBO_BUDGET``, and a search over row prefixes
+    (:func:`_first_block`) finds a k-by-k block: the lexicographically
+    first k rows that share k columns under one (C, A, B) color triple,
+    the first such triple in sorted order, and its first k columns.  The
+    output graph carries fresh canonical chain labels and receives at most
+    3 colors.
     """
     n = chain_order(G)
     if target < 1:
@@ -556,7 +559,7 @@ def monochromatic_substructure(
     best_colors: tuple = ()
     stage_sizes = (0, 0, 0)
 
-    if guaranteed:
+    if d == 1:
         best_xs = best_ys = tuple(range(1, n + 1))
         best_colors = grid[0][0]
         stage_sizes = (n, n, n)
@@ -587,7 +590,7 @@ def monochromatic_substructure(
     achieved = len(best_xs)
     if achieved == 0:
         raise AssertionError("an order-1 block always exists")
-    if guaranteed:
+    if d == 1:
         sub = G
     else:
         sub = induced_subgraph(G, mask_of(v for x in best_xs for y in best_ys for v in cell(x, y)))

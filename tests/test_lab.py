@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -414,6 +415,20 @@ def test_extraction_guarantee_is_the_one_colour_case(monkeypatch):
     sub, rep = monochromatic_substructure(g, [1] * g.n, 2)
     assert rep.achieved == n and rep.guaranteed
     assert sub.adj == g.adj
+
+
+def test_one_colour_extraction_is_the_whole_chain_above_the_order(capsys):
+    """A target above the order is not guaranteed and has no threshold, yet
+    one colour still gives the whole chain, not the row-prefix search's
+    block (order 6 of 24, order 4 of 48)."""
+    g = twisted_chain(24)
+    sub, rep = monochromatic_substructure(g, [1] * g.n, 25)
+    assert (rep.achieved, rep.guaranteed, rep.stage_sizes) == (24, False, (24, 24, 24))
+    assert rep.thresholds == (None, None, None)
+    assert sub.adj == g.adj
+    assert cli.main(["lab", "extract", "--order", "48", "--colors", "1", "--target", "49"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["achieved"], out["guaranteed"], out["thresholds"]) == (48, False, [None] * 3)
 
 
 def test_extraction_output_is_chain_with_three_colors():
