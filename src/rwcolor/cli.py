@@ -34,8 +34,8 @@ from .coloring import (
 )
 from .ehchi import chi_product_coloring, eh_witness, even_split_provider
 from .families import (
-    TWISTED_CHAIN_VARIANTS,
     chain_cross_row,
+    check_chain_params,
     cycle,
     grid,
     h_graph,
@@ -72,15 +72,9 @@ from .widths import (
     verify_decomposition,
 )
 
-OUTDIR_ENV = "RWCOLOR_OUTDIR"
-
 
 def _write(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or its chunks, to path; a relative path goes under
-    $RWCOLOR_OUTDIR when set."""
-    base = os.environ.get(OUTDIR_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
+    """Write text, or its chunks, to path."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -517,11 +511,7 @@ def _sweep_row(spec: dict) -> dict:
             if gen["family"] != "chain":
                 raise ValueError(f"a certificate run needs the chain family, not {gen['family']!r}")
             order = _spec_int(gen, "order")
-            if order < 1:
-                raise ValueError("order must be >= 1")
-            variant = gen.get("variant", SWEEP_DEFAULTS["variant"])
-            if variant not in TWISTED_CHAIN_VARIANTS:
-                raise ValueError(f"unknown variant {variant!r}")
+            check_chain_params(order, gen.get("variant", SWEEP_DEFAULTS["variant"]))
             row["n"] = 3 * order * order
         else:
             g = _sweep_generate(gen)

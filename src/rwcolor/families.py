@@ -72,6 +72,15 @@ def row_coloring(n: int, m: int, p: int) -> Coloring:
 TWISTED_CHAIN_VARIANTS = ("bare", "interval", "permutation-derived")
 
 
+def check_chain_params(n: int, variant: str = "bare") -> None:
+    """Refuse a chain order below 1 or a variant outside
+    ``TWISTED_CHAIN_VARIANTS``."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if variant not in TWISTED_CHAIN_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def chain_blocks(n: int) -> tuple[int, int, int]:
     """First vertex of the A, B and C blocks of an order-n chain; v_k is
     vertex a0 + k - 1, w_k is b0 + k - 1, and z_(i,j) is c0 + s - 1 with s
@@ -151,10 +160,7 @@ def twisted_chain(n: int, variant: str = "bare") -> Graph:
     A, B, and C cliques (no A-B edges), and "permutation-derived" gives C
     the crossing relation of its segment model while A and B stay edgeless.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if variant not in TWISTED_CHAIN_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    check_chain_params(n, variant)
     nn = n * n
     a0, b0, c0 = chain_blocks(n)
     adj = [chain_cross_row(n, v) for v in range(2 * nn)] + [0] * nn
@@ -283,8 +289,7 @@ def _z_items(n: int, M: int) -> list[tuple[int, int]]:
 def interval_model(n: int) -> IntervalModel:
     """Interval model with M = 2n^2 + 1: v_i = [0, i], w_i = [M-i, M],
     z_(x,y) = [(x-1)n+y, M-(y-1)n-x]."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    check_chain_params(n)
     nn = n * n
     M = 2 * nn + 1
     iv = [(0, i) for i in range(1, nn + 1)] + [(M - i, M) for i in range(1, nn + 1)]
@@ -294,8 +299,7 @@ def interval_model(n: int) -> IntervalModel:
 def segment_model(n: int) -> SegmentModel:
     """Segment model with M = 10n^2 + 1: v_i vertical at i, w_i vertical at
     M-i, z_(x,y) from ((x-1)n+y, 0) up to (M-(y-1)n-x, 1)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    check_chain_params(n)
     nn = n * n
     M = 10 * nn + 1
     segs = [(i, i) for i in range(1, nn + 1)] + [(M - i, M - i) for i in range(1, nn + 1)]

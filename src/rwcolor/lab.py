@@ -32,12 +32,20 @@ from .families import (
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Disjoint cover (S, T) of the vertex set, one bit mask per side: bit v
-    of ``s_mask`` is set when vertex v is in S, of ``t_mask`` when it is in T.
+    """Partition (S, T) of the vertices 0..n-1, held as the S mask: bit v of
+    ``s_mask`` is set when vertex v is in S, and every other vertex is in T.
     """
 
     s_mask: int
-    t_mask: int
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.s_mask < 0 or self.s_mask >> self.n:
+            raise ValueError(f"the S mask has bits outside 0..{self.n - 1}")
+
+    @property
+    def t_mask(self) -> int:
+        return ((1 << self.n) - 1) ^ self.s_mask
 
     @classmethod
     def of(cls, G: Graph, S: Iterable[int]) -> "Bipartition":
@@ -49,16 +57,12 @@ class Bipartition:
             if not (isinstance(v, int) and 0 <= v < n):
                 raise ValueError("S contains vertices outside the graph")
             flags[v] = 1
-        s = mask_of_flags(flags)
-        return cls(s, ((1 << n) - 1) ^ s)
+        return cls(mask_of_flags(flags), n)
 
     def side(self, v: int) -> str:
-        if v >= 0:
-            if self.s_mask >> v & 1:
-                return "S"
-            if self.t_mask >> v & 1:
-                return "T"
-        raise ValueError(f"vertex {v} is on neither side")
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} is not in 0..{self.n - 1}")
+        return "S" if self.s_mask >> v & 1 else "T"
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class MatchingCertificate:
     block with z_(b_i, c_i).  The interleaving condition
     a_1 <= s_1 < a_2 <= s_2 < ... with s_i the scalar index of the z
     partner (row-major for side A, column-major for side B) forces the cut
-    submatrix to be triangular with an all-ones diagonal.
+    submatrix to be triangular with an all-ones diagonal.  A certificate
+    is checked for it when built, and the first failing index is named.
     """
 
     side: str  # "A" | "B"
@@ -81,16 +86,13 @@ class MatchingCertificate:
     def order(self) -> int:
         return len(self.pairs)
 
-    def partner_scalar(self, i: int) -> int:
-        _, b, c = self.pairs[i]
-        return (row_scalar if self.side == "A" else col_scalar)(self.m, b, c)
-
-    def check_chain(self) -> None:
+    def __post_init__(self) -> None:
+        scalar = row_scalar if self.side == "A" else col_scalar
         prev_s = None
         for i, (a, b, c) in enumerate(self.pairs):
             if not (1 <= a <= self.m * self.m and 1 <= b <= self.m and 1 <= c <= self.m):
                 raise ValueError(f"pair {i} is out of range for order {self.m}")
-            s = self.partner_scalar(i)
+            s = scalar(self.m, b, c)
             if prev_s is not None and not prev_s < a:
                 raise ValueError(f"chain condition fails at index {i}: {prev_s} !< {a}")
             if not a <= s:
@@ -119,11 +121,9 @@ def chain_certificate_rank(cert: MatchingCertificate, row: Callable[[int], int])
     row of the order-``cert.m`` chain, or its C part from
     :func:`families.chain_cross_row`.
 
-    Validates the interleaving condition first (naming the failing index);
-    for a certificate built from a genuine chain the rank equals its order.
+    For a certificate of a genuine chain the rank equals its order.
     """
     n = cert.m
-    cert.check_chain()
     a0, b0, c0 = chain_blocks(n)
     row_base = a0 if cert.side == "A" else b0
     cols = [c0 + row_scalar(n, b, c) - 1 for _, b, c in cert.pairs]
@@ -147,26 +147,11 @@ def certificate_rank(G: Graph, cert: MatchingCertificate) -> int:
     return chain_certificate_rank(cert, G.adj.__getitem__)
 
 
-def _z_side(n: int, partition: Bipartition, i: int, j: int) -> str:
-    """Side of z_(i,j) of an order-n chain."""
-    return partition.side(chain_blocks(n)[2] + row_scalar(n, i, j) - 1)
-
-
 def _c_mask(n: int, partition: Bipartition) -> int:
     """The S side of the order-n chain's C block as one n^2-bit mask: bit
     s-1 is set when z with row-major scalar s, z_(i,j) with s = n(i-1)+j,
-    is in S.
-
-    Both sides are read by one shift of their masks; a C vertex on neither
-    side raises the error of :meth:`Bipartition.side`, naming the smallest
-    such vertex.
-    """
-    c0 = chain_blocks(n)[2]
-    block = (1 << n * n) - 1
-    uncovered = ~(partition.s_mask | partition.t_mask) >> c0 & block
-    if uncovered:
-        partition.side(c0 + (uncovered & -uncovered).bit_length() - 1)  # raises
-    return partition.s_mask >> c0 & block
+    is in S."""
+    return partition.s_mask >> chain_blocks(n)[2] & (1 << n * n) - 1
 
 
 def _mixed_lines(n: int, s: int) -> tuple[list[int], list[int]]:
@@ -221,16 +206,16 @@ def matching_from_alternation(
     if len(seq) < 4:
         raise ValueError("alternating sequence must have length >= 4")
     scalar = row_scalar if side == "A" else col_scalar
+    a0, b0, c0 = chain_blocks(n)
     prev = None
     for idx, (i, j) in enumerate(seq):
         want = "S" if idx % 2 == 0 else "T"
-        if _z_side(n, partition, i, j) != want:
+        if partition.side(c0 + row_scalar(n, i, j) - 1) != want:
             raise ValueError(f"sequence element {idx} is not on side {want}")
         s = scalar(n, i, j)
         if prev is not None and s <= prev:
             raise ValueError(f"sequence element {idx} breaks the lex order")
         prev = s
-    a0, b0, _ = chain_blocks(n)
     row_base = a0 if side == "A" else b0
     st_pairs, ts_pairs = [], []
     for i2 in range(len(seq) // 2):
@@ -245,9 +230,7 @@ def matching_from_alternation(
         pairs, direction = st_pairs, ("S", "T")
     else:
         pairs, direction = ts_pairs, ("T", "S")
-    cert = MatchingCertificate(side, direction, tuple(pairs), n)
-    cert.check_chain()
-    return cert
+    return MatchingCertificate(side, direction, tuple(pairs), n)
 
 
 # The least chain order the lower-bound pipeline takes: below it the
@@ -257,7 +240,8 @@ MIN_CERTIFICATE_ORDER = 12
 
 def chain_certificate(n: int, partition: Bipartition) -> MatchingCertificate | ImbalanceReport:
     """Certificate of order >= floor(m/12) from a bipartition of the order-n
-    chain that is balanced on the C block.
+    chain that is balanced on the C block; a partition of other than its
+    3n^2 vertices is refused.
 
     Enough mixed rows feed the row-lex pipeline, enough mixed columns the
     column-lex one; if both counts fall short, the non-mixed lines all sit
@@ -273,6 +257,8 @@ def chain_certificate(n: int, partition: Bipartition) -> MatchingCertificate | I
     """
     if n < MIN_CERTIFICATE_ORDER:
         raise ValueError(f"lower-bound pipeline needs chain order >= {MIN_CERTIFICATE_ORDER}")
+    if partition.n != 3 * n * n:
+        raise ValueError(f"a partition of {partition.n} vertices is not one of the order-{n} chain")
     s = _c_mask(n, partition)
     s_count = s.bit_count()
     t_count = n * n - s_count
@@ -355,7 +341,7 @@ def chain_bipartition(n: int, seed: int) -> Bipartition:
     for i in positions[:cut]:
         c_flags[i] = 1
     s = _coin_mask(rng, c0) | mask_of_flags(c_flags) << c0
-    return Bipartition(s, ((1 << 3 * nn) - 1) ^ s)
+    return Bipartition(s, 3 * nn)
 
 
 def random_balanced_bipartition(G: Graph, seed: int) -> Bipartition:

@@ -940,6 +940,19 @@ def test_cli_lab_certificate_malformed_sidecar_is_usage_error(cli_files, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_lab_certificate_of_an_imbalanced_partition_exits_one(cli_files, tmp_path):
+    """S = the C block of the order-12 chain holds every z on one side: no
+    certificate, and the imbalance is written instead."""
+    c0 = 2 * 144
+    with open(cli_files["part"], "w") as f:
+        json.dump({"S": list(range(c0, c0 + 144)), "T": list(range(c0))}, f)
+    out = tmp_path / "imbalance.json"
+    assert run(["lab", "certificate", "-i", cli_files["el"], "--labels", cli_files["labels"],
+                "--partition", cli_files["part"], "-o", str(out)]) == 1
+    assert json.loads(out.read_text()) == {
+        "imbalance": {"c_size": 144, "heavy_count": 144, "heavy_side": "S"}}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["verify", "decomposition", "-i", "{p4}", "-d", "{dec}"], 0),
     (["verify", "coloring", "--mode", "td", "-p", "1", "-i", "{p4}", "-c", "{col}"], 1),
@@ -1329,12 +1342,6 @@ def test_cli_color_td_strategy_is_a_usage_error(cli_files, tmp_path):
     assert run(argv[:-2]) == 0
 
 
-def test_cli_outdir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
-    assert run(["gen", "path", "--n", "3", "-o", "sub/p3.el"]) == 0
-    assert (tmp_path / "sub" / "p3.el").exists()
-
-
 def test_cli_wcol(tmp_path):
     p5 = tmp_path / "p5.el"
     run(["gen", "path", "--n", "5", "-o", str(p5)])
@@ -1568,6 +1575,31 @@ def test_cli_sweep_row_budgets_cover_the_walked_sizes_only(tmp_path):
     assert huge["budgets"] == small["budgets"] == "3;6;9"
     assert (huge["widths"], huge["verified"], huge["error"]) == (
         small["widths"], small["verified"], "")
+
+
+def test_cli_sweep_power_row_reads_as_color_lowrw_then_verify(tmp_path):
+    spec, out = tmp_path / "sweep.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps({"runs": [
+        {"name": "g3", "generator": {"family": "grid", "a": 3, "b": 3},
+         "pipeline": {"kind": "power-lowrw", "r": 2, "p": 2}},
+        {"name": "bad", "generator": {"family": "grid", "a": 3, "b": 3},
+         "pipeline": {"kind": "bogus"}},
+    ]}))
+    assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
+    power_row, bad = csv.DictReader(out.read_text().splitlines())
+    assert [power_row[k] for k in ("n", "palette", "widths", "budgets", "verified", "error")] == [
+        "9", "8", "1;1", "354292;20920706404", "true", ""]
+    assert (bad["n"], bad["verified"], bad["error"]) == ("9", "", "unknown pipeline kind 'bogus'")
+    # the CLI's own colouring and verdict of the same graph
+    g3, lw3, v3 = (str(tmp_path / name) for name in ("g3.el", "lw3.json", "v3.json"))
+    assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", g3]) == 0
+    assert run(["color", "lowrw", "-r", "2", "-p", "2", "-i", g3, "-o", lw3]) == 0
+    assert run(["verify", "coloring", "-p", "2", "-i", g3, "-c", lw3, "-o", v3]) == 0
+    verdict = json.loads(open(v3).read())
+    assert json.loads(open(lw3).read())["palette_size"] == int(power_row["palette"])
+    assert ";".join(str(m["width"]) for _, m in sorted(verdict["measured"].items())) == "1;1"
+    assert ";".join(str(b) for _, b in sorted(verdict["q"].items())) == power_row["budgets"]
+    assert verdict["verified"] is True
 
 
 @pytest.mark.parametrize("method", ["--exact", "--heuristic"])

@@ -47,13 +47,13 @@ def test_certificate_rank_triangular_full_rank():
 
 
 def test_certificate_chain_violation_names_index():
-    g = twisted_chain(2)
-    bad = MatchingCertificate("A", ("S", "T"), ((3, 1, 1),), 2)
-    with pytest.raises(ValueError, match="index 0"):
-        certificate_rank(g, bad)
-    bad2 = MatchingCertificate("A", ("S", "T"), ((1, 1, 2), (2, 2, 2)), 2)
-    with pytest.raises(ValueError, match="index 1"):
-        certificate_rank(g, bad2)
+    # a certificate that breaks the interleaving condition is never built
+    with pytest.raises(ValueError, match="^chain condition fails at index 0: 3 !<= 1$"):
+        MatchingCertificate("A", ("S", "T"), ((3, 1, 1),), 2)
+    with pytest.raises(ValueError, match="^chain condition fails at index 1: 2 !< 2$"):
+        MatchingCertificate("A", ("S", "T"), ((1, 1, 2), (2, 2, 2)), 2)
+    with pytest.raises(ValueError, match="^pair 0 is out of range for order 2$"):
+        MatchingCertificate("B", ("T", "S"), ((1, 3, 1),), 2)
 
 
 def test_random_subsets_can_lose_rank():
@@ -160,6 +160,13 @@ def test_lower_bound_certificate_rejects_small_order():
     g = twisted_chain(2)
     with pytest.raises(ValueError):
         lower_bound_certificate(g, Bipartition.of(g, {0}))
+
+
+def test_chain_certificate_refuses_a_partition_of_another_chain():
+    part = chain_bipartition(13, 0)
+    with pytest.raises(ValueError, match="^a partition of 507 vertices is not one of the order-12 chain$"):
+        chain_certificate(12, part)
+    assert isinstance(chain_certificate(13, part), MatchingCertificate)
 
 
 def test_lower_bound_certificate_seeded_batch():
@@ -283,23 +290,11 @@ def test_harness_matches_the_per_cell_reference(n, seeds):
         _assert_harness_matches_reference(g, n, part)
     for S in _skewed_subsets(n, random.Random(n)):
         part = Bipartition.of(g, S)
-        assert part == Bipartition(mask_of(S), mask_of(range(g.n)) & ~mask_of(S))
+        assert part == Bipartition(mask_of(S), g.n)
+        assert part.t_mask == mask_of(range(g.n)) & ~mask_of(S)
         _assert_harness_matches_reference(g, n, part)
-
-
-def test_harness_names_the_smallest_uncovered_vertex_like_the_reference():
-    g = twisted_chain(12)
-    c0 = 2 * 144
-    # z at C positions 5 and 70 on neither side, another T vertex also in S
-    S = frozenset(range(c0, c0 + 60))
-    T = frozenset(v for v in range(g.n) if v not in S and v not in (c0 + 5, c0 + 70)) | {c0}
-    part = Bipartition(mask_of(S - {c0 + 5}), mask_of(T))
-    got = _outcome(lower_bound_certificate, g, part)
-    assert got == ("ValueError", f"vertex {c0 + 5} is on neither side")
-    assert got == _outcome(oracles.lower_bound_certificate_by_cells, g, part)
-    _assert_harness_matches_reference(g, 12, part)
     with pytest.raises(ValueError, match="lex must be 1 or 2"):
-        alternating_sequence(12, part, 3)
+        alternating_sequence(n, part, 3)
 
 
 def test_balanced_bipartition_needs_chain_order_two():
@@ -313,7 +308,19 @@ def test_bipartition_of_rejects_vertices_outside_the_graph():
     for S in ([12], [-1], [0, 3, 12], ["a"]):
         with pytest.raises(ValueError, match="S contains vertices outside the graph"):
             Bipartition.of(g, S)
-    assert Bipartition.of(g, range(12)) == Bipartition(mask_of(range(12)), 0)
+    assert Bipartition.of(g, range(12)) == Bipartition(mask_of(range(12)), 12)
+
+
+def test_bipartition_holds_every_vertex_on_one_side():
+    part = Bipartition(0b0101, 4)
+    assert part.t_mask == 0b1010
+    assert [part.side(v) for v in range(4)] == ["S", "T", "S", "T"]
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"^vertex {v} is not in 0..3$"):
+            part.side(v)
+    for s in (-1, 0b10000):
+        with pytest.raises(ValueError, match="^the S mask has bits outside 0..3$"):
+            Bipartition(s, 4)
 
 
 def test_certificate_reads_sides_from_the_mask_not_per_cell(monkeypatch):
