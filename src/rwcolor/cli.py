@@ -283,10 +283,9 @@ def cmd_verify_coloring(args, record: RunRecord) -> int:
         report = verify_td_coloring(g, c, args.p)
     else:
         if args.q_linear is not None:
-            q = {i: args.q_linear * i for i in range(1, min(args.p, len(set(c.colors))) + 1)}
+            q = {i: args.q_linear * i for i in c.union_sizes(args.p)}
         elif args.profile or "q" in obj:
-            table = record.json(args.profile) if args.profile else obj
-            q = formats.budget_from_obj(table)
+            q = formats.budget_from_obj(record.json(args.profile) if args.profile else obj)
         else:
             raise ValueError(
                 "budget unknown: pass --profile, --q-linear, or a coloring "
@@ -513,33 +512,30 @@ def _sweep_row(spec: dict) -> dict:
             order = _spec_int(gen, "order")
             check_chain_params(order, gen.get("variant", SWEEP_DEFAULTS["variant"]))
             row["n"] = 3 * order * order
-        else:
-            g = _sweep_generate(gen)
-            row["n"] = g.n
-        pipe = spec["pipeline"]
-        if not isinstance(pipe, dict):
-            raise ValueError('"pipeline" must be an object')
-        kind = pipe["kind"]
-        if kind == "rowcolor-verify":
-            p = _spec_int(pipe, "p")
-            h, c = g, row_coloring(_spec_int(gen, "n"), _spec_int(gen, "m"), p)
-            q = {i: 3 * i for i in range(1, min(p, len(set(c.colors))) + 1)}
-        elif kind == "power-lowrw":
-            r, p = _spec_int(pipe, "r"), _spec_int(pipe, "p")
-            ref, q = low_rankwidth_coloring_of_power(g, r, p)
-            h, c = power(g, r), ref.refined
-        elif kind == "certificate":
             seed, seeds = _spec_int(pipe, "seed", 0), _spec_int(pipe, "seeds", 1)
             if seeds < 1:
                 raise ValueError("seeds must be >= 1")
             rows = _certificate_rows(order, seed, seeds)
             orders = [achieved for _, achieved, _ in rows]
-            row["min_order"] = min(orders)
-            row["max_order"] = max(orders)
+            row["min_order"], row["max_order"] = min(orders), max(orders)
             row["verified"] = str(all(verified for _, _, verified in rows)).lower()
         else:
-            raise ValueError(f"unknown pipeline kind {kind!r}")
-        if kind != "certificate":
+            g = _sweep_generate(gen)
+            row["n"] = g.n
+            pipe = spec["pipeline"]
+            if not isinstance(pipe, dict):
+                raise ValueError('"pipeline" must be an object')
+            kind = pipe["kind"]
+            if kind == "rowcolor-verify":
+                p = _spec_int(pipe, "p")
+                h, c = g, row_coloring(_spec_int(gen, "n"), _spec_int(gen, "m"), p)
+                q = {i: 3 * i for i in c.union_sizes(p)}
+            elif kind == "power-lowrw":
+                r, p = _spec_int(pipe, "r"), _spec_int(pipe, "p")
+                ref, q = low_rankwidth_coloring_of_power(g, r, p)
+                h, c = power(g, r), ref.refined
+            else:
+                raise ValueError(f"unknown pipeline kind {kind!r}")
             report = verify_low_rw_coloring(h, c, p, q)
             row["palette"] = c.palette_size
             row["widths"] = ";".join(str(w) for _, (w, _) in sorted(report.measured.items()))

@@ -67,6 +67,10 @@ class Coloring:
         """The colours on the vertex mask X."""
         return frozenset(self.colors[v] for v in bits_of(X))
 
+    def union_sizes(self, p: int) -> range:
+        """1..min(p, colours used): the union sizes that a budget covers."""
+        return range(1, min(p, len(set(self.colors))) + 1)
+
 
 @dataclass(frozen=True)
 class RefinementColoring:
@@ -269,8 +273,8 @@ def _check_unions(
     ``measured[i]``, which reads "upper-bound" once any set of size <= i
     was only bounded.
 
-    The budget table Q is read once per size into ``report.q``.  A table
-    without a width for a size the walk reaches, or one that decreases with
+    The budget table Q is read once per size of ``c.union_sizes(p)`` into
+    ``report.q``; a table missing one of them, or one that decreases with
     i, is refused before any set is walked.  ``checked_unions`` counts the
     unions the walk covers, C(palette, i) per size.  ``measured[i]`` starts
     from ``measured[i - 1]``: both widths only grow on induced supergraphs,
@@ -297,7 +301,7 @@ def _check_unions(
         reach = functools.reduce(operator.or_, map(G.adj.__getitem__, bits_of(classes[col])))
         return c.colors_on(reach)
 
-    sizes = range(1, min(p, len(palette)) + 1)
+    sizes = c.union_sizes(p)
     for i in sizes:
         if i not in Q:
             raise ValueError(f"the budget gives no width for unions of size {i}")
@@ -346,13 +350,13 @@ def _check_unions(
 def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
     """Check that every union of i <= p classes induces tree-depth <= i.
 
-    The budget is Q(i) = i, and no width is measured.  The unions are
-    decided through their colour-connected class sets (see
-    ``_check_unions``), each on the components of its union that meet all
-    its colours: a component of at most i vertices passes outright, one
-    above ``TREE_DEPTH_EXACT_CAP`` vertices is bounded by its size, and
-    the rest are decided by ``tree_depth_at_most``, with the exact
-    tree-depth taken only of a component deeper than i.  More than
+    The budget is Q(i) = i for i in ``c.union_sizes(p)``; no width is
+    measured.  The unions are decided through their colour-connected class
+    sets (see ``_check_unions``), each on the components of its union that
+    meet all its colours: a component of at most i vertices passes
+    outright, one above ``TREE_DEPTH_EXACT_CAP`` vertices is bounded by its
+    size, and the rest are decided by ``tree_depth_at_most``, with the
+    exact tree-depth taken only of a component deeper than i.  More than
     ``MAX_UNIONS`` walked sets are refused, as in ``verify_low_rw_coloring``.
     """
 
@@ -368,7 +372,7 @@ def verify_td_coloring(G: Graph, c: Coloring, p: int) -> UnionReport:
                     deep.append(comp_g)
         return max(map(tree_depth_exact, deep), default=0), undecided, None
 
-    return _check_unions(G, c, p, {i: i for i in range(1, min(p, G.n) + 1)}, bound)
+    return _check_unions(G, c, p, {i: i for i in c.union_sizes(p)}, bound)
 
 
 def _exact_small_td_coloring(G: Graph, p: int) -> Coloring:
@@ -465,8 +469,7 @@ def low_rankwidth_coloring_of_power(
     Takes a (d*p)-tree-depth coloring, where d multiplies the per-radius
     doubled weak-coloring values of heuristic orders for radii 2..r, and
     refines it through the excellent chain.  Returns the refinement and the
-    width budget Q per union size 1..min(p, colours used), the sizes the
-    union walk reads.
+    width budget Q per size of ``refined.union_sizes(p)``.
     """
     if r < 2:
         raise ValueError("power coloring needs radius >= 2")
@@ -481,8 +484,7 @@ def low_rankwidth_coloring_of_power(
     base = treedepth_coloring(G, d * p)
     ref = excellent_refinement(G, base, r, orders, wsets)
     assert ref.d == d
-    sizes = range(1, min(p, len(set(ref.refined.colors))) + 1)
-    return ref, {i: gurski_wanke_budget(r, d * i) for i in sizes}
+    return ref, {i: gurski_wanke_budget(r, d * i) for i in ref.refined.union_sizes(p)}
 
 
 def verify_low_rw_coloring(

@@ -87,6 +87,8 @@ class MatchingCertificate:
         return len(self.pairs)
 
     def __post_init__(self) -> None:
+        if self.side not in ("A", "B") or self.direction not in (("S", "T"), ("T", "S")):
+            raise ValueError(f"unknown side {self.side!r} or direction {self.direction!r}")
         scalar = row_scalar if self.side == "A" else col_scalar
         prev_s = None
         for i, (a, b, c) in enumerate(self.pairs):

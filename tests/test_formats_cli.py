@@ -613,10 +613,11 @@ def test_cli_verify_q_linear_sizes_the_budget_by_the_walk(tmp_path):
     small, huge = tmp_path / "small.json", tmp_path / "huge.json"
     assert run(["gen", "path", "--n", "4", "-o", str(p4)]) == 0
     assert run(["color", "td", "-p", "2", "-i", str(p4), "-o", str(col)]) == 0
-    for p, out in (("4", small), ("1000000000", huge)):
-        assert run(["verify", "coloring", "-p", p, "--q-linear", "1", "-i", str(p4),
-                    "-c", str(col), "-o", str(out)]) == 0
-    assert huge.read_bytes() == small.read_bytes()
+    for budget in (["--q-linear", "1"], ["--mode", "td"]):
+        for p, out in (("4", small), ("1000000000", huge)):
+            assert run(["verify", "coloring", "-p", p, *budget, "-i", str(p4),
+                        "-c", str(col), "-o", str(out)]) == 0
+        assert huge.read_bytes() == small.read_bytes()
 
 
 def test_cli_color_lowrw_sizes_the_budget_by_the_walk(tmp_path):
@@ -1584,12 +1585,22 @@ def test_cli_sweep_power_row_reads_as_color_lowrw_then_verify(tmp_path):
          "pipeline": {"kind": "power-lowrw", "r": 2, "p": 2}},
         {"name": "bad", "generator": {"family": "grid", "a": 3, "b": 3},
          "pipeline": {"kind": "bogus"}},
+    ] + [
+        # a kind that is no string, unhashable ones among them, is refused by name too
+        {"name": "bad", "generator": {"family": "path", "n": 4}, "pipeline": {"kind": kind}}
+        for kind in (["x"], {"a": 1}, None, 5)
     ]}))
     assert run(["report", "sweep", "--spec", str(spec), "-o", str(out)]) == 0
-    power_row, bad = csv.DictReader(out.read_text().splitlines())
+    power_row, *bad = csv.DictReader(out.read_text().splitlines())
     assert [power_row[k] for k in ("n", "palette", "widths", "budgets", "verified", "error")] == [
         "9", "8", "1;1", "354292;20920706404", "true", ""]
-    assert (bad["n"], bad["verified"], bad["error"]) == ("9", "", "unknown pipeline kind 'bogus'")
+    assert [(r["n"], r["verified"], r["error"]) for r in bad] == [
+        ("9", "", "unknown pipeline kind 'bogus'"),
+        ("4", "", "unknown pipeline kind ['x']"),
+        ("4", "", "unknown pipeline kind {'a': 1}"),
+        ("4", "", "unknown pipeline kind None"),
+        ("4", "", "unknown pipeline kind 5"),
+    ]
     # the CLI's own colouring and verdict of the same graph
     g3, lw3, v3 = (str(tmp_path / name) for name in ("g3.el", "lw3.json", "v3.json"))
     assert run(["gen", "grid", "--a", "3", "--b", "3", "-o", g3]) == 0

@@ -56,6 +56,15 @@ def test_certificate_chain_violation_names_index():
         MatchingCertificate("B", ("T", "S"), ((1, 3, 1),), 2)
 
 
+def test_certificate_refuses_an_unknown_side_or_direction():
+    # such a certificate would be ranked as side B and written out as it is
+    for side, direction in (("X", ("Q", "Q")), ("A", ("Q", "Q")), ("B", ("S", "S")),
+                            ("X", ("S", "T"))):
+        with pytest.raises(ValueError) as exc:
+            MatchingCertificate(side, direction, ((1, 1, 1),), 2)
+        assert str(exc.value) == f"unknown side {side!r} or direction {direction!r}"
+
+
 def test_random_subsets_can_lose_rank():
     g = twisted_chain(4)
     rng = random.Random(5)
