@@ -486,7 +486,7 @@ def _spec_int(obj: dict, key: str, default: int | None = None) -> int:
 
 def _sweep_generate(gen: dict) -> Graph:
     family = gen["family"]
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
     params = {**SWEEP_DEFAULTS, **gen}
     for name in FAMILIES[family][1]:

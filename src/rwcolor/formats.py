@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .coloring import Coloring, RefinementColoring, UnionReport
 from .ehchi import EHParams
@@ -85,29 +84,27 @@ def parse_edge_list(text: str) -> Graph:
     carry, are skipped, and tokens may be separated by any whitespace.
     See `_graph_of_chunks` for how the text is read and checked.
     """
-    return _graph_of_chunks(_text_chunks(text), lambda: text)
+    return _graph_of_chunks(_text_chunks(text))
 
 
 def read_edge_list(fh: BinaryIO) -> Graph:
     """The graph of an edge-list file open in binary mode, or the error,
     that `parse_edge_list` gives on the file's text.
 
-    The file is read one chunk of whole lines at a time, the chunks that
-    `_text_chunks` cuts from its text, and each chunk is decoded alone,
-    which is safe because UTF-8 never puts the byte of "\n" inside a
-    character; so neither the bytes nor the text of the file are held
-    whole.  Only a file that fails a check, or is not UTF-8, is read again
-    whole, for the message of its first fault.  A pipe, which cannot be
-    read twice, is read whole.
+    The file is read once, one chunk of whole lines at a time, the chunks
+    that `_text_chunks` cuts from its text, and each chunk is decoded
+    alone, which is safe because UTF-8 never puts the byte of "\n" inside
+    a character; so neither the bytes nor the text of the file are held
+    whole, not even to name a faulty line.  Only a file that is not UTF-8
+    is read again whole, for the message of a text-mode read.  A pipe,
+    which cannot be read twice, is read whole.
     """
-    if not fh.seekable():
-        return parse_edge_list(fh.read().decode("utf-8"))
-
-    def whole() -> str:
-        fh.seek(0)
-        return fh.read().decode("utf-8")
-
-    return _graph_of_chunks(_file_chunks(fh), whole)
+    if fh.seekable():
+        try:
+            return _graph_of_chunks(_file_chunks(fh))
+        except UnicodeDecodeError:
+            fh.seek(0)  # raised again outside the handler, so it carries no context
+    return parse_edge_list(fh.read().decode("utf-8"))
 
 
 def _text_chunks(text: str) -> Iterator[str]:
@@ -123,77 +120,79 @@ def _file_chunks(fh: BinaryIO) -> Iterator[str]:
         yield (block + fh.readline()).decode("utf-8")
 
 
-class _Fault(Exception):
-    """A bulk check of an edge list failed; the first faulty line is named
-    by reading the whole text line by line."""
+def _graph_of_chunks(chunks: Iterable[str]) -> Graph:
+    """The graph of the edge-list text that chunks of whole lines make up,
+    read in one pass.
 
-
-def _graph_of_chunks(chunks: Iterable[str], whole: Callable[[], str]) -> Graph:
-    """The graph of the edge-list text that chunks of whole lines make up.
-
-    Each chunk becomes rows as soon as `_data_pairs` reads it, so no list
-    of the whole file's edges is built: on the order-24 chain the parse
-    peaks at about 0.7x the text under ``tracemalloc``.  The chunks are
-    checked in bulk, and only when a check fails (or a chunk is not UTF-8)
-    is ``whole()`` read line by line, to name the first faulty line.  The
-    bulk checks are the layout (in `_data_pairs`), n <= MAX_VERTICES before
-    any n-sized list is built, and, once per run of lines of one u, the
-    strict order: the run holds only u, u rises above the last u or repeats
-    it (a run split over two chunks, or one vertex spelled two ways) with
-    its first v above the last v, and its vs rise from above u to below n:
-    they are sorted and, as their flags show, distinct.  The edge count is
-    checked last.
+    A plain chunk (see `_plain_pairs`) is split and checked in bulk by
+    `_add_runs`, and becomes rows at once, so no list of the whole file's
+    edges is built: on the order-24 chain the parse peaks at about 0.7x
+    the text under ``tracemalloc``.  Any other chunk, and a plain chunk
+    that fails a bulk check, is read line by line from the state the chunk
+    before left: the header (n, m), the last edge, the line number and the
+    count of data lines.  A header with n > MAX_VERTICES is refused before
+    any n-sized list is built.  The first faulty line is recorded, and
+    after it the data lines are only counted, so the whole text is read
+    once whatever it holds.  At the end a header fault is raised first,
+    then a count of edge lines other than m, then the first faulty line.
     """
-    try:
-        pairs = _data_pairs(chunks)
-        first = next(pairs, None)
-        if first is None:
-            raise ValueError("edge list has no data lines")
-        n, m = first[0].pop(0), first[1].pop(0)  # the header
-        if n > MAX_VERTICES:
-            raise _Fault
-        rows = [0] * n
-        flags = bytearray(max(n, 0))  # all zero between runs; Graph refuses n < 1
-        # (0, 0) is below exactly the pairs with u > 0 or u == 0 < v, so it
-        # also refuses a negative first u
-        last_u = last_v = 0
-        edges = 0
-        for us, vs in chain([first], pairs):
-            edges += len(us)
-            start = 0
-            while start < len(us):
-                u = us[start]
-                end = bisect_right(us, u, start)
-                above = vs[start:end]
-                lo, hi = above[0], above[-1] + 1
-                if not (
-                    (u > last_u or u == last_u and lo > last_v)
-                    and u < lo
-                    and hi <= n
-                    and us[start:end].count(u) == end - start
-                    and above == sorted(above)
-                ):
-                    raise _Fault
-                last_u, last_v = u, hi - 1
-                # the run ORs u's bit into the rows of its upper neighbours
-                # and sets u's upper half from flags over the span of the
-                # run only, so the work grows with the edges, never with n
-                # squared; a run split over two chunks ORs its halves together
-                bit = 1 << u
-                for v in above:
-                    flags[v] = 1
-                    rows[v] |= bit
-                upper = mask_of_flags(flags[lo:hi])
-                if upper.bit_count() < end - start:  # the sorted vs repeat one
-                    raise _Fault
-                rows[u] |= upper << lo
-                flags[lo:hi] = bytes(hi - lo)
-                start = end
-        if edges == m:
-            return Graph(n, tuple(rows))
-    except (_Fault, UnicodeDecodeError):
-        pass  # named outside the handler, so the error carries no context
-    _raise_first_fault(whole())
+    to_int = _Ints().__getitem__
+    header = fault = None  # (n, m) once the header passes; the first fault's message
+    rows, flags = [], bytearray()  # flags is all zero between runs
+    last = (0, 0)  # below every edge 0 <= u < v
+    lineno = data = 0  # lines and data lines, the header's among them, read
+    for chunk in chunks:
+        if chunk[-1] != "\n":  # the last line of a text without a final line break
+            chunk += "\n"
+        lines = chunk.count("\n")
+        pairs = _plain_pairs(chunk, lines, to_int) if fault is None else None
+        if pairs is not None:
+            us, vs = pairs
+            head = header  # or this chunk's first line, kept only if the chunk passes
+            if head is None and us[0] <= MAX_VERTICES:
+                head = us.pop(0), vs.pop(0)
+                rows, flags = [0] * head[0], bytearray(head[0])
+            # a failed check leaves rows half-built, but then a line of this
+            # chunk is faulty and rows are never read
+            if head is not None and (end := _add_runs(us, vs, head[0], rows, flags, last)):
+                header, last, lineno, data = head, end, lineno + lines, data + lines
+                continue
+        for line in map(str.strip, chunk.splitlines()):
+            lineno += 1
+            if not line or line[0] == "#":
+                continue
+            data += 1
+            if fault is not None:
+                continue
+            parts = line.split()
+            try:
+                if len(parts) != 2:
+                    shape = "edge line must be 'u v'" if header else "header must be 'n m'"
+                    raise ValueError(f"line {lineno}: {shape}")
+                u, v = _line_ints(lineno, parts)
+                if header is None:
+                    if u > MAX_VERTICES:
+                        raise ValueError(
+                            f"line {lineno}: {u} vertices exceed the limit of {MAX_VERTICES}")
+                    header, rows, flags = (u, v), [0] * u, bytearray(max(u, 0))
+                elif not 0 <= u < v < header[0]:
+                    raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
+                elif (u, v) <= last:
+                    raise ValueError(f"line {lineno}: edges are not strictly sorted")
+                else:
+                    last = u, v
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            except ValueError as err:
+                fault = str(err)
+    if header is None:
+        raise ValueError(fault or "edge list has no data lines")
+    n, m = header
+    if data - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {data - 1}")
+    if fault is not None:
+        raise ValueError(fault)
+    return Graph(n, tuple(rows))
 
 
 class _Ints(dict):
@@ -208,75 +207,72 @@ class _Ints(dict):
 _DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _data_pairs(chunks: Iterable[str]) -> Iterator[tuple[list[int], list[int]]]:
-    """Per chunk that holds a data line, the first and the second token of
-    each of its data lines as ints, the header first, once each data line
-    of the chunk is found to hold exactly two tokens.
+def _plain_pairs(
+    chunk: str, lines: int, to_int: Callable[[str], int]
+) -> tuple[list[int], list[int]] | None:
+    """The first and the second token of each line of a plain chunk as
+    ints, or None for any other chunk.
 
-    A plain chunk, one whose k lines leave exactly " \n" each once their
-    ASCII digits are deleted, is split at once, so no container per line
-    is built: when it splits into 2k tokens, each line holds two runs of
-    digits.  Any other chunk has its lines stripped and its blank and `#`
-    lines dropped, and its data lines are joined with " | " and split: when
-    its k data lines split into 3k - 1 tokens and int() accepts every token
-    off the places 2, 5, 8, ..., each line holds exactly two tokens, since
-    int() rejects "|", so the k - 1 "|" between the lines fill those k - 1
-    places.
+    A plain chunk is one whose lines leave exactly " \n" each once their
+    ASCII digits are deleted, and that splits into two tokens a line: each
+    line holds two runs of digits and nothing else.  It is split at once,
+    so no container per line is built.
     """
-    to_int = _Ints().__getitem__
-    for chunk in chunks:
-        if chunk[-1] != "\n":  # the last line of a text without a final line break
-            chunk += "\n"
-        lines = chunk.count("\n")
-        tokens = []  # releases the last chunk's tokens before this one is split
-        if chunk.translate(_DIGITS) == " \n" * lines:
-            tokens = chunk.split()
-        if len(tokens) == 2 * lines:
-            step = 2
-        else:
-            data = [line for line in map(str.strip, chunk.splitlines()) if line and line[0] != "#"]
-            if not data:
-                continue
-            tokens = " | ".join(data).split()
-            if len(tokens) != 3 * len(data) - 1:
-                raise _Fault
-            step = 3
-        try:
-            pair = list(map(to_int, tokens[0::step])), list(map(to_int, tokens[1::step]))
-        except ValueError:
-            raise _Fault from None
-        yield pair
+    if chunk.translate(_DIGITS) != " \n" * lines:
+        return None
+    tokens = chunk.split()
+    if len(tokens) != 2 * lines:
+        return None
+    try:
+        return list(map(to_int, tokens[0::2])), list(map(to_int, tokens[1::2]))
+    except ValueError:  # a run of digits longer than int() converts
+        return None
 
 
-def _raise_first_fault(text: str) -> NoReturn:
-    """Raise the error of the first faulty line of an edge list that failed
-    a bulk check, in the order the lines are read."""
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
-        if line and line[0] != "#"
-    ]
-    lineno, header = numbered[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {lineno}: header must be 'n m'")
-    n, m = _line_ints(lineno, parts)
-    if n > MAX_VERTICES:
-        raise ValueError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
-    if len(numbered) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(numbered) - 1}")
-    prev = None
-    for lineno, line in numbered[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: edge line must be 'u v'")
-        u, v = _line_ints(lineno, parts)
-        if not (0 <= u < v < n):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
-        if prev is not None and (u, v) <= prev:
-            raise ValueError(f"line {lineno}: edges are not strictly sorted")
-        prev = (u, v)
-    raise AssertionError("an edge list failed a bulk check that no line fails")
+def _add_runs(
+    us: list[int], vs: list[int], n: int, rows: list[int], flags: bytearray,
+    last: tuple[int, int],
+) -> tuple[int, int] | None:
+    """OR the edges (us[i], vs[i]), which follow the edge last, into rows,
+    and return the last of them; or None when they break the strict order.
+
+    The order is checked once per run of lines of one u: the run holds
+    only u, u rises above the last u or repeats it (a run split over two
+    chunks, or one vertex spelled two ways) with its first v above the
+    last v, and its vs rise from above u to below n: they are sorted and,
+    as their flags show, distinct.
+    """
+    last_u, last_v = last
+    start = 0
+    while start < len(us):
+        u = us[start]
+        end = bisect_right(us, u, start)
+        above = vs[start:end]
+        lo, hi = above[0], above[-1] + 1
+        if not (
+            (u > last_u or u == last_u and lo > last_v)
+            and u < lo
+            and hi <= n
+            and us[start:end].count(u) == end - start
+            and above == sorted(above)
+        ):
+            return None
+        # the run ORs u's bit into the rows of its upper neighbours and
+        # sets u's upper half from flags over the span of the run only, so
+        # the work grows with the edges, never with n squared; a run split
+        # over two chunks ORs its halves together
+        bit = 1 << u
+        for v in above:
+            flags[v] = 1
+            rows[v] |= bit
+        upper = mask_of_flags(flags[lo:hi])
+        flags[lo:hi] = bytes(hi - lo)
+        if upper.bit_count() < end - start:  # the sorted vs repeat one
+            return None
+        rows[u] |= upper << lo
+        last_u, last_v = u, hi - 1
+        start = end
+    return last_u, last_v
 
 
 def _line_ints(lineno: int, parts: list[str]) -> list[int]:

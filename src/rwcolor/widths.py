@@ -200,7 +200,7 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     for v in range(n):
         key[1 << v] = cut[1 << v]
     top = max(n - 4, (n + 6) // 2)
-    within = bytes(cut).translate(bytes(t <= ub for t in range(256)))
+    within = bytes(cut).translate(b"\1" * (ub + 1) + b"\0" * (255 - ub))
     for mask in compress(range(full), within):
         if 1 < mask.bit_count() < top:
             c = cut[mask]
