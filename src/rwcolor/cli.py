@@ -398,7 +398,7 @@ def cmd_lab_ramsey(args, record: RunRecord) -> int:
 
 
 def cmd_lab_extract(args, record: RunRecord) -> int:
-    for name in ("order", "colors"):
+    for name in ("order", "colors", "target"):
         if getattr(args, name) < 1:
             raise ValueError(f"--{name} must be >= 1")
     g = twisted_chain(args.order, "bare")

@@ -89,26 +89,25 @@ class RefinementColoring:
     budget: int
     inner: "RefinementColoring | None" = None
 
+    def levels(self) -> list[RefinementColoring]:
+        """The levels of the refinement chain, outermost (this one) first."""
+        chain = [self]
+        while chain[-1].inner is not None:
+            chain.append(chain[-1].inner)
+        return chain
+
     @property
     def d(self) -> int:
         """Product of per-level budgets across the whole refinement chain."""
-        return self.budget * (self.inner.d if self.inner is not None else 1)
+        return math.prod(level.budget for level in self.levels())
 
     def orders(self) -> list[LinearOrder]:
         """Orders used per radius, ascending from radius 2."""
-        chain = []
-        node: RefinementColoring | None = self
-        while node is not None:
-            chain.append(node.order)
-            node = node.inner
-        return list(reversed(chain))
+        return [level.order for level in reversed(self.levels())]
 
     @property
     def original_base(self) -> Coloring:
-        node = self
-        while node.inner is not None:
-            node = node.inner
-        return node.base
+        return self.levels()[-1].base
 
 
 def _high_shortest_path(

@@ -328,17 +328,14 @@ def refinement_to_obj(R: RefinementColoring) -> dict:
     Decodes are emitted per level, outermost first, so expansion can be
     replayed; the budget product and radius ride along for verifiers.
     """
-    levels = []
-    node: RefinementColoring | None = R
-    while node is not None:
-        levels.append(
-            {
-                "radius": node.radius,
-                "budget": node.budget,
-                "decode": {str(q): sorted(s) for q, s in node.decode.items()},
-            }
-        )
-        node = node.inner
+    levels = [
+        {
+            "radius": level.radius,
+            "budget": level.budget,
+            "decode": {str(q): sorted(s) for q, s in level.decode.items()},
+        }
+        for level in R.levels()
+    ]
     obj = coloring_to_obj(R.refined)
     obj["decode"] = levels[0]["decode"]
     obj["levels"] = levels

@@ -3,8 +3,9 @@
 Ordered matchings across a bipartition pin a triangular identity-diagonal
 submatrix inside the cut matrix, certifying a rank lower bound.  Balanced
 bipartitions of a chain always contain such matchings, which is how large
-chains defeat small rank-width.  A product-Ramsey reducer extracts
-few-colored sub-chains from colored chains.
+chains defeat small rank-width.  A block search extracts sub-chains with
+single-colored blocks from colored chains, and a product-Ramsey reducer
+finds constant blocks of two-argument functions.
 
 The harness steps work from the chain's order, so a certificate is drawn
 and checked without building the chain.
@@ -432,11 +433,13 @@ def ramsey_bireduce(
 
 @dataclass
 class ExtractionReport:
-    """Outcome of the three-stage extraction.
+    """Outcome of a sub-chain extraction: rows x_rows and columns y_cols of
+    the grid, whose C, A and B blocks carry colors_used in that order.
 
-    thresholds holds the stage sizes (outermost first) that would make each
-    counting step unconditional; None marks a threshold beyond the instance
-    order (the usual case at desk scale).
+    stage_sizes repeats the order achieved once per block.  thresholds holds
+    the iterated Ramsey thresholds, outermost first, taken from the chain
+    order when guaranteed and from the target otherwise; None marks one
+    beyond the chain order.
     """
 
     target: int
@@ -488,34 +491,15 @@ def _first_block(row_masks: list[list[int]], n: int, k: int) -> tuple | None:
     return tuple(xs), tuple(itertools.islice(select_bits(range(1, n + 1), cand), k)), ti
 
 
-def monochromatic_substructure(
-    G: Graph, c: Sequence[int], target: int
-) -> tuple[Graph, ExtractionReport]:
-    """Extract a sub-chain whose three blocks are each single-colored.
+def _largest_block(c: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """``(xs, ys, triple)``: rows, columns and (C, A, B) color triple of the
+    largest k-by-k grid block of the order-n chain on which each block of
+    the chain is single-colored under c.
 
-    The three-stage Ramsey reduction (C, then A, then B layer) is
-    guaranteed once the chain order reaches its iterated thresholds
-    k * d**(d*k).  With d >= 2 colors the third is above 2**2047, so only
-    a one-color coloring with target <= n reaches them: every threshold is
-    then k itself and each stage keeps the whole grid.  A one-color
-    coloring gives the whole chain whatever the target: the sub-chain is G
-    under fresh labels, guaranteed when target <= n, and with no threshold
-    when the target is above the order.  With two or more colors, the
-    block order k grows from 1 while C(n, k) is at most
-    ``EXTRACT_COMBO_BUDGET``, and a search over row prefixes
-    (:func:`_first_block`) finds a k-by-k block: the lexicographically
-    first k rows that share k columns under one (C, A, B) color triple,
-    the first such triple in sorted order, and its first k columns.  The
-    output graph carries fresh canonical chain labels and receives at most
-    3 colors.
+    k grows from 1 while C(n, k) is at most ``EXTRACT_COMBO_BUDGET`` and
+    :func:`_first_block` finds a block; an order-k sub-chain keeps k rows
+    and k columns, so searching equal-size row sets is complete.
     """
-    n = chain_order(G)
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    c = list(c)
-    if len(c) != G.n:
-        raise ValueError("coloring does not match the graph")
-    d = len(set(c))
     a0, b0, c0 = chain_blocks(n)
     nn = n * n
     # grid[x - 1][y - 1] = colors of z_(x,y), v_s and w_t, with s and t the
@@ -526,72 +510,77 @@ def monochromatic_substructure(
                  c[b0 + i : b0 + nn : n]))
         for i in range(n)
     ]
-
-    def cell(x: int, y: int) -> tuple[int, int, int]:
-        """The C, A and B vertices of grid point (x, y): z_(x,y), v_s and
-        w_t, with s and t its row- and column-major scalars."""
-        s = row_scalar(n, x, y)
-        return c0 + s - 1, a0 + s - 1, b0 + col_scalar(n, x, y) - 1
-
-    def chain_thresholds(t: int) -> tuple[int | None, int | None, int | None]:
-        t1 = ramsey_threshold_within(t, d, n)
-        t2 = ramsey_threshold_within(t1, d, n) if t1 is not None else None
-        t3 = ramsey_threshold_within(t2, d, n) if t2 is not None else None
-        return t1, t2, t3
-
-    guaranteed = d == 1 and target <= n
-    m1, m2, m3 = chain_thresholds(n if guaranteed else target)
-
-    best_xs: tuple[int, ...] = ()
-    best_ys: tuple[int, ...] = ()
-    best_colors: tuple = ()
-    stage_sizes = (0, 0, 0)
-
-    if d == 1:
-        best_xs = best_ys = tuple(range(1, n + 1))
-        best_colors = grid[0][0]
-        stage_sizes = (n, n, n)
-    else:
-        # Any order-k sub-chain restricts to stages of exactly size k, so
-        # searching equal-size row sets is complete.  For each row and each
-        # color triple, the bitmask of columns where all three layers hit
-        # that triple; the common columns of a row set are one AND per
-        # triple.
-        triples = sorted(set().union(*grid))
-        index = {t: ti for ti, t in enumerate(triples)}
-        row_masks = []
-        for row in grid:
-            masks = [0] * len(triples)
-            for y, t in enumerate(row):
-                masks[index[t]] |= 1 << y
-            row_masks.append(masks)
-        k = 1
-        while k <= n and math.comb(n, k) <= EXTRACT_COMBO_BUDGET:
-            found = _first_block(row_masks, n, k)
-            if not found:
-                break
-            best_xs, best_ys, ti = found
-            best_colors = triples[ti]
-            stage_sizes = (k, k, k)
-            k += 1
-
-    achieved = len(best_xs)
-    if achieved == 0:
+    # for each row and color triple, the bitmask of columns with that triple
+    triples = sorted(set().union(*grid))
+    index = {t: ti for ti, t in enumerate(triples)}
+    row_masks = []
+    for row in grid:
+        masks = [0] * len(triples)
+        for y, t in enumerate(row):
+            masks[index[t]] |= 1 << y
+        row_masks.append(masks)
+    best = None
+    for k in range(1, n + 1):
+        found = math.comb(n, k) <= EXTRACT_COMBO_BUDGET and _first_block(row_masks, n, k)
+        if not found:
+            break
+        best = found
+    if best is None:
         raise AssertionError("an order-1 block always exists")
+    xs, ys, ti = best
+    return xs, ys, triples[ti]
+
+
+def monochromatic_substructure(
+    G: Graph, c: Sequence[int], target: int
+) -> tuple[Graph, ExtractionReport]:
+    """Extract a sub-chain whose three blocks are each single-colored.
+
+    One color gives the whole chain, G under fresh labels with no copy and
+    no search, guaranteed when target <= n: its iterated Ramsey thresholds
+    k * d**(d*k), taken from k = n, are all n.  With d >= 2 colors the third
+    threshold is above 2**2047, so nothing is guaranteed, the thresholds are
+    taken from the target, and the sub-chain is induced on
+    :func:`_largest_block`'s block.  The output carries fresh canonical chain
+    labels and receives at most 3 colors.
+    """
+    n = chain_order(G)
+    if target < 1:
+        raise ValueError("target must be >= 1")
+    c = list(c)
+    if len(c) != G.n:
+        raise ValueError("coloring does not match the graph")
+    d = len(set(c))
+    guaranteed = d == 1 and target <= n
+    thresholds: list[int | None] = [None] * 3
+    t = n if guaranteed else target
+    for i in (2, 1, 0):
+        t = ramsey_threshold_within(t, d, n)
+        if t is None:
+            break
+        thresholds[i] = t
     if d == 1:
+        xs = ys = tuple(range(1, n + 1))
+        colors = (c[0],) * 3
         sub = G
     else:
-        sub = induced_subgraph(G, mask_of(v for x in best_xs for y in best_ys for v in cell(x, y)))
-    out = Graph(sub.n, sub.adj, chain_labels(achieved))
+        xs, ys, colors = _largest_block(c, n)
+        a0, b0, c0 = chain_blocks(n)
+        # v_s, w_t and z_(x,y) of each grid point kept, s and t its row- and
+        # column-major scalars
+        s_bits = mask_of(row_scalar(n, x, y) - 1 for x in xs for y in ys)
+        t_bits = mask_of(col_scalar(n, x, y) - 1 for x in xs for y in ys)
+        sub = induced_subgraph(G, s_bits << a0 | t_bits << b0 | s_bits << c0)
+    k = len(xs)
+    out = Graph(sub.n, sub.adj, chain_labels(k))
     verify_twisted_chain(out)
-    report = ExtractionReport(
+    return out, ExtractionReport(
         target=target,
-        achieved=achieved,
+        achieved=k,
         guaranteed=guaranteed,
-        colors_used=best_colors,
-        stage_sizes=stage_sizes,
-        thresholds=(m3, m2, m1),
-        x_rows=best_xs,
-        y_cols=best_ys,
+        colors_used=colors,
+        stage_sizes=(k, k, k),
+        thresholds=tuple(thresholds),
+        x_rows=xs,
+        y_cols=ys,
     )
-    return out, report

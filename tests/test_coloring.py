@@ -308,6 +308,22 @@ def test_excellent_closure_and_bounds_sampled():
             assert len(c.colors_on(mask_of(Xpp))) <= d * p
 
 
+def test_excellent_levels_run_outermost_first():
+    """The level list that d, orders() and original_base read: radius r
+    first, down to the radius-2 level on the base coloring."""
+    g = random_degenerate(14, 2, 7)
+    c = random_coloring(14, 3, random.Random(7))
+    orders = [wcol_heuristic(g, l)[1] for l in (2, 3, 4)]
+    ref = excellent_refinement(g, c, 4, orders)
+    levels = ref.levels()
+    assert levels[0] is ref
+    assert [level.radius for level in levels] == [4, 3, 2]
+    assert all(outer.inner is inner for outer, inner in zip(levels, levels[1:]))
+    assert levels[-1].inner is None and ref.original_base is c
+    assert ref.orders() == orders
+    assert ref.d == math.prod(level.budget for level in levels)
+
+
 def test_excellent_distance_composition():
     rng = random.Random(9)
     g = random_degenerate(16, 2, 4)

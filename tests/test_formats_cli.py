@@ -849,6 +849,14 @@ def test_cli_lab_extract_without_colors_is_usage_error(colors, capsys):
     assert capsys.readouterr().err == "error: --colors must be >= 1\n"
 
 
+@pytest.mark.parametrize("target", ["0", "-1"])
+def test_cli_lab_extract_with_target_below_one_is_usage_error(target, monkeypatch, capsys):
+    # refused, naming the option, before the order-150 chain is built
+    monkeypatch.setattr(cli, "twisted_chain", None)
+    assert run(["lab", "extract", "--order", "150", "--colors", "2", "--target", target]) == 2
+    assert capsys.readouterr() == ("", "error: --target must be >= 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["lab", "certificate", "--order", "12"],
     ["lab", "ramsey", "--size", "4"],

@@ -397,7 +397,7 @@ def test_ramsey_below_threshold_flagged():
         assert all(table[(x, y)] == res.color for x in res.xs for y in res.ys)
 
 
-# -- three-stage extraction ------------------------------------------------------
+# -- sub-chain extraction --------------------------------------------------------
 
 
 def test_extraction_constant_coloring_keeps_everything():
@@ -445,6 +445,20 @@ def test_one_colour_extraction_is_the_whole_chain_above_the_order(capsys):
     assert cli.main(["lab", "extract", "--order", "48", "--colors", "1", "--target", "49"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["achieved"], out["guaranteed"], out["thresholds"]) == (48, False, [None] * 3)
+
+
+@pytest.mark.parametrize("order", [6, 12])
+def test_two_colour_extraction_thresholds_run_outermost_first(order):
+    """At target 1 only the innermost threshold, 1 * 2**2 = 4, fits the
+    order; the next, 4 * 2**8, does not, so the outer two read None."""
+    g = twisted_chain(order)
+    rng = random.Random(order)
+    c = [rng.randint(1, 2) for _ in range(g.n)]
+    sub, rep = monochromatic_substructure(g, c, 1)
+    assert rep.thresholds == (None, None, 4)
+    want_sub, want_rep = oracles.extract_by_combinations(g, c, 1)
+    assert rep == want_rep
+    assert sub.adj == want_sub.adj
 
 
 def test_extraction_output_is_chain_with_three_colors():
