@@ -58,8 +58,8 @@ from .lab import (
     chain_bipartition,
     chain_certificate,
     chain_certificate_rank,
+    chain_extraction,
     lower_bound_certificate,
-    monochromatic_substructure,
     ramsey_bireduce,
     ramsey_threshold_within,
 )
@@ -401,10 +401,9 @@ def cmd_lab_extract(args, record: RunRecord) -> int:
     for name in ("order", "colors", "target"):
         if getattr(args, name) < 1:
             raise ValueError(f"--{name} must be >= 1")
-    g = twisted_chain(args.order, "bare")
     rng = random.Random(args.seed)
-    colors = [rng.randint(1, args.colors) for _ in range(g.n)]
-    sub, report = monochromatic_substructure(g, colors, args.target)
+    colors = [rng.randint(1, args.colors) for _ in range(3 * args.order * args.order)]
+    report = chain_extraction(args.order, colors, args.target)
     record.emit(args.output, formats.dumps_json(formats.extraction_report_to_obj(report)))
     record.seeds = [args.seed]
     return 0

@@ -213,12 +213,14 @@ def _plain_pairs(
     """The first and the second token of each line of a plain chunk as
     ints, or None for any other chunk.
 
-    A plain chunk is one whose lines leave exactly " \n" each once their
-    ASCII digits are deleted, and that splits into two tokens a line: each
-    line holds two runs of digits and nothing else.  It is split at once,
-    so no container per line is built.
+    A plain chunk is one whose lines leave exactly " \n" each, or " \r\n"
+    each, once their ASCII digits are deleted, and that splits into two
+    tokens a line: each line holds two runs of digits and its line end.  It
+    is split at once, which drops the CRs, so no container per line is
+    built.
     """
-    if chunk.translate(_DIGITS) != " \n" * lines:
+    stripped = chunk.translate(_DIGITS)
+    if stripped != " \n" * lines and stripped != " \r\n" * lines:
         return None
     tokens = chunk.split()
     if len(tokens) != 2 * lines:

@@ -531,25 +531,22 @@ def _largest_block(c: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ..
     return xs, ys, triples[ti]
 
 
-def monochromatic_substructure(
-    G: Graph, c: Sequence[int], target: int
-) -> tuple[Graph, ExtractionReport]:
-    """Extract a sub-chain whose three blocks are each single-colored.
+def chain_extraction(n: int, c: Sequence[int], target: int) -> ExtractionReport:
+    """The sub-chain extraction of the order-n chain under the coloring *c*
+    of its 3n^2 vertices, which is not built: rows and columns of a block
+    on which each of the chain's blocks is single-colored.
 
-    One color gives the whole chain, G under fresh labels with no copy and
-    no search, guaranteed when target <= n: its iterated Ramsey thresholds
-    k * d**(d*k), taken from k = n, are all n.  With d >= 2 colors the third
-    threshold is above 2**2047, so nothing is guaranteed, the thresholds are
-    taken from the target, and the sub-chain is induced on
-    :func:`_largest_block`'s block.  The output carries fresh canonical chain
-    labels and receives at most 3 colors.
+    One color gives every row and column with no search, guaranteed when
+    target <= n: its iterated Ramsey thresholds k * d**(d*k), taken from
+    k = n, are all n.  With d >= 2 colors the third threshold is above
+    2**2047, so nothing is guaranteed, the thresholds are taken from the
+    target, and the block is :func:`_largest_block`'s.
     """
-    n = chain_order(G)
     if target < 1:
         raise ValueError("target must be >= 1")
     c = list(c)
-    if len(c) != G.n:
-        raise ValueError("coloring does not match the graph")
+    if len(c) != 3 * n * n:
+        raise ValueError(f"a coloring of {len(c)} vertices is not one of the order-{n} chain")
     d = len(set(c))
     guaranteed = d == 1 and target <= n
     thresholds: list[int | None] = [None] * 3
@@ -562,19 +559,10 @@ def monochromatic_substructure(
     if d == 1:
         xs = ys = tuple(range(1, n + 1))
         colors = (c[0],) * 3
-        sub = G
     else:
         xs, ys, colors = _largest_block(c, n)
-        a0, b0, c0 = chain_blocks(n)
-        # v_s, w_t and z_(x,y) of each grid point kept, s and t its row- and
-        # column-major scalars
-        s_bits = mask_of(row_scalar(n, x, y) - 1 for x in xs for y in ys)
-        t_bits = mask_of(col_scalar(n, x, y) - 1 for x in xs for y in ys)
-        sub = induced_subgraph(G, s_bits << a0 | t_bits << b0 | s_bits << c0)
     k = len(xs)
-    out = Graph(sub.n, sub.adj, chain_labels(k))
-    verify_twisted_chain(out)
-    return out, ExtractionReport(
+    return ExtractionReport(
         target=target,
         achieved=k,
         guaranteed=guaranteed,
@@ -584,3 +572,26 @@ def monochromatic_substructure(
         x_rows=xs,
         y_cols=ys,
     )
+
+
+def monochromatic_substructure(
+    G: Graph, c: Sequence[int], target: int
+) -> tuple[Graph, ExtractionReport]:
+    """:func:`chain_extraction` for the chain G, and the sub-chain on its
+    block under fresh canonical chain labels, which receives at most 3
+    colors.  A block of every row is G itself, taken with no copy."""
+    n = chain_order(G)
+    report = chain_extraction(n, c, target)
+    xs, ys = report.x_rows, report.y_cols
+    if len(xs) == n:
+        sub = G
+    else:
+        a0, b0, c0 = chain_blocks(n)
+        # v_s, w_t and z_(x,y) of each grid point kept, s and t its row- and
+        # column-major scalars
+        s_bits = mask_of(row_scalar(n, x, y) - 1 for x in xs for y in ys)
+        t_bits = mask_of(col_scalar(n, x, y) - 1 for x in xs for y in ys)
+        sub = induced_subgraph(G, s_bits << a0 | t_bits << b0 | s_bits << c0)
+    out = Graph(sub.n, sub.adj, chain_labels(len(xs)))
+    verify_twisted_chain(out)
+    return out, report

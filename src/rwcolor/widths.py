@@ -164,13 +164,18 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     :func:`_best_split` scans every unordered bipartition once as a submask
     without the highest vertex.  The larger sets follow one size at a
     time, each decided by bitsets instead of a scan (after Oum,
-    "Computing rank-width exactly", IPL 2009).  Before each size, for each
-    t <= ub, bit m of the 2^n-bit int ``low`` is set when key[m] <= t, and
-    ``rev`` is ``low`` bit-reversed, both read from the keys at C level.
-    For a submask A of S, bit A of ``rev >> (full ^ S)`` is bit S ^ A of
-    ``low``, so S splits into two parts of key <= t exactly when ``low &
-    rev >> (full ^ S)`` meets the lanes of S's submasks, which are at most
-    four lane masks of :func:`subset_lanes` ANDed.  S's key is the least
+    "Computing rank-width exactly", IPL 2009).  The keys are copied once,
+    after the smaller sets, into a byte snapshot, and every key the bitsets
+    decide is written into it too.  Within a size, the first test that
+    probes a t <= ub builds t's pair from the snapshot: bit m of the
+    2^n-bit int ``low`` is set when key[m] <= t, and ``rev`` is ``low``
+    bit-reversed, both read at C level.  A test reads only the bits of its
+    set's proper subsets, so the keys written in the same size change no
+    answer, and a t no test probes costs nothing.  For a submask A of S,
+    bit A of ``rev >> (full ^ S)`` is bit S ^ A of ``low``, so S splits
+    into two parts of key <= t exactly when ``low & rev >> (full ^ S)``
+    meets the lanes of S's submasks, which are at most four lane masks of
+    :func:`subset_lanes` ANDed.  S's key is the least
     such t from its cut-rank up.  A test costs a few operations on 2^n
     bits, against a scan of up to 2^(|S| - 1) submasks; the threshold is
     where the two cross.  On gnp(n, 0.15-0.8) at n = 12 to 16, moving it
@@ -179,11 +184,15 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
 
     The sweep keeps keys only.  The witness tree is rebuilt top down from
     them: the whole vertex set (cut-rank 0, so left out of the sweep) and
-    each internal subset of the tree take the first strict minimum of a full
-    scan.  That minimum is at most the width, so at most ``ub``, and no
-    split using a part above ``ub`` reaches it: value and decomposition are
-    those of the unpruned full sweep, whatever the bound.  Graphs on <= 1
-    vertex have width 0 and no decomposition.
+    each internal subset of the tree take the first strict minimum of a
+    scan, which stops where that minimum is known.  The width is the least
+    t whose pair, built from the final snapshot, has ``low & rev`` nonzero,
+    and the whole set's scan stops at it; a set whose key exceeds its
+    cut-rank has its key as its least split, and its scan stops there; any
+    other set's scan is full.  That minimum is at most the width, so at
+    most ``ub``, and no split using a part above ``ub`` reaches it: value
+    and decomposition are those of the unpruned full sweep, whatever the
+    bound.  Graphs on <= 1 vertex have width 0 and no decomposition.
     """
     n = G.n
     if n <= 1:
@@ -212,12 +221,14 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
                 key[mask] = b if b > c else c
     every = (1 << (1 << n)) - 1
     lacks = [every ^ lane for lane in subset_lanes(n)]
+    flags = bytearray(key)
+
+    def table(t: int) -> tuple[int, int]:
+        digits = flags.translate(b"1" * (t + 1) + b"0" * (255 - t))
+        return int(digits[::-1], 2), int(digits, 2)
+
     for size in range(top, n):
-        flags = bytes(key)
-        within = []
-        for t in range(pruned):
-            digits = flags.translate(b"1" * (t + 1) + b"0" * (255 - t))
-            within.append((int(digits[::-1], 2), int(digits, 2)))
+        within: list[tuple[int, int] | None] = [None] * pruned
         for outside in combinations(range(n), n - size):
             out = 0
             subs = every
@@ -226,9 +237,12 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
                 subs &= lacks[v]
             mask = full ^ out
             for t in range(cut[mask], pruned):
-                low, rev = within[t]
+                pair = within[t]
+                if pair is None:
+                    pair = within[t] = table(t)
+                low, rev = pair
                 if low & subs & rev >> out:
-                    key[mask] = t
+                    key[mask] = flags[mask] = t
                     break
 
     nodes = 0
@@ -242,14 +256,19 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         if mask.bit_count() == 1:
             leaf_map.append((node, mask.bit_length() - 1))
             return node
-        sub = _best_split(key, mask, pruned, -1)[1]
+        k = key[mask]
+        sub = _best_split(key, mask, pruned, k if k > cut[mask] else -1)[1]
         a = build(sub)
         b2 = build(mask ^ sub)
         edges.append((node, a))
         edges.append((node, b2))
         return node
 
-    value, top = _best_split(key, full, pruned, -1)
+    for value in range(pruned):
+        low, rev = table(value)
+        if low & rev:
+            break
+    top = _best_split(key, full, pruned, value)[1]
     a = build(top)
     b = build(full ^ top)
     edges.append((a, b))

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwcolor import cli, lab
+from rwcolor import cli, formats, lab
 from rwcolor.coloring import Coloring
 from rwcolor.formats import (
     _CHUNK_CHARS,
@@ -320,6 +320,37 @@ def test_edge_list_file_reads_as_its_text(tmp_path, text):
     with open(path, encoding="utf-8") as fh:
         want = _outcome(parse_edge_list, fh.read())
     assert _outcome(cli.RunRecord().graph, str(path)) == want
+
+
+@pytest.mark.parametrize("variant", TWISTED_CHAIN_VARIANTS)
+def test_crlf_chain_is_read_in_bulk(tmp_path, monkeypatch, variant):
+    """Every chunk of a CRLF copy of a chain is plain, so none is read line
+    by line, and the copy gives the Graph of the LF text; two lines swapped
+    in a later chunk give the message of the line-by-line reference."""
+    plain = formats._plain_pairs
+    kinds = []
+
+    def recorded(chunk, lines, to_int):
+        pairs = plain(chunk, lines, to_int)
+        kinds.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(formats, "_plain_pairs", recorded)
+    g = twisted_chain(12, variant)
+    text = serialize_edge_list(g).replace("\n", "\r\n")
+    path = tmp_path / "g.el"
+    path.write_bytes(text.encode())
+    for got in (parse_edge_list(text), cli.RunRecord().graph(str(path))):
+        assert (got.n, got.adj) == (g.n, g.adj)
+    assert len(kinds) > 4 and all(kinds)
+    lines = text.split("\r\n")
+    i = text.count("\r\n", 0, _CHUNK_CHARS) + 5
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    bad = "\r\n".join(lines)
+    path.write_bytes(bad.encode())
+    want = _outcome(oracles.parse_edge_list_by_lines, bad)
+    assert want == f"ValueError: line {i + 2}: edges are not strictly sorted"
+    assert _outcome(parse_edge_list, bad) == _outcome(cli.RunRecord().graph, str(path)) == want
 
 
 @pytest.mark.parametrize("text", ["3 2\n0 1\n1 2\n", "3 2\n0 1\n1 x\n", "3 1\r\n\r\n0 2"])

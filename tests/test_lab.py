@@ -19,6 +19,7 @@ from rwcolor.lab import (
     chain_bipartition,
     chain_certificate,
     chain_certificate_rank,
+    chain_extraction,
     lower_bound_certificate,
     matching_from_alternation,
     monochromatic_substructure,
@@ -488,6 +489,28 @@ def test_extraction_order20_statistics():
         if rep.achieved >= 2:
             hits += 1
     assert hits >= 19
+
+
+def test_cli_extraction_builds_no_chain(monkeypatch, capsys):
+    """`lab extract` colours the order's 3n^2 vertices and reports the
+    order-taking extraction, which is the report of the chain's own."""
+    g = twisted_chain(12)
+    rng = random.Random(3)
+    colors = [rng.randint(1, 2) for _ in range(g.n)]
+    rep = chain_extraction(12, colors, 2)
+    assert rep == monochromatic_substructure(g, colors, 2)[1]
+    with pytest.raises(ValueError, match="coloring of 431 vertices is not one of the order-12"):
+        chain_extraction(12, colors[1:], 2)
+
+    def forbidden(*args):
+        raise AssertionError("lab extract builds the chain")
+
+    monkeypatch.setattr(cli, "twisted_chain", forbidden)
+    argv = ["lab", "extract", "--order", "12", "--colors", "2", "--target", "2", "--seed", "3"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["achieved"], out["x_rows"], out["y_cols"]) == (
+        rep.achieved, list(rep.x_rows), list(rep.y_cols))
 
 
 EXTRACT_ORDERS = (6, 8, 10, 12, 16, 20, 24)

@@ -199,6 +199,46 @@ def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
     assert sum(scans[2:10]) > 1000
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_exact_returns_the_integer_order_scan_on_the_benchmark_graphs(n):
+    """The benchmark's exact rank-width items: gnp(n, 0.4) under its seeded
+    generators (seed 0, items 0-2)."""
+    for i in range(3):
+        g = oracles.random_graph(n, 0.4, random.Random(f"0/rw/{n}/{i}"))
+        rep = rank_width_exact(g)
+        assert (rep.value, rep.decomposition) == oracles.rank_width_by_scan(g)
+
+
+def test_exact_rebuild_stops_its_scans_at_known_minima(monkeypatch):
+    """The witness rebuild scans the whole set with the width as its stop,
+    and every internal set either with its key as its stop, reached, or
+    with no stop."""
+    from rwcolor import widths
+
+    calls = []
+    scan = widths._best_split
+
+    def recorded(key, mask, worst, stop):
+        best = scan(key, mask, worst, stop)
+        calls.append((mask, stop, best[0]))
+        return best
+
+    monkeypatch.setattr(widths, "_best_split", recorded)
+    rng = random.Random(44)
+    stopped = 0
+    for n in (5, 8, 11, 12):
+        for p in (0.25, 0.5):
+            g = oracles.random_graph(n, p, rng)
+            calls.clear()
+            value = rank_width_exact(g).value
+            first = next(i for i, c in enumerate(calls) if c[0] == (1 << n) - 1)
+            assert calls[first][1:] == (value, value)
+            for _, stop, best in calls[first + 1:]:
+                assert stop in (-1, best)
+                stopped += stop >= 0
+    assert stopped > 0
+
+
 @pytest.mark.parametrize("n", [13, 14])
 def test_exact_at_the_cap_returns_a_decomposition_of_its_width(n):
     rng = random.Random(n)
