@@ -443,8 +443,8 @@ def _emit_harness(path: str | None, record: RunRecord, rows, seed0: int) -> None
 
 
 def cmd_eh(args, record: RunRecord) -> int:
-    g = record.graph(args.input)
     provider = even_split_provider(args.classes, args.width_bound)
+    g = record.graph(args.input)
     witness, kind, params = eh_witness(g, provider)
     obj = formats.witness_to_obj(witness, kind, params, g.n)
     record.emit(args.output, formats.dumps_json(obj))

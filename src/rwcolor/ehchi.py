@@ -39,14 +39,6 @@ class Cotree:
     vertex: int | None = None
     children: tuple["Cotree", ...] = ()
 
-    def leaves(self) -> list[int]:
-        if self.op == "leaf":
-            return [self.vertex]
-        out = []
-        for ch in self.children:
-            out.extend(ch.leaves())
-        return out
-
 
 def is_cograph(G: Graph) -> tuple[bool, Cotree | None]:
     """Recognize by the defining recursion: single vertices are cographs,
@@ -161,44 +153,36 @@ def cograph_extract(G: Graph, D: RankDecomposition | None, p: int) -> int:
     return rec(G, D, tuple(range(G.n)))
 
 
-def cograph_clique_or_is(G: Graph, ct: Cotree) -> tuple[str, set[int]]:
-    """Best clique or independent set realized by cotree dynamic programming.
+def cograph_clique_or_is(G: Graph, ct: Cotree) -> tuple[str, int]:
+    """Best clique or independent set realized by cotree dynamic programming,
+    as a vertex mask.
 
-    Clique sizes add across joins and max across unions; independent sets
-    dually.  The winner is scan-verified and has size at least the square
-    root of the cograph's order.
+    Each node gives its largest clique and independent set: a union keeps
+    its first child clique of the most vertices and joins its children's
+    independent sets, a join dually.  The winner is checked against G's
+    rows and has size at least the square root of the cograph's order.
     """
 
-    def rec(node: Cotree) -> tuple[int, set[int], int, set[int]]:
+    def rec(node: Cotree) -> tuple[int, int]:
         if node.op == "leaf":
-            s = {node.vertex}
-            return 1, s, 1, s
-        parts = [rec(ch) for ch in node.children]
+            return 1 << node.vertex, 1 << node.vertex
+        cliques, indeps = zip(*map(rec, node.children))
+        # the children's vertex sets are disjoint: a sum of their masks is their union
         if node.op == "union":
-            w, ws = max(((p[0], p[1]) for p in parts), key=lambda t: t[0])
-            a = sum(p[2] for p in parts)
-            aset = set().union(*(p[3] for p in parts))
-            return w, ws, a, aset
-        w = sum(p[0] for p in parts)
-        wset = set().union(*(p[1] for p in parts))
-        a, aset = max(((p[2], p[3]) for p in parts), key=lambda t: t[0])
-        return w, wset, a, aset
+            return max(cliques, key=int.bit_count), sum(indeps)
+        return sum(cliques), max(indeps, key=int.bit_count)
 
-    omega, clique, alpha, indep = rec(ct)
-    total = len(ct.leaves())
-    if omega >= alpha:
-        kind, out = "clique", clique
+    clique, indep = rec(ct)
+    if clique.bit_count() >= indep.bit_count():
+        kind, out, fault = "clique", clique, "clique misses edge"
     else:
-        kind, out = "independent", indep
-    for u in out:
-        for v in out:
-            if u < v:
-                adjacent = G.has_edge(u, v)
-                if kind == "clique" and not adjacent:
-                    raise AssertionError(f"claimed clique misses edge ({u}, {v})")
-                if kind == "independent" and adjacent:
-                    raise AssertionError(f"claimed independent set has edge ({u}, {v})")
-    assert len(out) * len(out) >= total
+        kind, out, fault = "independent", indep, "independent set has edge"
+    for u in bits_of(out):
+        above = out >> u + 1 << u + 1
+        bad = above & ~G.adj[u] if kind == "clique" else above & G.adj[u]
+        if bad:
+            raise AssertionError(f"claimed {fault} ({u}, {(bad & -bad).bit_length() - 1})")
+    assert out.bit_count() ** 2 >= G.n
     return kind, out
 
 
@@ -210,6 +194,8 @@ def even_split_provider(n_classes: int, width_bound: int) -> ColoringProvider:
     split keeps class widths below the bound."""
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
+    if width_bound < 0:  # no width is negative, so no class could verify
+        raise ValueError("width_bound must be >= 0")
 
     def provide(G: Graph) -> tuple[Coloring, int]:
         k = min(n_classes, G.n)
@@ -250,26 +236,23 @@ def eh_witness(G: Graph, provider: ColoringProvider) -> tuple[set[int], str, EHP
     if n >= n1 * n1:
         col, members = max(sorted(classes.items()), key=lambda kv: (kv[1].bit_count(), -kv[0]))
         sub = induced_subgraph(G, members)
-        if sub.n <= 2:
-            local = (1 << sub.n) - 1
-        else:
-            # a connected class is a component of the check, under the same adjacency
-            rep = widths.get(sub.adj)
-            if rep is None and sub.n > RANK_WIDTH_EXACT_CAP:
-                parts = len(components(sub, (1 << sub.n) - 1))
-                raise ValueError(
-                    f"majority class {col} has {sub.n} vertices in {parts} components, "
-                    f"above the exact rank-width cap of {RANK_WIDTH_EXACT_CAP} vertices "
-                    "for a disconnected class"
-                )
-            local = cograph_extract(sub, (rep or rank_width_exact(sub)).decomposition, r1)
+        # a connected class is a component of the check, under the same adjacency
+        rep = widths.get(sub.adj)
+        if rep is None and sub.n > RANK_WIDTH_EXACT_CAP:
+            parts = len(components(sub, (1 << sub.n) - 1))
+            raise ValueError(
+                f"majority class {col} has {sub.n} vertices in {parts} components, "
+                f"above the exact rank-width cap of {RANK_WIDTH_EXACT_CAP} vertices "
+                "for a disconnected class"
+            )
+        local = cograph_extract(sub, (rep or rank_width_exact(sub)).decomposition, r1)
         core = induced_subgraph(sub, local)
         ok, ct = is_cograph(core)
         assert ok, "extraction did not deliver a cograph"
         kind, got = cograph_clique_or_is(core, ct)
         # both subgraphs keep their vertices in increasing order
-        kept = tuple(select_bits(select_bits(range(n), members), local))
-        witness = {kept[v] for v in got}
+        kept = select_bits(select_bits(range(n), members), local)
+        witness = set(select_bits(kept, got))
     elif n >= 2:
         witness = {0, 1}
         kind = "clique" if G.has_edge(0, 1) else "independent"

@@ -418,17 +418,11 @@ def ramsey_bireduce(
             ys = tuple(members[:size])
             assert all(f(x, y) == val for x in xs for y in ys)
             best = RamseyResult(xs, ys, val, guaranteed)
-            if size == k:
-                if guaranteed:
-                    return best
-                break
-    if best is None:
-        best = RamseyResult((), (), None, False)
-    if guaranteed and best.size < k:
+            if size == k:  # every later candidate has size <= k
+                return best
+    if guaranteed:  # the threshold promised a block of size k
         raise AssertionError("counting argument failed above the threshold")
-    if best.size < k:
-        best.guaranteed = False
-    return best
+    return best if best is not None else RamseyResult((), (), None, False)
 
 
 @dataclass

@@ -23,9 +23,10 @@ enumeration of every class union; as the reference for the smallest td
 colouring's one-component check, the check of every component of every
 union; as the reference for the clique-or-independent-set witness that
 takes its class tree from the width check, the flow that solves the
-majority class exactly on its own).  The cotree evaluator and the
-width-1 decomposition read off a cotree build the cograph cases the
-cotree tests check.  The helpers at the end (the
+majority class exactly on its own; as the reference for the mask-walked
+cotree dynamic program, the one with a vertex set at every node).  The
+cotree evaluator and the width-1 decomposition read off a cotree build
+the cograph cases the cotree tests check.  The helpers at the end (the
 BFS distances, the expansion of a refined colour set to its base
 classes, the refinement lemmas' hitter and closure checks, one vertex's
 weakly reachable set, the mixed lines and alternation of a bipartition)
@@ -787,6 +788,45 @@ def cotree_to_graph(ct: Cotree, n: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def clique_or_is_by_sets(G: Graph, ct: Cotree) -> tuple[str, set[int]]:
+    """Best clique or independent set realized by cotree dynamic programming,
+    with a Python set at every node and the winner checked pair by pair.
+    The reference for ``ehchi.cograph_clique_or_is``, which walks masks.
+    """
+
+    def rec(node: Cotree) -> tuple[int, set[int], int, set[int]]:
+        if node.op == "leaf":
+            s = {node.vertex}
+            return 1, s, 1, s
+        parts = [rec(ch) for ch in node.children]
+        if node.op == "union":
+            w, ws = max(((p[0], p[1]) for p in parts), key=lambda t: t[0])
+            a = sum(p[2] for p in parts)
+            aset = set().union(*(p[3] for p in parts))
+            return w, ws, a, aset
+        w = sum(p[0] for p in parts)
+        wset = set().union(*(p[1] for p in parts))
+        a, aset = max(((p[2], p[3]) for p in parts), key=lambda t: t[0])
+        return w, wset, a, aset
+
+    omega, clique, alpha, indep = rec(ct)
+    total = G.n  # the cotree's leaves are the graph's vertices
+    if omega >= alpha:
+        kind, out = "clique", clique
+    else:
+        kind, out = "independent", indep
+    for u in out:
+        for v in out:
+            if u < v:
+                adjacent = G.has_edge(u, v)
+                if kind == "clique" and not adjacent:
+                    raise AssertionError(f"claimed clique misses edge ({u}, {v})")
+                if kind == "independent" and adjacent:
+                    raise AssertionError(f"claimed independent set has edge ({u}, {v})")
+    assert len(out) * len(out) >= total
+    return kind, out
+
+
 def decomposition_from_cotree(ct: Cotree) -> RankDecomposition | None:
     """Width-at-most-1 rank decomposition read off a cotree.
 
@@ -794,8 +834,7 @@ def decomposition_from_cotree(ct: Cotree) -> RankDecomposition | None:
     neighbourhood, so each cut matrix has at most one distinct nonzero row.
     Returns None for a single leaf.
     """
-    leaves = ct.leaves()
-    if len(leaves) < 2:
+    if ct.op == "leaf":  # union and join nodes have at least two children
         return None
     nodes = 0
     edges: list[tuple[int, int]] = []
@@ -820,8 +859,6 @@ def decomposition_from_cotree(ct: Cotree) -> RankDecomposition | None:
             cur = mid
         return cur
 
-    if ct.op == "leaf":
-        return None
     roots = [build(ch) for ch in ct.children]
     cur = roots[0]
     for nxt in roots[1:-1]:
@@ -1164,7 +1201,7 @@ def eh_witness_by_presolve(G: Graph, provider) -> tuple[set[int], str, EHParams]
     core_members = sorted(local)
     core, _ = induced_subgraph_by_vertices(sub, core_members)
     kind, got = cograph_clique_or_is(core, is_cograph(core)[1])
-    return {members[core_members[v]] for v in got}, kind, params
+    return {members[core_members[v]] for v in bits_of(got)}, kind, params
 
 
 def expand_excellent(R: RefinementColoring, X) -> set[int]:

@@ -77,13 +77,13 @@ def test_cotree_decomposition_has_width_at_most_one():
 def test_clique_or_is_k9():
     g = complete(9)
     kind, out = cograph_clique_or_is(g, is_cograph(g)[1])
-    assert kind == "clique" and len(out) == 9
+    assert kind == "clique" and out.bit_count() == 9
 
 
 def test_clique_or_is_edgeless():
     g = build_graph(9, [])
     kind, out = cograph_clique_or_is(g, is_cograph(g)[1])
-    assert kind == "independent" and len(out) == 9
+    assert kind == "independent" and out.bit_count() == 9
 
 
 def test_clique_or_is_random_cographs():
@@ -93,9 +93,51 @@ def test_clique_or_is_random_cographs():
         ct = oracles.random_cotree(n, rng)
         g = oracles.cotree_to_graph(ct, n)
         kind, out = cograph_clique_or_is(g, ct)
-        assert len(out) * len(out) >= n
+        assert out.bit_count() * out.bit_count() >= n
         best = max(oracles.max_clique(g), oracles.max_independent_set(g))
-        assert len(out) == best
+        assert out.bit_count() == best
+
+
+def assert_clique_or_is_matches_the_set_dp(g, ct):
+    kind, out = cograph_clique_or_is(g, ct)
+    assert (kind, set(bits_of(out))) == oracles.clique_or_is_by_sets(g, ct)
+
+
+def test_clique_or_is_matches_the_set_dp_on_seeded_cotrees():
+    # each seeded cotree, and the one is_cograph builds for its graph
+    rng = random.Random(45)
+    for _ in range(600):
+        n = rng.randint(1, 18)
+        ct = oracles.random_cotree(n, rng)
+        g = oracles.cotree_to_graph(ct, n)
+        assert_clique_or_is_matches_the_set_dp(g, ct)
+        assert_clique_or_is_matches_the_set_dp(g, is_cograph(g)[1])
+
+
+def test_clique_or_is_matches_the_set_dp_on_every_small_cograph():
+    checked = 0
+    for n in range(1, 6):
+        for g in oracles.all_graphs(n):
+            ok, ct = is_cograph(g)
+            if ok:
+                assert_clique_or_is_matches_the_set_dp(g, ct)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "op, n, edges, fault",
+    [
+        ("join", 3, [(0, 1), (1, 2)], "claimed clique misses edge (0, 2)"),
+        ("union", 3, [(1, 2)], "claimed independent set has edge (1, 2)"),
+        ("join", 4, [(0, 1)], "claimed clique misses edge (0, 2)"),  # of (0, 2) and (0, 3)
+    ],
+)
+def test_clique_or_is_names_the_pair_its_winner_fails_on(op, n, edges, fault):
+    # a cotree of n leaves that does not describe the graph
+    ct = Cotree(op, None, tuple(Cotree("leaf", v) for v in range(n)))
+    with pytest.raises(AssertionError, match=f"^{re.escape(fault)}$"):
+        cograph_clique_or_is(build_graph(n, edges), ct)
 
 
 # -- uniform blocks ---------------------------------------------------------------
@@ -340,6 +382,23 @@ def test_eh_witness_matches_the_presolve_flow_within_the_cap():
             continue
         assert eh_witness(g, provider) == expected
     assert capped > 0
+
+
+def test_eh_witness_matches_the_presolve_flow_on_every_small_graph():
+    # 1 and 2 even classes reach every majority class of at most 2 vertices,
+    # connected or not; bound 0 refuses every class with an edge
+    def outcome(solve, g, provider):
+        try:
+            return solve(g, provider)
+        except ValueError as err:
+            return str(err)
+
+    for n in range(1, 5):
+        for g in oracles.all_graphs(n):
+            for classes, bound in itertools.product((1, 2), (0, 1)):
+                provider = even_split_provider(classes, bound)
+                expected = outcome(oracles.eh_witness_by_presolve, g, provider)
+                assert outcome(eh_witness, g, provider) == expected
 
 
 def test_eh_witness_rejects_wide_classes():

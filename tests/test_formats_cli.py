@@ -1588,6 +1588,19 @@ def test_cli_eh_zero_classes_is_usage_error(cli_files, capsys):
     assert capsys.readouterr().err == "error: n_classes must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "option, fault",
+    [
+        (["--classes", "0"], "n_classes must be >= 1"),
+        (["--width-bound", "-1"], "width_bound must be >= 0"),
+    ],
+)
+def test_cli_eh_refuses_its_options_before_reading_the_graph(tmp_path, capsys, option, fault):
+    missing = str(tmp_path / "missing.el")
+    assert run(["eh", "extract", "-i", missing, *option]) == 2
+    assert capsys.readouterr().err == f"error: {fault}\n"
+
+
 def test_cli_eh_names_a_disconnected_class_above_the_cap(tmp_path, capsys):
     # two disjoint P10s as one class: no one tree over it within the exact cap
     g = tmp_path / "pp.el"
