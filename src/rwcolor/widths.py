@@ -13,8 +13,9 @@ its traversal order, parents, depths and leaf masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
-from typing import Sequence
+from functools import lru_cache
+from itertools import count
+from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
@@ -146,53 +147,37 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
 
     Minimizes over all leaf-labeled subcubic trees by a dynamic program over
     vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
-    leaf set m and the cut-rank of m.  The cut table comes from
-    :func:`cutrank_table`, one GF(2) elimination run lane-parallel over every
-    subset.  The width ``ub`` of :func:`_greedy_caterpillar`, read from that
-    table, prunes the sweep: a subset whose cut-rank or best subtree exceeds
-    ``ub`` gets key ``ub + 1``, and every other keeps its unpruned key.  No
-    subset of an optimal tree is pruned, and a split using a pruned part
-    never beats the optimum.
+    leaf set m and the cut-rank of m, so key[m] <= t exactly when m's
+    cut-rank is <= t and m splits into two parts of key <= t.  The cut
+    table comes from :func:`cutrank_table`, one GF(2) elimination run
+    lane-parallel over every subset.
 
-    The sweep decides every proper subset of a set before the set itself.
-    The sets of fewer than max(n - 4, (n + 6) // 2) vertices go first, in
-    integer order, since a set's proper subsets are smaller ints; those of
-    cut-rank <= ``ub`` are picked in one C-level pass (``compress`` over the
-    table's bytes, translated by a ``<= ub`` table).  Each stops at the
-    first split no worse than its own cut-rank, its key whatever the other
-    splits give: the split at its highest vertex is tried inline, then
-    :func:`_best_split` scans every unordered bipartition once as a submask
-    without the highest vertex.  The larger sets follow one size at a
-    time, each decided by bitsets instead of a scan (after Oum,
-    "Computing rank-width exactly", IPL 2009).  The keys are copied once,
-    after the smaller sets, into a byte snapshot, and every key the bitsets
-    decide is written into it too.  Within a size, the first test that
-    probes a t <= ub builds t's pair from the snapshot: bit m of the
-    2^n-bit int ``low`` is set when key[m] <= t, and ``rev`` is ``low``
-    bit-reversed, both read at C level.  A test reads only the bits of its
-    set's proper subsets, so the keys written in the same size change no
-    answer, and a t no test probes costs nothing.  For a submask A of S,
-    bit A of ``rev >> (full ^ S)`` is bit S ^ A of ``low``, so S splits
-    into two parts of key <= t exactly when ``low & rev >> (full ^ S)``
-    meets the lanes of S's submasks, which are at most four lane masks of
-    :func:`subset_lanes` ANDed.  S's key is the least
-    such t from its cut-rank up.  A test costs a few operations on 2^n
-    bits, against a scan of up to 2^(|S| - 1) submasks; the threshold is
-    where the two cross.  On gnp(n, 0.15-0.8) at n = 12 to 16, moving it
-    one size either way made the solve 1.1-2.5x slower.  Every key is that
-    of the integer-order scan of every set.
+    The sweep runs one width level t = 0, 1, 2, ... at a time over all sets
+    at once, on bitsets after Oum ("Computing rank-width exactly", IPL
+    2009): bit S of the 2^n-bit int ``held`` is set when key[S] <= t.  A
+    level starts from the previous one and the singletons of cut-rank <= t,
+    then goes up the sizes 2 to n - 1, each set after its proper subsets.
+    A size's candidates are its lanes of cut-rank <= t not yet held.
+    Shifting the held sets without v left by 2^v adds v to each, so the OR
+    of those shifts over the vertices held alone marks every candidate with
+    a one-vertex split.  Each candidate S left takes one test: with ``rev``
+    the bit reversal of ``held``, built once per level and size, bit A of
+    ``rev >> (full ^ S)`` is bit S ^ A of ``held``, so S splits into two
+    held parts exactly when ``held & rev >> (full ^ S)`` meets the lanes
+    of S's submasks.  The test reads only S's proper subsets, so the sets
+    decided in the same size change no answer.  The width is the first t
+    at which the whole vertex set splits, ``held & rev`` nonzero, so the
+    sweep never passes it and needs no upper bound.
 
-    The sweep keeps keys only.  The witness tree is rebuilt top down from
-    them: the whole vertex set (cut-rank 0, so left out of the sweep) and
-    each internal subset of the tree take the first strict minimum of a
-    scan, which stops where that minimum is known.  The width is the least
-    t whose pair, built from the final snapshot, has ``low & rev`` nonzero,
-    and the whole set's scan stops at it; a set whose key exceeds its
-    cut-rank has its key as its least split, and its scan stops there; any
-    other set's scan is full.  That minimum is at most the width, so at
-    most ``ub``, and no split using a part above ``ub`` reaches it: value
-    and decomposition are those of the unpruned full sweep, whatever the
-    bound.  Graphs on <= 1 vertex have width 0 and no decomposition.
+    A set's key is the number of levels that do not hold it, width + 1 if
+    none does, summed at C level over the levels' flag bytes.  The witness
+    tree is rebuilt top down from the keys: the whole set and each internal
+    subset of the tree take the first strict minimum below width + 1 of a
+    scan of their splits, which stops at the width for the whole set and
+    at its key for a set whose key exceeds its cut-rank.  That minimum is
+    at most the width and the scan reads only which keys are at most it,
+    so the tree is that of the full subset dynamic program.  Graphs on
+    <= 1 vertex have width 0 and no decomposition.
     """
     n = G.n
     if n <= 1:
@@ -201,49 +186,47 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         raise ValueError(
             f"exact rank-width is capped at n={cap}; use rank_width_upper instead"
         )
-    full = (1 << n) - 1
-    cut = cutrank_table(G)
-    ub = _greedy_caterpillar(G, cut)[1]
-    pruned = ub + 1
-    key = [pruned] * (full + 1)
-    for v in range(n):
-        key[1 << v] = cut[1 << v]
-    top = max(n - 4, (n + 6) // 2)
-    within = bytes(cut).translate(b"\1" * (ub + 1) + b"\0" * (255 - ub))
-    for mask in compress(range(full), within):
-        if 1 < mask.bit_count() < top:
-            c = cut[mask]
-            high = 1 << (mask.bit_length() - 1)
-            if key[mask ^ high] <= c >= key[high]:
-                key[mask] = c
-            else:
-                b = _best_split(key, mask, pruned, c)[0]
-                key[mask] = b if b > c else c
-    every = (1 << (1 << n)) - 1
-    lacks = [every ^ lane for lane in subset_lanes(n)]
-    flags = bytearray(key)
-
-    def table(t: int) -> tuple[int, int]:
-        digits = flags.translate(b"1" * (t + 1) + b"0" * (255 - t))
-        return int(digits[::-1], 2), int(digits, 2)
-
-    for size in range(top, n):
-        within: list[tuple[int, int] | None] = [None] * pruned
-        for outside in combinations(range(n), n - size):
-            out = 0
-            subs = every
-            for v in outside:
-                out |= 1 << v
-                subs &= lacks[v]
-            mask = full ^ out
-            for t in range(cut[mask], pruned):
-                pair = within[t]
-                if pair is None:
-                    pair = within[t] = table(t)
-                low, rev = pair
-                if low & subs & rev >> out:
-                    key[mask] = flags[mask] = t
-                    break
+    lanes = 1 << n
+    full = lanes - 1
+    cut = bytes(cutrank_table(G))
+    adds, layers = _sweep_lanes(n)
+    lacks = {s: out for out, s in adds}
+    held = 0
+    levels = []
+    for value in count():
+        within = int(cut.translate(b"1" * (value + 1) + b"0" * (255 - value))[::-1], 2)
+        alone = [(out, s) for out, s in adds if cut[s] <= value]
+        held |= within & layers[0]
+        for layer in layers[1:]:
+            new = within & layer & ~held
+            if not new:
+                continue
+            found = new & _add_one(held, alone)
+            rest = new ^ found
+            if rest:
+                rev = int(format(held, f"0{lanes}b")[::-1], 2)
+                digits = format(rest, "b")[::-1]
+                mask = digits.find("1")
+                while mask >= 0:
+                    out = full ^ mask
+                    meet = held & rev >> out
+                    while out and meet:
+                        low = out & -out
+                        meet &= lacks[low]
+                        out ^= low
+                    if meet:
+                        found |= 1 << mask
+                    mask = digits.find("1", mask + 1)
+            held |= found
+        flags = format(held, f"0{lanes}b")
+        levels.append(flags)
+        if held & int(flags[::-1], 2):
+            break
+    missing = bytes.maketrans(b"01", b"\1\0")
+    key = sum(
+        int.from_bytes(flags.encode().translate(missing), "big") for flags in levels
+    ).to_bytes(lanes, "little")
+    worst = value + 1
 
     nodes = 0
     edges: list[tuple[int, int]] = []
@@ -257,23 +240,40 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
             leaf_map.append((node, mask.bit_length() - 1))
             return node
         k = key[mask]
-        sub = _best_split(key, mask, pruned, k if k > cut[mask] else -1)[1]
+        sub = _best_split(key, mask, worst, k if k > cut[mask] else -1)[1]
         a = build(sub)
         b2 = build(mask ^ sub)
         edges.append((node, a))
         edges.append((node, b2))
         return node
 
-    for value in range(pruned):
-        low, rev = table(value)
-        if low & rev:
-            break
-    top = _best_split(key, full, pruned, value)[1]
+    top = _best_split(key, full, worst, value)[1]
     a = build(top)
     b = build(full ^ top)
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
     return WidthReport(value, "exact", D)
+
+
+@lru_cache(maxsize=8)
+def _sweep_lanes(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """For the subsets of n vertices as lanes: the pair (lanes without v,
+    2^v) of each vertex v, and the lanes of each size from 1 to n - 1."""
+    every = (1 << (1 << n)) - 1
+    adds = tuple((every ^ lane, 1 << v) for v, lane in enumerate(subset_lanes(n)))
+    layers = [sum(1 << s for _, s in adds)]
+    while len(layers) < n - 1:
+        layers.append(_add_one(layers[-1], adds))
+    return adds, tuple(layers)
+
+
+def _add_one(sets: int, adds: Iterable[tuple[int, int]]) -> int:
+    """The lanes S + v for each lane S of *sets* without v, over the pairs
+    (lanes without v, 2^v) in *adds*."""
+    grown = 0
+    for out, s in adds:
+        grown |= (sets & out) << s
+    return grown
 
 
 def _greedy_caterpillar(G: Graph, cut: list[int]) -> tuple[list[int], int]:
@@ -284,7 +284,9 @@ def _greedy_caterpillar(G: Graph, cut: list[int]) -> tuple[list[int], int]:
     step, the vertex whose prefix has the least cut-rank, smallest id on
     ties.  A prefix X cuts at most n - |X|, so once the width reaches the
     number of vertices left no later prefix can raise it, and those follow
-    in increasing order.
+    in increasing order.  No solver in the package reads it now; it is
+    kept, with its test, as the candidate default order of
+    :func:`rank_width_upper`.
     """
     first = min(range(G.n), key=lambda v: G.adj[v].bit_count())
     order = [first]
@@ -301,7 +303,7 @@ def _greedy_caterpillar(G: Graph, cut: list[int]) -> tuple[list[int], int]:
     return order, width
 
 
-def _best_split(key: list[int], mask: int, worst: int, stop: int) -> tuple[int, int]:
+def _best_split(key: Sequence[int], mask: int, worst: int, stop: int) -> tuple[int, int]:
     """The first strict minimum of max(key[A], key[B]) below *worst* over
     the splits {A, B} of *mask*, and its A, which is 0 if none is below.
 
@@ -463,10 +465,7 @@ def _tree_depth_levels(G: Graph, top: int) -> int:
     whole = 1 << ((1 << n) - 1)
     level = 1
     for k in range(1, top + 1):
-        grown = level
-        for s, out in zip(shifts, lacks):
-            grown |= (level & out) << s
-        level = grown
+        level |= _add_one(level, zip(lacks, shifts))
         left = split & ~level
         while left:
             ok = left

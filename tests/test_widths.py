@@ -127,6 +127,16 @@ def test_exact_returns_the_unpruned_subset_dp_value_and_tree():
         assert (rep.value, rep.decomposition) == oracles.rank_width_by_subset_dp(g)
 
 
+def test_exact_returns_the_subset_dp_value_and_tree_on_every_small_graph():
+    """Every graph of at most 5 vertices, edgeless and disconnected ones
+    included, whose sets of cut-rank 0 are the only ones width level 0
+    decides."""
+    for n in range(1, 6):
+        for g in oracles.all_graphs(n):
+            rep = rank_width_exact(g)
+            assert (rep.value, rep.decomposition) == oracles.rank_width_by_subset_dp(g)
+
+
 def clique_beside_path(n):
     k = n // 2
     return build_graph(n, list(itertools.combinations(range(k), 2))
@@ -179,9 +189,9 @@ def test_exact_above_the_cap_returns_the_integer_order_scan_value_and_tree(n):
 
 
 def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
-    """At n = 14, the sets of 10 to 13 vertices are decided by bitsets; only
-    the witness rebuild scans them: at most n - 2 internal subsets of the
-    tree and the whole set."""
+    """At n = 14, every subset is decided by bitsets, one width level at a
+    time; only the witness rebuild scans: the whole set once, and at most
+    n - 2 internal subsets of the tree."""
     from rwcolor import widths
 
     scans = [0] * 15
@@ -195,8 +205,7 @@ def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
     g = oracles.random_graph(14, 0.4, random.Random(26))
     rank_width_exact(g)
     assert scans[14] == 1
-    assert sum(scans[10:]) <= 14
-    assert sum(scans[2:10]) > 1000
+    assert sum(scans[2:14]) <= 12
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
