@@ -186,10 +186,7 @@ def _emit_graph(args, record: RunRecord, g: Graph, model_text: str | None = None
 
 
 def cmd_gen(args, record: RunRecord) -> int:
-    names = FAMILIES[args.family][1]
-    if "order" in names and args.order < 1:
-        raise ValueError("--order must be >= 1")
-    if "seed" in names:
+    if "seed" in FAMILIES[args.family][1]:
         record.seeds = [args.seed]
     return _emit_graph(args, record, _generate(args.family, vars(args)))
 
@@ -204,8 +201,6 @@ def cmd_gen_linegraph(args, record: RunRecord) -> int:
 
 
 def cmd_gen_model(args, record: RunRecord) -> int:
-    if args.order < 1:
-        raise ValueError("--order must be >= 1")
     if args.kind == "interval":
         model = interval_model(args.order)
         model_obj = {"intervals": [list(iv) for iv in model.intervals]}
@@ -336,10 +331,6 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
         order = 12 if args.order is None else args.order
         seeds = 1 if args.seeds is None else args.seeds
         seed = 0 if args.seed is None else args.seed
-        if seeds < 1:
-            raise ValueError("--seeds must be >= 1")
-        if order < MIN_CERTIFICATE_ORDER:
-            raise ValueError(f"--order must be >= {MIN_CERTIFICATE_ORDER}")
         rows = _certificate_rows(order, seed, seeds)
         _emit_harness(args.csv, record, rows, seed)
         return 0 if all(verified for _, _, verified in rows) else 1
@@ -369,9 +360,6 @@ def cmd_lab_certificate(args, record: RunRecord) -> int:
 
 
 def cmd_lab_ramsey(args, record: RunRecord) -> int:
-    for name in ("seeds", "k", "d", "size"):
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name} must be >= 1")
     guaranteed = ramsey_threshold_within(args.k, args.d, args.size) is not None
     rows = []
     ok = True
@@ -398,9 +386,6 @@ def cmd_lab_ramsey(args, record: RunRecord) -> int:
 
 
 def cmd_lab_extract(args, record: RunRecord) -> int:
-    for name in ("order", "colors", "target"):
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name} must be >= 1")
     rng = random.Random(args.seed)
     colors = [rng.randint(1, args.colors) for _ in range(3 * args.order * args.order)]
     report = chain_extraction(args.order, colors, args.target)
@@ -573,6 +558,29 @@ def cmd_rerun(args, record: RunRecord) -> int:
     return main(argv)
 
 
+# Each handler's option floors, (dest, least value, message), checked by :func:`main` in
+# this order before the handler runs, so before any file is read; a value left at None is
+# not checked.  The library keeps its own checks, for the API and the sweep.
+OPTION_FLOORS = {
+    cmd_gen: [("order", 1, "--order must be >= 1")],
+    cmd_gen_model: [("order", 1, "--order must be >= 1")],
+    cmd_power: [("r", 1, "power radius must be >= 1")],
+    cmd_wcol: [("r", 0, "radius must be non-negative")],
+    cmd_color_td: [("p", 1, "p must be >= 1")],
+    cmd_color_refine: [
+        ("r", 2, lambda a: f"{'good' if a.good else 'excellent'} refinements need radius >= 2"),
+    ],
+    cmd_color_lowrw: [("r", 2, "power coloring needs radius >= 2"), ("p", 1, "p must be >= 1")],
+    cmd_verify_coloring: [("p", 1, "p must be >= 1"), ("q_linear", 0, "--q-linear must be >= 0")],
+    cmd_lab_certificate: [
+        ("seeds", 1, "--seeds must be >= 1"),
+        ("order", MIN_CERTIFICATE_ORDER, f"--order must be >= {MIN_CERTIFICATE_ORDER}"),
+    ],
+    cmd_lab_ramsey: [(n, 1, f"--{n} must be >= 1") for n in ("seeds", "k", "d", "size")],
+    cmd_lab_extract: [(n, 1, f"--{n} must be >= 1") for n in ("order", "colors", "target")],
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call.
@@ -727,6 +735,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     record = RunRecord()
     try:
+        for dest, least, message in OPTION_FLOORS.get(args.func, ()):
+            if (value := getattr(args, dest, None)) is not None and value < least:
+                raise ValueError(message if isinstance(message, str) else message(args))
         code = args.func(args, record)
         # rerun's --manifest names its input; the replayed run writes its own
         if code in (0, 1) and args.func is not cmd_rerun and args.manifest:

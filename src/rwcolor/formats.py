@@ -366,11 +366,11 @@ def budget_to_obj(q: Mapping[int, int]) -> dict[str, int]:
 
 
 def budget_from_obj(obj: Mapping) -> dict[int, int]:
-    """The budget table "q" of a profile or coloring file: union size -> width,
-    each size in the one form ``budget_to_obj`` writes, so no two keys meet."""
+    """The budget table "q" of a profile or coloring file: union size -> width
+    >= 0, each size in the one form ``budget_to_obj`` writes, so no two keys meet."""
     q = obj.get("q") if isinstance(obj, dict) else None
     sizes_ok = isinstance(q, dict) and all(i.isascii() and i.isdecimal() and i[0] != "0" for i in q)
-    if not (sizes_ok and all(type(w) is int for w in q.values())):
+    if not (sizes_ok and all(type(w) is int and w >= 0 for w in q.values())):
         raise ValueError('budget "q" must be an object from union sizes to integer widths')
     return {int(i): w for i, w in q.items()}
 

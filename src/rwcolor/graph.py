@@ -331,8 +331,8 @@ def subset_lanes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cutrank_table(G: Graph) -> list[int]:
-    """Cut-rank of every vertex mask: entry m is ``cutrank_mask(G, m)``.
+def cutrank_table(G: Graph) -> bytes:
+    """Cut-rank of every vertex mask, as bytes: entry m is ``cutrank_mask(G, m)``.
 
     One GF(2) elimination runs for all subsets X of {0, ..., n-2} at once,
     each subset a bit position ("lane") of an int of L = 2^(n-1) bits.
@@ -388,4 +388,4 @@ def cutrank_table(G: Graph) -> list[int]:
         digits = format(plane, f"0{lanes}b").encode().translate(_BINARY_DIGIT_TO_FLAG)
         ranks += int.from_bytes(digits, "big") << p
     low = ranks.to_bytes(lanes, "little")
-    return list(low + low[::-1])
+    return low + low[::-1]

@@ -188,7 +188,7 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         )
     lanes = 1 << n
     full = lanes - 1
-    cut = bytes(cutrank_table(G))
+    cut = cutrank_table(G)
     adds, layers = _sweep_lanes(n)
     lacks = {s: out for out, s in adds}
     held = 0
@@ -276,7 +276,7 @@ def _add_one(sets: int, adds: Iterable[tuple[int, int]]) -> int:
     return grown
 
 
-def _greedy_caterpillar(G: Graph, cut: list[int]) -> tuple[list[int], int]:
+def _greedy_caterpillar(G: Graph, cut: bytes) -> tuple[list[int], int]:
     """A caterpillar order of G by least prefix cut-rank, and its width,
     read from G's cut table *cut*.
 

@@ -1733,6 +1733,89 @@ def test_cli_color_refine_good_below_radius_2_is_usage_error(cli_files, capsys):
     assert capsys.readouterr().err == "error: good refinements need radius >= 2\n"
 
 
+# one bad value per entry of cli.OPTION_FLOORS, named by the argv before -i; "{g}" and "{c}"
+# name an edge list and a coloring, and the gen and lab forms read no file
+FLOOR_CASES = [
+    pytest.param(argv, message, id=" ".join(argv[:argv.index("-i")] if "-i" in argv else argv))
+    for argv, message in [
+        (["gen", "chain", "--order", "0"], "--order must be >= 1"),
+        (["gen", "model", "--order", "0"], "--order must be >= 1"),
+        (["power", "-r", "0", "-i", "{g}"], "power radius must be >= 1"),
+        (["wcol", "-r", "-1", "-i", "{g}"], "radius must be non-negative"),
+        (["color", "td", "-p", "0", "-i", "{g}"], "p must be >= 1"),
+        (["color", "refine", "--good", "-r", "1", "-i", "{g}", "-c", "{c}"],
+         "good refinements need radius >= 2"),
+        (["color", "refine", "-r", "1", "-i", "{g}", "-c", "{c}"],
+         "excellent refinements need radius >= 2"),
+        # -r is checked before -p
+        (["color", "lowrw", "-r", "1", "-p", "0", "-i", "{g}"], "power coloring needs radius >= 2"),
+        (["color", "lowrw", "-p", "0", "-i", "{g}"], "p must be >= 1"),
+        (["verify", "coloring", "-p", "0", "-i", "{g}", "-c", "{c}"], "p must be >= 1"),
+        (["verify", "coloring", "--q-linear", "-1", "-i", "{g}", "-c", "{c}"],
+         "--q-linear must be >= 0"),
+        (["lab", "certificate", "--seeds", "0"], "--seeds must be >= 1"),
+        (["lab", "certificate", "--order", "11"], "--order must be >= 12"),
+        *((["lab", "ramsey", option, "0"], f"{option} must be >= 1")
+          for option in ("--seeds", "--k", "--d", "--size")),
+        *((["lab", "extract", option, "0"], f"{option} must be >= 1")
+          for option in ("--order", "--colors", "--target")),
+    ]
+]
+
+
+def test_cli_option_floor_cases_cover_the_table():
+    """Every entry of the table is the first floor that some case breaks."""
+    parse = cli.build_parser().parse_args
+    hit = set()
+    for case in FLOOR_CASES:
+        args = parse(case.values[0])
+        hit.add(next((args.func, dest) for dest, least, _ in cli.OPTION_FLOORS[args.func]
+                     if getattr(args, dest, None) is not None and getattr(args, dest) < least))
+    assert hit == {(func, entry[0]) for func, entries in cli.OPTION_FLOORS.items()
+                   for entry in entries}
+
+
+@pytest.mark.parametrize("argv, message", FLOOR_CASES)
+def test_cli_option_floor_is_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
+    # every file named is missing, so a read would name the file instead
+    missing = {k: str(tmp_path / k) for k in ("g", "c")}
+    assert run([a.format(**missing) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [case for case in FLOOR_CASES if "-i" in case.values[0]])
+def test_cli_option_floor_never_reaches_a_real_file(cli_files, monkeypatch, capsys, argv,
+                                                    message):
+    def unread(self, path):
+        raise AssertionError(f"{path} was read before the option floors were checked")
+
+    monkeypatch.setattr(cli.RunRecord, "graph", unread)
+    monkeypatch.setattr(cli.RunRecord, "read", unread)
+    files = {"g": cli_files["p4"], "c": cli_files["col"]}
+    assert run([a.format(**files) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+BUDGET_REFUSED = 'budget "q" must be an object from union sizes to integer widths'
+
+
+@pytest.mark.parametrize("budget, q_file, message", [
+    (["-c", "{col}", "--q-linear", "-1"], None, "--q-linear must be >= 0"),
+    (["-c", "{col}", "--profile", "{bad}"], {"q": {"1": -1}}, BUDGET_REFUSED),
+    (["-c", "{bad}"], {"palette_size": 1, "colors": [1] * 4, "q": {"1": -1}}, BUDGET_REFUSED),
+], ids=["q-linear", "profile", "embedded"])
+def test_cli_verify_refuses_a_negative_budget(cli_files, tmp_path, capsys, budget, q_file,
+                                              message):
+    """A budget is a natural number per union size: a negative one is a usage
+    error, not a budget that refutes every set."""
+    bad = tmp_path / "q.json"
+    bad.write_text(json.dumps(q_file))
+    files = {"col": cli_files["col"], "bad": str(bad)}
+    argv = ["verify", "coloring", "-i", cli_files["p4"], *budget]
+    assert run([a.format(**files) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # -- one parser per process ----------------------------------------------------------
 
 

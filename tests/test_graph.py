@@ -216,7 +216,7 @@ def test_subset_lanes_mark_the_sets_that_hold_each_vertex():
 def _assert_table_is_the_cutrank_of_every_mask(g):
     table = cutrank_table(g)
     assert len(table) == 1 << g.n
-    assert table == [cutrank_mask(g, m) for m in range(1 << g.n)]
+    assert list(table) == [cutrank_mask(g, m) for m in range(1 << g.n)]
 
 
 def test_cutrank_table_on_small_and_extreme_graphs():
