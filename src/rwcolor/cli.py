@@ -560,7 +560,8 @@ def cmd_rerun(args, record: RunRecord) -> int:
 
 # Each handler's option floors, (dest, least value, message), checked by :func:`main` in
 # this order before the handler runs, so before any file is read; a value left at None is
-# not checked.  The library keeps its own checks, for the API and the sweep.
+# not checked.  The library keeps its own checks, for the API and the sweep.  The floors
+# of `lab certificate` are the harness's: its -i form names any harness option it is given.
 OPTION_FLOORS = {
     cmd_gen: [("order", 1, "--order must be >= 1")],
     cmd_gen_model: [("order", 1, "--order must be >= 1")],
@@ -735,7 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     record = RunRecord()
     try:
-        for dest, least, message in OPTION_FLOORS.get(args.func, ()):
+        by_file = args.func is cmd_lab_certificate and args.input is not None
+        for dest, least, message in () if by_file else OPTION_FLOORS.get(args.func, ()):
             if (value := getattr(args, dest, None)) is not None and value < least:
                 raise ValueError(message if isinstance(message, str) else message(args))
         code = args.func(args, record)

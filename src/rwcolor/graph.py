@@ -17,7 +17,8 @@ Cut-ranks come from :func:`cutrank_mask`, one elimination per cut, or from
 :func:`cutrank_table`, one elimination that is lane-parallel over every
 subset and fills the whole table.  Both that table and the tree-depth
 levels read their lanes, one bit per vertex subset, from
-:func:`subset_lanes`.
+:func:`subset_lanes`; :func:`reverse_lanes` maps a lane set to the set of
+its complements by a byte table, without binary text.
 """
 
 from __future__ import annotations
@@ -331,8 +332,22 @@ def subset_lanes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cutrank_table(G: Graph) -> bytes:
-    """Cut-rank of every vertex mask, as bytes: entry m is ``cutrank_mask(G, m)``.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def reverse_lanes(x: int, lanes: int) -> int:
+    """*x* with its low *lanes* bits in reverse order, which maps a set of
+    the 2^n lanes of :func:`subset_lanes` to the set of their complements.
+    The bytes of x have their bits reversed by a table and are read back in
+    the other byte order, three C-level passes; the shift drops the padding."""
+    k = (lanes + 7) >> 3
+    flipped = x.to_bytes(k, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (8 * k - lanes)
+
+
+def _cutrank_planes(G: Graph) -> list[int]:
+    """The cut-ranks of the vertex masks X without vertex n-1 as bit-sliced
+    planes over their 2^(n-1) lanes: bit X of plane p is bit p of the rank.
 
     One GF(2) elimination runs for all subsets X of {0, ..., n-2} at once,
     each subset a bit position ("lane") of an int of L = 2^(n-1) bits.
@@ -342,9 +357,7 @@ def cutrank_table(G: Graph) -> bytes:
     each lane's pivot is its first row with the column set; the pivot
     rows' later entries, masked to their lanes, are XORed into every row
     with the column set, which also clears each pivot row in its own lanes.
-    The lanes that found a pivot add one to bit-sliced counters; their
-    planes are read out as one byte per lane at C level, and the masks with
-    vertex n-1 take the cut-rank of their complement.
+    The lanes that found a pivot add one to the bit-sliced counters.
     """
     n = G.n
     lanes = 1 << (n - 1)
@@ -383,9 +396,27 @@ def cutrank_table(G: Graph) -> bytes:
             found &= plane
             if not found:
                 break
+    return planes
+
+
+def _table_of_planes(planes: Sequence[int], n: int) -> bytes:
+    """:func:`cutrank_table` from the graph's :func:`_cutrank_planes`."""
+    lanes = 1 << (n - 1)
     ranks = 0
     for p, plane in enumerate(planes):
         digits = format(plane, f"0{lanes}b").encode().translate(_BINARY_DIGIT_TO_FLAG)
         ranks += int.from_bytes(digits, "big") << p
     low = ranks.to_bytes(lanes, "little")
     return low + low[::-1]
+
+
+def cutrank_table(G: Graph) -> bytes:
+    """Cut-rank of every vertex mask, as bytes: entry m is ``cutrank_mask(G, m)``.
+
+    The masks without vertex n-1 take their ranks from one lane-parallel
+    elimination (:func:`_cutrank_planes`), its planes read out as one byte
+    per lane at C level; the masks with vertex n-1 take the cut-rank of
+    their complement.  The exact rank-width solver reads the planes too,
+    for its sets of cut-rank <= t, mirrored by :func:`reverse_lanes`.
+    """
+    return _table_of_planes(_cutrank_planes(G), G.n)

