@@ -289,7 +289,82 @@ EDGE_LIST_CASES = (
 )
 
 
-@pytest.mark.parametrize("text", EDGE_LIST_CASES)
+def _edge_list_of(n: int, pairs) -> str:
+    pairs = sorted(pairs)
+    return f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def _break_even_edges(n: int) -> int:
+    """The fewest edges with which a list on n vertices is transposed."""
+    rounds = (n - 1).bit_length()
+    return formats._TRANSPOSE_BREAK_EVEN * (1 << rounds - 1) * rounds
+
+
+def _near_the_break_even(extra: int) -> str:
+    """A random list on 64 vertices with `extra` edges more than the
+    fewest that take the transposition."""
+    pairs = random.Random(3).sample(list(itertools.combinations(range(64), 2)),
+                                    _break_even_edges(64) + extra)
+    return _edge_list_of(64, pairs)
+
+
+def _dense_lines() -> tuple[list[str], int]:
+    """The lines of a dense random list over several chunks, taken by the
+    transposition, and the index of a line inside a run of the second
+    chunk."""
+    g = oracles.random_graph(300, 0.9, random.Random(5))
+    assert len(g.edges()) >= _break_even_edges(300)
+    text = oracles.serialize_edge_list_by_edges(g)
+    assert len(text) > 4 * _CHUNK_CHARS
+    lines = text.split("\n")
+    i = text.count("\n", 0, _second_chunk_starts(text)) + 500
+    while lines[i].split()[0] != lines[i + 1].split()[0]:
+        i += 1
+    return lines, i
+
+
+def _dense_lines_swapped_in_the_second_chunk() -> str:
+    lines, i = _dense_lines()
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines)
+
+
+def _dense_duplicate_edge() -> str:
+    lines, i = _dense_lines()
+    lines[i + 1] = lines[i]
+    return "\n".join(lines)
+
+
+def _dense_v_not_below_n() -> str:
+    """The last line of a run in the second chunk joins u to vertex n."""
+    lines, i = _dense_lines()
+    while lines[i].split()[0] == lines[i + 1].split()[0]:
+        i += 1
+    lines[i] = lines[i].split()[0] + " 300"
+    return "\n".join(lines)
+
+
+DENSE_EDGE_LISTS = {
+    "complete-64": _edge_list_of(64, itertools.combinations(range(64), 2)),
+    "dense-random-over-several-chunks": "\n".join(_dense_lines()[0]),
+    "one-edge-below-the-break-even": _near_the_break_even(-1),
+    "at-the-break-even": _near_the_break_even(0),
+    "one-edge-above-the-break-even": _near_the_break_even(1),
+    "dense-crlf": "\n".join(_dense_lines()[0]).replace("\n", "\r\n"),
+    "dense-after-a-comment-line": "# the header is read line by line\n" + "\n".join(
+        _dense_lines()[0]),
+    "dense-lines-swapped-in-the-second-chunk": _dense_lines_swapped_in_the_second_chunk(),
+    "dense-duplicate-edge-in-the-second-chunk": _dense_duplicate_edge(),
+    "dense-v-not-below-n-in-the-second-chunk": _dense_v_not_below_n(),
+}
+
+
+@pytest.mark.parametrize("text", EDGE_LIST_CASES + [
+    pytest.param(t, id=name) for name, t in DENSE_EDGE_LISTS.items()
+] + [
+    # text only: no file holds it, and the reader encodes it to bytes and back
+    pytest.param("3 1\n0 \ud800\n", id="lone-surrogate-token"),
+])
 def test_edge_list_io_matches_the_per_line_references(text):
     """Equal text, an equal Graph, or an equal ValueError message."""
     got = _outcome(parse_edge_list, text)
@@ -351,6 +426,51 @@ def test_crlf_chain_is_read_in_bulk(tmp_path, monkeypatch, variant):
     want = _outcome(oracles.parse_edge_list_by_lines, bad)
     assert want == f"ValueError: line {i + 2}: edges are not strictly sorted"
     assert _outcome(parse_edge_list, bad) == _outcome(cli.RunRecord().graph, str(path)) == want
+
+
+@pytest.mark.parametrize("name, transposed", [
+    ("complete-64", True),
+    ("dense-random-over-several-chunks", True),
+    ("one-edge-below-the-break-even", False),
+    ("at-the-break-even", True),
+    ("one-edge-above-the-break-even", True),
+    ("dense-crlf", True),
+    ("dense-after-a-comment-line", True),
+])
+def test_the_header_picks_the_route_to_the_lower_triangle(monkeypatch, name, transposed):
+    """A list transposes its rows once when its header counts at least
+    _TRANSPOSE_BREAK_EVEN edges per row pair of the transposition's
+    rounds, and ORs each edge into the row of its upper end otherwise."""
+    calls = []
+    transpose = formats._transposed
+
+    def recorded(rows):
+        calls.append(len(rows))
+        return transpose(rows)
+
+    monkeypatch.setattr(formats, "_transposed", recorded)
+    g = parse_edge_list(DENSE_EDGE_LISTS[name])
+    assert calls == ([g.n] if transposed else [])
+
+
+@pytest.mark.parametrize("density", [0, 0.05, 0.5, 1])
+@pytest.mark.parametrize("shape", ["upper", "full"])
+def test_transposed_matches_a_per_bit_transpose(shape, density):
+    """Seeded square bit matrices of orders 1-70 and 127-129, strictly
+    upper-triangular or full, with about one row in five zero; the input
+    rows are left as they were."""
+    rng = random.Random(7)
+    for n in [*range(1, 71), 127, 128, 129]:
+        rows = [
+            sum(1 << c for c in range(r + 1 if shape == "upper" else 0, n)
+                if rng.random() < density)
+            if rng.random() < 0.8 else 0
+            for r in range(n)
+        ]
+        before = list(rows)
+        want = [sum((rows[c] >> r & 1) << c for c in range(n)) for r in range(n)]
+        assert formats._transposed(rows) == want
+        assert rows == before
 
 
 @pytest.mark.parametrize("text", ["3 2\n0 1\n1 2\n", "3 2\n0 1\n1 x\n", "3 1\r\n\r\n0 2"])
@@ -422,7 +542,7 @@ def test_gen_writes_its_edge_list_as_the_rows_come(tmp_path):
 
 def test_edge_list_file_is_read_one_chunk_at_a_time(tmp_path):
     """RunRecord.graph holds neither the bytes nor the text of the order-24
-    chain's file whole: about 0.67x the file at peak, against 2x when the
+    chain's file whole: about 0.46x the file at peak, against 2x when the
     whole text was read before the parse."""
     g = twisted_chain(24)
     path = tmp_path / "chain24.el"
@@ -432,9 +552,25 @@ def test_edge_list_file_is_read_one_chunk_at_a_time(tmp_path):
     assert peak < 0.75 * path.stat().st_size
 
 
+def test_transposed_chain_read_peaks_no_higher_than_a_per_edge_read(tmp_path):
+    """The order-24 chain's 332,352 edges on 1,728 vertices take the
+    transposition (about 29 edges per row pair of its rounds), and its
+    file is read under 0.625x the file at peak (1.84 MB) under
+    tracemalloc, the peak of a read that ORed each edge into a row and
+    decoded every chunk: about 0.46x now."""
+    g = twisted_chain(24)
+    text = serialize_edge_list(g)
+    assert formats._transposes(g.n, text.count("\n") - 1)
+    path = tmp_path / "chain24.el"
+    path.write_text(text)
+    got, peak = _traced_peak(lambda: cli.RunRecord().graph(str(path)))
+    assert got.adj == g.adj
+    assert peak < 0.625 * path.stat().st_size
+
+
 def test_edge_list_file_with_a_faulty_last_line_is_read_one_chunk_at_a_time(tmp_path):
     """A third token on the last line of the order-24 chain's file is named
-    in the one pass of a clean read, under the same bound: about 0.62x the
+    in the one pass of a clean read, under the same bound: about 0.46x the
     file at peak, against about 19x when the whole text was read again and
     its every line listed to name the fault."""
     text = serialize_edge_list(twisted_chain(24))
@@ -447,7 +583,7 @@ def test_edge_list_file_with_a_faulty_last_line_is_read_one_chunk_at_a_time(tmp_
 
 def test_parse_edge_list_peak_stays_within_a_few_times_the_text():
     """The order-24 chain: 332,352 edges in 2.9 MB of text, read one chunk
-    at a time into rows (about 0.7x the text at peak)."""
+    at a time into rows (about 0.43x the text at peak)."""
     text = serialize_edge_list(twisted_chain(24))
     tracemalloc.start()
     try:
