@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import groupby, islice
+from itertools import chain, groupby
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .coloring import Coloring, RefinementColoring, UnionReport
@@ -242,8 +242,9 @@ def _plain_pairs(
     each, once their ASCII digits are deleted, and that splits into two
     tokens a line: each line holds two runs of digits and its line end.  It
     is split at once, which drops the CRs, so no container per line is
-    built, and ``groupby`` finds the runs of equal first tokens at C level,
-    so each run's u is converted once.
+    built; its columns are the even and the odd tokens, and ``groupby``
+    finds the runs of equal first tokens at C level, so each run's u is
+    converted once.
     """
     stripped = chunk.translate(None, b"0123456789")
     if stripped != b" \n" * lines and stripped != b" \r\n" * lines:
@@ -253,8 +254,8 @@ def _plain_pairs(
         return None
     try:
         return (
-            [(to_int(u), len(list(run))) for u, run in groupby(islice(tokens, 0, None, 2))],
-            list(map(to_int, islice(tokens, 1, None, 2))),
+            [(to_int(u), len(list(run))) for u, run in groupby(tokens[0::2])],
+            list(map(to_int, tokens[1::2])),
         )
     except ValueError:  # a run of digits longer than int() converts
         return None
@@ -366,10 +367,34 @@ def _line_ints(lineno: int, parts: list[str]) -> list[int]:
     return values
 
 
+# encodes a list of flat objects at C level, each item after the first
+# on a new line indented to the depth of an object's keys in `dumps_json`
+_encode_flat = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def labels_to_json(G: Graph) -> str:
+    """The label sidecar: ``dumps_json`` of the labels as dicts, byte for
+    byte.
+
+    When every label is a non-empty object of scalar values (str, int,
+    float, bool or None), as every family's are, the list is encoded in one
+    C-level call whose item separator already breaks and indents each
+    key's line, and one replace indents each boundary between two labels,
+    ``},\n    {``.  That text can join only two labels, since a JSON
+    string never holds a raw line break and no value is an object.  A
+    list with an empty or a nested label takes ``dumps_json``.  The C
+    encoder takes the order-48 chain's labels in about a third of the
+    time of ``dumps_json``, whose indent is pure Python.
+    """
     if G.labels is None:
         raise ValueError("graph carries no labels")
-    return dumps_json([dict(lbl) for lbl in G.labels])
+    labels = list(map(dict, G.labels))
+    values = chain.from_iterable(map(dict.values, labels))
+    if not (all(labels) and _SCALARS.issuperset(map(type, values))):
+        return dumps_json(labels)
+    body = _encode_flat(labels)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + body + "\n  }\n]\n"
 
 
 def labels_from_json(text: str) -> tuple[dict, ...]:

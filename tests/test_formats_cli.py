@@ -29,6 +29,8 @@ from rwcolor.families import (
     TWISTED_CHAIN_VARIANTS,
     grid,
     h_graph,
+    h_tilde,
+    radial_graph,
     random_degenerate,
     twisted_chain,
 )
@@ -359,8 +361,33 @@ DENSE_EDGE_LISTS = {
 }
 
 
+def _one_edge_run_after_a_run_split_across_two_chunks() -> str:
+    """The run after the one split across the chunk boundary is one line
+    whose u spells that run's u with a leading zero and whose v repeats
+    that run's last v."""
+    lines, k = _lines_at_the_chunk_boundary()
+    u = lines[k].split()[0]
+    j = next(j for j in range(k, len(lines)) if lines[j].split()[0] != u)
+    lines[j] = "0" + lines[j - 1]
+    assert lines[j + 1].split()[0] != "0" + u
+    return "\n".join(lines)
+
+
+# lists whose runs hold one edge each, or hold one faulty edge
+ONE_EDGE_RUN_LISTS = {
+    "path-40": _edge_list_of(40, [(u, u + 1) for u in range(39)]),
+    "cycle-40": _edge_list_of(40, [(u, u + 1) for u in range(39)] + [(0, 39)]),
+    "one-edge-run-repeats-the-last-edge": "4 2\n1 2\n01 2\n",
+    "one-edge-run-with-v-equal-to-n": "5 3\n0 1\n1 2\n3 5\n",
+    "one-edge-run-with-u-below-the-last-u": "5 2\n2 3\n1 4\n",
+    "one-edge-run-with-v-below-u": "5 2\n0 1\n3 2\n",
+    "one-edge-run-after-a-run-split-across-two-chunks":
+        _one_edge_run_after_a_run_split_across_two_chunks(),
+}
+
+
 @pytest.mark.parametrize("text", EDGE_LIST_CASES + [
-    pytest.param(t, id=name) for name, t in DENSE_EDGE_LISTS.items()
+    pytest.param(t, id=name) for name, t in {**DENSE_EDGE_LISTS, **ONE_EDGE_RUN_LISTS}.items()
 ] + [
     # text only: no file holds it, and the reader encodes it to bytes and back
     pytest.param("3 1\n0 \ud800\n", id="lone-surrogate-token"),
@@ -625,6 +652,42 @@ def test_labels_round_trip():
     g = h_graph(2, 3)
     labels = labels_from_json(labels_to_json(g))
     assert labels == tuple(dict(l) for l in g.labels)
+
+
+def _labeled(labels):
+    """An edgeless graph carrying labels."""
+    return Graph(len(labels), (0,) * len(labels), tuple(labels))
+
+
+LABEL_SETS = {
+    **{f"chain-{order}-{variant}": twisted_chain(order, variant).labels
+       for order in range(1, 7) for variant in TWISTED_CHAIN_VARIANTS},
+    "h-3x4": h_graph(3, 4).labels,
+    "h-tilde-3x4": h_tilde(3, 4).labels,
+    "radial": radial_graph([[1, 2], [2, 0], [0, 1]])[0].labels,
+    "string-holding-a-label-boundary": ({"s": "},\n    {", "t": "}, {"}, {"s": "\n  }"}),
+    "non-ascii-text": ({"name": "\u00e9t\u00e9 \u20ac \U0001f600", "\u00fc": "x"}, {"name": "\u2028"}),
+    "float-bool-and-none-values": (
+        {"f": 1.5, "g": -0.0, "h": 1e300, "i": float("nan"), "t": True, "u": False, "z": None},
+        {"f": float("-inf"), "k": 10 ** 30},
+    ),
+    "int-keys": ({2: "b", 1: "a", 10: "c"}, {0: 0}),
+    # the shapes that take dumps_json
+    "an-empty-label": ({"a": 1}, {}),
+    "a-nested-list-value": ({"a": 1}, {"a": [1, {"b": 2}]}),
+    "a-nested-object-value": ({"a": {"b": 1, "c": [2]}},),
+}
+
+
+@pytest.mark.parametrize("labels", [pytest.param(ls, id=name) for name, ls in LABEL_SETS.items()])
+def test_label_sidecar_is_the_indented_dump_byte_for_byte(labels):
+    want = json.dumps([dict(l) for l in labels], sort_keys=True, indent=2) + "\n"
+    assert labels_to_json(_labeled(labels)) == want
+
+
+def test_label_sidecar_of_a_graph_without_labels_is_refused():
+    with pytest.raises(ValueError, match="^graph carries no labels$"):
+        labels_to_json(Graph(3, (0, 0, 0)))
 
 
 @pytest.mark.parametrize("text", ["[1, 2, 3]", '["ab"]', "[{}, null]"])
