@@ -15,8 +15,10 @@ mask in one pass, for readers that set whole rows at once.
 
 Cut-ranks come from :func:`cutrank_mask`, one elimination per cut, or from
 :func:`cutrank_table`, one elimination that is lane-parallel over every
-subset and fills the whole table.  Both that table and the tree-depth
-levels read their lanes, one bit per vertex subset, from
+subset and fills the whole table from its bit-sliced planes
+(:func:`_cutrank_planes`); the exact rank-width solver reads those planes
+and builds no table.  The planes and the tree-depth levels read their
+lanes, one bit per vertex subset, from
 :func:`subset_lanes`; :func:`reverse_lanes` maps a lane set to the set of
 its complements by a byte table, without binary text.
 """
@@ -399,24 +401,20 @@ def _cutrank_planes(G: Graph) -> list[int]:
     return planes
 
 
-def _table_of_planes(planes: Sequence[int], n: int) -> bytes:
-    """:func:`cutrank_table` from the graph's :func:`_cutrank_planes`."""
-    lanes = 1 << (n - 1)
-    ranks = 0
-    for p, plane in enumerate(planes):
-        digits = format(plane, f"0{lanes}b").encode().translate(_BINARY_DIGIT_TO_FLAG)
-        ranks += int.from_bytes(digits, "big") << p
-    low = ranks.to_bytes(lanes, "little")
-    return low + low[::-1]
-
-
 def cutrank_table(G: Graph) -> bytes:
     """Cut-rank of every vertex mask, as bytes: entry m is ``cutrank_mask(G, m)``.
 
     The masks without vertex n-1 take their ranks from one lane-parallel
     elimination (:func:`_cutrank_planes`), its planes read out as one byte
     per lane at C level; the masks with vertex n-1 take the cut-rank of
-    their complement.  The exact rank-width solver reads the planes too,
-    for its sets of cut-rank <= t, mirrored by :func:`reverse_lanes`.
+    their complement.  The exact rank-width solver reads the planes, not
+    this table.
     """
-    return _table_of_planes(_cutrank_planes(G), G.n)
+    planes = _cutrank_planes(G)
+    lanes = 1 << (G.n - 1)
+    ranks = 0
+    for p, plane in enumerate(planes):
+        digits = format(plane, f"0{lanes}b").encode().translate(_BINARY_DIGIT_TO_FLAG)
+        ranks += int.from_bytes(digits, "big") << p
+    low = ranks.to_bytes(lanes, "little")
+    return low + low[::-1]

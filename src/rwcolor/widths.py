@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import (
     Graph,
     _cutrank_planes,
-    _table_of_planes,
     _union_rows,
     bits_of,
     check_vertex_mask,
@@ -148,43 +147,39 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     """Exact rank-width with a witness decomposition.
 
     Minimizes over all leaf-labeled subcubic trees by a dynamic program over
-    vertex subsets: ``key[m]`` is the larger of the best rooted subtree with
-    leaf set m and the cut-rank of m, so key[m] <= t exactly when m's
-    cut-rank is <= t and m splits into two parts of key <= t.  The cut-ranks
-    come from one GF(2) elimination run lane-parallel over every subset, as
-    bit-sliced planes (:func:`_cutrank_planes`); the cut table is read out
-    of them once, for the keys and the witness.
+    vertex subsets: a set is held at width level t when its cut-rank is
+    <= t and it is one vertex or splits into two parts held at level t.
+    The cut-ranks come from one GF(2) elimination run lane-parallel over
+    every subset, as bit-sliced planes (:func:`_cutrank_planes`).
 
     The sweep runs one width level t = 0, 1, 2, ... at a time over all sets
     at once, on bitsets after Oum ("Computing rank-width exactly", IPL
-    2009): bit S of the 2^n-bit int ``held`` is set when key[S] <= t.  A
-    level starts from the previous one and the singletons of cut-rank <= t,
-    then goes up the sizes 2 to n - 1, each set after its proper subsets.
-    A size's candidates are its lanes of cut-rank <= t not yet held; the
-    level's lanes of cut-rank <= t come from the planes by a bit-sliced
-    compare (:func:`_cut_at_most`).  Shifting the held sets without v left
-    by 2^v adds v to each, so the OR of those shifts over the vertices held
-    alone marks every candidate with a one-vertex split.  Each candidate S
-    left takes one test: with ``rev`` the bit reversal of ``held`` (by a
-    byte table, :func:`reverse_lanes`), built once per level and size, bit
-    A of ``rev >> (full ^ S)`` is bit S ^ A of ``held``, so S splits into two
-    held parts exactly when ``held & rev >> (full ^ S)`` meets the lanes
-    of S's submasks.  The test reads only S's proper subsets, so the sets
-    decided in the same size change no answer.  The width is the first t
-    at which the whole vertex set splits, ``held & rev`` nonzero, so the
-    sweep never passes it and needs no upper bound.  Against the binary-text
-    round trips these replaced, a solve of gnp(n, 0.4) takes 0.80-0.90x the
-    time at n = 10-12 and 0.78-0.86x at n = 13-16 (2-vCPU host).
+    2009): bit S of the 2^n-bit int ``held`` is set when S is held at level
+    t.  A level starts from the previous one and the singletons of
+    cut-rank <= t, then goes up the sizes 2 to n - 1, each set after its
+    proper subsets.  A size's candidates are its lanes of cut-rank <= t not
+    yet held; the level's lanes of cut-rank <= t come from the planes by a
+    bit-sliced compare (:func:`_cut_at_most`).  Shifting the held sets
+    without v left by 2^v adds v to each, so the OR of those shifts over
+    the vertices held alone marks every candidate with a one-vertex split.
+    Each candidate S left takes one test, :func:`_splits`, against ``rev``,
+    the bit reversal of ``held`` (by a byte table, :func:`reverse_lanes`)
+    built once per level and size.  The test reads only S's proper
+    subsets, so the sets decided in the same size change no answer.  The
+    width is the first t at which the whole vertex set splits, ``held &
+    rev`` nonzero, so the sweep never passes it and needs no upper bound.
+    Against the binary-text round trips these replaced, a solve of gnp(n,
+    0.4) takes 0.80-0.90x the time at n = 10-12 and 0.78-0.86x at n = 13-16
+    (2-vCPU host).
 
-    A set's key is the number of levels that do not hold it, width + 1 if
-    none does, summed at C level over the levels' flag bytes.  The witness
-    tree is rebuilt top down from the keys: the whole set and each internal
-    subset of the tree take the first strict minimum below width + 1 of a
-    scan of their splits, which stops at the width for the whole set and
-    at its key for a set whose key exceeds its cut-rank.  That minimum is
-    at most the width and the scan reads only which keys are at most it,
-    so the tree is that of the full subset dynamic program.  Graphs on
-    <= 1 vertex have width 0 and no decomposition.
+    Each finished level is kept with its reversal, and the witness tree is
+    rebuilt top down from them by the same test (:func:`_first_split`):
+    the whole set and each internal set of the tree split at the first
+    level where they split at all, into the highest such part without
+    their highest vertex.  That is the first strict minimum, in descending
+    submask order, of the full subset dynamic program's scan of the set's
+    splits, so the tree is that program's.  Graphs on <= 1 vertex have
+    width 0 and no decomposition.
     """
     n = G.n
     if n <= 1:
@@ -196,14 +191,13 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     lanes = 1 << n
     full = lanes - 1
     planes = _cutrank_planes(G)
-    cut = _table_of_planes(planes, n)
     adds, layers = _sweep_lanes(n)
     lacks = {s: out for out, s in adds}
     held = 0
     levels = []
     for value in count():
         within = _cut_at_most(planes, value, n)
-        alone = [(out, s) for out, s in adds if cut[s] <= value]
+        alone = [(out, s) for out, s in adds if within >> s & 1]
         held |= within & layers[0]
         for layer in layers[1:]:
             new = within & layer & ~held
@@ -216,24 +210,14 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
                 digits = format(rest, "b")[::-1]
                 mask = digits.find("1")
                 while mask >= 0:
-                    out = full ^ mask
-                    meet = held & rev >> out
-                    while out and meet:
-                        low = out & -out
-                        meet &= lacks[low]
-                        out ^= low
-                    if meet:
+                    if _splits(held, rev, full ^ mask, lacks):
                         found |= 1 << mask
                     mask = digits.find("1", mask + 1)
             held |= found
-        levels.append(format(held, f"0{lanes}b"))
-        if held & reverse_lanes(held, lanes):
+        rev = reverse_lanes(held, lanes)
+        levels.append((held, rev))
+        if held & rev:
             break
-    missing = bytes.maketrans(b"01", b"\1\0")
-    key = sum(
-        int.from_bytes(flags.encode().translate(missing), "big") for flags in levels
-    ).to_bytes(lanes, "little")
-    worst = value + 1
 
     nodes = 0
     edges: list[tuple[int, int]] = []
@@ -246,20 +230,50 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         if mask.bit_count() == 1:
             leaf_map.append((node, mask.bit_length() - 1))
             return node
-        k = key[mask]
-        sub = _best_split(key, mask, worst, k if k > cut[mask] else -1)[1]
+        sub = _first_split(levels, mask, lacks)[1]
         a = build(sub)
         b2 = build(mask ^ sub)
         edges.append((node, a))
         edges.append((node, b2))
         return node
 
-    top = _best_split(key, full, worst, value)[1]
+    top = _first_split(levels, full, lacks)[1]
     a = build(top)
     b = build(full ^ top)
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
     return WidthReport(value, "exact", D)
+
+
+def _splits(held: int, rev: int, out: int, lacks: Mapping[int, int]) -> int:
+    """The lanes A of the proper nonempty subsets of S = full ^ *out* whose
+    parts A and S ^ A are both lanes of *held*, whose bit reversal is
+    *rev*; *lacks* maps 2^v to the lanes without v.
+
+    Bit A of ``rev >> out`` is bit full ^ (A + out) of held, which for A
+    within S is bit S ^ A; the lanes with a vertex of *out* are masked
+    away.  The empty set is never held, so neither A nor S ^ A is empty.
+    """
+    meet = held & rev >> out
+    while out and meet:
+        low = out & -out
+        meet &= lacks[low]
+        out ^= low
+    return meet
+
+
+def _first_split(
+    levels: Sequence[tuple[int, int]], mask: int, lacks: Mapping[int, int]
+) -> tuple[int, int]:
+    """The first of the (held, reversal) *levels* at which *mask* splits
+    into two held parts, and of those parts without mask's highest vertex,
+    the highest lane."""
+    out = ((1 << len(lacks)) - 1) ^ mask
+    no_top = lacks[1 << (mask.bit_length() - 1)]
+    for t, (held, rev) in enumerate(levels):
+        meet = _splits(held, rev, out, lacks) & no_top
+        if meet:
+            return t, meet.bit_length() - 1
 
 
 def _cut_at_most(planes: Sequence[int], value: int, n: int) -> int:
@@ -301,9 +315,10 @@ def _add_one(sets: int, adds: Iterable[tuple[int, int]]) -> int:
     return grown
 
 
-def _greedy_caterpillar(G: Graph, cut: bytes) -> tuple[list[int], int]:
+def _greedy_caterpillar(G: Graph, ranks: Sequence[int]) -> tuple[list[int], int]:
     """A caterpillar order of G by least prefix cut-rank, and its width,
-    read from G's cut table *cut*.
+    read from *ranks*, the cut-rank of each vertex mask of G (its
+    :func:`cutrank_table`).
 
     The order starts at a least-degree vertex and then appends, at each
     step, the vertex whose prefix has the least cut-rank, smallest id on
@@ -317,39 +332,15 @@ def _greedy_caterpillar(G: Graph, cut: bytes) -> tuple[list[int], int]:
     order = [first]
     prefix = 1 << first
     rest = ((1 << G.n) - 1) ^ prefix
-    width = cut[prefix]
+    width = ranks[prefix]
     while width < rest.bit_count():
-        v = min(bits_of(rest), key=lambda u: cut[prefix | 1 << u])
+        v = min(bits_of(rest), key=lambda u: ranks[prefix | 1 << u])
         order.append(v)
         prefix |= 1 << v
         rest ^= 1 << v
-        width = max(width, cut[prefix])
+        width = max(width, ranks[prefix])
     order.extend(bits_of(rest))
     return order, width
-
-
-def _best_split(key: Sequence[int], mask: int, worst: int, stop: int) -> tuple[int, int]:
-    """The first strict minimum of max(key[A], key[B]) below *worst* over
-    the splits {A, B} of *mask*, and its A, which is 0 if none is below.
-
-    A runs over the submasks of mask without its highest vertex, in
-    descending order; the scan ends early at a split of value <= *stop*.
-    """
-    low = mask ^ (1 << (mask.bit_length() - 1))
-    b = worst
-    bsub = 0
-    sub = low
-    while sub:
-        w = key[sub]
-        if w < b:
-            r = key[mask ^ sub]
-            if r < b:
-                b = w if w > r else r
-                bsub = sub
-                if b <= stop:
-                    break
-        sub = (sub - 1) & low
-    return b, bsub
 
 
 def caterpillar_decomposition(order: Sequence[int]) -> RankDecomposition:
@@ -376,7 +367,10 @@ def rank_width_upper(G: Graph, order: LinearOrder | None = None) -> WidthReport:
     The width equals the maximum cut-rank over prefix cuts of the order,
     which always dominates the exact rank-width.  Graphs on <= 1 vertex
     have width 0 and no decomposition, as in :func:`rank_width_exact`.
+    An order of another length than G's is refused.
     """
+    if order is not None and len(order) != G.n:
+        raise ValueError(f"the order has {len(order)} vertices and the graph {G.n}")
     if G.n <= 1:
         return WidthReport(0, "upper-bound", None)
     seq = degeneracy_order(G) if order is None else list(order.order)

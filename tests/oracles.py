@@ -29,9 +29,9 @@ cotree evaluator and the width-1 decomposition read off a cotree build
 the cograph cases the cotree tests check.  The helpers at the end (the
 BFS distances, the expansion of a refined colour set to its base
 classes, the refinement lemmas' hitter and closure checks, one vertex's
-weakly reachable set, the mixed lines and alternation of a bipartition)
-are called by the tests alone, so they live here rather than in the
-package.
+weakly reachable set, the mixed lines and alternation of a bipartition,
+the local complement of a graph at a vertex) are called by the tests
+alone, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import itertools
 import math
 import operator
 import random
+from typing import Sequence
 
 from rwcolor.coloring import Coloring, RefinementColoring, UnionReport
 from rwcolor.ehchi import (
@@ -86,7 +87,6 @@ from rwcolor.lab import (
 from rwcolor.orderings import LinearOrder, wcol_heuristic, wreach_sets
 from rwcolor.widths import (
     RankDecomposition,
-    _best_split,
     rank_width_exact,
     rank_width_of_subgraph,
     tree_depth_at_most,
@@ -363,6 +363,30 @@ def rank_width_by_subset_dp(G: Graph) -> tuple[int, RankDecomposition | None]:
     b = build(full ^ top)
     edges.append((a, b))
     return best[full], RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
+
+
+def _best_split(key: Sequence[int], mask: int, worst: int, stop: int) -> tuple[int, int]:
+    """The first strict minimum of max(key[A], key[B]) below *worst* over
+    the splits {A, B} of *mask*, and its A, which is 0 if none is below.
+
+    A runs over the submasks of mask without its highest vertex, in
+    descending order; the scan ends early at a split of value <= *stop*.
+    """
+    low = mask ^ (1 << (mask.bit_length() - 1))
+    b = worst
+    bsub = 0
+    sub = low
+    while sub:
+        w = key[sub]
+        if w < b:
+            r = key[mask ^ sub]
+            if r < b:
+                b = w if w > r else r
+                bsub = sub
+                if b <= stop:
+                    break
+        sub = (sub - 1) & low
+    return b, bsub
 
 
 def rank_width_by_scan(G: Graph) -> tuple[int, RankDecomposition | None]:
@@ -1254,6 +1278,12 @@ def is_closure(G: Graph, X, Xp, r: int, dist: list[list] | None = None) -> bool:
         if du[index[v]] != d:
             return False
     return True
+
+
+def local_complement(G: Graph, v: int) -> Graph:
+    """G * v: G with the edges among the neighbours of v complemented."""
+    flip = set(itertools.combinations(bits_of(G.adj[v]), 2))
+    return build_graph(G.n, set(G.edges()) ^ flip)
 
 
 def wreach(G: Graph, L: LinearOrder, r: int, v: int) -> frozenset:

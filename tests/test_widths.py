@@ -207,22 +207,22 @@ def test_exact_above_the_cap_returns_the_integer_order_scan_value_and_tree(n):
 
 def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
     """At n = 14, every subset is decided by bitsets, one width level at a
-    time; only the witness rebuild scans: the whole set once, and at most
-    n - 2 internal subsets of the tree."""
+    time; the witness rebuild looks up one split per set of the tree: the
+    whole set once, and each of the n - 2 internal subsets once."""
     from rwcolor import widths
 
-    scans = [0] * 15
-    scan = widths._best_split
+    calls = [0] * 15
+    first_split = widths._first_split
 
-    def counted(key, mask, worst, stop):
-        scans[mask.bit_count()] += 1
-        return scan(key, mask, worst, stop)
+    def counted(levels, mask, lacks):
+        calls[mask.bit_count()] += 1
+        return first_split(levels, mask, lacks)
 
-    monkeypatch.setattr(widths, "_best_split", counted)
+    monkeypatch.setattr(widths, "_first_split", counted)
     g = oracles.random_graph(14, 0.4, random.Random(26))
     rank_width_exact(g)
-    assert scans[14] == 1
-    assert sum(scans[2:14]) <= 12
+    assert calls[14] == 1
+    assert sum(calls[2:14]) == 12
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
@@ -236,33 +236,32 @@ def test_exact_returns_the_integer_order_scan_on_the_benchmark_graphs(n):
 
 
 def test_exact_rebuild_stops_its_scans_at_known_minima(monkeypatch):
-    """The witness rebuild scans the whole set with the width as its stop,
-    and every internal set either with its key as its stop, reached, or
-    with no stop."""
+    """The witness rebuild splits the whole set at the width, the first
+    level at which it splits; every internal set at a level no higher than
+    its parent's; and each set into two parts held at its level."""
     from rwcolor import widths
 
     calls = []
-    scan = widths._best_split
+    first_split = widths._first_split
 
-    def recorded(key, mask, worst, stop):
-        best = scan(key, mask, worst, stop)
-        calls.append((mask, stop, best[0]))
-        return best
+    def recorded(levels, mask, lacks):
+        t, sub = first_split(levels, mask, lacks)
+        calls.append((mask, t, sub, levels[t][0]))
+        return t, sub
 
-    monkeypatch.setattr(widths, "_best_split", recorded)
+    monkeypatch.setattr(widths, "_first_split", recorded)
     rng = random.Random(44)
-    stopped = 0
     for n in (5, 8, 11, 12):
         for p in (0.25, 0.5):
             g = oracles.random_graph(n, p, rng)
             calls.clear()
             value = rank_width_exact(g).value
-            first = next(i for i, c in enumerate(calls) if c[0] == (1 << n) - 1)
-            assert calls[first][1:] == (value, value)
-            for _, stop, best in calls[first + 1:]:
-                assert stop in (-1, best)
-                stopped += stop >= 0
-    assert stopped > 0
+            assert calls[0][:2] == ((1 << n) - 1, value)
+            level = {mask: t for mask, t, _, _ in calls}
+            for mask, t, sub, held in calls:
+                assert held >> sub & 1 and held >> (mask ^ sub) & 1
+                for part in (sub, mask ^ sub):
+                    assert level.get(part, 0) <= t
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -319,6 +318,14 @@ def test_upper_accepts_explicit_order():
     g = pathg(5)
     rep = rank_width_upper(g, LinearOrder.from_order([4, 3, 2, 1, 0]))
     assert rep.value == 1
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_upper_refuses_an_order_of_another_length(k):
+    # a short order once bounded C5 by 1 against its width 2, and a long
+    # one mapped leaves to vertices 5 and 6, which C5 does not have
+    with pytest.raises(ValueError, match=f"^the order has {k} vertices and the graph 5$"):
+        rank_width_upper(cycle(5), LinearOrder.identity(k))
 
 
 def test_balanced_partition_p4():
