@@ -152,34 +152,37 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
     The cut-ranks come from one GF(2) elimination run lane-parallel over
     every subset, as bit-sliced planes (:func:`_cutrank_planes`).
 
-    The sweep runs one width level t = 0, 1, 2, ... at a time over all sets
-    at once, on bitsets after Oum ("Computing rank-width exactly", IPL
-    2009): bit S of the 2^n-bit int ``held`` is set when S is held at level
-    t.  A level starts from the previous one and the singletons of
-    cut-rank <= t, then goes up the sizes 2 to n - 1, each set after its
-    proper subsets.  A size's candidates are its lanes of cut-rank <= t not
-    yet held; the level's lanes of cut-rank <= t come from the planes by a
-    bit-sliced compare (:func:`_cut_at_most`).  Shifting the held sets
-    without v left by 2^v adds v to each, so the OR of those shifts over
-    the vertices held alone marks every candidate with a one-vertex split.
-    Each candidate S left takes one test, :func:`_splits`, against ``rev``,
-    the bit reversal of ``held`` (by a byte table, :func:`reverse_lanes`)
-    built once per level and size.  The test reads only S's proper
-    subsets, so the sets decided in the same size change no answer.  The
-    width is the first t at which the whole vertex set splits, ``held &
-    rev`` nonzero, so the sweep never passes it and needs no upper bound.
-    Against the binary-text round trips these replaced, a solve of gnp(n,
-    0.4) takes 0.80-0.90x the time at n = 10-12 and 0.78-0.86x at n = 13-16
+    The sweep runs one width level t = 0, 1, 2, ... at a time, on bitsets
+    after Oum ("Computing rank-width exactly", IPL 2009), over the subsets
+    of V - z only, z = n - 1: bit S of the 2^(n-1)-bit int ``held`` is set
+    when S is held at level t.  Hanging an optimal tree from z's leaf edge
+    puts V - z on a tree edge, and cut({z}) = cut(V - z), so the width is
+    the first t at which V - z is held; the sweep never passes it and
+    needs no upper bound.  A level starts from the previous one and the singletons
+    of cut-rank <= t, then goes up the sizes 2 to n - 1, each set after
+    its proper subsets.  A size's candidates are its lanes of cut-rank <=
+    t not yet held; the level's lanes of cut-rank <= t come from the
+    planes by a bit-sliced compare (:func:`_cut_at_most`).  Shifting the
+    held sets without v left by 2^v adds v to each, so the OR of those
+    shifts over the vertices held alone marks every candidate with a
+    one-vertex split.  Each candidate S left takes one test,
+    :func:`_splits`, against ``rev``, the bit reversal of ``held`` (by a
+    byte table, :func:`reverse_lanes`) built once per level and size.  The
+    test reads only S's proper subsets, so the sets decided in the same
+    size change no answer.  Against the sweep over all 2^n subsets that
+    this replaced, a solve of gnp(n, 0.4) takes 0.6-0.7x the time at n =
+    11-12, 0.38x at n = 14, 0.27x at n = 16 and 0.15-0.19x at n = 18-20
     (2-vCPU host).
 
     Each finished level is kept with its reversal, and the witness tree is
     rebuilt top down from them by the same test (:func:`_first_split`):
-    the whole set and each internal set of the tree split at the first
-    level where they split at all, into the highest such part without
-    their highest vertex.  That is the first strict minimum, in descending
-    submask order, of the full subset dynamic program's scan of the set's
-    splits, so the tree is that program's.  Graphs on <= 1 vertex have
-    width 0 and no decomposition.
+    the top edge splits the whole set into V - z and {z}, and each
+    internal set splits at the first level where it splits at all, into
+    the highest such part without its highest vertex.  That is the first
+    strict minimum, in descending submask order, of the full subset
+    dynamic program's scan of the set's splits, V - z being the highest
+    part of the whole set, so the tree is that program's.  Graphs on <= 1
+    vertex have width 0 and no decomposition.
     """
     n = G.n
     if n <= 1:
@@ -188,15 +191,15 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         raise ValueError(
             f"exact rank-width is capped at n={cap}; use rank_width_upper instead"
         )
-    lanes = 1 << n
+    lanes = 1 << (n - 1)
     full = lanes - 1
     planes = _cutrank_planes(G)
-    adds, layers = _sweep_lanes(n)
+    adds, layers = _sweep_lanes(n - 1)
     lacks = {s: out for out, s in adds}
     held = 0
     levels = []
     for value in count():
-        within = _cut_at_most(planes, value, n)
+        within = _cut_at_most(planes, value, lanes)
         alone = [(out, s) for out, s in adds if within >> s & 1]
         held |= within & layers[0]
         for layer in layers[1:]:
@@ -214,9 +217,8 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
                         found |= 1 << mask
                     mask = digits.find("1", mask + 1)
             held |= found
-        rev = reverse_lanes(held, lanes)
-        levels.append((held, rev))
-        if held & rev:
+        levels.append((held, reverse_lanes(held, lanes)))
+        if held >> full & 1:
             break
 
     nodes = 0
@@ -237,9 +239,8 @@ def rank_width_exact(G: Graph, cap: int = RANK_WIDTH_EXACT_CAP) -> WidthReport:
         edges.append((node, b2))
         return node
 
-    top = _first_split(levels, full, lacks)[1]
-    a = build(top)
-    b = build(full ^ top)
+    a = build(full)
+    b = build(1 << (n - 1))
     edges.append((a, b))
     D = RankDecomposition(nodes, tuple(edges), tuple(leaf_map))
     return WidthReport(value, "exact", D)
@@ -276,13 +277,11 @@ def _first_split(
             return t, meet.bit_length() - 1
 
 
-def _cut_at_most(planes: Sequence[int], value: int, n: int) -> int:
-    """The 2^n lanes of the vertex masks of cut-rank <= *value*, from an
-    n-vertex graph's :func:`_cutrank_planes`: a bit-sliced compare from the
-    top plane down over the masks without vertex n-1, mirrored onto their
-    complements."""
-    half = 1 << (n - 1)
-    equal = (1 << half) - 1
+def _cut_at_most(planes: Sequence[int], value: int, lanes: int) -> int:
+    """The *lanes* = 2^(n-1) lanes of the vertex masks without vertex n-1
+    of cut-rank <= *value*, by a bit-sliced compare from the top plane
+    down over an n-vertex graph's :func:`_cutrank_planes`."""
+    equal = (1 << lanes) - 1
     below = equal if value >> len(planes) else 0
     for p in reversed(range(len(planes))):
         if value >> p & 1:
@@ -290,18 +289,18 @@ def _cut_at_most(planes: Sequence[int], value: int, n: int) -> int:
             equal &= planes[p]
         else:
             equal &= ~planes[p]
-    low = below | equal
-    return low | reverse_lanes(low, half) << half
+    return below | equal
 
 
 @lru_cache(maxsize=8)
 def _sweep_lanes(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """For the subsets of n vertices as lanes: the pair (lanes without v,
-    2^v) of each vertex v, and the lanes of each size from 1 to n - 1."""
+    2^v) of each vertex v, and the lanes of each size from 1 to n, the
+    last the single lane of all n."""
     every = (1 << (1 << n)) - 1
     adds = tuple((every ^ lane, 1 << v) for v, lane in enumerate(subset_lanes(n)))
     layers = [sum(1 << s for _, s in adds)]
-    while len(layers) < n - 1:
+    while len(layers) < n:
         layers.append(_add_one(layers[-1], adds))
     return adds, tuple(layers)
 

@@ -7,8 +7,8 @@ cut-rank (Oum, "Rank-width and vertex-minors", JCTB 2005), so it keeps the
 cut table, the width of every decomposition tree and the rank-width.
 Deleting a vertex lowers the rank-width by 0 or 1; a twin or a pendant
 vertex keeps a width of at least 1; a disjoint union takes the larger
-width.  The seeded graphs go up to 16 vertices, solved with the cap at
-their size.
+width; an induced subgraph is never wider.  The seeded graphs go up to 18
+vertices, solved with the cap at their size.
 """
 
 import random
@@ -30,7 +30,7 @@ def seeded(sizes, seed):
 
 def test_local_complement_keeps_the_cut_table():
     rng = random.Random(1)
-    for g in seeded(range(2, 17), 31):
+    for g in seeded(range(2, 19), 31):
         table = cutrank_table(g)
         for v in rng.sample(range(g.n), min(g.n, 4)):
             assert cutrank_table(oracles.local_complement(g, v)) == table
@@ -38,7 +38,7 @@ def test_local_complement_keeps_the_cut_table():
 
 def test_local_complement_keeps_the_exact_trees_width():
     rng = random.Random(2)
-    for g in seeded(range(2, 17), 32):
+    for g in seeded(range(2, 19), 32):
         rep = exact(g)
         for v in rng.sample(range(g.n), min(g.n, 3)):
             lc = oracles.local_complement(g, v)
@@ -48,7 +48,7 @@ def test_local_complement_keeps_the_exact_trees_width():
 
 def test_deleting_a_vertex_lowers_the_width_by_at_most_one():
     rng = random.Random(3)
-    for g in seeded(range(2, 17), 33):
+    for g in seeded(range(2, 19), 33):
         value = exact(g).value
         for v in rng.sample(range(g.n), 2):
             assert value - exact(induced_subgraph(g, ((1 << g.n) - 1) ^ 1 << v)).value in (0, 1)
@@ -56,7 +56,7 @@ def test_deleting_a_vertex_lowers_the_width_by_at_most_one():
 
 def test_a_twin_or_a_pendant_vertex_keeps_a_width_of_at_least_one():
     rng = random.Random(4)
-    for g in seeded(range(1, 16), 34):
+    for g in seeded(range(1, 18), 34):
         value = max(exact(g).value, 1)
         v = rng.randrange(g.n)
         near = list(bits_of(g.adj[v]))
@@ -68,7 +68,7 @@ def test_a_twin_or_a_pendant_vertex_keeps_a_width_of_at_least_one():
 
 def test_a_disjoint_union_takes_the_larger_width():
     rng = random.Random(5)
-    for n in range(2, 17):
+    for n in range(2, 19):
         for _ in range(2):
             k = rng.randint(1, n - 1)
             parts = [oracles.random_graph(m, rng.choice((0.25, 0.5)), rng) for m in (k, n - k)]
@@ -77,3 +77,12 @@ def test_a_disjoint_union_takes_the_larger_width():
             edges += [(place[k + u], place[k + v]) for u, v in parts[1].edges()]
             union = build_graph(n, edges)
             assert exact(union).value == max(exact(part).value for part in parts)
+
+
+def test_an_induced_subgraph_is_never_wider():
+    rng = random.Random(6)
+    for g in seeded(range(2, 19), 36):
+        value = exact(g).value
+        for _ in range(2):
+            keep = rng.randrange(1, 1 << g.n)
+            assert exact(induced_subgraph(g, keep)).value <= value

@@ -182,8 +182,8 @@ def test_greedy_caterpillar_is_a_decomposition_of_its_width():
 
 
 def test_level_masks_from_the_planes_match_the_cut_table():
-    """Bit m of a level mask is set when mask m has cut-rank <= t, the
-    masks with the last vertex included."""
+    """Bit m of a level mask is set when mask m has cut-rank <= t, over the
+    masks without the last vertex, the lower half of the cut table."""
     from rwcolor.graph import _cutrank_planes
     from rwcolor.widths import _cut_at_most
 
@@ -192,10 +192,11 @@ def test_level_masks_from_the_planes_match_the_cut_table():
         for p in (0.2, 0.5, 0.8):
             g = oracles.random_graph(n, p, rng)
             planes = _cutrank_planes(g)
-            cut = cutrank_table(g)
+            half = 1 << (n - 1)
+            cut = cutrank_table(g)[:half]
             for t in range(n // 2 + 2):
                 text = int(cut.translate(b"1" * (t + 1) + b"0" * (255 - t))[::-1], 2)
-                assert _cut_at_most(planes, t, n) == text
+                assert _cut_at_most(planes, t, half) == text
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -206,9 +207,10 @@ def test_exact_above_the_cap_returns_the_integer_order_scan_value_and_tree(n):
 
 
 def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
-    """At n = 14, every subset is decided by bitsets, one width level at a
-    time; the witness rebuild looks up one split per set of the tree: the
-    whole set once, and each of the n - 2 internal subsets once."""
+    """At n = 14, every subset without the last vertex z is decided by
+    bitsets, one width level at a time; the witness rebuild looks up one
+    split per internal set of the tree, n - 2 in all, V - z among them,
+    and none for the whole set, whose split is (V - z, {z})."""
     from rwcolor import widths
 
     calls = [0] * 15
@@ -221,7 +223,8 @@ def test_exact_decides_its_largest_subsets_without_a_submask_scan(monkeypatch):
     monkeypatch.setattr(widths, "_first_split", counted)
     g = oracles.random_graph(14, 0.4, random.Random(26))
     rank_width_exact(g)
-    assert calls[14] == 1
+    assert calls[14] == 0
+    assert calls[13] == 1
     assert sum(calls[2:14]) == 12
 
 
@@ -236,9 +239,11 @@ def test_exact_returns_the_integer_order_scan_on_the_benchmark_graphs(n):
 
 
 def test_exact_rebuild_stops_its_scans_at_known_minima(monkeypatch):
-    """The witness rebuild splits the whole set at the width, the first
-    level at which it splits; every internal set at a level no higher than
-    its parent's; and each set into two parts held at its level."""
+    """The witness rebuild starts at V - z, z the last vertex, and the
+    width is the first level at which V - z is held: its cut-rank, or the
+    first level at which it splits if that is higher.  It splits every
+    internal set at a level no higher than its parent's, and each set
+    into two parts held at its level."""
     from rwcolor import widths
 
     calls = []
@@ -256,7 +261,9 @@ def test_exact_rebuild_stops_its_scans_at_known_minima(monkeypatch):
             g = oracles.random_graph(n, p, rng)
             calls.clear()
             value = rank_width_exact(g).value
-            assert calls[0][:2] == ((1 << n) - 1, value)
+            rest = (1 << (n - 1)) - 1
+            assert calls[0][0] == rest
+            assert value == max(cutrank_mask(g, rest), calls[0][1])
             level = {mask: t for mask, t, _, _ in calls}
             for mask, t, sub, held in calls:
                 assert held >> sub & 1 and held >> (mask ^ sub) & 1
