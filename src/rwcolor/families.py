@@ -33,25 +33,16 @@ def h_tilde(n: int, m: int) -> Graph:
 def _h_family(n: int, m: int, row_cliques: bool) -> Graph:
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    N = n * m
-    adj = [0] * N
-
-    def vid(i: int, j: int) -> int:
-        return (i - 1) * m + (j - 1)
-
-    for i in range(1, n):
-        for j in range(1, m + 1):
-            v = vid(i, j)
-            row_below = ((1 << j) - 1) << vid(i + 1, 1)
-            adj[v] |= row_below
-            for jp in range(1, j + 1):
-                adj[vid(i + 1, jp)] |= 1 << v
-    if row_cliques:
-        for i in range(1, n + 1):
-            row_mask = ((1 << m) - 1) << vid(i, 1)
-            for j in range(1, m + 1):
-                v = vid(i, j)
-                adj[v] |= row_mask & ~(1 << v)
+    N, row, full = n * m, (1 << m) - 1, (1 << n * m) - 1
+    adj = []
+    # row i vertex j, shifted up one row: the row above from column j on,
+    # the row below up to column j, and its own row less itself on cliques
+    for i in range(n):
+        for j in range(m):
+            near = row >> j << j | ((1 << j + 1) - 1) << 2 * m
+            if row_cliques:
+                near |= (row ^ 1 << j) << m
+            adj.append(near << i * m >> m & full)
     labels = tuple(
         {"row": i, "col": j} for i in range(1, n + 1) for j in range(1, m + 1)
     )

@@ -92,7 +92,8 @@ def read_edge_list(fh: BinaryIO) -> Graph:
     that `parse_edge_list` gives on the file's text.
 
     The file is read once, one chunk of whole lines at a time, the chunks
-    that `_text_chunks` cuts from its text.  A plain chunk is read as
+    that `_text_chunks` cuts from its text: the first line alone, then
+    about ``_CHUNK_CHARS`` bytes at a time.  A plain chunk is read as
     bytes and never decoded; any other chunk is decoded alone, which is
     safe because UTF-8 never puts the byte of "\n" inside a character; so
     neither the bytes nor the text of the file are held whole, not even to
@@ -109,18 +110,21 @@ def read_edge_list(fh: BinaryIO) -> Graph:
 
 
 def _text_chunks(text: str) -> Iterator[bytes]:
-    """The text in chunks of whole lines, each encoded so that a lone
-    surrogate decodes back to itself."""
-    start = 0
+    """The text in chunks of whole lines, its first line alone, each
+    encoded so that a lone surrogate decodes back to itself."""
+    start, end = 0, text.find("\n") + 1 or len(text)
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
         yield text[start:end].encode("utf-8", "surrogatepass")
-        start = end
+        start, end = end, text.find("\n", end + _CHUNK_CHARS) + 1 or len(text)
 
 
 def _file_chunks(fh: BinaryIO) -> Iterator[bytes]:
-    while block := fh.read(_CHUNK_CHARS):
-        yield block + fh.readline()
+    """The file's bytes in the chunks that `_text_chunks` cuts, counting
+    bytes for characters."""
+    chunk = fh.readline()
+    while chunk:
+        yield chunk
+        chunk = fh.read(_CHUNK_CHARS) + fh.readline()
 
 
 # edges per transposition round pair (see `_transposes`) from which the
@@ -133,7 +137,9 @@ def _graph_of_chunks(chunks: Iterable[bytes], errors: str) -> Graph:
     read in one pass; a chunk read line by line is decoded as UTF-8 with
     the given error handler.
 
-    A plain chunk (see `_plain_pairs`) is split and checked in bulk by
+    Until the header passes, every chunk is read line by line; the
+    chunkers yield line 1 alone, so bulk reading can start at line 2.  A
+    later plain chunk (see `_plain_pairs`) is split and checked in bulk by
     `_add_runs`, one run of lines of one u at a time, and is never
     decoded, so no list of the whole file's edges is built: on the
     order-24 chain the parse peaks at about 0.45x the text under
@@ -155,29 +161,18 @@ def _graph_of_chunks(chunks: Iterable[bytes], errors: str) -> Graph:
     """
     to_int = _Ints().__getitem__
     header = fault = None  # (n, m) once the header passes; the first fault's message
-    rows, flags = [], bytearray()  # flags is all zero between runs
-    transpose = False  # whether rows get their lower halves from one transposition
     last = (0, 0)  # below every edge 0 <= u < v
     lineno = data = 0  # lines and data lines, the header's among them, read
     for chunk in chunks:
         if not chunk.endswith(b"\n"):  # the last line of a text without a final line break
             chunk += b"\n"
         lines = chunk.count(b"\n")
-        pairs = _plain_pairs(chunk, lines, to_int) if fault is None else None
-        if pairs is not None:
-            runs, vs = pairs
-            head = header  # or this chunk's first line, kept only if the chunk passes
-            # a first line whose u token starts a longer run has u = n, so it fails
-            if head is None and runs[0][1] == 1 and runs[0][0] <= MAX_VERTICES:
-                head = runs.pop(0)[0], vs.pop(0)
-                rows, flags, transpose = [0] * head[0], bytearray(head[0]), _transposes(*head)
-            # a failed check leaves rows half-built, but then a line of this
-            # chunk is faulty and rows are never read
-            if head is not None and (
-                end := _add_runs(runs, vs, head[0], rows, flags, last, transpose)
-            ):
-                header, last, lineno, data = head, end, lineno + lines, data + lines
-                continue
+        pairs = _plain_pairs(chunk, lines, to_int) if header and fault is None else None
+        # a failed check leaves rows half-built, but then a line of this
+        # chunk is faulty and rows are never read
+        if pairs and (end := _add_runs(*pairs, header[0], rows, flags, last, transpose)):
+            last, lineno, data = end, lineno + lines, data + lines
+            continue
         for line in map(str.strip, chunk.decode("utf-8", errors).splitlines()):
             lineno += 1
             if not line or line[0] == "#":
@@ -195,8 +190,9 @@ def _graph_of_chunks(chunks: Iterable[bytes], errors: str) -> Graph:
                     if u > MAX_VERTICES:
                         raise ValueError(
                             f"line {lineno}: {u} vertices exceed the limit of {MAX_VERTICES}")
+                    # flags is all zero between runs
                     header, rows, flags = (u, v), [0] * u, bytearray(max(u, 0))
-                    transpose = _transposes(u, v)
+                    transpose = _transposes(u, v)  # rows' lower halves from one transposition
                 elif not 0 <= u < v < header[0]:
                     raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
                 elif (u, v) <= last:
@@ -274,18 +270,12 @@ def _add_runs(
     its first v above the last v, and its vs rise from above u to below n:
     they are sorted and, as their flags show, distinct.
     """
-    last_u, last_v = last
     end = 0
     for u, count in runs:
         above = vs[end:end + count]
         end += count
         lo, hi = above[0], above[-1] + 1
-        if not (
-            (u > last_u or u == last_u and lo > last_v)
-            and u < lo
-            and hi <= n
-            and above == sorted(above)
-        ):
+        if not ((u, lo) > last and u < lo and hi <= n and above == sorted(above)):
             return None
         # the run sets u's upper half from flags over the span of the run
         # only and, unless the rows are transposed at the end, ORs u's bit
@@ -305,8 +295,8 @@ def _add_runs(
         if upper.bit_count() < count:  # the sorted vs repeat one
             return None
         rows[u] |= upper << lo
-        last_u, last_v = u, hi - 1
-    return last_u, last_v
+        last = u, hi - 1
+    return last
 
 
 def _transposes(n: int, m: int) -> bool:

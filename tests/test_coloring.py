@@ -888,6 +888,8 @@ def test_verify_low_rw_names_a_union_size_the_budget_misses(monkeypatch):
     ((1, 2, "2"), 2, "vertex 2 has color '2', not an integer"),
     ((1, 2, 1), 2.0, "palette size 2.0 is not an integer"),
     ((1, 1, 1), True, "palette size True is not an integer"),
+    ((1,), 0, "palette must have at least one color"),
+    ((1, 3), 2, "vertex 1 has color 3 outside 1..2"),
 ])
 def test_coloring_takes_integer_colors_only(colors, palette, message):
     with pytest.raises(ValueError) as err:
@@ -902,3 +904,18 @@ def test_greedy_proper_coloring_is_proper():
         c = greedy_proper_coloring(g)
         for u, v in g.edges():
             assert c.colors[u] != c.colors[v]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: good_refinement(path(3), Coloring((1, 1), 1), 2,
+                                         LinearOrder.from_order([0, 1, 2])),
+                 "coloring does not match the graph", id="good-refinement-coloring-size"),
+    pytest.param(lambda: excellent_refinement(path(3), Coloring((1, 1, 1), 1), 1, []),
+                 "excellent refinements need radius >= 2", id="excellent-refinement-radius"),
+    pytest.param(lambda: low_rankwidth_coloring_of_power(path(3), 1, 2),
+                 "power coloring needs radius >= 2", id="power-coloring-radius"),
+])
+def test_colorings_refuse_what_they_cannot_color(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

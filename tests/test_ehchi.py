@@ -439,3 +439,21 @@ def test_chi_product_htilde():
         per_class[col] = greedy_proper_coloring(induced_subgraph(g, members)).palette_size
     assert out.palette_size <= c.palette_size * max(per_class.values())
 
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cograph_extract(path(3), None, 1),
+                 "graphs on more than 2 vertices need a decomposition", id="no-decomposition"),
+    pytest.param(lambda: eh_witness(path(3), lambda G: (Coloring((1, 1), 1), 1)),
+                 "provider coloring does not match the graph", id="provider-coloring-size"),
+    pytest.param(lambda: chi_product_coloring(path(3), Coloring((1, 1), 1)),
+                 "coloring does not match the graph", id="chi-coloring-size"),
+])
+def test_eh_and_chi_refuse_inputs_that_do_not_fit(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_eh_witness_of_one_vertex_below_the_squared_palette_is_that_vertex():
+    witness, kind, _ = eh_witness(path(1), lambda G: (Coloring((1,), 2), 0))
+    assert (witness, kind) == ({0}, "independent")

@@ -385,3 +385,33 @@ def test_random_degenerate_peeling():
 def test_generators_validate():
     for g in (h_graph(3, 4), h_tilde(2, 3), twisted_chain(3), grid(3, 3), path(5), cycle(6)):
         g.validate_symmetric()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: h_graph(0, 3), "need n, m >= 1", id="h-graph-without-rows"),
+    pytest.param(lambda: chain_order(Graph(4, (0,) * 4, ({},) * 4)), "vertex count is not 3*n^2",
+                 id="chain-order-of-4-vertices"),
+    pytest.param(lambda: trace_faces([]), "rotation system needs at least one vertex",
+                 id="empty-rotation-system"),
+    pytest.param(lambda: trace_faces([[1, 1], [0]]), "rotation of vertex 0 repeats a neighbor",
+                 id="rotation-repeats-a-neighbour"),
+    pytest.param(lambda: trace_faces([[1], [5]]), "rotation of vertex 1 mentions invalid vertex 5",
+                 id="rotation-names-a-vertex-outside"),
+    pytest.param(lambda: line_graph_via_subdivision(build_graph(3, [])),
+                 "line graph of an edgeless graph is empty", id="line-graph-of-no-edges"),
+    pytest.param(lambda: path(0), "need n >= 1", id="path-0"),
+    pytest.param(lambda: cycle(2), "cycles need n >= 3", id="cycle-2"),
+    pytest.param(lambda: grid(0, 1), "need a, b >= 1", id="grid-0-by-1"),
+    pytest.param(lambda: random_degenerate(0, 1, 0), "need n >= 1 and d >= 0",
+                 id="degenerate-without-vertices"),
+])
+def test_family_builders_refuse_parameters_outside_their_range(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_intersection_graph_refuses_a_model_of_another_type():
+    with pytest.raises(TypeError) as err:
+        intersection_graph(object())
+    assert str(err.value) == "unsupported model type object"

@@ -1,8 +1,10 @@
 import csv
+import io
 import itertools
 import json
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -123,20 +125,37 @@ def _chunked_edge_list() -> str:
     return text
 
 
+def _chunk_starts(text: str) -> list[int]:
+    """The byte offsets at which the reader's chunks of a text start, from
+    the lengths of the chunks that both chunkers yield: line 1 alone, then
+    the chunks of data lines."""
+    sizes = [len(chunk) for chunk in formats._text_chunks(text)]
+    assert [len(chunk) for chunk in formats._file_chunks(io.BytesIO(text.encode()))] == sizes
+    return list(itertools.accumulate(sizes, initial=0))[:-1]
+
+
 def _second_chunk_starts(text: str) -> int:
-    return text.find("\n", _CHUNK_CHARS) + 1
+    """Where the second chunk of data lines starts."""
+    return _chunk_starts(text)[2]
+
+
+def _on_a_chunk_boundary(text: str, start: int) -> str:
+    """text, once offset start is asserted to begin a chunk of both chunkers."""
+    assert start in _chunk_starts(text)
+    return text
 
 
 def _fault_on_the_first_line_of_a_later_chunk() -> str:
     text = _chunked_edge_list()
-    end = text.index("\n", _second_chunk_starts(text))
-    return text[:end] + " 0" + text[end:]
+    start = _second_chunk_starts(text)
+    end = text.index("\n", start)
+    return _on_a_chunk_boundary(text[:end] + " 0" + text[end:], start)
 
 
 def _vertex_spelled_two_ways_in_different_chunks() -> str:
     text = _chunked_edge_list()
     start = _second_chunk_starts(text)
-    return text[:start] + "00" + text[start:]
+    return _on_a_chunk_boundary(text[:start] + "00" + text[start:], start)
 
 
 def _comment_chunks_between_data_chunks() -> str:
@@ -150,7 +169,7 @@ def _comment_chunks_between_data_chunks() -> str:
 
 def _lines_at_the_chunk_boundary() -> tuple[list[str], int]:
     """The lines of `_chunked_edge_list` and the index of the first line of
-    its second chunk, which starts inside the run of vertex 136."""
+    its second chunk of data lines, which starts inside a vertex's run."""
     text = _chunked_edge_list()
     k = text.count("\n", 0, _second_chunk_starts(text))
     lines = text.split("\n")
@@ -158,20 +177,25 @@ def _lines_at_the_chunk_boundary() -> tuple[list[str], int]:
     return lines, k
 
 
+def _line_on_a_chunk_boundary(lines: list[str], k: int) -> str:
+    """The text of lines, once line k is asserted to begin a chunk of both
+    chunkers."""
+    return _on_a_chunk_boundary("\n".join(lines), sum(map(len, lines[:k])) + k)
+
+
 def _edge_repeated_across_a_chunk_boundary() -> str:
-    """The first line of the second chunk (line 9421) repeats the last line
-    of the first, so only the pair carried across the boundary shows it."""
+    """The first line of the second chunk of data lines repeats the last
+    line of the chunk before, so only the pair carried across the boundary
+    shows it."""
     lines, k = _lines_at_the_chunk_boundary()
     lines[k] = lines[k - 1]
-    return "\n".join(lines)
+    return _line_on_a_chunk_boundary(lines, k)
 
 
 def _lines_swapped_across_a_chunk_boundary() -> str:
     lines, k = _lines_at_the_chunk_boundary()
     lines[k - 1], lines[k] = lines[k], lines[k - 1]
-    text = "\n".join(lines)
-    assert text.count("\n", 0, _second_chunk_starts(text)) == k
-    return text
+    return _line_on_a_chunk_boundary(lines, k)
 
 
 def _only_lower_neighbours_finished_after_the_last_chunk() -> str:
@@ -273,7 +297,7 @@ HAND_WRITTEN_EDGE_LISTS = {
     "crlf-over-several-chunks": _chunked_edge_list().replace("\n", "\r\n"),
     "no-final-newline-over-several-chunks": _chunked_edge_list()[:-1],
     "vertex-spelled-two-ways-in-different-chunks": _vertex_spelled_two_ways_in_different_chunks(),
-    "run-split-across-two-chunks": "\n".join(_lines_at_the_chunk_boundary()[0]),
+    "run-split-across-two-chunks": _line_on_a_chunk_boundary(*_lines_at_the_chunk_boundary()),
     "edge-repeated-across-a-chunk-boundary": _edge_repeated_across_a_chunk_boundary(),
     "lines-swapped-across-a-chunk-boundary": _lines_swapped_across_a_chunk_boundary(),
     "only-lower-neighbours-finished-after-the-last-chunk":
@@ -281,6 +305,13 @@ HAND_WRITTEN_EDGE_LISTS = {
     "line-fault-then-a-count-fault-chunks-later": _line_fault_then_a_count_fault_chunks_later(),
     "fault-in-a-chunk-that-is-not-plain-before-plain-chunks":
         _fault_in_a_chunk_that_is_not_plain_before_plain_chunks(),
+    "header-n-repeated-as-the-first-u": "3 2\n3 4\n3 5\n",
+    "header-only-without-a-final-newline": "5 0",
+    "header-after-a-blank-line": "\n3 1\n0 1\n",
+    "crlf-header-then-a-plain-body-over-several-chunks":
+        _chunked_edge_list().replace("\n", "\r\n", 1),
+    "one-token-line-in-a-plain-layout": "3 2\n0 1\n1 \n",
+    "digit-run-longer-than-int-converts": "3 1\n0 " + "1" * 5000 + "\n",
 }
 
 
@@ -402,11 +433,46 @@ def test_edge_list_io_matches_the_per_line_references(text):
 
 def _multibyte_character_across_a_block_boundary() -> str:
     """A comment line whose two-byte character starts on the last byte of
-    the first block that the file reader takes."""
+    the first block that the file reader takes after line 1, and is the
+    last character of the text reader's first block."""
     text = _chunked_edge_list()
-    start = text.rfind("\n", 0, _CHUNK_CHARS - 8) + 1
-    comment = "#" * (_CHUNK_CHARS - 1 - start) + "\u00e9\n"
-    return text[:start] + comment + text[start:]
+    end = _chunk_starts(text)[1] + _CHUNK_CHARS  # where that block ends
+    start = text.rfind("\n", 0, end - 8) + 1
+    text = text[:start] + "#" * (end - 1 - start) + "\u00e9\n" + text[start:]
+    # the character (bytes end - 1 and end) and its line break close a chunk
+    assert text[end - 1] == "\u00e9" and _chunk_starts(text)[2] == end + 2
+    return text
+
+
+def _hand_written(name: str, refused: bool):
+    return pytest.param(HAND_WRITTEN_EDGE_LISTS[name], refused, id=name)
+
+
+@pytest.mark.parametrize("text, refused", [
+    _hand_written("header-n-repeated-as-the-first-u", False),
+    pytest.param("2 1\n0 1\n", False, id="one-edge"),
+    pytest.param(_chunked_edge_list(), False, id="several-chunks"),
+    _hand_written("one-token-line-in-a-plain-layout", True),
+    # where int() converts digit runs of any length, the run is a vertex
+    # id too large for the header's n
+    _hand_written("digit-run-longer-than-int-converts", hasattr(sys, "get_int_max_str_digits")),
+])
+def test_the_header_is_read_alone_before_the_bulk_path(monkeypatch, text, refused):
+    """Both chunkers yield line 1 alone, and `_plain_pairs` sees every
+    later chunk and never the header's; it refuses (returns None for) a
+    chunk of digits and spaces that is not two ints a line."""
+    chunks = list(formats._text_chunks(text))
+    assert chunks[0] == text[:text.index("\n") + 1].encode() and len(chunks) > 1
+    plain, seen, returned = formats._plain_pairs, [], []
+    monkeypatch.setattr(formats, "_plain_pairs", lambda chunk, *rest: (
+        seen.append(chunk) or returned.append(plain(chunk, *rest)) or returned[-1]))
+    ref = _outcome(oracles.parse_edge_list_by_lines, text)
+    for read in (parse_edge_list, lambda t: formats.read_edge_list(io.BytesIO(t.encode()))):
+        seen.clear()
+        returned.clear()
+        assert _outcome(read, text) == ref
+        assert seen == chunks[1:]
+        assert [pairs is None for pairs in returned] == [refused] * len(seen)
 
 
 @pytest.mark.parametrize("text", EDGE_LIST_CASES + [
@@ -446,7 +512,7 @@ def test_crlf_chain_is_read_in_bulk(tmp_path, monkeypatch, variant):
         assert (got.n, got.adj) == (g.n, g.adj)
     assert len(kinds) > 4 and all(kinds)
     lines = text.split("\r\n")
-    i = text.count("\r\n", 0, _CHUNK_CHARS) + 5
+    i = text.count("\r\n", 0, _second_chunk_starts(text)) + 5
     lines[i], lines[i + 1] = lines[i + 1], lines[i]
     bad = "\r\n".join(lines)
     path.write_bytes(bad.encode())
@@ -2072,3 +2138,18 @@ def test_cli_usage_error_and_version_change_no_later_output(cli_files, capsys):
     assert outputs([(["gen", "path", "--n", "x"], 2), (["power", "-r", "2"], 2),
                     (["--version"], 0)]) == fresh
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_label_sidecar_must_be_an_array():
+    with pytest.raises(ValueError) as err:
+        labels_from_json("{}")
+    assert str(err.value) == "label sidecar must be a JSON array"
+
+
+def test_harness_row_of_an_imbalanced_bipartition_is_unverified(monkeypatch, capsys):
+    """A bipartition that `chain_certificate` finds imbalanced gives order 0,
+    unverified, and the harness exits 1."""
+    report = lab.ImbalanceReport("S", 100, 144, 0, 0)
+    monkeypatch.setattr(cli, "chain_certificate", lambda n, part: report)
+    assert run(["lab", "certificate", "--order", "12", "--seeds", "2", "--seed", "3"]) == 1
+    assert capsys.readouterr().out == "seed,achieved_order,verified\n3,0,false\n4,0,false\n"

@@ -408,3 +408,15 @@ def test_above_masks_match_positions():
         above = above_masks(L)
         for v in range(n):
             assert above[v] == mask_of(w for w in range(n) if L.position[w] > L.position[v])
+
+
+@pytest.mark.parametrize("n, adj, labels, message", [
+    (2, (0,), None, "adjacency row count differs from vertex count"),
+    (2, (0b100, 0), None, "row 0 has bits outside 0..1"),
+    (2, (0b01, 0), None, "self-loop on vertex 0"),
+    (2, (0, 0), ({},), "labels, when present, must cover all vertices"),
+])
+def test_graph_refuses_rows_or_labels_that_do_not_fit(n, adj, labels, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, adj, labels)
+    assert str(err.value) == message

@@ -533,3 +533,31 @@ def test_extraction_matches_the_combination_scan(order, colors, bias):
     want_sub, want_rep = oracles.extract_by_combinations(g, c, 2)
     assert rep == want_rep
     assert sub.adj == want_sub.adj
+
+
+def _lex_breaking_alternation(length: int = 4):
+    """A bipartition of the order-2 chain whose only S vertex is z_(1,2),
+    and the first length elements of a sequence that alternates S and T
+    from it but steps down to z_(1,1)."""
+    return Bipartition.of(twisted_chain(2), {2 * 4 + 1}), [(1, 2), (1, 1), (2, 1), (2, 2)][:length]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: certificate_rank(
+        twisted_chain(3), MatchingCertificate("A", ("S", "T"), ((1, 1, 1),), 2)),
+                 "certificate is for order 2, graph has order 3", id="order-2-certificate"),
+    pytest.param(lambda: matching_from_alternation(2, *_lex_breaking_alternation(), "C"),
+                 "side must be 'A' or 'B'", id="side-C"),
+    pytest.param(lambda: matching_from_alternation(2, *_lex_breaking_alternation(3), "A"),
+                 "alternating sequence must have length >= 4", id="three-elements"),
+    pytest.param(lambda: matching_from_alternation(2, *_lex_breaking_alternation(), "A"),
+                 "sequence element 1 breaks the lex order", id="lex-order-broken"),
+    pytest.param(lambda: ramsey_bireduce(lambda x, y: 0, [1], [1], 0, 1), "need k, d >= 1",
+                 id="ramsey-k-0"),
+    pytest.param(lambda: chain_extraction(2, [1] * 12, 0), "target must be >= 1",
+                 id="extraction-target-0"),
+])
+def test_lab_refuses_inputs_outside_its_range(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -220,3 +220,9 @@ def test_heuristic_grid_snapshot():
     value, _, _ = wcol_heuristic(grid(5, 5), 2)
     assert value == 7
     assert value <= 10
+
+
+def test_wreach_sets_refuse_a_negative_radius():
+    with pytest.raises(ValueError) as err:
+        wreach_sets(grid(2, 2), LinearOrder.from_order(range(4)), -1)
+    assert str(err.value) == "radius must be non-negative"

@@ -67,9 +67,20 @@ def test_verify_rejects_bad_leaf_map():
 
 
 def test_verify_rejects_disconnected_tree():
-    D = RankDecomposition(4, ((0, 1), (2, 3)), ((0, 0), (1, 1), (2, 2), (3, 3)))
-    with pytest.raises(ValueError):
-        verify_decomposition(build_graph(4, []), D)
+    cases = [
+        # too few edges to be connected: refused by the edge count
+        (4, RankDecomposition(4, ((0, 1), (2, 3)), ((0, 0), (1, 1), (2, 2), (3, 3))),
+         "tree on 4 nodes needs 3 edges, got 2"),
+        # a triangle with a pendant leaf at each corner, beside one edge:
+        # degrees 1 and 3 only, 7 edges on 8 nodes, and no path between the two
+        (5, RankDecomposition(8, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (6, 7)),
+                              ((3, 0), (4, 1), (5, 2), (6, 3), (7, 4))),
+         "decomposition tree is disconnected"),
+    ]
+    for n, D, message in cases:
+        with pytest.raises(ValueError) as err:
+            verify_decomposition(build_graph(n, []), D)
+        assert str(err.value) == message
 
 
 def test_exact_single_vertex():
@@ -675,3 +686,21 @@ def test_rank_width_of_subgraph_is_max_over_components_of_the_union():
     assert value == rank_width_upper(induced_subgraph(g, (1 << 22) - 4)).value >= 2
     with pytest.raises(ValueError, match="vertex 5 not in graph"):
         rank_width_of_subgraph(build_graph(4, [(0, 1)]), [1 << 1, 1 << 7, 1 << 5])
+
+
+@pytest.mark.parametrize("n, tree, message", [
+    pytest.param(1, RankDecomposition(1, (), ((0, 0),)),
+                 "decomposition tree must have at least 2 nodes", id="one-node"),
+    pytest.param(3, RankDecomposition(4, ((0, 1), (0, 2), (0, 3)), ((1, 0), (2, 1), (0, 2))),
+                 "leaf_map domain differs from the tree's leaves", id="inner-node-mapped"),
+])
+def test_verify_decomposition_refuses_a_tree_that_is_not_one(n, tree, message):
+    with pytest.raises(ValueError) as err:
+        verify_decomposition(build_graph(n, []), tree)
+    assert str(err.value) == message
+
+
+def test_caterpillar_needs_two_leaves():
+    with pytest.raises(ValueError) as err:
+        caterpillar_decomposition([0])
+    assert str(err.value) == "caterpillar needs at least 2 vertices"
